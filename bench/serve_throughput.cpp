@@ -239,7 +239,9 @@ int main() {
     threads.emplace_back([&, t] {
       for (int r = 0; r < reps; ++r) {
         Json req = Json::object();
-        req.set("id", "t" + std::to_string(t) + "-" + std::to_string(r));
+        std::string id = "t";
+        id += std::to_string(t) + "-" + std::to_string(r);
+        req.set("id", id);
         req.set("tenant", "tenant" + std::to_string(t));
         req.set("op", std::string("run"));
         req.set("builtin", std::string("stencil"));

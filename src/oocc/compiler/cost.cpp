@@ -1,12 +1,13 @@
 #include "oocc/compiler/cost.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <optional>
 #include <sstream>
 
 #include "oocc/compiler/plan.hpp"
 #include "oocc/hpf/distribution.hpp"
+#include "oocc/runtime/bufferpool.hpp"
+#include "oocc/runtime/slab_directory.hpp"
 #include "oocc/runtime/slab_writer.hpp"
 #include "oocc/util/error.hpp"
 
@@ -188,378 +189,71 @@ CostDecision choose_access_reorganization(const GaxpyCostQuery& query,
 
 namespace {
 
-/// Shape-only mirror of runtime::SlabBufferPool for the pricer: entries are
-/// (section, reuse hint, recency, dirty, pin) tuples against a capacity in
-/// elements; lookup is exact / containment / full-height column coverage
-/// and eviction is farthest-reuse-first with an LRU tie-break — the same
-/// policy as bufferpool.cpp, so priced hits match measured ones. Capacity
-/// is soft: when every entry is pinned the sim briefly over-subscribes
-/// instead of throwing (the executor would have failed louder).
-class CacheSim {
- public:
-  struct Entry {
-    io::Section sec;
-    double hint = -1.0;
-    std::uint64_t last_use = 0;
-    bool dirty = false;
-    bool prefetched = false;
-    int pins = 0;
-  };
-
-  void set_capacity(std::int64_t cap) noexcept { capacity_ = cap; }
-
-  /// Sections written back by an operation, to be charged by the caller.
-  using WriteBacks = std::vector<std::pair<std::string, io::Section>>;
-
-  /// What a demand read found. kPrefetched mirrors the pool's double-buffer
-  /// accounting: the bytes did move (charged at read-ahead issue), so the
-  /// demand acquire is neither a charged read nor a counted hit.
-  enum class ReadResult { kMiss, kHit, kPrefetched };
-
-  /// Demand read. Either way the requested section ends pinned and
-  /// resident (assembled entries mirror the pool's copies).
-  ReadResult acquire_read(const std::string& array, const io::Section& s,
-                          double hint, WriteBacks& wb) {
-    if (Entry* e = find_exact(array, s)) {
-      e->last_use = ++tick_;
-      e->hint = hint;
-      ++e->pins;
-      if (e->prefetched) {
-        e->prefetched = false;
-        return ReadResult::kPrefetched;
-      }
-      return ReadResult::kHit;
-    }
-    const std::vector<io::Section> sources = covering_sections(array, s);
-    if (!sources.empty()) {
-      // The pool pins the covering entries while it assembles the new
-      // one, so eviction during the insert cannot pick them — mirror that
-      // or the resident sets diverge at tight budgets.
-      for (const io::Section& src : sources) {
-        adjust_pins(array, src, +1);
-      }
-      insert(array, s, hint, wb).pins = 1;
-      for (const io::Section& src : sources) {
-        adjust_pins(array, src, -1);
-      }
-      return ReadResult::kHit;
-    }
-    // Miss: the pool writes back dirty entries overlapping the request
-    // before reading the disk (the read must see current data).
-    flush_overlapping_dirty(array, s, wb);
-    insert(array, s, hint, wb).pins = 1;
-    return ReadResult::kMiss;
-  }
-
-  /// Mirror of SlabBufferPool::resident: exact entry or assemblable cover.
-  bool resident(const std::string& array, const io::Section& s) {
-    return !covering_sections(array, s).empty();
-  }
-
-  /// Mirror of SlabBufferPool::read_ahead: inserts an unpinned prefetched
-  /// entry only when the spare room holds it — a read-ahead never evicts.
-  /// Returns false (queue stalls) when the pool is full. The caller charges
-  /// the disk read on success.
-  bool read_ahead(const std::string& array, const io::Section& s,
-                  double hint, WriteBacks& wb) {
-    if (resident(array, s)) {
-      return true;
-    }
-    if (used_ + s.elements() > capacity_) {
-      return false;
-    }
-    flush_overlapping_dirty(array, s, wb);
-    insert(array, s, hint, wb).prefetched = true;
-    return true;
-  }
-
-  /// Staging for a write: drops (write-back first) other overlapping
-  /// ranges, pins the exact entry.
-  void acquire_write(const std::string& array, const io::Section& s,
-                     double hint, WriteBacks& wb) {
-    auto it = entries_.find(array);
-    if (it != entries_.end()) {
-      for (std::size_t i = 0; i < it->second.size();) {
-        Entry& e = it->second[i];
-        if (!(e.sec == s) && e.sec.overlaps(s)) {
-          if (e.dirty) {
-            wb.emplace_back(array, e.sec);
-          }
-          used_ -= e.sec.elements();
-          it->second.erase(it->second.begin() +
-                           static_cast<std::ptrdiff_t>(i));
-        } else {
-          ++i;
-        }
-      }
-    }
-    if (Entry* e = find_exact(array, s)) {
-      e->last_use = ++tick_;
-      ++e->pins;
-      return;
-    }
-    insert(array, s, hint, wb).pins = 1;
-  }
-
-  void mark_dirty(const std::string& array, const io::Section& s,
-                  double hint) {
-    if (Entry* e = find_exact(array, s)) {
-      e->dirty = true;
-      e->hint = hint;
-      e->last_use = ++tick_;
-    }
-  }
-
-  void unpin(const std::string& array, const io::Section& s) {
-    if (Entry* e = find_exact(array, s)) {
-      if (e->pins > 0) {
-        --e->pins;
-      }
-    }
-  }
-
-  /// Drops the exact entry if clean and unpinned (the executor's halo-entry
-  /// discard after each slab iteration — SlabBufferPool::drop_clean).
-  void drop_clean(const std::string& array, const io::Section& s) {
-    const auto it = entries_.find(array);
-    if (it == entries_.end()) {
-      return;
-    }
-    for (std::size_t i = 0; i < it->second.size(); ++i) {
-      Entry& e = it->second[i];
-      if (e.sec == s && !e.dirty && e.pins == 0) {
-        used_ -= e.sec.elements();
-        it->second.erase(it->second.begin() + static_cast<std::ptrdiff_t>(i));
-        return;
-      }
-    }
-  }
-
-  /// Write back and drop every entry of `array` (the OwnedColumnWriter
-  /// bypass makes cached slabs stale).
-  void invalidate(const std::string& array, WriteBacks& wb) {
-    const auto it = entries_.find(array);
-    if (it == entries_.end()) {
-      return;
-    }
-    for (const Entry& e : it->second) {
-      if (e.dirty) {
-        wb.emplace_back(array, e.sec);
-      }
-      used_ -= e.sec.elements();
-    }
-    entries_.erase(it);
-  }
-
-  /// Write back every dirty entry, in the pool's deterministic flush order.
-  void flush(WriteBacks& wb) {
-    for (auto& [array, list] : entries_) {
-      std::vector<Entry*> dirty;
-      for (Entry& e : list) {
-        if (e.dirty) {
-          dirty.push_back(&e);
-        }
-      }
-      std::sort(dirty.begin(), dirty.end(),
-                [](const Entry* a, const Entry* b) {
-                  if (a->sec.col0 != b->sec.col0) {
-                    return a->sec.col0 < b->sec.col0;
-                  }
-                  return a->sec.row0 < b->sec.row0;
-                });
-      for (Entry* e : dirty) {
-        wb.emplace_back(array, e->sec);
-        e->dirty = false;
-      }
-    }
-  }
-
- private:
-  Entry* find_exact(const std::string& array, const io::Section& s) {
-    const auto it = entries_.find(array);
-    if (it == entries_.end()) {
-      return nullptr;
-    }
-    for (Entry& e : it->second) {
-      if (e.sec == s) {
-        return &e;
-      }
-    }
-    return nullptr;
-  }
-
-  /// Sections of the entries that cover `s` (same rule as the pool's
-  /// covering_entries); empty when `s` is not covered. Sections rather
-  /// than pointers: eviction reshuffles the entry vectors.
-  std::vector<io::Section> covering_sections(const std::string& array,
-                                             const io::Section& s) const {
-    const auto it = entries_.find(array);
-    if (it == entries_.end()) {
-      return {};
-    }
-    for (const Entry& e : it->second) {
-      if (e.sec.contains(s)) {
-        return {e.sec};
-      }
-    }
-    std::vector<io::Section> sources;
-    for (std::int64_t c = s.col0; c < s.col1;) {
-      const Entry* found = nullptr;
-      for (const Entry& e : it->second) {
-        if (e.sec.row0 == s.row0 && e.sec.row1 == s.row1 && e.sec.col0 <= c &&
-            c < e.sec.col1) {
-          found = &e;
-          break;
-        }
-      }
-      if (found == nullptr) {
-        return {};
-      }
-      sources.push_back(found->sec);
-      c = found->sec.col1;
-    }
-    return sources;
-  }
-
-  void adjust_pins(const std::string& array, const io::Section& s,
-                   int delta) {
-    if (Entry* e = find_exact(array, s)) {
-      e->pins += delta;
-    }
-  }
-
-  void flush_overlapping_dirty(const std::string& array, const io::Section& s,
-                               WriteBacks& wb) {
-    const auto it = entries_.find(array);
-    if (it == entries_.end()) {
-      return;
-    }
-    for (Entry& e : it->second) {
-      if (e.dirty && e.sec.overlaps(s)) {
-        wb.emplace_back(array, e.sec);
-        e.dirty = false;
-      }
-    }
-  }
-
-  Entry& insert(const std::string& array, const io::Section& s, double hint,
-                WriteBacks& wb) {
-    while (used_ + s.elements() > capacity_) {
-      if (!evict_one(wb)) {
-        break;  // soft capacity: everything pinned
-      }
-    }
-    Entry e;
-    e.sec = s;
-    e.hint = hint;
-    e.last_use = ++tick_;
-    entries_[array].push_back(e);
-    used_ += s.elements();
-    return entries_[array].back();
-  }
-
-  static double rank(double hint) noexcept {
-    return hint < 0 ? std::numeric_limits<double>::infinity() : hint;
-  }
-
-  bool evict_one(WriteBacks& wb) {
-    std::string* varr = nullptr;
-    std::size_t vidx = 0;
-    const Entry* victim = nullptr;
-    for (auto& [array, list] : entries_) {
-      for (std::size_t i = 0; i < list.size(); ++i) {
-        const Entry& e = list[i];
-        if (e.pins > 0) {
-          continue;
-        }
-        if (victim == nullptr || rank(e.hint) > rank(victim->hint) ||
-            (rank(e.hint) == rank(victim->hint) &&
-             e.last_use < victim->last_use)) {
-          varr = const_cast<std::string*>(&array);
-          vidx = i;
-          victim = &e;
-        }
-      }
-    }
-    if (victim == nullptr) {
-      return false;
-    }
-    if (victim->dirty) {
-      wb.emplace_back(*varr, victim->sec);
-    }
-    used_ -= victim->sec.elements();
-    auto& list = entries_[*varr];
-    list.erase(list.begin() + static_cast<std::ptrdiff_t>(vidx));
-    return true;
-  }
-
-  std::map<std::string, std::vector<Entry>> entries_;
-  std::int64_t capacity_ = 0;
-  std::int64_t used_ = 0;
-  std::uint64_t tick_ = 0;
-};
+using Directory = runtime::SlabDirectory<>;
 
 /// Symbolic execution of a plan's step tree for one processor: tracks the
 /// same loop, reduction, and output-writer state as exec's StepExecutor,
-/// but charges extent counts instead of doing I/O. With a CacheSim it also
-/// mirrors the executor's slab pool, pricing hits as avoided traffic.
-class StepPricer {
+/// and drives the same runtime::SlabDirectory its pool does (retaining or
+/// not), charging extent counts wherever the pool would move data.
+class StepPricer final : public Directory::Host {
  public:
-  /// `all_arrays` resolves arrays that live in *other* plans of the
-  /// sequence being priced (a persistent cache can evict another
-  /// statement's dirty slab mid-walk); null for single-plan pricing.
-  StepPricer(const NodeProgram& plan, int proc, CacheSim* cache,
-             const std::map<std::string, const PlanArray*>* all_arrays =
-                 nullptr)
-      : plan_(plan), proc_(proc), cache_(cache), all_arrays_(all_arrays) {
+  /// `dir` persists across the plans of a priced sequence, as the pool does
+  /// across execute_sequence; `capacity` is the budget it shares with the
+  /// GAXPY side buffers. `all_arrays` resolves arrays that live in *other*
+  /// plans of the sequence (a persistent cache can evict another
+  /// statement's dirty slab mid-walk).
+  StepPricer(const NodeProgram& plan, int proc, Directory& dir,
+             std::int64_t capacity,
+             const std::map<std::string, const PlanArray*>& all_arrays)
+      : plan_(plan), proc_(proc), dir_(dir), capacity_(capacity),
+        all_arrays_(all_arrays),
+        side_(gaxpy_side_reservation(plan, proc)) {
     for (const SlabLoop& loop : plan_.loops) {
       const PlanArray& space = plan_.array(loop.space);
-      states_.emplace(
-          loop.name,
-          LoopState(&loop, runtime::SlabIterator(space.dist.local_rows(proc_),
-                                                 space.dist.local_cols(proc_),
-                                                 loop.orientation,
-                                                 loop.capacity_elements)));
+      states_.emplace(loop.name,
+                      LoopState(runtime::SlabIterator(
+                          space.dist.local_rows(proc_),
+                          space.dist.local_cols(proc_), loop.orientation,
+                          loop.capacity_elements)));
     }
   }
 
-  PlanPrice run() {
-    if (cache_ != nullptr && plan_.kind == ProgramKind::kGaxpy) {
+  /// Prices the plan; `flush` adds the end-of-run write-back of every dirty
+  /// slab (the executor flushes its pool after the last plan).
+  PlanPrice run(bool flush) {
+    if (plan_.kind == ProgramKind::kGaxpy) {
       // The executor write-backs + drops cached slabs of arrays written
       // through the OwnedColumnWriter bypass before running the plan.
-      CacheSim::WriteBacks wb;
-      cache_->invalidate(plan_.c, wb);
-      charge_writebacks(wb);
+      dir_.invalidate(*this, plan_.c);
     }
     walk(plan_.steps);
     if (writer_) {
       flush_writer();
     }
+    reserved_ = 0;  // the side buffers go with the plan
+    if (flush) {
+      dir_.flush(*this);
+    }
     return std::move(price_);
+  }
+
+  std::int64_t room() const override {
+    return capacity_ - dir_.resident_elements() - reserved_;
+  }
+  void write_back(const std::string& array, Directory::Entry& e) override {
+    charge(array, e.sec, /*is_read=*/false);
   }
 
  private:
   struct LoopState {
-    LoopState(const SlabLoop* d, runtime::SlabIterator it)
-        : decl(d), iter(it) {}
+    explicit LoopState(runtime::SlabIterator it) : iter(it) {}
 
-    const SlabLoop* decl;
     runtime::SlabIterator iter;
     io::Section section{};
-    std::int64_t index = -1;
     std::int64_t column = -1;
-    /// Cache entries pinned during the current slab iteration (cache mode).
+    /// Entries pinned during the current slab iteration.
     std::vector<std::pair<std::string, io::Section>> pinned;
-    /// Halo entries dropped at iteration end (mirror of the executor).
-    std::vector<std::pair<std::string, io::Section>> transient;
-    /// Read-ahead mirror of the executor's per-loop IoScheduler: the
-    /// upcoming input-slab schedule, pumped after each demand read.
-    struct PrefReq {
-      std::string array;
-      io::Section section;
-      double hint;
-    };
-    std::deque<PrefReq> queue;
+    runtime::IoScheduler scheduler;
     int lookahead = 0;
   };
 
@@ -591,31 +285,34 @@ class StepPricer {
     if (it != plan_.arrays.end()) {
       return it->second;
     }
-    OOCC_CHECK(all_arrays_ != nullptr && all_arrays_->contains(array),
-               ErrorCode::kInvalidArgument,
+    OOCC_CHECK(all_arrays_.contains(array), ErrorCode::kInvalidArgument,
                "priced cache holds array '" << array
                                             << "' unknown to the sequence");
-    return *all_arrays_->at(array);
+    return *all_arrays_.at(array);
+  }
+
+  double extents(const std::string& array, const io::Section& s) const {
+    const PlanArray& pa = resolve_array(array);
+    return static_cast<double>(io::section_extent_count(
+        s, pa.dist.local_rows(proc_), pa.dist.local_cols(proc_), pa.storage));
   }
 
   void charge(const std::string& array, const io::Section& s, bool is_read) {
-    const PlanArray& pa = resolve_array(array);
-    const double extents = static_cast<double>(io::section_extent_count(
-        s, pa.dist.local_rows(proc_), pa.dist.local_cols(proc_), pa.storage));
     StepIoCost& cost = price_.arrays[array];
     if (is_read) {
-      cost.read_requests += extents;
+      cost.read_requests += extents(array, s);
       cost.elements_read += static_cast<double>(s.elements());
     } else {
-      cost.write_requests += extents;
+      cost.write_requests += extents(array, s);
       cost.elements_written += static_cast<double>(s.elements());
     }
   }
 
-  void charge_writebacks(const CacheSim::WriteBacks& wb) {
-    for (const auto& [array, sec] : wb) {
-      charge(array, sec, /*is_read=*/false);
-    }
+  /// Reserves a GAXPY side buffer beside the directory, evicting for room
+  /// exactly as the executor's ensure_available does.
+  void reserve(std::int64_t elements) {
+    dir_.make_room(*this, elements);
+    reserved_ += elements;
   }
 
   void flush_writer() {
@@ -639,43 +336,24 @@ class StepPricer {
     switch (step.kind) {
       case StepKind::kForEachSlab: {
         LoopState& loop = state(step.loop);
-        if (cache_ != nullptr && loop.decl->prefetch) {
-          // Mirror of the executor's schedule hand-off: every pure-input
-          // ReadSlab stream of this loop, every slab, in demand order.
-          loop.queue.clear();
-          loop.lookahead = 0;
-          std::vector<const Step*> reads;
-          for (const Step& s : step.body) {
-            if (s.kind == StepKind::kReadSlab &&
-                !plan_.array(s.array).is_output) {
-              reads.push_back(&s);
-              ++loop.lookahead;
-            }
-          }
-          for (std::int64_t i = 0; i < loop.iter.count(); ++i) {
-            for (const Step* s : reads) {
-              loop.queue.push_back(LoopState::PrefReq{
-                  s->array, loop.iter.section(i), s->reuse_distance});
-            }
-          }
+        const std::vector<const Step*> reads = read_ahead_streams(plan_, step);
+        std::vector<runtime::IoScheduler::Request> streams;
+        streams.reserve(reads.size());
+        for (const Step* s : reads) {
+          streams.push_back(runtime::IoScheduler::Request{
+              nullptr, s->array, {}, s->reuse_distance});
         }
+        loop.lookahead = static_cast<int>(streams.size());
+        loop.scheduler.schedule(loop.iter, std::move(streams));
         for (std::int64_t i = 0; i < loop.iter.count(); ++i) {
-          loop.index = i;
           loop.section = loop.iter.section(i);
           walk(step.body);
-          if (cache_ != nullptr) {
-            for (auto it = loop.pinned.rbegin(); it != loop.pinned.rend();
-                 ++it) {
-              cache_->unpin(it->first, it->second);
-            }
-            loop.pinned.clear();
-            for (const auto& [array, sec] : loop.transient) {
-              cache_->drop_clean(array, sec);
-            }
-            loop.transient.clear();
+          for (auto it = loop.pinned.rbegin(); it != loop.pinned.rend();
+               ++it) {
+            dir_.unpin(*this, it->first, it->second);
           }
+          loop.pinned.clear();
         }
-        loop.index = -1;
         return;
       }
       case StepKind::kForEachColumn: {
@@ -694,25 +372,18 @@ class StepPricer {
         price_exchange(step);
         return;
       case StepKind::kWriteSlab:
-        if (cache_ != nullptr) {
-          // Deferred: the dirty slab is charged at write-back time.
-          cache_->mark_dirty(step.array, state(step.loop).section,
-                             step.reuse_distance);
-        } else {
-          charge(step.array, state(step.loop).section, /*is_read=*/false);
-        }
+        // A retaining directory charges the dirty slab at write-back time,
+        // a no-retain one right here.
+        dir_.mark_dirty(*this, step.array, state(step.loop).section,
+                        step.reuse_distance);
         return;
       case StepKind::kComputeElementwise: {
         LoopState& loop = state(step.loop);
         price_.flops += static_cast<double>(loop.section.elements());
-        if (cache_ != nullptr) {
-          const std::string& lhs =
-              plan_.statements.at(static_cast<std::size_t>(step.stmt)).lhs;
-          CacheSim::WriteBacks wb;
-          cache_->acquire_write(lhs, loop.section, step.reuse_distance, wb);
-          charge_writebacks(wb);
-          loop.pinned.emplace_back(lhs, loop.section);
-        }
+        const std::string& lhs =
+            plan_.statements.at(static_cast<std::size_t>(step.stmt)).lhs;
+        dir_.acquire_write(*this, lhs, loop.section, step.reuse_distance);
+        loop.pinned.emplace_back(lhs, loop.section);
         return;
       }
       case StepKind::kComputeStencil:
@@ -725,15 +396,36 @@ class StepPricer {
         price_.flops += 2.0 * static_cast<double>(a_loop.section.rows()) *
                         static_cast<double>(a_loop.section.cols());
         if (fresh_column_) {
+          if (!temp_reserved_) {
+            reserve(side_.temp);
+            temp_reserved_ = true;
+          }
           temp_r0_ = a_loop.section.row0;
           temp_r1_ = a_loop.section.row1;
-          full_rows_ = a_loop.iter.section(0).rows();
           fresh_column_ = false;
         }
         return;
       }
       case StepKind::kReduceSum:
         price_reduce(step);
+        return;
+    }
+  }
+
+  /// One demand read through the directory: a miss is charged, a hit is
+  /// counted as avoided traffic, a prefetched entry was charged at issue.
+  void demand_read(const std::string& array, const io::Section& s,
+                   double reuse_hint, bool transient) {
+    switch (dir_.acquire_read(*this, array, s, reuse_hint, transient).how) {
+      case runtime::SlabLookup::kMiss:
+        charge(array, s, /*is_read=*/true);
+        return;
+      case runtime::SlabLookup::kHit:
+      case runtime::SlabLookup::kAssembled:
+        price_.cache_hits += 1.0;
+        price_.elements_avoided += static_cast<double>(s.elements());
+        return;
+      case runtime::SlabLookup::kPrefetched:
         return;
     }
   }
@@ -745,79 +437,33 @@ class StepPricer {
         step.halo > 0 ? widen_columns(loop.section, step.halo,
                                       ra.dist.local_cols(proc_))
                       : loop.section;
-    if (cache_ != nullptr) {
-      CacheSim::WriteBacks wb;
-      const CacheSim::ReadResult r =
-          cache_->acquire_read(step.array, s, step.reuse_distance, wb);
-      charge_writebacks(wb);
-      loop.pinned.emplace_back(step.array, s);
-      if (step.halo > 0) {
-        loop.transient.emplace_back(step.array, s);
-      }
-      if (r == CacheSim::ReadResult::kHit) {
-        price_.cache_hits += 1.0;
-        price_.elements_avoided += static_cast<double>(s.elements());
-      } else if (r == CacheSim::ReadResult::kMiss) {
-        charge(step.array, s, /*is_read=*/true);
-      }
-      if (loop.decl->prefetch) {
-        pump(loop);
-      }
-      return;
-    }
-    charge(step.array, s, /*is_read=*/true);
-    if (loop.decl->prefetch && loop.index > 0) {
-      // Cache-off path: the PrefetchingSlabReader double-buffers every
-      // stream, so all but the first slab's read overlaps compute.
-      const PlanArray& pa = plan_.array(step.array);
-      price_.overlappable_read_requests +=
-          static_cast<double>(io::section_extent_count(
-              s, pa.dist.local_rows(proc_), pa.dist.local_cols(proc_),
-              pa.storage));
-      price_.overlappable_read_elements += static_cast<double>(s.elements());
-    }
+    demand_read(step.array, s, step.reuse_distance, step.halo > 0);
+    loop.pinned.emplace_back(step.array, s);
+    // Read-aheads are charged when issued (the bytes move now) and count as
+    // overlappable: they run behind the compute.
+    loop.scheduler.pump(
+        loop.lookahead,
+        [&](const runtime::IoScheduler::Request& r) {
+          return dir_.resident(r.array, r.section);
+        },
+        [&](const runtime::IoScheduler::Request& r) {
+          Directory::Entry* fill = nullptr;
+          if (!dir_.read_ahead(*this, r.array, r.section, r.reuse_hint,
+                               &fill)) {
+            return false;
+          }
+          if (fill != nullptr) {
+            charge(r.array, r.section, /*is_read=*/true);
+            price_.overlappable_read_requests += extents(r.array, r.section);
+            price_.overlappable_read_elements +=
+                static_cast<double>(r.section.elements());
+          }
+          return true;
+        });
   }
 
-  /// Mirror of IoScheduler::pump: pop satisfied requests, then issue
-  /// read-aheads until `lookahead` upcoming requests are resident or the
-  /// pool has no spare room. Each issued read is charged here (the bytes
-  /// move now) and counted overlappable (it runs behind the compute).
-  void pump(LoopState& loop) {
-    while (!loop.queue.empty() &&
-           cache_->resident(loop.queue.front().array,
-                            loop.queue.front().section)) {
-      loop.queue.pop_front();
-    }
-    int in_flight = 0;
-    for (const LoopState::PrefReq& r : loop.queue) {
-      if (in_flight >= loop.lookahead) {
-        break;
-      }
-      if (cache_->resident(r.array, r.section)) {
-        ++in_flight;
-        continue;
-      }
-      CacheSim::WriteBacks wb;
-      const bool issued = cache_->read_ahead(r.array, r.section, r.hint, wb);
-      charge_writebacks(wb);
-      if (!issued) {
-        break;  // no spare room; try again after the next demand read
-      }
-      charge(r.array, r.section, /*is_read=*/true);
-      const PlanArray& pa = resolve_array(r.array);
-      price_.overlappable_read_requests +=
-          static_cast<double>(io::section_extent_count(
-              r.section, pa.dist.local_rows(proc_),
-              pa.dist.local_cols(proc_), pa.storage));
-      price_.overlappable_read_elements +=
-          static_cast<double>(r.section.elements());
-      ++in_flight;
-    }
-  }
-
-  /// Mirrors StepExecutor::exchange_halo: the edge-column reads hit this
-  /// processor's LAF (through the modelled cache when one is active); the
-  /// messages themselves carry no LAF cost.
+  /// Mirrors StepExecutor::exchange_halo: the edge-column reads go through
+  /// the directory; the messages themselves carry no LAF cost.
   void price_exchange(const Step& step) {
     if (plan_.nprocs == 1) {
       return;
@@ -827,21 +473,8 @@ class StepPricer {
     const std::int64_t nlc = pa.dist.local_cols(proc_);
     const std::int64_t d = step.halo;
     const auto price_edge = [&](const io::Section& sec) {
-      if (cache_ != nullptr) {
-        CacheSim::WriteBacks wb;
-        const CacheSim::ReadResult r =
-            cache_->acquire_read(step.array, sec, step.reuse_distance, wb);
-        charge_writebacks(wb);
-        cache_->unpin(step.array, sec);
-        if (r == CacheSim::ReadResult::kHit) {
-          price_.cache_hits += 1.0;
-          price_.elements_avoided += static_cast<double>(sec.elements());
-        } else if (r == CacheSim::ReadResult::kMiss) {
-          charge(step.array, sec, /*is_read=*/true);
-        }
-        return;
-      }
-      charge(step.array, sec, /*is_read=*/true);
+      demand_read(step.array, sec, step.reuse_distance, false);
+      dir_.unpin(*this, step.array, sec);
     };
     if (proc_ > 0) {
       price_edge(io::Section{0, rows, 0, d});
@@ -869,12 +502,8 @@ class StepPricer {
       }
       price_.flops += ops * static_cast<double>(rows - 2 * st.row_halo);
     }
-    if (cache_ != nullptr) {
-      CacheSim::WriteBacks wb;
-      cache_->acquire_write(st.lhs, sec, step.reuse_distance, wb);
-      charge_writebacks(wb);
-      loop.pinned.emplace_back(st.lhs, sec);
-    }
+    dir_.acquire_write(*this, st.lhs, sec, step.reuse_distance);
+    loop.pinned.emplace_back(st.lhs, sec);
   }
 
   void price_reduce(const Step& step) {
@@ -889,9 +518,11 @@ class StepPricer {
       return;
     }
     if (!writer_) {
-      const std::int64_t capacity =
-          std::max(plan_.memory.slab_c, full_rows_);
-      writer_.emplace(capacity, temp_r0_, temp_r1_,
+      if (!output_reserved_) {
+        reserve(side_.output);
+        output_reserved_ = true;
+      }
+      writer_.emplace(side_.output, temp_r0_, temp_r1_,
                       c.dist.local_cols(proc_), step.array);
     }
     if (writer_->batch.push(c.dist.global_to_local_col(gj))) {
@@ -901,37 +532,20 @@ class StepPricer {
 
   const NodeProgram& plan_;
   int proc_;
-  CacheSim* cache_;
-  const std::map<std::string, const PlanArray*>* all_arrays_;
+  Directory& dir_;
+  std::int64_t capacity_;
+  const std::map<std::string, const PlanArray*>& all_arrays_;
+  SideReservation side_;
+  std::int64_t reserved_ = 0;  ///< side buffers held (GAXPY)
+  bool temp_reserved_ = false;
+  bool output_reserved_ = false;
   std::map<std::string, LoopState> states_;
   PlanPrice price_;
   bool fresh_column_ = false;
   std::int64_t temp_r0_ = 0;
   std::int64_t temp_r1_ = 0;
-  std::int64_t full_rows_ = 0;
   std::optional<WriterSim> writer_;
 };
-
-/// The budget the executor reserves outside the pool for a GAXPY plan (the
-/// reduction temporary and the staged-output-column buffer), mirrored so
-/// the modelled cache sees the same capacity the real one does.
-std::int64_t gaxpy_side_reservation(const NodeProgram& plan, int proc) {
-  if (plan.kind != ProgramKind::kGaxpy) {
-    return 0;
-  }
-  for (const SlabLoop& loop : plan.loops) {
-    if (loop.space == plan.a) {
-      const PlanArray& pa = plan.array(plan.a);
-      const runtime::SlabIterator iter(pa.dist.local_rows(proc),
-                                       pa.dist.local_cols(proc),
-                                       loop.orientation,
-                                       loop.capacity_elements);
-      const std::int64_t full_rows = iter.section(0).rows();
-      return full_rows + std::max(plan.memory.slab_c, full_rows);
-    }
-  }
-  return 0;
-}
 
 }  // namespace
 
@@ -965,91 +579,61 @@ std::map<std::string, StepIoCost> price_steps(const NodeProgram& plan,
 
 PlanPrice price_plan(const NodeProgram& plan, int proc,
                      const PriceOptions& options) {
-  OOCC_REQUIRE(proc >= 0 && proc < plan.nprocs,
-               "processor " << proc << " outside the plan's 0.."
-                            << plan.nprocs - 1);
-  if (!options.model_cache) {
-    return StepPricer(plan, proc, nullptr).run();
-  }
-  CacheSim cache;
-  const std::int64_t budget = options.cache_budget_elements > 0
-                                  ? options.cache_budget_elements
-                                  : plan.memory_budget_elements;
-  cache.set_capacity(
-      std::max<std::int64_t>(0, budget - gaxpy_side_reservation(plan, proc)));
-  PlanPrice price = StepPricer(plan, proc, &cache).run();
-  // Charge the end-of-run flush (the executor flushes its pool there too).
-  CacheSim::WriteBacks wb;
-  cache.flush(wb);
-  for (const auto& [array, sec] : wb) {
-    const PlanArray& pa = plan.array(array);
-    StepIoCost& cost = price.arrays[array];
-    cost.write_requests += static_cast<double>(io::section_extent_count(
-        sec, pa.dist.local_rows(proc), pa.dist.local_cols(proc), pa.storage));
-    cost.elements_written += static_cast<double>(sec.elements());
-  }
-  return price;
+  return price_sequence(std::span<const NodeProgram>(&plan, 1), proc, options)
+      .front();
 }
 
 std::vector<PlanPrice> price_sequence(std::span<const NodeProgram> plans,
                                       int proc, const PriceOptions& options) {
-  std::vector<PlanPrice> out;
-  if (plans.empty()) {
-    return out;
-  }
-  if (!options.model_cache) {
-    for (const NodeProgram& plan : plans) {
-      out.push_back(price_plan(plan, proc, options));
-    }
-    return out;
-  }
-  std::int64_t budget = options.cache_budget_elements;
-  if (budget == 0) {
-    for (const NodeProgram& plan : plans) {
-      budget = std::max(budget, plan.memory_budget_elements);
-    }
-  }
-  // Union of the sequence's arrays: a persistent cache can write back one
+  // The retaining executor shares one pool over the sequence's largest
+  // budget; the no-retain one gives each plan its own budget, and its pool
+  // is empty again when a plan ends. A persistent cache can write back one
   // statement's slab while a later statement (which may not mention the
-  // array at all) is being priced.
+  // array at all) is being priced, hence the union of the arrays.
+  std::int64_t shared_budget = 0;
   std::map<std::string, const PlanArray*> all_arrays;
   for (const NodeProgram& plan : plans) {
+    OOCC_REQUIRE(proc >= 0 && proc < plan.nprocs,
+                 "processor " << proc << " outside the plan's 0.."
+                              << plan.nprocs - 1);
+    shared_budget = std::max(shared_budget, plan.memory_budget_elements);
     for (const auto& [name, pa] : plan.arrays) {
       all_arrays.emplace(name, &pa);
     }
   }
-  CacheSim cache;
-  for (const NodeProgram& plan : plans) {
-    cache.set_capacity(std::max<std::int64_t>(
-        0, budget - gaxpy_side_reservation(plan, proc)));
-    out.push_back(StepPricer(plan, proc, &cache, &all_arrays).run());
-  }
-  // The sequence-end flush lands on the last plan, where the executor
-  // performs it.
-  CacheSim::WriteBacks wb;
-  cache.flush(wb);
-  for (const auto& [array, sec] : wb) {
-    const PlanArray& pa = *all_arrays.at(array);
-    StepIoCost& cost = out.back().arrays[array];
-    cost.write_requests += static_cast<double>(io::section_extent_count(
-        sec, pa.dist.local_rows(proc), pa.dist.local_cols(proc), pa.storage));
-    cost.elements_written += static_cast<double>(sec.elements());
+  Directory dir("pool", options.model_cache);
+  std::vector<PlanPrice> out;
+  for (std::size_t i = 0; i < plans.size(); ++i) {
+    std::int64_t budget = options.model_cache
+                              ? shared_budget
+                              : plans[i].memory_budget_elements;
+    if (options.cache_budget_elements > 0) {
+      budget = options.cache_budget_elements;
+    }
+    // The sequence-end flush lands on the last plan, where the executor
+    // performs it.
+    out.push_back(StepPricer(plans[i], proc, dir, budget, all_arrays)
+                      .run(/*flush=*/i + 1 == plans.size()));
   }
   return out;
+}
+
+double PlanPrice::makespan_s(const io::DiskModel& disk,
+                             const sim::MachineCostModel& machine,
+                             int nprocs) const noexcept {
+  const double comp = machine.compute.flops_time(flops);
+  const double overlappable =
+      overlappable_read_requests * disk.request_overhead_s +
+      overlappable_read_elements * static_cast<double>(sizeof(double)) /
+          disk.effective_bandwidth(nprocs);
+  return io_time_s(disk, nprocs) + comp - std::min(overlappable, comp);
 }
 
 double estimate_plan_time_s(const NodeProgram& plan, const io::DiskModel& disk,
                             const sim::MachineCostModel& machine) {
   PriceOptions options;
   options.model_cache = true;
-  const PlanPrice price = price_plan(plan, 0, options);
-  const double io = price.io_time_s(disk, plan.nprocs);
-  const double comp = machine.compute.flops_time(price.flops);
-  const double overlappable =
-      price.overlappable_read_requests * disk.request_overhead_s +
-      price.overlappable_read_elements * static_cast<double>(sizeof(double)) /
-          disk.effective_bandwidth(plan.nprocs);
-  return io + comp - std::min(overlappable, comp);
+  return price_plan(plan, 0, options).makespan_s(disk, machine, plan.nprocs);
 }
 
 namespace {

@@ -125,10 +125,11 @@ std::map<std::string, StepIoCost> price_steps(const NodeProgram& plan,
 
 /// Options for price_plan / price_sequence.
 struct PriceOptions {
-  /// Model the executor's slab buffer pool: demand reads served by the
-  /// modelled cache are not charged (they show up as cache_hits /
-  /// elements_avoided instead) and staged writes are charged at write-back
-  /// time, mirroring runtime::SlabBufferPool's lookup and eviction policy.
+  /// Price the executor's retaining slab pool: demand reads it serves from
+  /// memory are not charged (they show up as cache_hits / elements_avoided
+  /// instead) and staged writes are charged at write-back time. Off prices
+  /// the no-retain (--no-cache) pool. Either way the walk drives the pool's
+  /// own runtime::SlabDirectory.
   bool model_cache = false;
   /// Cache/working-set budget in elements; 0 = the plan's own
   /// memory_budget_elements (for price_sequence: the max across plans,
@@ -144,8 +145,8 @@ struct PlanPrice {
   double flops = 0.0;
   double cache_hits = 0.0;        ///< demand reads served from the cache
   double elements_avoided = 0.0;  ///< LAF elements those hits saved
-  /// Reads issued under prefetching slab loops past each loop's first
-  /// slab — the read I/O a read-ahead queue can overlap with compute.
+  /// Reads issued by the read-ahead queues of prefetching slab loops: the
+  /// read I/O that overlaps with compute.
   double overlappable_read_requests = 0.0;
   double overlappable_read_elements = 0.0;
 
@@ -153,6 +154,11 @@ struct PlanPrice {
   double total_elements() const noexcept;
   /// Disk service time implied by the *charged* counts.
   double io_time_s(const io::DiskModel& disk, int nprocs) const noexcept;
+  /// Predicted makespan: charged disk service + compute, minus the
+  /// overlappable read I/O the compute hides.
+  double makespan_s(const io::DiskModel& disk,
+                    const sim::MachineCostModel& machine,
+                    int nprocs) const noexcept;
 };
 
 PlanPrice price_plan(const NodeProgram& plan, int proc = 0,

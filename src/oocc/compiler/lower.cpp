@@ -1143,10 +1143,38 @@ std::string prefetch_rationale(bool enabled, double t_on, double t_off) {
 /// Prices one freshly (re-)emitted candidate layout. The steps must carry
 /// their reuse annotations first — the modelled cache evicts by them, and
 /// pricing an unannotated plan would assume a different retention policy
-/// than the one the executor runs.
-double price_candidate(NodeProgram& plan, const CompileOptions& options) {
+/// than the one the executor runs. Empty when the layout cannot run: the
+/// pricer throws exactly where the executor's pool would.
+std::optional<double> price_candidate(NodeProgram& plan,
+                                      const CompileOptions& options) {
   annotate_reuse_distances(std::span<NodeProgram>(&plan, 1));
-  return estimate_plan_time_s(plan, options.disk, options.machine);
+  try {
+    return estimate_plan_time_s(plan, options.disk, options.machine);
+  } catch (const Error&) {
+    return std::nullopt;
+  }
+}
+
+constexpr const char* kDoubleBuffersDoNotFit =
+    "auto: prefetch disabled (double buffers exceed the memory budget)";
+
+/// The auto decision from the two layouts' priced makespans (empty = the
+/// layout cannot run): prefetch when only the double-buffered layout runs
+/// or it is predicted faster. Fills `why` with the rationale.
+bool choose_prefetch(std::optional<double> t_on, std::optional<double> t_off,
+                     std::string& why) {
+  if (!t_on) {
+    why = kDoubleBuffersDoNotFit;
+    return false;
+  }
+  if (!t_off) {
+    why = "auto: prefetch enabled (the synchronous layout exceeds the "
+          "memory budget)";
+    return true;
+  }
+  const bool enable = *t_on < *t_off;
+  why = prefetch_rationale(enable, *t_on, *t_off);
+  return enable;
 }
 
 /// --prefetch=auto for an elementwise plan: build the synchronous and the
@@ -1155,14 +1183,13 @@ double price_candidate(NodeProgram& plan, const CompileOptions& options) {
 void auto_prefetch_elementwise(NodeProgram& plan,
                                const CompileOptions& options) {
   finish_elementwise_plan(plan, options, /*enable_prefetch=*/false);
-  const double t_off = price_candidate(plan, options);
+  const std::optional<double> t_off = price_candidate(plan, options);
   try {
     finish_elementwise_plan(plan, options, /*enable_prefetch=*/true);
   } catch (const Error&) {
     // The doubled buffers do not fit the budget: stay synchronous.
     finish_elementwise_plan(plan, options, /*enable_prefetch=*/false);
-    plan.cost.prefetch_rationale =
-        "auto: prefetch disabled (double buffers exceed the memory budget)";
+    plan.cost.prefetch_rationale = kDoubleBuffersDoNotFit;
     return;
   }
   if (!plan.loops.front().prefetch) {
@@ -1171,13 +1198,11 @@ void auto_prefetch_elementwise(NodeProgram& plan,
         "auto: prefetch disabled (no pure-input slab stream)";
     return;
   }
-  const double t_on = price_candidate(plan, options);
-  if (t_on < t_off) {
-    plan.cost.prefetch_rationale = prefetch_rationale(true, t_on, t_off);
-    return;
+  std::string why;
+  if (!choose_prefetch(price_candidate(plan, options), t_off, why)) {
+    finish_elementwise_plan(plan, options, /*enable_prefetch=*/false);
   }
-  finish_elementwise_plan(plan, options, /*enable_prefetch=*/false);
-  plan.cost.prefetch_rationale = prefetch_rationale(false, t_on, t_off);
+  plan.cost.prefetch_rationale = why;
 }
 
 /// --prefetch=auto for a GAXPY plan: only the row-slab translation streams
@@ -1191,7 +1216,7 @@ void auto_prefetch_gaxpy(NodeProgram& plan, const BoundProgram& program,
         "the row-slab stream double-buffers)";
     return;
   }
-  const double t_off = price_candidate(plan, options);
+  const std::optional<double> t_off = price_candidate(plan, options);
   const std::int64_t saved_slab_a = plan.memory.slab_a;
   const std::int64_t nlc =
       (plan.n + program.nprocs - 1) / program.nprocs;
@@ -1199,16 +1224,14 @@ void auto_prefetch_gaxpy(NodeProgram& plan, const BoundProgram& program,
   plan.memory.slab_a = std::max<std::int64_t>(nlc, saved_slab_a / 2);
   plan.arrays.at(plan.a).slab_elements = plan.memory.slab_a;
   emit_gaxpy_steps(plan);
-  const double t_on = price_candidate(plan, options);
-  if (t_on < t_off) {
-    plan.cost.prefetch_rationale = prefetch_rationale(true, t_on, t_off);
-    return;
+  std::string why;
+  if (!choose_prefetch(price_candidate(plan, options), t_off, why)) {
+    plan.prefetch = false;
+    plan.memory.slab_a = saved_slab_a;
+    plan.arrays.at(plan.a).slab_elements = saved_slab_a;
+    emit_gaxpy_steps(plan);
   }
-  plan.prefetch = false;
-  plan.memory.slab_a = saved_slab_a;
-  plan.arrays.at(plan.a).slab_elements = saved_slab_a;
-  emit_gaxpy_steps(plan);
-  plan.cost.prefetch_rationale = prefetch_rationale(false, t_on, t_off);
+  plan.cost.prefetch_rationale = why;
 }
 
 }  // namespace

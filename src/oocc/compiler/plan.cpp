@@ -66,6 +66,38 @@ io::Section widen_columns(const io::Section& s, std::int64_t halo,
   return out;
 }
 
+SideReservation gaxpy_side_reservation(const NodeProgram& plan, int proc) {
+  if (plan.kind != ProgramKind::kGaxpy) {
+    return {};
+  }
+  for (const SlabLoop& loop : plan.loops) {
+    if (loop.space == plan.a) {
+      const PlanArray& pa = plan.array(plan.a);
+      const runtime::SlabIterator iter(pa.dist.local_rows(proc),
+                                       pa.dist.local_cols(proc),
+                                       loop.orientation,
+                                       loop.capacity_elements);
+      const std::int64_t full_rows = iter.section(0).rows();
+      return {full_rows, std::max(plan.memory.slab_c, full_rows)};
+    }
+  }
+  return {};
+}
+
+std::vector<const Step*> read_ahead_streams(const NodeProgram& plan,
+                                            const Step& for_each_slab) {
+  std::vector<const Step*> out;
+  if (!plan.loop(for_each_slab.loop).prefetch) {
+    return out;
+  }
+  for (const Step& s : for_each_slab.body) {
+    if (s.kind == StepKind::kReadSlab && !plan.array(s.array).is_output) {
+      out.push_back(&s);
+    }
+  }
+  return out;
+}
+
 const PlanArray& NodeProgram::array(const std::string& name) const {
   const auto it = arrays.find(name);
   OOCC_CHECK(it != arrays.end(), ErrorCode::kInvalidArgument,

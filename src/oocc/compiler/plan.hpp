@@ -196,4 +196,24 @@ io::Section widen_columns(const io::Section& s, std::int64_t halo,
 const std::string& stencil_resolve(const NodeProgram& plan, bool swapped,
                                    const std::string& name);
 
+/// The budget a GAXPY plan reserves on `proc` beside its slab pool: the
+/// reduction temporary (one full-height A column) and the staged output
+/// buffer, which holds at least one full-height (sub)column per flush.
+/// Zero for other plan kinds. The executor reserves exactly these, the
+/// pricer reserves them at the same steps, and the verifier's budget check
+/// adds their total to the peak pinned working set.
+struct SideReservation {
+  std::int64_t temp = 0;
+  std::int64_t output = 0;
+  std::int64_t total() const noexcept { return temp + output; }
+};
+SideReservation gaxpy_side_reservation(const NodeProgram& plan, int proc);
+
+/// The read-ahead streams of a ForEachSlab step: its body's pure-input
+/// ReadSlab steps in body order, each read once per slab. Empty unless the
+/// loop prefetches. The executor and the pricer both hand exactly these to
+/// their runtime::IoScheduler.
+std::vector<const Step*> read_ahead_streams(const NodeProgram& plan,
+                                            const Step& for_each_slab);
+
 }  // namespace oocc::compiler

@@ -157,14 +157,7 @@ double priced_sequence_makespan_s(std::span<const NodeProgram> plans,
   const std::vector<PlanPrice> prices = price_sequence(plans, 0, popts);
   double total = 0.0;
   for (std::size_t i = 0; i < plans.size(); ++i) {
-    const double io = prices[i].io_time_s(disk, plans[i].nprocs);
-    const double comp = machine.compute.flops_time(prices[i].flops);
-    const double overlappable =
-        prices[i].overlappable_read_requests * disk.request_overhead_s +
-        prices[i].overlappable_read_elements *
-            static_cast<double>(sizeof(double)) /
-            disk.effective_bandwidth(plans[i].nprocs);
-    total += io + comp - std::min(overlappable, comp);
+    total += prices[i].makespan_s(disk, machine, plans[i].nprocs);
   }
   return total;
 }
@@ -579,7 +572,18 @@ SearchResult search_sequence(const hpf::BoundProgram& program,
             static_cast<int>(s),
             std::span<const NodeProgram>(cand.plans.data(),
                                          cand.plans.size()));
-        rec.priced_s = priced_of(seq);
+        try {
+          rec.priced_s = priced_of(seq);
+        } catch (const Error& e) {
+          // The pricer runs the executor's pool policy: a candidate whose
+          // pinned working set cannot fit would fail the same way at run
+          // time.
+          rec.rejected = e.what();
+          if (report.candidates.size() < kMaxRecorded) {
+            report.candidates.push_back(std::move(rec));
+          }
+          continue;
+        }
         rec.priced = true;
         ++report.priced;
         if (rec.priced_s < best_priced - 1e-12) {

@@ -9,6 +9,7 @@
 
 #include "oocc/compiler/cost.hpp"
 #include "oocc/compiler/pretty.hpp"
+#include "oocc/runtime/slab_directory.hpp"
 #include "oocc/util/error.hpp"
 
 namespace oocc::compiler {
@@ -386,28 +387,6 @@ bool rects_overlap(const std::vector<io::Section>& a,
   return false;
 }
 
-/// Mirror of the executor's non-pool reservations for a GAXPY plan (the
-/// reduction temporary plus the staged-output-column buffer). Must agree
-/// with gaxpy_side_reservation in compiler/cost.cpp and the executor's
-/// reserve calls, or the budget check drifts from what execute() enforces.
-std::int64_t side_reservation(const NodeProgram& plan, int proc) {
-  if (plan.kind != ProgramKind::kGaxpy) {
-    return 0;
-  }
-  for (const SlabLoop& loop : plan.loops) {
-    if (loop.space == plan.a) {
-      const PlanArray& pa = plan.array(plan.a);
-      const runtime::SlabIterator iter(pa.dist.local_rows(proc),
-                                       pa.dist.local_cols(proc),
-                                       loop.orientation,
-                                       loop.capacity_elements);
-      const std::int64_t full_rows = iter.section(0).rows();
-      return full_rows + std::max(plan.memory.slab_c, full_rows);
-    }
-  }
-  return 0;
-}
-
 /// A write one rank performed: local section plus its global image, the
 /// barrier interval it happened in, and the sweep (epoch) it belongs to —
 /// stencil plans replay the swapped ping-pong sweep as a second epoch.
@@ -444,7 +423,10 @@ struct RankTrace {
 /// Replays one plan's dynamic slab schedule for one rank, mirroring the
 /// executor's StepExecutor (and cost.cpp's TraceCollector): per-loop
 /// SlabIterator state, pins held until the owning ForEachSlab iteration
-/// ends, stencil ping-pong resolution for the swapped sweep.
+/// ends, stencil ping-pong resolution for the swapped sweep. Pins are
+/// counted by a no-retain runtime::SlabDirectory without a capacity limit:
+/// one entry per (array, section), pins refcounted — the rule the
+/// executor's pool charges its budget by.
 class RankReplayer {
  public:
   RankReplayer(const NodeProgram& plan, int plan_index, int proc, Sink& sink,
@@ -475,7 +457,7 @@ class RankReplayer {
     runtime::SlabIterator iter;
     io::Section section{};
     std::int64_t column = -1;  ///< current ForEachColumn global offset
-    std::vector<std::string> pins;
+    std::vector<std::pair<std::string, io::Section>> pins;
   };
 
   const std::string& resolve(const std::string& name) const {
@@ -490,40 +472,20 @@ class RankReplayer {
     return true;
   }
 
-  static std::string pin_key(const std::string& array,
-                             const io::Section& sec) {
-    std::ostringstream oss;
-    oss << array << '|' << sec.row0 << ',' << sec.row1 << ',' << sec.col0
-        << ',' << sec.col1;
-    return oss.str();
-  }
-
-  /// Pins (array, section) until the owning loop's iteration ends. The
-  /// pool holds ONE entry per (array, section), so re-pinning the same key
-  /// refcounts instead of double-charging — exactly the budget the
-  /// executor's SlabBufferPool reserves.
+  /// Pins (array, section) until the owning loop's iteration ends.
   void pin(LoopState& owner, const std::string& array,
            const io::Section& sec, const Step& step) {
-    std::string key = pin_key(array, sec);
-    auto [it, inserted] = pinned_.try_emplace(key, 0, sec.elements());
-    ++it->second.first;
-    if (inserted) {
-      cur_pinned_ += it->second.second;
-      if (cur_pinned_ > trace_.peak_pinned) {
-        trace_.peak_pinned = cur_pinned_;
-        trace_.peak_step = &step;
-      }
+    pins_.pin(unlimited_, array, sec);
+    if (pins_.pinned_elements() > trace_.peak_pinned) {
+      trace_.peak_pinned = pins_.pinned_elements();
+      trace_.peak_step = &step;
     }
-    owner.pins.push_back(std::move(key));
+    owner.pins.emplace_back(array, sec);
   }
 
   void unpin_all(LoopState& loop) {
-    for (const std::string& key : loop.pins) {
-      const auto it = pinned_.find(key);
-      if (it != pinned_.end() && --it->second.first == 0) {
-        cur_pinned_ -= it->second.second;
-        pinned_.erase(it);
-      }
+    for (const auto& [array, sec] : loop.pins) {
+      pins_.unpin(unlimited_, array, sec);
     }
     loop.pins.clear();
   }
@@ -677,8 +639,8 @@ class RankReplayer {
               io::Section{0, rows, nlc - std::min(step.halo, nlc), nlc}
                   .elements();
         }
-        if (cur_pinned_ + transient > trace_.peak_pinned) {
-          trace_.peak_pinned = cur_pinned_ + transient;
+        if (pins_.pinned_elements() + transient > trace_.peak_pinned) {
+          trace_.peak_pinned = pins_.pinned_elements() + transient;
           trace_.peak_step = &step;
         }
         return;
@@ -752,8 +714,8 @@ class RankReplayer {
   int epoch_ = 0;
   std::int64_t interval_ = 0;
   std::map<std::string, LoopState> states_;
-  std::map<std::string, std::pair<int, std::int64_t>> pinned_;  ///< key -> (pins, elements)
-  std::int64_t cur_pinned_ = 0;
+  struct Unlimited final : runtime::SlabDirectory<>::Host {} unlimited_;
+  runtime::SlabDirectory<> pins_{"verify", /*retain=*/false};
 };
 
 // ------------------------------------------------------ cross-rank checks
@@ -917,7 +879,8 @@ void check_budget(const NodeProgram& plan,
     return;  // hand-built plan without a declared budget: nothing to check
   }
   for (std::size_t p = 0; p < traces.size(); ++p) {
-    const std::int64_t side = side_reservation(plan, static_cast<int>(p));
+    const std::int64_t side =
+        gaxpy_side_reservation(plan, static_cast<int>(p)).total();
     const std::int64_t peak = traces[p].peak_pinned + side;
     if (peak > report.stats.peak_pinned_elements) {
       report.stats.peak_pinned_elements = peak;

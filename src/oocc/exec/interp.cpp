@@ -9,7 +9,6 @@
 #include "oocc/exec/checkpoint.hpp"
 #include "oocc/exec/eval.hpp"
 #include "oocc/runtime/bufferpool.hpp"
-#include "oocc/runtime/prefetch.hpp"
 #include "oocc/runtime/slab_iter.hpp"
 #include "oocc/runtime/slab_writer.hpp"
 #include "oocc/sim/collectives.hpp"
@@ -56,10 +55,9 @@ void check_binding(const compiler::NodeProgram& plan,
 /// executor is schema-free: every behavior (which arrays stream through
 /// which loops, where partial products accumulate, when the global sum
 /// runs) is read off the step tree, so new kernels are new step programs,
-/// not new executors. With a SlabBufferPool all slab I/O routes through it
-/// (pinned per slab iteration, staged outputs write back lazily); without
-/// one the pre-pool paths run: per-loop PrefetchingSlabReaders and direct
-/// write-through staging.
+/// not new executors. All slab I/O routes through the SlabBufferPool, pinned
+/// per slab iteration; whether staged outputs write back lazily or at once
+/// is the pool's mode.
 class StepExecutor {
  public:
   /// `stencil_swapped` runs a stencil plan's sweep with the lhs/source
@@ -67,10 +65,9 @@ class StepExecutor {
   /// name in the step program resolves to its ping-pong partner at the
   /// LAF/pool boundary.
   StepExecutor(sim::SpmdContext& ctx, const compiler::NodeProgram& plan,
-               const ArrayBindings& arrays, runtime::MemoryBudget& budget,
-               runtime::SlabBufferPool* pool, bool stencil_swapped = false)
-      : ctx_(ctx), plan_(plan), arrays_(arrays), budget_(budget),
-        pool_(pool),
+               const ArrayBindings& arrays, runtime::SlabBufferPool& pool,
+               bool stencil_swapped = false)
+      : ctx_(ctx), plan_(plan), arrays_(arrays), pool_(pool),
         swap_(stencil_swapped && !plan.stencils.empty()) {
     for (const compiler::SlabLoop& loop : plan_.loops) {
       const runtime::OutOfCoreArray& space =
@@ -88,10 +85,10 @@ class StepExecutor {
   double residual() const noexcept { return residual_; }
 
   void run() {
-    if (pool_ != nullptr && plan_.kind == compiler::ProgramKind::kGaxpy) {
+    if (plan_.kind == compiler::ProgramKind::kGaxpy) {
       // The reduction output is written through the OwnedColumnWriter,
       // which bypasses the pool: cached slabs of it would go stale.
-      pool_->invalidate(ctx_, plan_.c);
+      pool_.invalidate(ctx_, plan_.c);
     }
     run_steps(plan_.steps);
     if (writer_) {
@@ -99,17 +96,15 @@ class StepExecutor {
       writer_.reset();
     }
     if (temp_reserved_ > 0) {
-      budget_.release(temp_reserved_);
+      pool_.budget().release(temp_reserved_);
       temp_reserved_ = 0;
     }
-    if (pool_ != nullptr) {
-      // Pin-count leak detection: every slab iteration must have unpinned
-      // what it acquired.
-      OOCC_CHECK(pool_->pinned_count() == 0, ErrorCode::kRuntimeError,
-                 "slab pool pin leak: " << pool_->pinned_count()
-                                        << " entries still pinned after the "
-                                           "sweep");
-    }
+    // Pin-count leak detection: every slab iteration must have unpinned
+    // what it acquired.
+    OOCC_CHECK(pool_.pinned_count() == 0, ErrorCode::kRuntimeError,
+               "slab pool pin leak: " << pool_.pinned_count()
+                                      << " entries still pinned after the "
+                                         "sweep");
   }
 
  private:
@@ -119,22 +114,12 @@ class StepExecutor {
 
     const compiler::SlabLoop* decl;
     runtime::SlabIterator iter;
-    std::int64_t index = -1;       ///< current slab, -1 outside the loop
     io::Section section{};         ///< current slab's section
     std::int64_t column = -1;      ///< ForEachColumn position
-    /// One double-bufferable reader per array streamed through this loop
-    /// (cache-off mode only).
-    std::map<std::string, std::unique_ptr<runtime::PrefetchingSlabReader>>
-        readers;
     /// Buffers holding the current slab of each streamed array.
     std::map<std::string, const runtime::IclaBuffer*> loaded;
-    /// Pool entries pinned during the current slab iteration (cache mode).
+    /// Pool entries pinned during the current slab iteration.
     std::vector<std::pair<std::string, io::Section>> pinned;
-    /// Halo-widened entries to drop when the iteration ends: they overlap
-    /// their neighbours and the ping-pong partner is what the next sweep
-    /// reads, so retaining them only crowds out the reusable dirty slabs
-    /// (and can deadlock the pool's assembly at tight budgets).
-    std::vector<std::pair<std::string, io::Section>> transient;
     /// Read-ahead queue for this loop's upcoming ReadSlab schedule.
     runtime::IoScheduler scheduler;
     int lookahead = 0;  ///< reads to keep in flight (streamed array count)
@@ -149,23 +134,10 @@ class StepExecutor {
 
   /// Plan array name -> the array actually touched this sweep. Identity
   /// except for a swapped stencil sweep, where the ping-pong pair trade
-  /// places. Only LAF/pool accesses resolve; in-executor maps (loaded,
-  /// staging) stay keyed by plan name.
+  /// places. Only LAF/pool accesses resolve; the in-executor `loaded` maps
+  /// stay keyed by plan name.
   const std::string& resolve(const std::string& name) const {
     return compiler::stencil_resolve(plan_, swap_, name);
-  }
-
-  /// Writable slab-sized buffer for an array the program produces.
-  runtime::IclaBuffer& staging(const std::string& array,
-                               std::int64_t capacity) {
-    auto it = staging_.find(array);
-    if (it == staging_.end()) {
-      it = staging_
-               .emplace(array, std::make_unique<runtime::IclaBuffer>(
-                                   budget_, capacity, "icla_" + array))
-               .first;
-    }
-    return *it->second;
   }
 
   void run_steps(const std::vector<compiler::Step>& steps) {
@@ -179,52 +151,24 @@ class StepExecutor {
     switch (step.kind) {
       case StepKind::kForEachSlab: {
         LoopState& loop = state(step.loop);
-        if (pool_ == nullptr) {
-          for (auto& [name, reader] : loop.readers) {
-            reader->reset();  // a re-sweep re-reads; cached slabs are stale
-          }
-        } else if (loop.decl->prefetch) {
-          // Hand the loop's full upcoming ReadSlab schedule to the
-          // read-ahead queue: every pure-input stream, every slab, in
-          // demand order.
-          loop.scheduler.clear();
-          loop.lookahead = 0;
-          std::vector<const compiler::Step*> reads;
-          for (const compiler::Step& s : step.body) {
-            if (s.kind == StepKind::kReadSlab &&
-                !plan_.array(s.array).is_output) {
-              reads.push_back(&s);
-              ++loop.lookahead;
-            }
-          }
-          for (std::int64_t i = 0; i < loop.iter.count(); ++i) {
-            for (const compiler::Step* s : reads) {
-              loop.scheduler.enqueue(runtime::IoScheduler::Request{
-                  &bound(arrays_, resolve(s->array)).laf(),
-                  resolve(s->array), loop.iter.section(i),
-                  s->reuse_distance});
-            }
-          }
+        // Hand the loop's upcoming read-ahead schedule to its queue.
+        std::vector<runtime::IoScheduler::Request> streams;
+        for (const compiler::Step* s :
+             compiler::read_ahead_streams(plan_, step)) {
+          const std::string& name = resolve(s->array);
+          streams.push_back(runtime::IoScheduler::Request{
+              &bound(arrays_, name).laf(), name, {}, s->reuse_distance});
         }
+        loop.lookahead = static_cast<int>(streams.size());
+        loop.scheduler.schedule(loop.iter, std::move(streams));
         for (std::int64_t i = 0; i < loop.iter.count(); ++i) {
-          loop.index = i;
           loop.section = loop.iter.section(i);
           run_steps(step.body);
-          if (pool_ != nullptr) {
-            for (auto it = loop.pinned.rbegin(); it != loop.pinned.rend();
-                 ++it) {
-              pool_->unpin(it->first, it->second);
-            }
-            loop.pinned.clear();
-            for (const auto& [array, sec] : loop.transient) {
-              pool_->drop_clean(array, sec);
-            }
-            loop.transient.clear();
+          for (auto it = loop.pinned.rbegin(); it != loop.pinned.rend();
+               ++it) {
+            pool_.unpin(ctx_, it->first, it->second);
           }
-        }
-        loop.index = -1;
-        if (pool_ != nullptr) {
-          loop.scheduler.clear();
+          loop.pinned.clear();
         }
         return;
       }
@@ -241,24 +185,13 @@ class StepExecutor {
       case StepKind::kReadSlab:
         read_slab(step);
         return;
-      case StepKind::kWriteSlab: {
-        LoopState& loop = state(step.loop);
-        if (pool_ != nullptr) {
-          // Deferred write-back: the dirty slab reaches the LAF on eviction
-          // or at the end-of-sequence flush; meanwhile a later statement's
-          // read of it is a hit.
-          pool_->mark_dirty(resolve(step.array), loop.section,
-                            step.reuse_distance);
-          return;
-        }
-        const auto it = staging_.find(step.array);
-        OOCC_CHECK(it != staging_.end(), ErrorCode::kRuntimeError,
-                   "write-slab of '" << step.array
-                                     << "' before any compute staged it");
-        it->second->store_as(ctx_, bound(arrays_, resolve(step.array)).laf(),
-                             loop.section);
+      case StepKind::kWriteSlab:
+        // A retaining pool defers the write-back: the dirty slab reaches
+        // the LAF on eviction or at the end-of-sequence flush, and a later
+        // statement's read of it meanwhile is a hit.
+        pool_.mark_dirty(ctx_, resolve(step.array), state(step.loop).section,
+                         step.reuse_distance);
         return;
-      }
       case StepKind::kComputeElementwise:
         compute_elementwise(step);
         return;
@@ -278,9 +211,7 @@ class StepExecutor {
         // Settle in-flight async write-backs first: a rank must not report
         // "done" to its peers while a worker error is still pending, and
         // post-barrier reads by other statements expect the bytes on disk.
-        if (pool_ != nullptr) {
-          pool_->drain_writes(ctx_);
-        }
+        pool_.drain_writes(ctx_);
         sim::barrier(ctx_);
         return;
     }
@@ -298,48 +229,11 @@ class StepExecutor {
             ? compiler::widen_columns(loop.section, step.halo,
                                       array.local_cols())
             : loop.section;
-    if (pool_ != nullptr) {
-      runtime::IclaBuffer& buf = pool_->acquire_read(
-          ctx_, array.laf(), name, sec, step.reuse_distance);
-      loop.pinned.emplace_back(name, sec);
-      if (step.halo > 0) {
-        loop.transient.emplace_back(name, sec);
-      }
-      loop.loaded[step.array] = &buf;
-      if (loop.decl->prefetch) {
-        loop.scheduler.pump(ctx_, *pool_, loop.lookahead);
-      }
-      return;
-    }
-    if (step.halo > 0) {
-      // Cache-off path: load the widened section into a dedicated staging
-      // buffer (the per-loop readers only know unwidened iterator slabs).
-      runtime::IclaBuffer& buf =
-          staging(step.array, plan_.array(step.array).slab_elements);
-      buf.load(ctx_, array.laf(), sec);
-      loop.loaded[step.array] = &buf;
-      return;
-    }
-    if (plan_.array(step.array).is_output) {
-      // An array the program also produces is staged in a writable buffer;
-      // its initial read (the in-place update case) loads straight into it
-      // and cannot be double-buffered against the coming write.
-      runtime::IclaBuffer& buf =
-          staging(step.array, loop.iter.slab_elements());
-      buf.load(ctx_, array.laf(), loop.section);
-      loop.loaded[step.array] = &buf;
-      return;
-    }
-    auto it = loop.readers.find(step.array);
-    if (it == loop.readers.end()) {
-      it = loop.readers
-               .emplace(step.array,
-                        std::make_unique<runtime::PrefetchingSlabReader>(
-                            ctx_, array.laf(), loop.iter, budget_,
-                            "icla_" + step.array, loop.decl->prefetch))
-               .first;
-    }
-    loop.loaded[step.array] = &it->second->acquire(ctx_, loop.index);
+    runtime::IclaBuffer& buf = pool_.acquire_read(
+        ctx_, array.laf(), name, sec, step.reuse_distance, step.halo > 0);
+    loop.pinned.emplace_back(name, sec);
+    loop.loaded[step.array] = &buf;
+    loop.scheduler.pump(ctx_, pool_, loop.lookahead);
   }
 
   void compute_elementwise(const compiler::Step& step) {
@@ -348,20 +242,11 @@ class StepExecutor {
     LoopState& loop = state(step.loop);
     const io::Section sec = loop.section;
     runtime::OutOfCoreArray& lhs = bound(arrays_, st.lhs);
-    runtime::IclaBuffer* out_ptr;
-    if (pool_ != nullptr) {
-      // Stage into a pool entry: an in-place load or an earlier statement
-      // of the fused group already created it (data preserved).
-      out_ptr = &pool_->acquire_write(ctx_, lhs.laf(), st.lhs, sec,
-                                      step.reuse_distance);
-      loop.pinned.emplace_back(st.lhs, sec);
-    } else {
-      out_ptr = &staging(st.lhs, loop.iter.slab_elements());
-      // Re-target without clearing: an in-place load or an earlier
-      // statement of the fused group may already have staged this data.
-      out_ptr->reset_section(sec);
-    }
-    runtime::IclaBuffer& out = *out_ptr;
+    // Stage into a pool entry: an in-place load or an earlier statement of
+    // the fused group may already have created it (data preserved).
+    runtime::IclaBuffer& out =
+        pool_.acquire_write(ctx_, lhs.laf(), st.lhs, sec, step.reuse_distance);
+    loop.pinned.emplace_back(st.lhs, sec);
     // Safe to install before evaluating: each element is written only from
     // values of the same (row, column), read before the write. Later
     // statements of a fused group read this result from memory.
@@ -392,16 +277,15 @@ class StepExecutor {
     const io::Section asec = a_buf->section();
     if (fresh_column_) {
       if (temp_reserved_ == 0) {
-        if (pool_ != nullptr) {
-          pool_->ensure_available(ctx_, asec.rows());
-        }
-        budget_.reserve(asec.rows(), "temp column");
-        temp_reserved_ = asec.rows();
+        const std::int64_t temp =
+            compiler::gaxpy_side_reservation(plan_, ctx_.rank()).temp;
+        pool_.ensure_available(ctx_, temp);
+        pool_.budget().reserve(temp, "temp column");
+        temp_reserved_ = temp;
       }
       temp_.assign(static_cast<std::size_t>(asec.rows()), 0.0);
       temp_row0_ = asec.row0;
       temp_row1_ = asec.row1;
-      partial_loop_ = &a_loop;
       fresh_column_ = false;
     }
     const std::int64_t m = col_loop.column;
@@ -438,15 +322,11 @@ class StepExecutor {
     }
     if (!writer_) {
       if (!c_buf_) {
-        // Room for at least one full-height output (sub)column per flush.
-        const std::int64_t full_rows = partial_loop_->iter.section(0).rows();
         const std::int64_t capacity =
-            std::max(plan_.memory.slab_c, full_rows);
-        if (pool_ != nullptr) {
-          pool_->ensure_available(ctx_, capacity);
-        }
-        c_buf_ = std::make_unique<runtime::IclaBuffer>(budget_, capacity,
-                                                       "icla_" + step.array);
+            compiler::gaxpy_side_reservation(plan_, ctx_.rank()).output;
+        pool_.ensure_available(ctx_, capacity);
+        c_buf_ = std::make_unique<runtime::IclaBuffer>(
+            pool_.budget(), capacity, "icla_" + step.array);
       }
       writer_ = std::make_unique<runtime::OwnedColumnWriter>(
           c, *c_buf_, temp_row0_, temp_row1_);
@@ -458,9 +338,9 @@ class StepExecutor {
 
   /// Ghost-column exchange before a stencil sweep: every rank ships its
   /// `halo` edge columns to the neighbouring ranks and keeps the columns it
-  /// receives for the sweep's out-of-panel reads. Reads go through the pool
-  /// when it is active, so columns a previous sweep staged (and never wrote
-  /// back) are seen current.
+  /// receives for the sweep's out-of-panel reads. Reads go through the pool,
+  /// so columns a previous sweep staged (and never wrote back) are seen
+  /// current.
   void exchange_halo(const compiler::Step& step) {
     left_ghost_.clear();
     right_ghost_.clear();
@@ -477,17 +357,11 @@ class StepExecutor {
 
     std::vector<double> edge;
     const auto read_edge = [&](const io::Section& sec) {
-      edge.resize(static_cast<std::size_t>(sec.elements()));
-      if (pool_ != nullptr) {
-        runtime::IclaBuffer& buf = pool_->acquire_read(
-            ctx_, arr.laf(), name, sec, step.reuse_distance);
-        const std::span<const double> data = buf.data();
-        std::copy(data.begin(), data.end(), edge.begin());
-        pool_->unpin(name, sec);
-      } else {
-        arr.laf().read_section(ctx_, sec,
-                               std::span<double>(edge.data(), edge.size()));
-      }
+      const std::span<const double> data =
+          pool_.acquire_read(ctx_, arr.laf(), name, sec, step.reuse_distance)
+              .data();
+      edge.assign(data.begin(), data.end());
+      pool_.unpin(ctx_, name, sec);
     };
     if (rank > 0) {
       read_edge(io::Section{0, rows, 0, d});
@@ -565,16 +439,9 @@ class StepExecutor {
     const std::int64_t d = st.halo;
     const std::int64_t rh = st.row_halo;
 
-    runtime::IclaBuffer* out_ptr;
-    if (pool_ != nullptr) {
-      out_ptr = &pool_->acquire_write(ctx_, lhs.laf(), lhs_name, sec,
-                                      step.reuse_distance);
-      loop.pinned.emplace_back(lhs_name, sec);
-    } else {
-      out_ptr = &staging(st.lhs, loop.iter.slab_elements());
-      out_ptr->reset_section(sec);
-    }
-    runtime::IclaBuffer& out = *out_ptr;
+    runtime::IclaBuffer& out = pool_.acquire_write(ctx_, lhs.laf(), lhs_name,
+                                                   sec, step.reuse_distance);
+    loop.pinned.emplace_back(lhs_name, sec);
 
     const auto col_at = [&](std::int64_t lc) -> const double* {
       if (lc < 0) {
@@ -616,11 +483,9 @@ class StepExecutor {
   sim::SpmdContext& ctx_;
   const compiler::NodeProgram& plan_;
   const ArrayBindings& arrays_;
-  runtime::MemoryBudget& budget_;
-  runtime::SlabBufferPool* pool_;
+  runtime::SlabBufferPool& pool_;
   bool swap_ = false;  ///< stencil ping-pong: lhs/source roles exchanged
   std::map<std::string, LoopState> states_;
-  std::map<std::string, std::unique_ptr<runtime::IclaBuffer>> staging_;
 
   // Stencil sweep state: ghost columns from the neighbouring ranks and the
   // running max |update| of the interior.
@@ -634,7 +499,6 @@ class StepExecutor {
   std::int64_t temp_row0_ = 0;
   std::int64_t temp_row1_ = 0;
   bool fresh_column_ = false;
-  const LoopState* partial_loop_ = nullptr;
   std::unique_ptr<runtime::IclaBuffer> c_buf_;
   std::unique_ptr<runtime::OwnedColumnWriter> writer_;
 };
@@ -674,8 +538,7 @@ void check_plan(sim::SpmdContext& ctx, const compiler::NodeProgram& plan,
 /// because the residual is allreduced. Collective.
 void run_stencil(sim::SpmdContext& ctx, const compiler::NodeProgram& plan,
                  const ArrayBindings& arrays, const ExecOptions& options,
-                 runtime::MemoryBudget& budget,
-                 runtime::SlabBufferPool* pool) {
+                 runtime::SlabBufferPool& pool) {
   const compiler::StencilStmt& st = plan.stencils.front();
   const int max_iters = std::max(1, options.max_iters);
   const bool want_residual =
@@ -685,7 +548,7 @@ void run_stencil(sim::SpmdContext& ctx, const compiler::NodeProgram& plan,
   int iters = options.start_iteration;
   double residual = 0.0;
   for (int it = options.start_iteration; it < max_iters; ++it) {
-    StepExecutor sweep(ctx, plan, arrays, budget, pool,
+    StepExecutor sweep(ctx, plan, arrays, pool,
                        /*stencil_swapped=*/(it % 2) != 0);
     sweep.run();
     ++iters;
@@ -699,9 +562,7 @@ void run_stencil(sim::SpmdContext& ctx, const compiler::NodeProgram& plan,
     // from the last checkpoint and reach the same bits anyway.
     if (checkpointing && !stop && iters < max_iters &&
         iters % options.checkpoint_every == 0) {
-      if (pool != nullptr) {
-        pool->flush(ctx);  // checkpoint from disk state, not stale files
-      }
+      pool.flush(ctx);  // checkpoint from disk state, not stale files
       const std::string& state = iters % 2 == 1 ? st.lhs : st.source;
       CheckpointStore store(options.checkpoint_dir);
       store.save(ctx, iters, state, bound(arrays, state));
@@ -717,16 +578,16 @@ void run_stencil(sim::SpmdContext& ctx, const compiler::NodeProgram& plan,
   }
 }
 
-/// Runs one plan with the pool (or without, pool == nullptr): stencil plans
-/// go through the convergence driver, everything else is a single sweep.
+/// Runs one plan through `pool`: stencil plans go through the convergence
+/// driver, everything else is a single sweep.
 void run_plan(sim::SpmdContext& ctx, const compiler::NodeProgram& plan,
               const ArrayBindings& arrays, const ExecOptions& options,
-              runtime::MemoryBudget& budget, runtime::SlabBufferPool* pool) {
+              runtime::SlabBufferPool& pool) {
   if (plan.kind == compiler::ProgramKind::kStencil) {
-    run_stencil(ctx, plan, arrays, options, budget, pool);
+    run_stencil(ctx, plan, arrays, options, pool);
     return;
   }
-  StepExecutor(ctx, plan, arrays, budget, pool).run();
+  StepExecutor(ctx, plan, arrays, pool).run();
 }
 
 /// Verifies a plan the compiler did not stamp (hand-built or mutated).
@@ -776,6 +637,36 @@ void apply_journaling(const ArrayBindings& arrays, const ExecOptions& options) {
   }
 }
 
+/// Runs `plans` in order through one pool over `budget_elements`, then
+/// flushes it. `arrays` binds at least every array of every plan.
+void run_pooled(sim::SpmdContext& ctx,
+                std::span<const compiler::NodeProgram> plans,
+                const ArrayBindings& arrays, const ExecOptions& options,
+                std::int64_t budget_elements) {
+  apply_journaling(arrays, options);
+  runtime::MemoryBudget budget(budget_elements);
+  runtime::SlabBufferPool pool(budget, "pool", options.use_cache);
+  if (options.async) {
+    pool.set_async_engine(ctx.async_engine());
+  }
+  for (const compiler::NodeProgram& plan : plans) {
+    ArrayBindings subset;
+    for (const auto& [name, pa] : plan.arrays) {
+      const auto it = arrays.find(name);
+      OOCC_CHECK(it != arrays.end(), ErrorCode::kRuntimeError,
+                 "sequence binding is missing array '" << name << "'");
+      subset[name] = it->second;
+    }
+    check_plan(ctx, plan, subset);
+    verify_if_unstamped(plan, options);
+    run_plan(ctx, plan, subset, options, pool);
+  }
+  pool.flush(ctx);
+  if (options.cache_stats != nullptr) {
+    options.cache_stats->merge(pool.stats());
+  }
+}
+
 }  // namespace
 
 void execute(sim::SpmdContext& ctx, const compiler::NodeProgram& plan,
@@ -785,24 +676,9 @@ void execute(sim::SpmdContext& ctx, const compiler::NodeProgram& plan,
 
 void execute(sim::SpmdContext& ctx, const compiler::NodeProgram& plan,
              const ArrayBindings& arrays, const ExecOptions& options) {
-  check_plan(ctx, plan, arrays);
-  verify_if_unstamped(plan, options);
-  apply_journaling(arrays, options);
-  runtime::MemoryBudget budget(
-      std::max(plan.memory_budget_elements, options.budget_elements));
-  if (!options.use_cache) {
-    run_plan(ctx, plan, arrays, options, budget, nullptr);
-    return;
-  }
-  runtime::SlabBufferPool pool(budget, "pool");
-  if (options.async) {
-    pool.set_async_engine(ctx.async_engine());
-  }
-  run_plan(ctx, plan, arrays, options, budget, &pool);
-  pool.flush(ctx);
-  if (options.cache_stats != nullptr) {
-    options.cache_stats->merge(pool.stats());
-  }
+  run_pooled(ctx, std::span<const compiler::NodeProgram>(&plan, 1), arrays,
+             options,
+             std::max(plan.memory_budget_elements, options.budget_elements));
 }
 
 std::map<std::string, std::unique_ptr<runtime::OutOfCoreArray>>
@@ -850,22 +726,13 @@ void execute_sequence(sim::SpmdContext& ctx,
                       std::span<const compiler::NodeProgram> plans,
                       const ArrayBindings& arrays,
                       const ExecOptions& options) {
-  const auto subset_for = [&](const compiler::NodeProgram& plan) {
-    ArrayBindings subset;
-    for (const auto& [name, pa] : plan.arrays) {
-      const auto it = arrays.find(name);
-      OOCC_CHECK(it != arrays.end(), ErrorCode::kRuntimeError,
-                 "sequence binding is missing array '" << name << "'");
-      subset[name] = it->second;
-    }
-    return subset;
-  };
-  if (plans.empty()) {
-    return;
-  }
   if (!options.use_cache) {
+    // Nothing outlives a statement in no-retain mode, so each plan runs
+    // with its own budget, exactly as if executed alone.
     for (const compiler::NodeProgram& plan : plans) {
-      execute(ctx, plan, subset_for(plan), options);
+      run_pooled(ctx, std::span<const compiler::NodeProgram>(&plan, 1),
+                 arrays, options,
+                 std::max(plan.memory_budget_elements, options.budget_elements));
     }
     return;
   }
@@ -876,21 +743,8 @@ void execute_sequence(sim::SpmdContext& ctx,
   for (const compiler::NodeProgram& plan : plans) {
     budget_elements = std::max(budget_elements, plan.memory_budget_elements);
   }
-  runtime::MemoryBudget budget(budget_elements);
-  runtime::SlabBufferPool pool(budget, "pool");
-  if (options.async) {
-    pool.set_async_engine(ctx.async_engine());
-  }
-  apply_journaling(arrays, options);
-  for (const compiler::NodeProgram& plan : plans) {
-    const ArrayBindings subset = subset_for(plan);
-    check_plan(ctx, plan, subset);
-    verify_if_unstamped(plan, options);
-    run_plan(ctx, plan, subset, options, budget, &pool);
-  }
-  pool.flush(ctx);
-  if (options.cache_stats != nullptr) {
-    options.cache_stats->merge(pool.stats());
+  if (!plans.empty()) {
+    run_pooled(ctx, plans, arrays, options, budget_elements);
   }
 }
 

@@ -5,16 +5,17 @@
 // execution on the distributed-memory machine. There is one generic
 // executor: it walks the plan's slab-program IR (ForEachSlab /
 // ForEachColumn structure with ReadSlab, WriteSlab, ComputeElementwise,
-// ComputeGaxpyPartial, ReduceSum, Barrier leaves). By default every
-// ReadSlab/WriteSlab routes through a runtime::SlabBufferPool shared
-// across the statements of a sequence, so slabs a statement staged (or a
-// re-sweep already fetched) are served from memory, guided by the
-// compiler's reuse-distance annotations; prefetching loops drive an
-// IoScheduler read-ahead queue. With the cache disabled (ExecOptions /
-// OOCC_NO_CACHE) slab streams fall back to per-loop
-// runtime::PrefetchingSlabReaders and direct write-through — bit-identical
-// to the pre-pool executor. The GAXPY and elementwise translations are
-// just different step programs.
+// ComputeGaxpyPartial, ReduceSum, Barrier leaves) and has one I/O path:
+// every ReadSlab/WriteSlab goes through a runtime::SlabBufferPool, and
+// prefetching loops drive an IoScheduler read-ahead queue over it. The
+// pool has two modes over one policy. Retaining (the default) shares the
+// pool across the statements of a sequence, so slabs a statement staged
+// (or a re-sweep already fetched) are served from memory, guided by the
+// compiler's reuse-distance annotations. No-retain (ExecOptions::use_cache
+// = false, --no-cache, OOCC_NO_CACHE) writes staged slabs through at once
+// and drops every slab after its use, so each sweep re-reads what it
+// needs. The GAXPY, elementwise and stencil translations are just
+// different step programs.
 #pragma once
 
 #include <filesystem>
@@ -43,9 +44,10 @@ struct StencilRunInfo {
 
 /// Per-run executor knobs.
 struct ExecOptions {
-  /// Route slab I/O through a reuse-aware SlabBufferPool (shared across a
-  /// sequence's statements). Off reproduces the pre-pool executor exactly:
-  /// per-loop readers, every sweep re-reads, writes go straight through.
+  /// Retain slabs in the SlabBufferPool (shared across a sequence's
+  /// statements). Off runs the pool in no-retain mode: every sweep
+  /// re-reads, writes go straight through, and each statement of a
+  /// sequence gets its own pool.
   bool use_cache = true;
   /// Memory available to the executor in elements; 0 = the plan's own
   /// memory_budget_elements (for a sequence: the max across its plans).
@@ -95,8 +97,8 @@ struct ExecOptions {
   bool verify = true;
 };
 
-/// ExecOptions honouring the environment: OOCC_NO_CACHE disables the pool,
-/// OOCC_NO_VERIFY skips verification of unstamped plans.
+/// ExecOptions honouring the environment: OOCC_NO_CACHE selects the
+/// no-retain pool, OOCC_NO_VERIFY skips verification of unstamped plans.
 ExecOptions default_exec_options();
 
 /// Creates one OutOfCoreArray per plan array (with the plan's storage

@@ -104,8 +104,13 @@ std::string to_string(const Expr& e) {
       }
       return out + ")";
     }
-    case ExprKind::kBinary:
-      return "(" + to_string(*e.lhs) + op_char(e.op) + to_string(*e.rhs) + ")";
+    case ExprKind::kBinary: {
+      std::string out = "(";
+      out += to_string(*e.lhs);
+      out += op_char(e.op);
+      out += to_string(*e.rhs);
+      return out + ")";
+    }
     case ExprKind::kSumIntrinsic:
       return "sum(" + e.name + "," + std::to_string(e.int_value) + ")";
   }

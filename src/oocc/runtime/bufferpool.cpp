@@ -5,68 +5,76 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
-#include <limits>
 
 #include "oocc/util/log.hpp"
 
 namespace oocc::runtime {
 
-namespace {
+/// The pool's side of the directory's decisions, bound to one call's
+/// context: the budget's free room, the LAF write of a dirty slab, and the
+/// settle + counters of an entry about to go.
+class SlabBufferPool::Io final : public Directory::Host {
+ public:
+  Io(SlabBufferPool& pool, sim::SpmdContext& ctx) : pool_(pool), ctx_(ctx) {}
 
-/// Eviction rank: larger = better victim. -1 (no known reuse) evicts first.
-double eviction_rank(double reuse_hint) noexcept {
-  return reuse_hint < 0 ? std::numeric_limits<double>::infinity() : reuse_hint;
-}
+  std::int64_t room() const override { return pool_.budget_.remaining(); }
 
-}  // namespace
+  void write_back(const std::string& /*array*/, Entry& e) override {
+    pool_.write_back(ctx_, e);
+  }
+
+  void erasing(const std::string& /*array*/, Entry& e,
+               bool evicted) override {
+    // Eviction may pick a never-consumed prefetch: its fill must complete
+    // before the buffer is dropped.
+    settle_entry(ctx_, e);
+    if (evicted && pool_.dir_.retains()) {
+      ++pool_.stats_.evictions;
+      e.data.laf->note_cache_eviction();
+    }
+  }
+
+ private:
+  SlabBufferPool& pool_;
+  sim::SpmdContext& ctx_;
+};
 
 SlabBufferPool::SlabBufferPool(MemoryBudget& budget, std::string name,
-                               bool mirror_laf_stats)
-    : budget_(budget),
-      name_(std::move(name)),
-      mirror_laf_stats_(mirror_laf_stats) {}
+                               bool retain)
+    : budget_(budget), name_(std::move(name)), dir_(name_, retain) {}
 
 SlabBufferPool::~SlabBufferPool() {
   // Wait out every in-flight engine job before touching buffers: a worker
   // may still be filling an entry's IclaBuffer. Errors cannot be reported
   // from a destructor; drain_writes() at barriers / flush is where they
   // surface in normal operation.
-  for (const auto& [array, list] : entries_) {
-    for (const auto& e : list) {
-      if (e->pending != nullptr && e->pending->ticket.valid()) {
-        try {
-          e->pending->ticket.wait();
-        } catch (...) {
-        }
-      }
-    }
-  }
-  for (PendingWrite& w : pending_writes_) {
-    if (w.handle.ticket.valid()) {
+  const auto wait = [](io::AsyncHandle& h) {
+    if (h.ticket.valid()) {
       try {
-        w.handle.ticket.wait();
+        h.ticket.wait();
       } catch (...) {
       }
     }
+  };
+  for (PendingWrite& w : pending_writes_) {
+    wait(w.handle);
   }
-
   bool pin_leak = false;
-  for (const auto& [array, list] : entries_) {
-    for (const auto& e : list) {
-      if (e->pins > 0) {
-        pin_leak = true;
-        OOCC_WARN("bufferpool", "pool '" << name_ << "' destroyed with '"
-                                         << array << "' slab still pinned "
-                                         << e->pins << " time(s)");
-      }
-      if (e->dirty) {
-        OOCC_WARN("bufferpool", "pool '" << name_
-                                         << "' destroyed with dirty '"
-                                         << array
-                                         << "' slab (missing flush?)");
-      }
+  dir_.for_each([&](const std::string& array, Entry& e) {
+    if (e.data.pending != nullptr) {
+      wait(*e.data.pending);
     }
-  }
+    if (e.pins > 0) {
+      pin_leak = true;
+      OOCC_WARN("bufferpool", "pool '" << name_ << "' destroyed with '"
+                                       << array << "' slab still pinned "
+                                       << e.pins << " time(s)");
+    }
+    if (e.dirty) {
+      OOCC_WARN("bufferpool", "pool '" << name_ << "' destroyed with dirty '"
+                                       << array << "' slab (missing flush?)");
+    }
+  });
   // Fault unwinding destroys pools with slabs still pinned by design (the
   // injected error propagates out of StepExecutor mid-step); aborting then
   // would turn every fault-injection test into a crash, so the strict
@@ -83,63 +91,12 @@ SlabBufferPool::~SlabBufferPool() {
   }
 }
 
-SlabBufferPool::Entry* SlabBufferPool::find_exact(
-    const std::string& array, const io::Section& s) noexcept {
-  const auto it = entries_.find(array);
-  if (it == entries_.end()) {
-    return nullptr;
-  }
-  for (const auto& e : it->second) {
-    if (e->sec == s) {
-      return e.get();
-    }
-  }
-  return nullptr;
-}
-
-const SlabBufferPool::Entry* SlabBufferPool::find_exact(
-    const std::string& array, const io::Section& s) const noexcept {
-  return const_cast<SlabBufferPool*>(this)->find_exact(array, s);
-}
-
-std::vector<SlabBufferPool::Entry*> SlabBufferPool::covering_entries(
-    const std::string& array, const io::Section& s) {
-  const auto it = entries_.find(array);
-  if (it == entries_.end()) {
-    return {};
-  }
-  // Single entry containing the whole request (any geometry).
-  for (const auto& e : it->second) {
-    if (e->sec.contains(s)) {
-      return {e.get()};
-    }
-  }
-  // Multi-entry assembly only for full-height column sections covered by
-  // full-height entries (the shape every column-slab sweep uses); column c
-  // is served by the first entry spanning it.
-  std::vector<Entry*> sources;
-  for (std::int64_t c = s.col0; c < s.col1;) {
-    Entry* found = nullptr;
-    for (const auto& e : it->second) {
-      if (e->sec.row0 == s.row0 && e->sec.row1 == s.row1 &&
-          e->sec.col0 <= c && c < e->sec.col1) {
-        found = e.get();
-        break;
-      }
-    }
-    if (found == nullptr) {
-      return {};
-    }
-    sources.push_back(found);
-    c = found->sec.col1;
-  }
-  return sources;
-}
-
-bool SlabBufferPool::resident(const std::string& array,
-                              const io::Section& s) const {
-  return !const_cast<SlabBufferPool*>(this)->covering_entries(array, s)
-              .empty();
+void SlabBufferPool::allocate(Entry& e, io::LocalArrayFile& laf,
+                              const std::string& array) {
+  e.data.laf = &laf;
+  e.data.buf = std::make_unique<IclaBuffer>(budget_, e.sec.elements(),
+                                            name_ + ":" + array);
+  e.data.buf->reset_section(e.sec);
 }
 
 void SlabBufferPool::read_into(sim::SpmdContext& ctx, Entry& e) {
@@ -153,235 +110,117 @@ void SlabBufferPool::read_into(sim::SpmdContext& ctx, Entry& e) {
     // prices on the compute thread exactly like the synchronous read); only
     // the physical transfer moves to an engine worker. settle_entry() waits
     // it out before anyone touches the buffer.
-    e.buf->reset_section(e.sec);
-    e.pending = std::make_unique<io::AsyncHandle>(
-        e.laf->read_section_async(ctx, *engine_, e.sec, e.buf->data()));
+    e.data.pending = std::make_unique<io::AsyncHandle>(
+        e.data.laf->read_section_async(ctx, *engine_, e.sec,
+                                       e.data.buf->data()));
   } else {
-    e.buf->load(ctx, *e.laf, e.sec);
+    e.data.buf->load(ctx, *e.data.laf, e.sec);
   }
   const double service = ctx.clock().now() - t_issue;
   const double start = std::max(t_issue, disk_free_time_s_);
-  e.ready_time_s = start + service;
-  disk_free_time_s_ = e.ready_time_s;
+  e.data.ready_time_s = start + service;
+  disk_free_time_s_ = e.data.ready_time_s;
   ctx.clock().rewind_to(t_issue);
 }
 
 void SlabBufferPool::settle_entry(sim::SpmdContext& ctx, Entry& e) {
-  if (e.pending == nullptr) {
+  if (e.data.pending == nullptr) {
     return;
   }
   // Move the handle out first so a throwing settle cannot be retried on a
   // consumed ticket.
-  const std::unique_ptr<io::AsyncHandle> pending = std::move(e.pending);
-  e.laf->settle(ctx, *pending);
+  const std::unique_ptr<io::AsyncHandle> pending = std::move(e.data.pending);
+  e.data.laf->settle(ctx, *pending);
 }
 
 void SlabBufferPool::write_back(sim::SpmdContext& ctx, Entry& e) {
-  // Eviction may pick a never-consumed prefetch: its fill must complete
-  // before the buffer is read or dropped.
   settle_entry(ctx, e);
-  if (!e.dirty) {
-    return;
-  }
   if (engine_ != nullptr) {
-    // The job owns a snapshot of the slab, so the entry can be evicted
+    // The job owns a snapshot of the slab, so the entry can be dropped
     // immediately; errors surface at the next drain_writes().
-    const std::span<const double> data = e.buf->data();
+    const std::span<const double> data = e.data.buf->data();
     pending_writes_.push_back(PendingWrite{
-        e.laf,
-        e.laf->write_section_async(ctx, *engine_, e.sec,
-                                   std::vector<double>(data.begin(),
-                                                       data.end()))});
+        e.data.laf,
+        e.data.laf->write_section_async(
+            ctx, *engine_, e.sec,
+            std::vector<double>(data.begin(), data.end()))});
   } else {
-    e.buf->store_as(ctx, *e.laf, e.sec);
+    e.data.buf->store_as(ctx, *e.data.laf, e.sec);
   }
-  e.dirty = false;
-  ++stats_.writebacks;
-  if (mirror_laf_stats_) {
-    e.laf->note_cache_writeback();
+  if (dir_.retains()) {
+    ++stats_.writebacks;
+    e.data.laf->note_cache_writeback();
   }
 }
 
-bool SlabBufferPool::evict_one(sim::SpmdContext& ctx) {
-  const std::string* victim_array = nullptr;
-  Entry* victim = nullptr;
-  for (auto& [array, list] : entries_) {
-    for (const auto& e : list) {
-      if (e->pins > 0) {
-        continue;
-      }
-      if (victim == nullptr ||
-          eviction_rank(e->reuse_hint) > eviction_rank(victim->reuse_hint) ||
-          (eviction_rank(e->reuse_hint) == eviction_rank(victim->reuse_hint) &&
-           e->last_use < victim->last_use)) {
-        victim_array = &array;
-        victim = e.get();
-      }
-    }
-  }
-  if (victim == nullptr) {
-    return false;
-  }
-  write_back(ctx, *victim);
-  ++stats_.evictions;
-  if (mirror_laf_stats_) {
-    victim->laf->note_cache_eviction();
-  }
-  erase_entry(*victim_array, victim);
-  return true;
-}
-
-void SlabBufferPool::erase_entry(const std::string& array,
-                                 const Entry* e) noexcept {
-  const auto it = entries_.find(array);
-  if (it == entries_.end()) {
-    return;
-  }
-  EntryList& list = it->second;
-  for (auto lit = list.begin(); lit != list.end(); ++lit) {
-    if (lit->get() == e) {
-      resident_elements_ -= e->sec.elements();
-      list.erase(lit);  // ~IclaBuffer releases the budget
-      break;
-    }
-  }
-  if (list.empty()) {
-    entries_.erase(it);
+void SlabBufferPool::note_hit(io::LocalArrayFile& laf, const io::Section& s) {
+  if (dir_.retains()) {
+    ++stats_.hits;
+    stats_.elements_hit += static_cast<std::uint64_t>(s.elements());
+    laf.note_cache_hit(static_cast<std::uint64_t>(s.elements()) *
+                       sizeof(double));
   }
 }
 
 void SlabBufferPool::ensure_available(sim::SpmdContext& ctx,
                                       std::int64_t elements) {
-  while (budget_.remaining() < elements) {
-    if (!evict_one(ctx)) {
-      OOCC_THROW(ErrorCode::kResourceExhausted,
-                 "slab pool '" << name_ << "' cannot free " << elements
-                               << " elements: " << budget_.remaining()
-                               << " free, " << pinned_count()
-                               << " entries pinned");
-    }
-  }
-}
-
-SlabBufferPool::Entry& SlabBufferPool::insert_entry(sim::SpmdContext& ctx,
-                                                    io::LocalArrayFile& laf,
-                                                    const std::string& array,
-                                                    const io::Section& s,
-                                                    double reuse_hint) {
-  ensure_available(ctx, s.elements());
-  auto e = std::make_unique<Entry>();
-  e->sec = s;
-  e->laf = &laf;
-  e->reuse_hint = reuse_hint;
-  e->last_use = ++tick_;
-  e->buf = std::make_unique<IclaBuffer>(budget_, s.elements(),
-                                        name_ + ":" + array);
-  e->buf->reset_section(s);
-  Entry& ref = *e;
-  entries_[array].push_back(std::move(e));
-  resident_elements_ += s.elements();
-  return ref;
+  Io io(*this, ctx);
+  dir_.make_room(io, elements);
 }
 
 IclaBuffer& SlabBufferPool::acquire_read(sim::SpmdContext& ctx,
                                          io::LocalArrayFile& laf,
                                          const std::string& array,
                                          const io::Section& s,
-                                         double reuse_hint) {
+                                         double reuse_hint, bool transient) {
   OOCC_REQUIRE(!s.empty(), "cannot acquire empty section of '" << array
                                                                << "'");
-  if (Entry* e = find_exact(array, s)) {
-    e->last_use = ++tick_;
-    e->reuse_hint = reuse_hint;
-    settle_entry(ctx, *e);
-    ++e->pins;
-    ctx.clock().wait_until(e->ready_time_s);
-    if (e->prefetched) {
-      // The double-buffer path: the bytes did move, just earlier.
-      e->prefetched = false;
-    } else {
-      ++stats_.hits;
-      stats_.elements_hit += static_cast<std::uint64_t>(s.elements());
-      if (mirror_laf_stats_) {
-        laf.note_cache_hit(static_cast<std::uint64_t>(s.elements()) *
-                           sizeof(double));
+  Io io(*this, ctx);
+  const Directory::Read r =
+      dir_.acquire_read(io, array, s, reuse_hint, transient);
+  Entry& e = *r.entry;
+  switch (r.how) {
+    case SlabLookup::kHit:
+    case SlabLookup::kPrefetched:
+      // A prefetched acquire is the double-buffer path: the bytes did move,
+      // just earlier.
+      settle_entry(ctx, e);
+      if (r.how == SlabLookup::kHit) {
+        note_hit(laf, s);
       }
-    }
-    return *e->buf;
-  }
-
-  std::vector<Entry*> sources = covering_entries(array, s);
-  if (!sources.empty()) {
-    // Assemble the requested section from cached data: pin the sources so
-    // allocation cannot evict them, copy column by column, unpin.
-    double ready = ctx.clock().now();
-    for (Entry* src : sources) {
-      settle_entry(ctx, *src);
-    }
-    for (Entry* src : sources) {
-      ++src->pins;
-      ready = std::max(ready, src->ready_time_s);
-    }
-    Entry& e = insert_entry(ctx, laf, array, s, reuse_hint);
-    for (std::int64_t c = s.col0; c < s.col1; ++c) {
-      const Entry* src = nullptr;
-      for (const Entry* cand : sources) {
-        if (cand->sec.col0 <= c && c < cand->sec.col1) {
-          src = cand;
-          break;
+      break;
+    case SlabLookup::kAssembled: {
+      // Copy the requested section column by column from the sources the
+      // directory kept pinned while it made room.
+      allocate(e, laf, array);
+      double ready = ctx.clock().now();
+      std::int64_t c = s.col0;
+      for (const io::Section& from : r.sources) {
+        Entry& src = *dir_.find(array, from);
+        settle_entry(ctx, src);
+        ready = std::max(ready, src.data.ready_time_s);
+        for (; c < std::min(from.col1, s.col1); ++c) {
+          std::memcpy(&e.data.buf->at(0, c - s.col0),
+                      &src.data.buf->at(s.row0 - from.row0, c - from.col0),
+                      static_cast<std::size_t>(s.rows()) * sizeof(double));
         }
       }
-      OOCC_ASSERT(src != nullptr, "coverage lost during assembly");
-      const double* from =
-          &src->buf->at(s.row0 - src->sec.row0, c - src->sec.col0);
-      double* to = &e.buf->at(0, c - s.col0);
-      std::memcpy(to, from, static_cast<std::size_t>(s.rows()) *
-                                sizeof(double));
+      e.data.ready_time_s = ready;
+      note_hit(laf, s);
+      break;
     }
-    for (Entry* src : sources) {
-      --src->pins;
-    }
-    e.ready_time_s = ready;
-    e.pins = 1;
-    ctx.clock().wait_until(ready);
-    ++stats_.hits;
-    stats_.elements_hit += static_cast<std::uint64_t>(s.elements());
-    if (mirror_laf_stats_) {
-      laf.note_cache_hit(static_cast<std::uint64_t>(s.elements()) *
-                         sizeof(double));
-    }
-    return *e.buf;
+    case SlabLookup::kMiss:
+      if (dir_.retains()) {
+        ++stats_.misses;
+        laf.note_cache_miss();
+      }
+      allocate(e, laf, array);
+      read_into(ctx, e);
+      settle_entry(ctx, e);
+      break;
   }
-
-  // Miss: read from disk into a fresh entry. Dirty entries overlapping the
-  // request hold data the disk does not have yet — write them back first
-  // or the read returns stale bytes (the partially-evicted cross-geometry
-  // case).
-  flush_overlapping_dirty(ctx, array, s);
-  ++stats_.misses;
-  if (mirror_laf_stats_) {
-    laf.note_cache_miss();
-  }
-  Entry& e = insert_entry(ctx, laf, array, s, reuse_hint);
-  read_into(ctx, e);
-  settle_entry(ctx, e);
-  e.pins = 1;
-  ctx.clock().wait_until(e.ready_time_s);
-  return *e.buf;
-}
-
-void SlabBufferPool::flush_overlapping_dirty(sim::SpmdContext& ctx,
-                                             const std::string& array,
-                                             const io::Section& s) {
-  const auto it = entries_.find(array);
-  if (it == entries_.end()) {
-    return;
-  }
-  for (const auto& e : it->second) {
-    if (e->dirty && e->sec.overlaps(s)) {
-      write_back(ctx, *e);
-    }
-  }
+  ctx.clock().wait_until(e.data.ready_time_s);
+  return *e.data.buf;
 }
 
 IclaBuffer& SlabBufferPool::acquire_write(sim::SpmdContext& ctx,
@@ -390,89 +229,48 @@ IclaBuffer& SlabBufferPool::acquire_write(sim::SpmdContext& ctx,
                                           const io::Section& s,
                                           double reuse_hint) {
   OOCC_REQUIRE(!s.empty(), "cannot stage empty section of '" << array << "'");
-  // Every other cached range overlapping s goes stale once this buffer is
-  // computed into: write dirty ones back, then drop them.
-  const auto it = entries_.find(array);
-  if (it != entries_.end()) {
-    std::vector<Entry*> stale;
-    for (const auto& e : it->second) {
-      if (!(e->sec == s) && e->sec.overlaps(s)) {
-        OOCC_CHECK(e->pins == 0, ErrorCode::kRuntimeError,
-                   "staging '" << array
-                               << "' would invalidate a pinned cached slab");
-        stale.push_back(e.get());
-      }
-    }
-    for (Entry* e : stale) {
-      write_back(ctx, *e);
-      erase_entry(array, e);
-    }
-  }
-  Entry* e = find_exact(array, s);
-  if (e == nullptr) {
-    e = &insert_entry(ctx, laf, array, s, reuse_hint);
+  Io io(*this, ctx);
+  Entry& e = dir_.acquire_write(io, array, s, reuse_hint);
+  if (e.data.buf == nullptr) {
+    allocate(e, laf, array);
   } else {
-    settle_entry(ctx, *e);
-    e->last_use = ++tick_;
+    settle_entry(ctx, e);
   }
-  ++e->pins;
-  return *e->buf;
+  return *e.data.buf;
 }
 
-void SlabBufferPool::mark_dirty(const std::string& array,
+void SlabBufferPool::mark_dirty(sim::SpmdContext& ctx,
+                                const std::string& array,
                                 const io::Section& s, double reuse_hint) {
-  Entry* e = find_exact(array, s);
-  OOCC_CHECK(e != nullptr, ErrorCode::kRuntimeError,
-             "mark_dirty of '" << array
-                               << "' before any compute staged the slab");
-  e->dirty = true;
-  e->reuse_hint = reuse_hint;
-  e->last_use = ++tick_;
+  Io io(*this, ctx);
+  dir_.mark_dirty(io, array, s, reuse_hint);
 }
 
-void SlabBufferPool::unpin(const std::string& array, const io::Section& s) {
-  Entry* e = find_exact(array, s);
-  OOCC_CHECK(e != nullptr && e->pins > 0, ErrorCode::kRuntimeError,
-             "unpin of '" << array << "' slab that is not pinned");
-  --e->pins;
+void SlabBufferPool::unpin(sim::SpmdContext& ctx, const std::string& array,
+                           const io::Section& s) {
+  Io io(*this, ctx);
+  dir_.unpin(io, array, s);
 }
 
 bool SlabBufferPool::read_ahead(sim::SpmdContext& ctx,
                                 io::LocalArrayFile& laf,
                                 const std::string& array,
                                 const io::Section& s, double reuse_hint) {
-  if (resident(array, s)) {
-    return true;
+  Io io(*this, ctx);
+  Entry* fill = nullptr;
+  if (!dir_.read_ahead(io, array, s, reuse_hint, &fill)) {
+    return false;
   }
-  if (budget_.remaining() < s.elements()) {
-    return false;  // read-ahead never evicts
+  if (fill != nullptr) {
+    allocate(*fill, laf, array);
+    read_into(ctx, *fill);
   }
-  flush_overlapping_dirty(ctx, array, s);
-  Entry& e = insert_entry(ctx, laf, array, s, reuse_hint);
-  e.prefetched = true;
-  read_into(ctx, e);
   return true;
 }
 
 void SlabBufferPool::flush(sim::SpmdContext& ctx) {
-  // Deterministic order: arrays by name (map order), sections ascending.
-  for (auto& [array, list] : entries_) {
-    std::vector<Entry*> dirty;
-    for (const auto& e : list) {
-      if (e->dirty) {
-        dirty.push_back(e.get());
-      }
-    }
-    std::sort(dirty.begin(), dirty.end(), [](const Entry* a, const Entry* b) {
-      if (a->sec.col0 != b->sec.col0) {
-        return a->sec.col0 < b->sec.col0;
-      }
-      return a->sec.row0 < b->sec.row0;
-    });
-    for (Entry* e : dirty) {
-      write_back(ctx, *e);
-    }
-  }
+  Io io(*this, ctx);
+  dir_.flush(io);
   drain_writes(ctx);
 }
 
@@ -495,79 +293,32 @@ void SlabBufferPool::drain_writes(sim::SpmdContext& ctx) {
 
 void SlabBufferPool::invalidate(sim::SpmdContext& ctx,
                                 const std::string& array) {
-  const auto it = entries_.find(array);
-  if (it == entries_.end()) {
-    return;
-  }
-  for (const auto& e : it->second) {
-    OOCC_CHECK(e->pins == 0, ErrorCode::kRuntimeError,
-               "invalidate of '" << array << "' with pinned slabs");
-    write_back(ctx, *e);
-    resident_elements_ -= e->sec.elements();
-  }
-  entries_.erase(it);
+  Io io(*this, ctx);
+  dir_.invalidate(io, array);
   drain_writes(ctx);
 }
 
-void SlabBufferPool::drop_clean(const std::string& array) noexcept {
-  const auto it = entries_.find(array);
-  if (it == entries_.end()) {
-    return;
-  }
-  EntryList& list = it->second;
-  for (auto lit = list.begin(); lit != list.end();) {
-    if (!(*lit)->dirty && (*lit)->pins == 0 && (*lit)->pending == nullptr) {
-      resident_elements_ -= (*lit)->sec.elements();
-      lit = list.erase(lit);
-    } else {
-      ++lit;
-    }
-  }
-  if (list.empty()) {
-    entries_.erase(it);
-  }
+void IoScheduler::schedule(const SlabIterator& slabs,
+                           std::vector<Request> streams) {
+  slabs_ = slabs;
+  streams_ = std::move(streams);
+  next_ = 0;
 }
 
-void SlabBufferPool::drop_clean(const std::string& array,
-                                const io::Section& s) noexcept {
-  Entry* e = find_exact(array, s);
-  if (e != nullptr && !e->dirty && e->pins == 0 && e->pending == nullptr) {
-    erase_entry(array, e);
-  }
-}
-
-std::int64_t SlabBufferPool::pinned_count() const noexcept {
-  std::int64_t n = 0;
-  for (const auto& [array, list] : entries_) {
-    for (const auto& e : list) {
-      if (e->pins > 0) {
-        ++n;
-      }
-    }
-  }
-  return n;
+const IoScheduler::Request& IoScheduler::request(std::size_t k) {
+  Request& r = streams_[k % streams_.size()];
+  r.section = slabs_->section(static_cast<std::int64_t>(k / streams_.size()));
+  return r;
 }
 
 void IoScheduler::pump(sim::SpmdContext& ctx, SlabBufferPool& pool,
                        int lookahead) {
-  while (!queue_.empty() &&
-         pool.resident(queue_.front().array, queue_.front().section)) {
-    queue_.pop_front();
-  }
-  int in_flight = 0;
-  for (const Request& r : queue_) {
-    if (in_flight >= lookahead) {
-      break;
-    }
-    if (pool.resident(r.array, r.section)) {
-      ++in_flight;
-      continue;
-    }
-    if (!pool.read_ahead(ctx, *r.laf, r.array, r.section, r.reuse_hint)) {
-      break;  // no spare room; try again after the next demand read
-    }
-    ++in_flight;
-  }
+  pump(
+      lookahead,
+      [&](const Request& r) { return pool.resident(r.array, r.section); },
+      [&](const Request& r) {
+        return pool.read_ahead(ctx, *r.laf, r.array, r.section, r.reuse_hint);
+      });
 }
 
 }  // namespace oocc::runtime

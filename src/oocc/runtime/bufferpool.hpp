@@ -6,52 +6,47 @@
 // cache the runtime forgets a slab the moment the loop iteration ends —
 // chains like `c = a*b; e = c + a*b` re-read data that was in memory
 // microseconds earlier. SlabBufferPool is the per-processor substrate that
-// closes that gap:
+// closes that gap. It has two modes over one policy:
 //
-//  * entries are keyed by (array name, slab section) and charged against
-//    the node's MemoryBudget, exactly like the ICLAs they replace;
-//  * consumers pin entries for the duration of a slab iteration (pin/unpin
-//    refcounts; eviction never touches a pinned entry);
-//  * eviction is LRU refined by the compiler's forward-reuse hints
-//    (Step::reuse_distance): the entry whose next use is farthest away —
-//    or unknown — goes first, ties broken least-recently-used;
-//  * dirty entries (staged outputs) write back through their Local Array
-//    File on eviction and at flush(), so deferring the write never changes
-//    which bytes reach disk;
-//  * reads are modelled with the same conservative async-I/O trick the old
-//    double-buffer used: the host performs the read immediately, the
-//    simulated clock is rewound to the issue point, and the entry carries
-//    its completion timestamp; a demand acquire waits for it, a read-ahead
-//    does not. One outstanding request per pool (one disk per processor).
+//  * retaining (the default): slabs stay resident after their sweep, staged
+//    outputs write back lazily, and later reads hit;
+//  * no-retain (--no-cache): a staged output writes through at once and an
+//    entry is dropped at its last unpin, so every sweep re-reads.
 //
-// IoScheduler is the read-ahead front: the executor enqueues the upcoming
-// ReadSlab schedule of a prefetching slab loop and pumps the queue after
-// each demand read, which generalizes the old two-buffer prefetch to any
-// lookahead the budget can hold.
+// Every decision (lookup, eviction, write-back, read-ahead admission, flush
+// order, capacity) is runtime::SlabDirectory's (slab_directory.hpp), the
+// same object the compiler's step pricer and verifier drive. The pool keeps
+// only what shapes cannot: the bytes, charged against the node's
+// MemoryBudget like the ICLAs they replace; the LAF I/O; the async engine;
+// and the simulated-clock timing. Reads use the conservative async-I/O
+// model of the old double buffer: the host performs the read immediately,
+// the simulated clock is rewound to the issue point, and the entry carries
+// its completion timestamp; a demand acquire waits for it, a read-ahead
+// does not. One outstanding request per pool (one disk per processor).
 //
-// Lookup is containment-aware: a request hits when one cached entry holds
-// exactly or a superset of the section, and full-height column sections
-// (the shape every column-slab sweep uses) also hit when their columns are
-// covered by several cached entries — the pool assembles the requested
-// section in memory. This is what lets two statements with different slab
-// widths share data.
+// IoScheduler is the read-ahead front: the executor hands it a prefetching
+// slab loop's upcoming ReadSlab schedule and pumps it after each demand
+// read, which generalizes the old two-buffer prefetch to any lookahead the
+// budget can hold. The pricer pumps the same scheduler over its directory.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "oocc/io/laf.hpp"
 #include "oocc/runtime/icla.hpp"
+#include "oocc/runtime/slab_directory.hpp"
+#include "oocc/runtime/slab_iter.hpp"
 #include "oocc/sim/machine.hpp"
 
 namespace oocc::runtime {
 
 /// Aggregate counters for one pool. Per-array counts are also mirrored into
-/// the owning LocalArrayFile's IoStats (cache_hits etc.).
+/// the owning LocalArrayFile's IoStats (cache_hits etc.). A no-retain pool
+/// is not a cache and counts nothing.
 struct SlabCacheStats {
   std::uint64_t hits = 0;         ///< demand reads served without disk I/O
   std::uint64_t misses = 0;       ///< demand reads that went to the LAF
@@ -71,22 +66,12 @@ struct SlabCacheStats {
 /// Per-processor cache of slab-sized buffers over the Local Array Files.
 /// Not thread-safe; one pool per simulated processor, like every other
 /// runtime object.
-///
-/// NOTE: compiler/cost.cpp's CacheSim is the shape-only mirror of this
-/// class — any change to the lookup rule (exact / containment / column
-/// coverage), the eviction rank, the miss-path dirty-overlap flush, or the
-/// flush order must be made in both, or the asserted priced-equals-
-/// measured invariant (tests/fusion_test.cpp) breaks.
 class SlabBufferPool {
  public:
   /// Entries are reserved against `budget` as they are created and released
-  /// as they are evicted; `name` prefixes buffer names for diagnostics.
-  /// `mirror_laf_stats` controls whether hits/misses/evictions/write-backs
-  /// are also recorded on each LocalArrayFile's IoStats — the executor's
-  /// shared pool does, while PrefetchingSlabReader's private window does
-  /// not (a --no-cache run must not report phantom cache activity).
-  SlabBufferPool(MemoryBudget& budget, std::string name,
-                 bool mirror_laf_stats = true);
+  /// as they are dropped; `name` prefixes buffer names for diagnostics.
+  /// `retain` = false is the no-retain (--no-cache) mode.
+  SlabBufferPool(MemoryBudget& budget, std::string name, bool retain = true);
   ~SlabBufferPool();
 
   /// True in OOCC_SANITIZE builds, where destroying a pool that still
@@ -106,13 +91,14 @@ class SlabBufferPool {
   SlabBufferPool& operator=(const SlabBufferPool&) = delete;
 
   /// Demand-reads section `s` of `array` and returns the buffer holding
-  /// exactly it, pinned. Served from the cache when resident (or
-  /// assemblable); otherwise read from `laf`, evicting unpinned entries as
-  /// needed. `reuse_hint` is the compiler's forward reuse distance (-1 =
-  /// no known reuse). Blocks (in simulated time) until the data is ready.
+  /// exactly it, pinned. Served from memory when resident (or assemblable);
+  /// otherwise read from `laf`, evicting unpinned entries as needed.
+  /// `reuse_hint` is the compiler's forward reuse distance (-1 = no known
+  /// reuse); a `transient` (halo-widened) read is dropped at its last
+  /// unpin. Blocks (in simulated time) until the data is ready.
   IclaBuffer& acquire_read(sim::SpmdContext& ctx, io::LocalArrayFile& laf,
                            const std::string& array, const io::Section& s,
-                           double reuse_hint);
+                           double reuse_hint, bool transient = false);
 
   /// Returns a pinned buffer targeted at `s` for staging output data; no
   /// disk read happens. An existing entry for exactly `s` keeps its data
@@ -123,19 +109,23 @@ class SlabBufferPool {
                             const std::string& array, const io::Section& s,
                             double reuse_hint);
 
-  /// Marks the entry holding exactly `s` dirty: its contents supersede the
-  /// LAF and will be written back on eviction or flush. Updates the entry's
-  /// reuse hint (the write step knows the distance to the next read).
-  void mark_dirty(const std::string& array, const io::Section& s,
-                  double reuse_hint);
+  /// The staged entry for exactly `s` now supersedes the LAF: it is written
+  /// back on eviction or flush, or at once in no-retain mode. Updates the
+  /// entry's reuse hint (the write step knows the distance to the next
+  /// read).
+  void mark_dirty(sim::SpmdContext& ctx, const std::string& array,
+                  const io::Section& s, double reuse_hint);
 
   /// Drops one pin from the entry holding exactly `s`.
-  void unpin(const std::string& array, const io::Section& s);
+  void unpin(sim::SpmdContext& ctx, const std::string& array,
+             const io::Section& s);
 
   /// True when a demand read of `s` would be served from memory.
-  bool resident(const std::string& array, const io::Section& s) const;
+  bool resident(const std::string& array, const io::Section& s) const {
+    return dir_.resident(array, s);
+  }
 
-  /// Fetches `s` into the cache without pinning, modelled asynchronously
+  /// Fetches `s` into the pool without pinning, modelled asynchronously
   /// (the caller's clock is not advanced by the service time). Returns true
   /// when the section is resident or was issued; false when it would not
   /// fit without eviction — read-ahead never evicts.
@@ -144,8 +134,9 @@ class SlabBufferPool {
                   double reuse_hint);
 
   /// Writes back every dirty entry (deterministically: arrays in name
-  /// order, sections in ascending (col0, row0) order). Called at the end of
-  /// a sweep/sequence so the LAFs are the source of truth again.
+  /// order, sections in ascending (col0, row0) order) and drains the
+  /// async write-backs. Called at the end of a sweep/sequence so the LAFs
+  /// are the source of truth again.
   void flush(sim::SpmdContext& ctx);
 
   /// Writes back and drops every entry of `array`. Used before a plan
@@ -153,23 +144,14 @@ class SlabBufferPool {
   /// OwnedColumnWriter), after which cached slabs would be stale.
   void invalidate(sim::SpmdContext& ctx, const std::string& array);
 
-  /// Drops the clean, unpinned entries of `array` without I/O; dirty or
-  /// pinned entries are left alone. Lets PrefetchingSlabReader::reset()
-  /// stay noexcept (its entries are never dirty).
-  void drop_clean(const std::string& array) noexcept;
-
-  /// Drops the entry holding exactly `s` if it is resident, clean and
-  /// unpinned (the reader wrapper's trailing-buffer discard).
-  void drop_clean(const std::string& array, const io::Section& s) noexcept;
-
   /// Attaches the machine's real async I/O engine. With an engine, the
-  /// physical disk transfer of every pool read and dirty write-back runs
-  /// on a worker thread: read_ahead becomes a true submit-ahead, a demand
+  /// physical disk transfer of every pool read and write-back runs on a
+  /// worker thread: read_ahead becomes a true submit-ahead, a demand
   /// acquire of a prefetched slab costs only a wait, and write-backs drain
   /// at barriers / flush. The *simulated* accounting (the clock-rewind
-  /// model above, and every lookup/eviction/flush decision) is unchanged —
-  /// fault-free runs are bit-identical with and without an engine, which
-  /// is what keeps CacheSim and the priced == measured invariants intact.
+  /// model above, and every directory decision) is unchanged — fault-free
+  /// runs are bit-identical with and without an engine, which is what
+  /// keeps the priced == measured invariants intact.
   void set_async_engine(io::AsyncEngine* engine) noexcept {
     engine_ = engine;
   }
@@ -182,65 +164,42 @@ class SlabBufferPool {
 
   /// Evicts unpinned entries until `elements` fit in the budget; throws
   /// Error(kResourceExhausted) when pinned entries make that impossible.
-  /// Used before reserving non-pool buffers (reduction temporaries) from
+  /// Used before reserving non-pool buffers (the GAXPY side buffers) from
   /// the shared budget.
   void ensure_available(sim::SpmdContext& ctx, std::int64_t elements);
 
   /// Number of entries with a nonzero pin count (leak detection: a sweep
   /// must end with zero).
-  std::int64_t pinned_count() const noexcept;
+  std::int64_t pinned_count() const noexcept { return dir_.pinned_count(); }
 
-  std::int64_t resident_elements() const noexcept { return resident_elements_; }
   const SlabCacheStats& stats() const noexcept { return stats_; }
   MemoryBudget& budget() noexcept { return budget_; }
 
  private:
-  struct Entry {
-    io::Section sec;
+  /// The bytes behind one directory entry.
+  struct Slab {
     std::unique_ptr<IclaBuffer> buf;
     io::LocalArrayFile* laf = nullptr;
-    int pins = 0;
-    bool dirty = false;
-    /// First demand acquire of a read-ahead entry is the double-buffer
-    /// path, not a reuse hit; cleared after that acquire.
-    bool prefetched = false;
-    double reuse_hint = -1.0;
-    std::uint64_t last_use = 0;
     double ready_time_s = 0.0;
     /// In-flight asynchronous read filling `buf` (engine mode only);
-    /// settled before the buffer is touched, evicted or dropped.
+    /// settled before the buffer is touched or dropped.
     std::unique_ptr<io::AsyncHandle> pending;
   };
-  using EntryList = std::vector<std::unique_ptr<Entry>>;
+  using Directory = SlabDirectory<Slab>;
+  using Entry = Directory::Entry;
+  class Io;
 
-  Entry* find_exact(const std::string& array, const io::Section& s) noexcept;
-  const Entry* find_exact(const std::string& array,
-                          const io::Section& s) const noexcept;
+  /// Gives a fresh directory entry its buffer.
+  void allocate(Entry& e, io::LocalArrayFile& laf, const std::string& array);
 
-  /// Entries of `array` that together cover every column of the full-height
-  /// column section `s` (or one entry containing `s`). Empty on failure.
-  std::vector<Entry*> covering_entries(const std::string& array,
-                                       const io::Section& s);
-
-  /// Allocates a fresh entry for `s`, evicting unpinned entries for room.
-  Entry& insert_entry(sim::SpmdContext& ctx, io::LocalArrayFile& laf,
-                      const std::string& array, const io::Section& s,
-                      double reuse_hint);
-
-  /// Performs the (modelled-async) disk read of `e.sec` into `e.buf`.
+  /// Performs the (modelled-async) disk read of `e.sec` into its buffer.
   void read_into(sim::SpmdContext& ctx, Entry& e);
 
-  /// Writes back (without dropping) every dirty entry of `array` that
-  /// overlaps `s`, so a following disk read of `s` sees current data.
-  void flush_overlapping_dirty(sim::SpmdContext& ctx,
-                               const std::string& array,
-                               const io::Section& s);
-
   void write_back(sim::SpmdContext& ctx, Entry& e);
-  bool evict_one(sim::SpmdContext& ctx);
-  void erase_entry(const std::string& array, const Entry* e) noexcept;
-  /// Waits out `e.pending` (if any), applying its deferred accounting.
-  void settle_entry(sim::SpmdContext& ctx, Entry& e);
+  /// Waits out `e`'s pending read (if any), applying its deferred
+  /// accounting.
+  static void settle_entry(sim::SpmdContext& ctx, Entry& e);
+  void note_hit(io::LocalArrayFile& laf, const io::Section& s);
 
   struct PendingWrite {
     io::LocalArrayFile* laf = nullptr;
@@ -249,41 +208,65 @@ class SlabBufferPool {
 
   MemoryBudget& budget_;
   std::string name_;
-  bool mirror_laf_stats_;
-  std::map<std::string, EntryList> entries_;
+  Directory dir_;
   SlabCacheStats stats_;
-  std::int64_t resident_elements_ = 0;
   double disk_free_time_s_ = 0.0;
-  std::uint64_t tick_ = 0;
   io::AsyncEngine* engine_ = nullptr;
   std::vector<PendingWrite> pending_writes_;
 };
 
-/// Read-ahead queue over a SlabBufferPool: the executor enqueues a slab
-/// loop's upcoming ReadSlab schedule and pumps after each demand read, so
-/// the next reads are issued (asynchronously, in schedule order) while the
-/// current slab computes. Lookahead is bounded by the caller and by what
-/// fits the budget without eviction.
+/// Read-ahead queue of one prefetching slab loop: every stream, every slab
+/// of the loop's iterator, in demand order. The executor pumps it over its
+/// pool after each demand read, the step pricer over its directory, so the
+/// next reads are issued (asynchronously, in schedule order) while the
+/// current slab computes.
 class IoScheduler {
  public:
+  /// One stream of the schedule; `section` is filled in per slab.
   struct Request {
-    io::LocalArrayFile* laf = nullptr;
+    io::LocalArrayFile* laf = nullptr;  ///< null in the pricer
     std::string array;
     io::Section section;
     double reuse_hint = -1.0;
   };
 
-  void clear() { queue_.clear(); }
-  void enqueue(Request r) { queue_.push_back(std::move(r)); }
-  std::size_t pending() const noexcept { return queue_.size(); }
+  /// Replaces the queue with `streams` read once per slab of `slabs`.
+  void schedule(const SlabIterator& slabs, std::vector<Request> streams);
 
-  /// Pops requests already satisfied (resident) from the front, then issues
-  /// read-aheads until `lookahead` upcoming requests are resident or in
-  /// flight, stopping early when the pool has no spare room.
+  /// Pops requests already satisfied (`resident`) from the front, then
+  /// calls `read_ahead` on the upcoming ones until `lookahead` of them are
+  /// resident or in flight, stopping at the first that finds no spare room
+  /// (returns false).
+  template <typename Resident, typename ReadAhead>
+  void pump(int lookahead, const Resident& resident,
+            const ReadAhead& read_ahead) {
+    while (next_ < size() && resident(request(next_))) {
+      ++next_;
+    }
+    int in_flight = 0;
+    for (std::size_t k = next_; k < size() && in_flight < lookahead; ++k) {
+      const Request& r = request(k);
+      if (!resident(r) && !read_ahead(r)) {
+        break;  // no spare room; try again after the next demand read
+      }
+      ++in_flight;
+    }
+  }
+
+  /// pump() over a pool.
   void pump(sim::SpmdContext& ctx, SlabBufferPool& pool, int lookahead);
 
  private:
-  std::deque<Request> queue_;
+  std::size_t size() const noexcept {
+    return slabs_ ? streams_.size() * static_cast<std::size_t>(slabs_->count())
+                  : 0;
+  }
+  /// The k-th request of the schedule (slab k / streams, stream k % streams).
+  const Request& request(std::size_t k);
+
+  std::optional<SlabIterator> slabs_;
+  std::vector<Request> streams_;
+  std::size_t next_ = 0;  ///< first request not yet satisfied
 };
 
 }  // namespace oocc::runtime

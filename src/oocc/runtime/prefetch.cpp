@@ -8,30 +8,24 @@ PrefetchingSlabReader::PrefetchingSlabReader(sim::SpmdContext& ctx,
                                              MemoryBudget& budget,
                                              const std::string& name,
                                              bool enable_prefetch)
-    : laf_(laf),
+    : ctx_(ctx),
+      laf_(laf),
       slabs_(slabs),
       prefetch_(enable_prefetch),
-      // The private window is not a reuse cache: a --no-cache run must not
-      // report cache activity on the LAFs it streams.
-      pool_(budget, name, /*mirror_laf_stats=*/false) {
-  (void)ctx;
-}
+      // The private window is not a reuse cache: it keeps nothing past its
+      // unpin and reports no cache activity on the LAFs it streams.
+      pool_(budget, name, /*retain=*/false) {}
 
-PrefetchingSlabReader::~PrefetchingSlabReader() {
-  if (holding_) {
-    pool_.unpin(kStream, held_);
-    holding_ = false;
-  }
-}
+PrefetchingSlabReader::~PrefetchingSlabReader() { reset(); }
 
 void PrefetchingSlabReader::reset() noexcept {
+  // Neither call can throw here: held_ is exactly the section we pinned,
+  // and the private pool has no async engine whose reads could fail.
   if (holding_) {
-    // unpin() throws only on a pool/reader state mismatch, which cannot
-    // arise here: held_ is exactly the section we pinned.
-    pool_.unpin(kStream, held_);
+    pool_.unpin(ctx_, kStream, held_);
     holding_ = false;
   }
-  pool_.drop_clean(kStream);
+  pool_.invalidate(ctx_, kStream);  // unconsumed read-aheads
   next_expected_ = 0;
 }
 
@@ -45,12 +39,9 @@ const IclaBuffer& PrefetchingSlabReader::acquire(sim::SpmdContext& ctx,
   ++next_expected_;
 
   if (holding_) {
-    pool_.unpin(kStream, held_);
-    holding_ = false;
-  }
-  if (i > 0) {
     // The classic window: the buffer behind the sweep is recycled.
-    pool_.drop_clean(kStream, slabs_.section(i - 1));
+    pool_.unpin(ctx, kStream, held_);
+    holding_ = false;
   }
   // No reuse hint: within a sweep each slab is visited once, and re-sweeps
   // go through reset() which re-reads by design.

@@ -2,20 +2,15 @@
 // strategies as a compiler concern; PASSION provided asynchronous slab
 // reads).
 //
-// Since the slab buffer pool landed, this reader is a thin window over a
-// private SlabBufferPool: acquire(i) demand-reads slab i (pinned), issues
-// the read-ahead of slab i+1 when prefetching, and drops slab i-1 so the
-// working set never exceeds the classic one/two buffers. Unlike the old
-// fixed buffer pair this allocates one pool entry per slab; the host-side
-// cost is dominated by the file read that fills it, and recycling buffers
-// through the pool would break its exact-fit budget accounting, so the
-// simpler shape wins. The asynchronous
-// overlap model (immediate host read, clock rewound to the issue point,
-// completion timestamp honoured at acquire) lives in the pool; this class
-// only adds the sequential-sweep discipline. It remains the executor's
-// slab-stream primitive when the cache is disabled (OOCC_NO_CACHE) — in
-// that configuration every sweep re-reads, exactly like the pre-pool
-// runtime.
+// This reader is a thin window over a private no-retain SlabBufferPool:
+// acquire(i) demand-reads slab i (pinned), drops slab i-1 at its unpin, and
+// issues the read-ahead of slab i+1 when prefetching, so the working set
+// never exceeds the classic one/two buffers. The asynchronous overlap model
+// (immediate host read, clock rewound to the issue point, completion
+// timestamp honoured at acquire) lives in the pool; this class only adds
+// the sequential-sweep discipline. The hand-coded GAXPY kernels
+// (gaxpy/gaxpy.hpp) stream A through it; the compiled executor drives its
+// pool directly.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +29,8 @@ namespace oocc::runtime {
 class PrefetchingSlabReader {
  public:
   /// Buffers come from a private pool charged against `budget`: at most one
-  /// slab (no prefetch) or two slabs (prefetch) are ever resident.
+  /// slab (no prefetch) or two slabs (prefetch) are ever resident. The
+  /// reader belongs to `ctx`'s processor.
   PrefetchingSlabReader(sim::SpmdContext& ctx, io::LocalArrayFile& laf,
                         const SlabIterator& slabs, MemoryBudget& budget,
                         const std::string& name, bool enable_prefetch);
@@ -55,6 +51,7 @@ class PrefetchingSlabReader {
   /// Single stream: every pool entry belongs to this pseudo-array.
   static constexpr const char* kStream = "slab";
 
+  sim::SpmdContext& ctx_;
   io::LocalArrayFile& laf_;
   SlabIterator slabs_;
   bool prefetch_;

@@ -481,9 +481,9 @@ std::vector<double> run_pool_workload(const std::filesystem::path& dir,
       for (std::size_t i = 0; i < src.size(); ++i) {
         dst[i] = 2.0 * src[i];
       }
-      pool.mark_dirty("b", sec, 1.0);
-      pool.unpin("b", sec);
-      pool.unpin("a", sec);
+      pool.mark_dirty(ctx, "b", sec, 1.0);
+      pool.unpin(ctx, "b", sec);
+      pool.unpin(ctx, "a", sec);
     }
     pool.flush(ctx);
     std::vector<double> out(kRows * kCols);
@@ -528,7 +528,7 @@ TEST(PoolAsyncTest, RunReportCountsEngineActivity) {
     runtime::SlabBufferPool pool(budget, "report_test");
     pool.set_async_engine(ctx.async_engine());
     pool.acquire_read(ctx, a, "a", Section{0, kRows, 0, kRows}, 1.0);
-    pool.unpin("a", Section{0, kRows, 0, kRows});
+    pool.unpin(ctx, "a", Section{0, kRows, 0, kRows});
     pool.flush(ctx);
   });
   EXPECT_TRUE(report.async.enabled);

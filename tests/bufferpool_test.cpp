@@ -62,14 +62,14 @@ TEST(SlabBufferPool, HitMissAndStats) {
 
     IclaBuffer& b0 = pool.acquire_read(ctx, laf, "a", cols(0, 2), -1.0);
     EXPECT_DOUBLE_EQ(b0.at(3, 1), 3 + 100 * 1);
-    pool.unpin("a", cols(0, 2));
+    pool.unpin(ctx, "a", cols(0, 2));
     EXPECT_EQ(pool.stats().misses, 1u);
     EXPECT_EQ(pool.stats().hits, 0u);
     EXPECT_EQ(laf.stats().read_requests, 1u);
 
     // Same section again: a hit, no new LAF traffic.
     (void)pool.acquire_read(ctx, laf, "a", cols(0, 2), -1.0);
-    pool.unpin("a", cols(0, 2));
+    pool.unpin(ctx, "a", cols(0, 2));
     EXPECT_EQ(pool.stats().hits, 1u);
     EXPECT_EQ(pool.stats().elements_hit, 16u);
     EXPECT_EQ(laf.stats().read_requests, 1u);
@@ -79,7 +79,7 @@ TEST(SlabBufferPool, HitMissAndStats) {
     // A sub-range of a cached entry also hits (containment).
     IclaBuffer& sub = pool.acquire_read(ctx, laf, "a", cols(1, 2), -1.0);
     EXPECT_DOUBLE_EQ(sub.at(5, 0), 5 + 100 * 1);
-    pool.unpin("a", cols(1, 2));
+    pool.unpin(ctx, "a", cols(1, 2));
     EXPECT_EQ(pool.stats().hits, 2u);
     EXPECT_EQ(laf.stats().read_requests, 1u);
     EXPECT_EQ(pool.pinned_count(), 0);
@@ -98,12 +98,12 @@ TEST(SlabBufferPool, MultiEntryColumnCoverageAssembles) {
     SlabBufferPool pool(budget, "t");
     (void)pool.acquire_read(ctx, laf, "a", cols(0, 3), -1.0);
     (void)pool.acquire_read(ctx, laf, "a", cols(3, 6), -1.0);
-    pool.unpin("a", cols(0, 3));
-    pool.unpin("a", cols(3, 6));
+    pool.unpin(ctx, "a", cols(0, 3));
+    pool.unpin(ctx, "a", cols(3, 6));
     laf.reset_stats();
 
     IclaBuffer& buf = pool.acquire_read(ctx, laf, "a", cols(2, 4), -1.0);
-    pool.unpin("a", cols(2, 4));
+    pool.unpin(ctx, "a", cols(2, 4));
     EXPECT_EQ(laf.stats().read_requests, 0u);  // assembled, no disk I/O
     EXPECT_DOUBLE_EQ(buf.at(0, 0), 100 * 2);
     EXPECT_DOUBLE_EQ(buf.at(7, 1), 7 + 100 * 3);
@@ -124,18 +124,18 @@ TEST(SlabBufferPool, EvictionUnderExactFitBudgetUsesReuseHints) {
     SlabBufferPool pool(budget, "t");
 
     (void)pool.acquire_read(ctx, laf, "a", cols(0, 1), 5.0);   // keep
-    pool.unpin("a", cols(0, 1));
+    pool.unpin(ctx, "a", cols(0, 1));
     (void)pool.acquire_read(ctx, laf, "a", cols(1, 2), 50.0);  // victim
-    pool.unpin("a", cols(1, 2));
+    pool.unpin(ctx, "a", cols(1, 2));
     (void)pool.acquire_read(ctx, laf, "a", cols(2, 3), -1.0);
-    pool.unpin("a", cols(2, 3));
+    pool.unpin(ctx, "a", cols(2, 3));
     EXPECT_EQ(pool.stats().evictions, 1u);
     EXPECT_TRUE(pool.resident("a", cols(0, 1)));
     EXPECT_FALSE(pool.resident("a", cols(1, 2)));
 
     // Unknown reuse (-1) ranks even farther: the new entry goes first next.
     (void)pool.acquire_read(ctx, laf, "a", cols(3, 4), 2.0);
-    pool.unpin("a", cols(3, 4));
+    pool.unpin(ctx, "a", cols(3, 4));
     EXPECT_FALSE(pool.resident("a", cols(2, 3)));
     EXPECT_TRUE(pool.resident("a", cols(0, 1)));
   });
@@ -156,10 +156,10 @@ TEST(SlabBufferPool, PinnedEntriesAreNeverEvicted) {
     // pinned buffer.
     EXPECT_THROW((void)pool.acquire_read(ctx, laf, "a", cols(2, 3), -1.0),
                  Error);
-    pool.unpin("a", cols(0, 1));
+    pool.unpin(ctx, "a", cols(0, 1));
     (void)pool.acquire_read(ctx, laf, "a", cols(2, 3), -1.0);  // now fits
-    pool.unpin("a", cols(1, 2));
-    pool.unpin("a", cols(2, 3));
+    pool.unpin(ctx, "a", cols(1, 2));
+    pool.unpin(ctx, "a", cols(2, 3));
     EXPECT_EQ(pool.pinned_count(), 0);
   });
 }
@@ -175,11 +175,11 @@ TEST(SlabBufferPool, PinLeakAndDoubleUnpinAreDetected) {
     (void)pool.acquire_read(ctx, laf, "a", cols(0, 2), -1.0);
     (void)pool.acquire_read(ctx, laf, "a", cols(0, 2), -1.0);  // pins twice
     EXPECT_EQ(pool.pinned_count(), 1);
-    pool.unpin("a", cols(0, 2));
+    pool.unpin(ctx, "a", cols(0, 2));
     EXPECT_EQ(pool.pinned_count(), 1);  // still held once — a "leak"
-    pool.unpin("a", cols(0, 2));
+    pool.unpin(ctx, "a", cols(0, 2));
     EXPECT_EQ(pool.pinned_count(), 0);
-    EXPECT_THROW(pool.unpin("a", cols(0, 2)), Error);
+    EXPECT_THROW(pool.unpin(ctx, "a", cols(0, 2)), Error);
   });
 }
 
@@ -199,15 +199,15 @@ TEST(SlabBufferPool, DirtyWriteBackOrderingAndDurability) {
     for (std::int64_t r = 0; r < 8; ++r) {
       stage.at(r, 0) = 1000.0 + static_cast<double>(r);
     }
-    pool.mark_dirty("a", cols(0, 1), -1.0);
-    pool.unpin("a", cols(0, 1));
+    pool.mark_dirty(ctx, "a", cols(0, 1), -1.0);
+    pool.unpin(ctx, "a", cols(0, 1));
     EXPECT_EQ(laf.stats().write_requests, 0u);  // still deferred
 
     // Force eviction of the dirty slab.
     (void)pool.acquire_read(ctx, laf, "a", cols(1, 2), -1.0);
     (void)pool.acquire_read(ctx, laf, "a", cols(2, 3), -1.0);
-    pool.unpin("a", cols(1, 2));
-    pool.unpin("a", cols(2, 3));
+    pool.unpin(ctx, "a", cols(1, 2));
+    pool.unpin(ctx, "a", cols(2, 3));
     EXPECT_EQ(pool.stats().writebacks, 1u);
     EXPECT_EQ(laf.stats().write_requests, 1u);
     EXPECT_EQ(laf.stats().cache_writebacks, 1u);
@@ -220,8 +220,8 @@ TEST(SlabBufferPool, DirtyWriteBackOrderingAndDurability) {
     // Stage two more dirty slabs; flush writes both (ascending sections).
     IclaBuffer& s5 = pool.acquire_write(ctx, laf, "a", cols(5, 6), -1.0);
     s5.fill(5.5);
-    pool.mark_dirty("a", cols(5, 6), -1.0);
-    pool.unpin("a", cols(5, 6));
+    pool.mark_dirty(ctx, "a", cols(5, 6), -1.0);
+    pool.unpin(ctx, "a", cols(5, 6));
     const std::uint64_t writes_before = laf.stats().write_requests;
     pool.flush(ctx);
     EXPECT_EQ(laf.stats().write_requests, writes_before + 1);
@@ -245,15 +245,15 @@ TEST(SlabBufferPool, MissReadSeesUnflushedDirtyData) {
 
     IclaBuffer& stage = pool.acquire_write(ctx, laf, "a", cols(0, 1), -1.0);
     stage.fill(42.0);
-    pool.mark_dirty("a", cols(0, 1), -1.0);
-    pool.unpin("a", cols(0, 1));
+    pool.mark_dirty(ctx, "a", cols(0, 1), -1.0);
+    pool.unpin(ctx, "a", cols(0, 1));
 
     // Columns [0,2): column 1 is not cached, so this is a miss that reads
     // the disk — it must still observe the staged column 0.
     IclaBuffer& buf = pool.acquire_read(ctx, laf, "a", cols(0, 2), -1.0);
     EXPECT_DOUBLE_EQ(buf.at(3, 0), 42.0);
     EXPECT_DOUBLE_EQ(buf.at(3, 1), 3 + 100 * 1);
-    pool.unpin("a", cols(0, 2));
+    pool.unpin(ctx, "a", cols(0, 2));
     EXPECT_EQ(pool.stats().writebacks, 1u);
   });
 }
@@ -270,19 +270,19 @@ TEST(SlabBufferPool, WriteInvalidatesOverlappingStaleRanges) {
     MemoryBudget budget(1000);
     SlabBufferPool pool(budget, "t");
     (void)pool.acquire_read(ctx, laf, "a", cols(0, 4), -1.0);
-    pool.unpin("a", cols(0, 4));
+    pool.unpin(ctx, "a", cols(0, 4));
 
     IclaBuffer& stage = pool.acquire_write(ctx, laf, "a", cols(1, 2), -1.0);
     stage.fill(-7.0);
-    pool.mark_dirty("a", cols(1, 2), -1.0);
-    pool.unpin("a", cols(1, 2));
+    pool.mark_dirty(ctx, "a", cols(1, 2), -1.0);
+    pool.unpin(ctx, "a", cols(1, 2));
     EXPECT_FALSE(pool.resident("a", cols(0, 4)));  // stale range dropped
 
     // A fresh read of column 1 must see the staged data (via the dirty
     // entry), and after flush the disk agrees.
     IclaBuffer& again = pool.acquire_read(ctx, laf, "a", cols(1, 2), -1.0);
     EXPECT_DOUBLE_EQ(again.at(2, 0), -7.0);
-    pool.unpin("a", cols(1, 2));
+    pool.unpin(ctx, "a", cols(1, 2));
     pool.flush(ctx);
     std::vector<double> col(8);
     laf.read_section(ctx, cols(1, 2), std::span<double>(col.data(), 8));
@@ -299,9 +299,8 @@ TEST(IoSchedulerTest, PumpsReadAheadInScheduleOrder) {
     MemoryBudget budget(32);  // room for four single-column entries
     SlabBufferPool pool(budget, "t");
     IoScheduler sched;
-    for (std::int64_t c = 0; c < 8; ++c) {
-      sched.enqueue(IoScheduler::Request{&laf, "a", cols(c, c + 1), -1.0});
-    }
+    sched.schedule(SlabIterator(8, 8, SlabOrientation::kColumnSlabs, 8),
+                   {IoScheduler::Request{&laf, "a", {}, -1.0}});
     // Demand-read column 0, then pump with lookahead 2: columns 1 and 2
     // are fetched ahead; the queue front advances past the resident one.
     (void)pool.acquire_read(ctx, laf, "a", cols(0, 1), -1.0);
@@ -313,8 +312,8 @@ TEST(IoSchedulerTest, PumpsReadAheadInScheduleOrder) {
     const std::uint64_t hits_before = pool.stats().hits;
     (void)pool.acquire_read(ctx, laf, "a", cols(1, 2), -1.0);
     EXPECT_EQ(pool.stats().hits, hits_before);
-    pool.unpin("a", cols(0, 1));
-    pool.unpin("a", cols(1, 2));
+    pool.unpin(ctx, "a", cols(0, 1));
+    pool.unpin(ctx, "a", cols(1, 2));
   });
 }
 

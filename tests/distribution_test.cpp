@@ -2,6 +2,9 @@
 // over randomized BLOCK / CYCLIC / BLOCK-CYCLIC configurations.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "oocc/hpf/distribution.hpp"
 #include "oocc/util/error.hpp"
 #include "oocc/util/rng.hpp"
@@ -78,12 +81,21 @@ TEST(DimDistributionTest, BoundsChecked) {
   EXPECT_THROW(DimDistribution(DistKind::kBlockCyclic, 8, 2, 0), Error);
 }
 
+// gtest prints a parameter type that has no PrintTo overload as its raw
+// bytes, and CTest builds each case name from that dump. The `pad` fields
+// occupy what would otherwise be alignment padding, so every printed byte
+// is initialised and a case has the same name in every build.
 struct DistCase {
+  DistCase(DistKind k, std::int64_t e, int p, std::int64_t b)
+      : kind(k), extent(e), nprocs(p), block(b) {}
   DistKind kind;
+  std::int32_t pad0 = 0;
   std::int64_t extent;
   int nprocs;
+  std::int32_t pad1 = 0;
   std::int64_t block;
 };
+static_assert(std::has_unique_object_representations_v<DistCase>);
 
 class DimDistributionProperty : public ::testing::TestWithParam<DistCase> {};
 

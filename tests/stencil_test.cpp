@@ -224,10 +224,12 @@ INSTANTIATE_TEST_SUITE_P(
                       StencilCase{4, 32, 4, 32 * 20},
                       StencilCase{3, 18, 4, 18 * 12}),
     [](const ::testing::TestParamInfo<StencilCase>& info) {
-      return "p" + std::to_string(info.param.nprocs) + "_n" +
-             std::to_string(info.param.n) + "_it" +
-             std::to_string(info.param.iters) + "_m" +
-             std::to_string(info.param.budget);
+      std::string name = "p";
+      name += std::to_string(info.param.nprocs) + "_n";
+      name += std::to_string(info.param.n) + "_it";
+      name += std::to_string(info.param.iters) + "_m";
+      name += std::to_string(info.param.budget);
+      return name;
     });
 
 TEST_P(StencilOracleTest, CompiledIsBitIdenticalToHandcodedJacobi) {

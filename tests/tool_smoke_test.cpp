@@ -125,6 +125,32 @@ TEST_F(OoccCompileSmoke, AutoPrefetchAndNoCacheFlags) {
   EXPECT_EQ(output.find("slab cache:"), std::string::npos) << output;
 }
 
+TEST_F(OoccCompileSmoke, UnfusedChainRunsAtItsOwnBudget) {
+  // Regression: at this budget the statement-at-a-time chain's cover hits
+  // once left no room to assemble beside their pinned sources, and --run
+  // died with ResourceExhausted although the plan verified. Such a read is
+  // now served from disk: the run succeeds and matches the uncached one.
+  oocc::io::TempDir dir("oocc-smoke");
+  const auto stdout_path = dir.file("out.txt");
+  const auto stderr_path = dir.file("err.txt");
+  std::string hashes[2];
+  for (const bool cache : {true, false}) {
+    const std::string cmd =
+        std::string("\"") + OOCC_COMPILE_BIN + "\" \"" + OOCC_EXAMPLES_DIR +
+        "/elementwise_chain.hpf\" --memory 2048 --no-fuse --run "
+        "--result-hash" +
+        (cache ? "" : " --no-cache") + " > \"" + stdout_path.string() +
+        "\" 2> \"" + stderr_path.string() + "\"";
+    const int rc = std::system(cmd.c_str());
+    EXPECT_EQ(rc, 0) << "stderr:\n" << read_file(stderr_path);
+    const std::string output = read_file(stdout_path);
+    const std::size_t at = output.find("result hash: ");
+    ASSERT_NE(at, std::string::npos) << output;
+    hashes[cache ? 0 : 1] = output.substr(at, output.find('\n', at) - at);
+  }
+  EXPECT_EQ(hashes[0], hashes[1]);
+}
+
 TEST_F(OoccCompileSmoke, DumpPlanPricesTheSlabCache) {
   oocc::io::TempDir dir("oocc-smoke");
   const auto program = dir.file("chain.hpf");

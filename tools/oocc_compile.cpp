@@ -20,8 +20,9 @@
 //   --dump-search          print the plan-search decision record (implies
 //                          --opt=search): candidates priced, adopted knobs
 //                          and the structured "not searchable" diagnostics
-//   --no-cache             disable the runtime slab buffer pool (--run) —
-//                          reproduces the pre-pool executor exactly
+//   --no-cache             run the slab buffer pool in no-retain mode
+//                          (--run): staged slabs write through and nothing
+//                          is kept past its use, so every sweep re-reads
 //   --no-async             disable the real async I/O engine (--run): all
 //                          host I/O runs synchronously on the compute
 //                          threads, bit-identically (OOCC_ASYNC=0 is the
