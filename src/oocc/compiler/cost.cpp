@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "oocc/compiler/plan.hpp"
+#include "oocc/compiler/walk.hpp"
 #include "oocc/hpf/distribution.hpp"
 #include "oocc/runtime/bufferpool.hpp"
 #include "oocc/runtime/slab_directory.hpp"
@@ -191,11 +192,11 @@ namespace {
 
 using Directory = runtime::SlabDirectory<>;
 
-/// Symbolic execution of a plan's step tree for one processor: tracks the
-/// same loop, reduction, and output-writer state as exec's StepExecutor,
-/// and drives the same runtime::SlabDirectory its pool does (retaining or
-/// not), charging extent counts wherever the pool would move data.
-class StepPricer final : public Directory::Host {
+/// Symbolic execution of a plan for one processor: a StepWalk client that
+/// drives the same runtime::SlabDirectory the executor's pool does
+/// (retaining or not), charging extent counts wherever the pool would move
+/// data, and the same output-writer batching as its OwnedColumnWriter.
+class StepPricer final : public StepWalk, public Directory::Host {
  public:
   /// `dir` persists across the plans of a priced sequence, as the pool does
   /// across execute_sequence; `capacity` is the budget it shares with the
@@ -205,18 +206,9 @@ class StepPricer final : public Directory::Host {
   StepPricer(const NodeProgram& plan, int proc, Directory& dir,
              std::int64_t capacity,
              const std::map<std::string, const PlanArray*>& all_arrays)
-      : plan_(plan), proc_(proc), dir_(dir), capacity_(capacity),
-        all_arrays_(all_arrays),
-        side_(gaxpy_side_reservation(plan, proc)) {
-    for (const SlabLoop& loop : plan_.loops) {
-      const PlanArray& space = plan_.array(loop.space);
-      states_.emplace(loop.name,
-                      LoopState(runtime::SlabIterator(
-                          space.dist.local_rows(proc_),
-                          space.dist.local_cols(proc_), loop.orientation,
-                          loop.capacity_elements)));
-    }
-  }
+      : StepWalk(plan, proc, /*swapped=*/false), dir_(dir),
+        capacity_(capacity), all_arrays_(all_arrays),
+        side_(gaxpy_side_reservation(plan, proc)) {}
 
   /// Prices the plan; `flush` adds the end-of-run write-back of every dirty
   /// slab (the executor flushes its pool after the last plan).
@@ -226,7 +218,7 @@ class StepPricer final : public Directory::Host {
       // through the OwnedColumnWriter bypass before running the plan.
       dir_.invalidate(*this, plan_.c);
     }
-    walk(plan_.steps);
+    sweep();
     if (writer_) {
       flush_writer();
     }
@@ -245,18 +237,6 @@ class StepPricer final : public Directory::Host {
   }
 
  private:
-  struct LoopState {
-    explicit LoopState(runtime::SlabIterator it) : iter(it) {}
-
-    runtime::SlabIterator iter;
-    io::Section section{};
-    std::int64_t column = -1;
-    /// Entries pinned during the current slab iteration.
-    std::vector<std::pair<std::string, io::Section>> pinned;
-    runtime::IoScheduler scheduler;
-    int lookahead = 0;
-  };
-
   /// The same batching core the executor's OwnedColumnWriter wraps, minus
   /// the data copy and the I/O.
   struct WriterSim {
@@ -273,13 +253,6 @@ class StepPricer final : public Directory::Host {
     std::string array;
   };
 
-  LoopState& state(const std::string& name) {
-    const auto it = states_.find(name);
-    OOCC_CHECK(it != states_.end(), ErrorCode::kInvalidArgument,
-               "step references undeclared slab loop '" << name << "'");
-    return it->second;
-  }
-
   const PlanArray& resolve_array(const std::string& array) const {
     const auto it = plan_.arrays.find(array);
     if (it != plan_.arrays.end()) {
@@ -294,7 +267,7 @@ class StepPricer final : public Directory::Host {
   double extents(const std::string& array, const io::Section& s) const {
     const PlanArray& pa = resolve_array(array);
     return static_cast<double>(io::section_extent_count(
-        s, pa.dist.local_rows(proc_), pa.dist.local_cols(proc_), pa.storage));
+        s, pa.dist.local_rows(rank_), pa.dist.local_cols(rank_), pa.storage));
   }
 
   void charge(const std::string& array, const io::Section& s, bool is_read) {
@@ -326,92 +299,6 @@ class StepPricer final : public Directory::Host {
     writer_->batch.clear();
   }
 
-  void walk(const std::vector<Step>& steps) {
-    for (const Step& step : steps) {
-      walk(step);
-    }
-  }
-
-  void walk(const Step& step) {
-    switch (step.kind) {
-      case StepKind::kForEachSlab: {
-        LoopState& loop = state(step.loop);
-        const std::vector<const Step*> reads = read_ahead_streams(plan_, step);
-        std::vector<runtime::IoScheduler::Request> streams;
-        streams.reserve(reads.size());
-        for (const Step* s : reads) {
-          streams.push_back(runtime::IoScheduler::Request{
-              nullptr, s->array, {}, s->reuse_distance});
-        }
-        loop.lookahead = static_cast<int>(streams.size());
-        loop.scheduler.schedule(loop.iter, std::move(streams));
-        for (std::int64_t i = 0; i < loop.iter.count(); ++i) {
-          loop.section = loop.iter.section(i);
-          walk(step.body);
-          for (auto it = loop.pinned.rbegin(); it != loop.pinned.rend();
-               ++it) {
-            dir_.unpin(*this, it->first, it->second);
-          }
-          loop.pinned.clear();
-        }
-        return;
-      }
-      case StepKind::kForEachColumn: {
-        LoopState& loop = state(step.loop);
-        for (std::int64_t m = 0; m < loop.section.cols(); ++m) {
-          loop.column = m;
-          fresh_column_ = true;
-          walk(step.body);
-        }
-        return;
-      }
-      case StepKind::kReadSlab:
-        price_read(step);
-        return;
-      case StepKind::kExchangeHalo:
-        price_exchange(step);
-        return;
-      case StepKind::kWriteSlab:
-        // A retaining directory charges the dirty slab at write-back time,
-        // a no-retain one right here.
-        dir_.mark_dirty(*this, step.array, state(step.loop).section,
-                        step.reuse_distance);
-        return;
-      case StepKind::kComputeElementwise: {
-        LoopState& loop = state(step.loop);
-        price_.flops += static_cast<double>(loop.section.elements());
-        const std::string& lhs =
-            plan_.statements.at(static_cast<std::size_t>(step.stmt)).lhs;
-        dir_.acquire_write(*this, lhs, loop.section, step.reuse_distance);
-        loop.pinned.emplace_back(lhs, loop.section);
-        return;
-      }
-      case StepKind::kComputeStencil:
-        price_stencil(step);
-        return;
-      case StepKind::kBarrier:
-        return;
-      case StepKind::kComputeGaxpyPartial: {
-        const LoopState& a_loop = state(step.loop);
-        price_.flops += 2.0 * static_cast<double>(a_loop.section.rows()) *
-                        static_cast<double>(a_loop.section.cols());
-        if (fresh_column_) {
-          if (!temp_reserved_) {
-            reserve(side_.temp);
-            temp_reserved_ = true;
-          }
-          temp_r0_ = a_loop.section.row0;
-          temp_r1_ = a_loop.section.row1;
-          fresh_column_ = false;
-        }
-        return;
-      }
-      case StepKind::kReduceSum:
-        price_reduce(step);
-        return;
-    }
-  }
-
   /// One demand read through the directory: a miss is charged, a hit is
   /// counted as avoided traffic, a prefetched entry was charged at issue.
   void demand_read(const std::string& array, const io::Section& s,
@@ -430,19 +317,12 @@ class StepPricer final : public Directory::Host {
     }
   }
 
-  void price_read(const Step& step) {
-    LoopState& loop = state(step.loop);
-    const PlanArray& ra = resolve_array(step.array);
-    const io::Section s =
-        step.halo > 0 ? widen_columns(loop.section, step.halo,
-                                      ra.dist.local_cols(proc_))
-                      : loop.section;
-    demand_read(step.array, s, step.reuse_distance, step.halo > 0);
-    loop.pinned.emplace_back(step.array, s);
+  void read(const Node& n, const io::Section& s) override {
+    demand_read(*n.array, s, n.step->reuse_distance, n.step->halo > 0);
     // Read-aheads are charged when issued (the bytes move now) and count as
     // overlappable: they run behind the compute.
-    loop.scheduler.pump(
-        loop.lookahead,
+    n.loop->scheduler.pump(
+        n.loop->lookahead,
         [&](const runtime::IoScheduler::Request& r) {
           return dir_.resident(r.array, r.section);
         },
@@ -462,59 +342,63 @@ class StepPricer final : public Directory::Host {
         });
   }
 
-  /// Mirrors StepExecutor::exchange_halo: the edge-column reads go through
-  /// the directory; the messages themselves carry no LAF cost.
-  void price_exchange(const Step& step) {
-    if (plan_.nprocs == 1) {
-      return;
-    }
-    const PlanArray& pa = resolve_array(step.array);
-    const std::int64_t rows = pa.dist.local_rows(proc_);
-    const std::int64_t nlc = pa.dist.local_cols(proc_);
-    const std::int64_t d = step.halo;
-    const auto price_edge = [&](const io::Section& sec) {
-      demand_read(step.array, sec, step.reuse_distance, false);
-      dir_.unpin(*this, step.array, sec);
-    };
-    if (proc_ > 0) {
-      price_edge(io::Section{0, rows, 0, d});
-    }
-    if (proc_ < plan_.nprocs - 1) {
-      price_edge(io::Section{0, rows, nlc - d, nlc});
-    }
-  }
-
-  /// Mirrors StepExecutor::compute_stencil: one acquire_write of the output
-  /// slab, and `binary ops x interior rows` flops per non-boundary column.
-  void price_stencil(const Step& step) {
-    const StencilStmt& st =
-        plan_.stencils.at(static_cast<std::size_t>(step.stmt));
-    LoopState& loop = state(step.loop);
-    const io::Section& sec = loop.section;
-    const PlanArray& lhs = resolve_array(st.lhs);
-    const std::int64_t gcols = lhs.dist.global_cols();
-    const std::int64_t rows = sec.rows();
-    const double ops = static_cast<double>(hpf::count_binary_ops(*st.rhs));
-    for (std::int64_t lc = sec.col0; lc < sec.col1; ++lc) {
-      const std::int64_t gc = lhs.dist.local_to_global_col(proc_, lc);
-      if (gc < st.halo || gc >= gcols - st.halo) {
-        continue;  // boundary column: copy, no flops
+  /// One acquire_write of the output slab; an elementwise statement costs a
+  /// flop per element, a stencil `binary ops x interior rows` per
+  /// non-boundary column.
+  void stage(const Node& n) override {
+    const io::Section& sec = n.loop->section;
+    if (n.step->kind == StepKind::kComputeElementwise) {
+      price_.flops += static_cast<double>(sec.elements());
+    } else {
+      const StencilStmt& st =
+          plan_.stencils[static_cast<std::size_t>(n.step->stmt)];
+      const std::int64_t gcols = n.info->dist.global_cols();
+      const double ops = static_cast<double>(hpf::count_binary_ops(*st.rhs));
+      for (std::int64_t lc = sec.col0; lc < sec.col1; ++lc) {
+        const std::int64_t gc = n.info->dist.local_to_global_col(rank_, lc);
+        if (gc >= st.halo && gc < gcols - st.halo) {
+          price_.flops +=
+              ops * static_cast<double>(sec.rows() - 2 * st.row_halo);
+        }
       }
-      price_.flops += ops * static_cast<double>(rows - 2 * st.row_halo);
     }
-    dir_.acquire_write(*this, st.lhs, sec, step.reuse_distance);
-    loop.pinned.emplace_back(st.lhs, sec);
+    dir_.acquire_write(*this, *n.array, sec, n.step->reuse_distance);
   }
 
-  void price_reduce(const Step& step) {
-    const LoopState& col_loop = state(step.with);
-    const PlanArray& c = plan_.array(step.array);
-    const std::int64_t gj = col_loop.section.col0 + col_loop.column;
-    if (writer_ && (writer_->r0 != temp_r0_ || writer_->r1 != temp_r1_)) {
+  /// A retaining directory charges the dirty slab at write-back time, a
+  /// no-retain one right here.
+  void write(const Node& n) override {
+    dir_.mark_dirty(*this, *n.array, n.loop->section, n.step->reuse_distance);
+  }
+
+  /// The edge-column reads go through the directory; the messages
+  /// themselves carry no LAF cost.
+  void exchange(const Node& n, const Exchange& ex) override {
+    for (const std::optional<Edge>& edge : {ex.left, ex.right}) {
+      if (edge) {
+        demand_read(*n.array, edge->sent, n.step->reuse_distance, false);
+        dir_.unpin(*this, *n.array, edge->sent);
+      }
+    }
+  }
+
+  void partial(const Node& n, bool fresh) override {
+    price_.flops += 2.0 * static_cast<double>(n.loop->section.rows()) *
+                    static_cast<double>(n.loop->section.cols());
+    if (fresh && !temp_reserved_) {
+      reserve(side_.temp);
+      temp_reserved_ = true;
+    }
+  }
+
+  void reduce(const Node& n, std::int64_t column, std::int64_t row0,
+              std::int64_t row1) override {
+    const hpf::ArrayDistribution& dist = n.info->dist;
+    if (writer_ && (writer_->r0 != row0 || writer_->r1 != row1)) {
       flush_writer();
       writer_.reset();
     }
-    if (c.dist.owner_of_col(gj) != proc_) {
+    if (dist.owner_of_col(column) != rank_) {
       return;
     }
     if (!writer_) {
@@ -522,16 +406,18 @@ class StepPricer final : public Directory::Host {
         reserve(side_.output);
         output_reserved_ = true;
       }
-      writer_.emplace(side_.output, temp_r0_, temp_r1_,
-                      c.dist.local_cols(proc_), step.array);
+      writer_.emplace(side_.output, row0, row1, dist.local_cols(rank_),
+                      *n.array);
     }
-    if (writer_->batch.push(c.dist.global_to_local_col(gj))) {
+    if (writer_->batch.push(dist.global_to_local_col(column))) {
       flush_writer();
     }
   }
 
-  const NodeProgram& plan_;
-  int proc_;
+  void release(const std::string& array, const io::Section& s) override {
+    dir_.unpin(*this, array, s);
+  }
+
   Directory& dir_;
   std::int64_t capacity_;
   const std::map<std::string, const PlanArray*>& all_arrays_;
@@ -539,11 +425,7 @@ class StepPricer final : public Directory::Host {
   std::int64_t reserved_ = 0;  ///< side buffers held (GAXPY)
   bool temp_reserved_ = false;
   bool output_reserved_ = false;
-  std::map<std::string, LoopState> states_;
   PlanPrice price_;
-  bool fresh_column_ = false;
-  std::int64_t temp_r0_ = 0;
-  std::int64_t temp_r1_ = 0;
   std::optional<WriterSim> writer_;
 };
 
@@ -638,150 +520,48 @@ double estimate_plan_time_s(const NodeProgram& plan, const io::DiskModel& disk,
 
 namespace {
 
-/// Replays one plan's dynamic slab schedule, appending (step, array,
-/// section, is-read) events. Mirrors the pricer's loop handling; mutable so
-/// the events can write the annotations back.
-class TraceCollector {
+/// Replays one sweep's dynamic slab schedule, appending (step, array,
+/// section, is-read) events; stops once `max_events` are recorded.
+class TraceCollector final : public StepWalk {
  public:
   struct Event {
-    Step* step;
+    const Step* step;
     const std::string* array;
     io::Section sec;
     bool is_read;
   };
 
-  /// `swapped` replays a stencil plan's odd (ping-ponged) sweep: array
-  /// names resolve to their partner, exactly as the executor's swapped
-  /// StepExecutor does.
-  TraceCollector(NodeProgram& plan, int proc, std::vector<Event>& out,
-                 std::size_t max_events, bool swapped = false)
-      : plan_(plan), proc_(proc), out_(out), max_events_(max_events),
-        swapped_(swapped && !plan.stencils.empty()) {
-    for (const SlabLoop& loop : plan.loops) {
-      const PlanArray& space = plan.array(loop.space);
-      states_.emplace(
-          loop.name,
-          State{&loop,
-                runtime::SlabIterator(space.dist.local_rows(proc),
-                                      space.dist.local_cols(proc),
-                                      loop.orientation,
-                                      loop.capacity_elements),
-                io::Section{}});
-    }
-  }
+  TraceCollector(const NodeProgram& plan, int proc, bool swapped,
+                 std::vector<Event>& out, std::size_t max_events)
+      : StepWalk(plan, proc, swapped), out_(out), max_events_(max_events) {}
 
   /// Returns false when the event cap was hit (annotation is skipped).
-  bool collect() { return walk(plan_.steps); }
+  bool collect() { return sweep(); }
 
  private:
-  struct State {
-    const SlabLoop* decl;
-    runtime::SlabIterator iter;
-    io::Section section;
-  };
-
-  bool walk(std::vector<Step>& steps) {
-    for (Step& step : steps) {
-      if (!walk(step)) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  bool push(Step& step, const std::string& array, const io::Section& sec,
-            bool is_read) {
+  void push(const Node& n, const io::Section& sec, bool is_read) {
     if (out_.size() >= max_events_) {
-      return false;
+      stop();
+      return;
     }
-    out_.push_back(Event{&step, &resolve(array), sec, is_read});
-    return true;
+    out_.push_back(Event{n.step, n.array, sec, is_read});
   }
 
-  /// Ping-pong resolution for the swapped stencil replay (returns a
-  /// reference into the plan, stable for the Event pointers).
-  const std::string& resolve(const std::string& name) const {
-    return stencil_resolve(plan_, swapped_, name);
+  void read(const Node& n, const io::Section& s) override {
+    push(n, s, true);
   }
-
-  bool walk(Step& step) {
-    switch (step.kind) {
-      case StepKind::kForEachSlab: {
-        State& loop = states_.at(step.loop);
-        for (std::int64_t i = 0; i < loop.iter.count(); ++i) {
-          loop.section = loop.iter.section(i);
-          if (!walk(step.body)) {
-            return false;
-          }
-        }
-        return true;
+  void stage(const Node& n) override { push(n, n.loop->section, false); }
+  void write(const Node& n) override { push(n, n.loop->section, false); }
+  void exchange(const Node& n, const Exchange& ex) override {
+    for (const std::optional<Edge>& edge : {ex.left, ex.right}) {
+      if (edge) {
+        push(n, edge->sent, true);
       }
-      case StepKind::kForEachColumn: {
-        State& loop = states_.at(step.loop);
-        // The per-column body re-executes once per column of the current
-        // slab; the slab I/O steps inside it see the same sections each
-        // time, so one pass per column is replayed faithfully.
-        for (std::int64_t m = 0; m < loop.section.cols(); ++m) {
-          if (!walk(step.body)) {
-            return false;
-          }
-        }
-        return true;
-      }
-      case StepKind::kReadSlab: {
-        io::Section sec = states_.at(step.loop).section;
-        if (step.halo > 0) {
-          sec = widen_columns(
-              sec, step.halo,
-              plan_.array(step.array).dist.local_cols(proc_));
-        }
-        return push(step, step.array, sec, true);
-      }
-      case StepKind::kExchangeHalo: {
-        if (plan_.nprocs == 1) {
-          return true;
-        }
-        const PlanArray& pa = plan_.array(step.array);
-        const std::int64_t rows = pa.dist.local_rows(proc_);
-        const std::int64_t nlc = pa.dist.local_cols(proc_);
-        if (proc_ > 0 &&
-            !push(step, step.array, io::Section{0, rows, 0, step.halo},
-                  true)) {
-          return false;
-        }
-        if (proc_ < plan_.nprocs - 1 &&
-            !push(step, step.array,
-                  io::Section{0, rows, nlc - step.halo, nlc}, true)) {
-          return false;
-        }
-        return true;
-      }
-      case StepKind::kWriteSlab:
-        return push(step, step.array, states_.at(step.loop).section, false);
-      case StepKind::kComputeElementwise:
-        return push(
-            step,
-            plan_.statements.at(static_cast<std::size_t>(step.stmt)).lhs,
-            states_.at(step.loop).section, false);
-      case StepKind::kComputeStencil:
-        return push(
-            step,
-            plan_.stencils.at(static_cast<std::size_t>(step.stmt)).lhs,
-            states_.at(step.loop).section, false);
-      case StepKind::kComputeGaxpyPartial:
-      case StepKind::kReduceSum:
-      case StepKind::kBarrier:
-        return true;  // reduction output bypasses the pool
     }
-    return true;
   }
 
-  NodeProgram& plan_;
-  int proc_;
   std::vector<Event>& out_;
   std::size_t max_events_;
-  bool swapped_;
-  std::map<std::string, State> states_;
 };
 
 void reset_distances(std::vector<Step>& steps) {
@@ -800,21 +580,18 @@ void annotate_reuse_distances(std::span<NodeProgram> plans, int proc) {
   }
   std::vector<TraceCollector::Event> trace;
   for (NodeProgram& plan : plans) {
-    if (!TraceCollector(plan, proc, trace, kMaxEvents).collect()) {
-      // Pathologically long schedule: leave every distance at -1 (the pool
-      // degrades to plain LRU) rather than annotate from a partial trace.
-      for (NodeProgram& p : plans) {
-        reset_distances(p.steps);
-      }
-      return;
-    }
-    if (plan.kind == ProgramKind::kStencil) {
-      // The convergence driver re-runs the sweep with the ping-pong pair
-      // swapped: replay that second sweep so the write steps see the next
-      // sweep's halo reads of the very slabs they stage — the hint that
-      // keeps the previous iteration's interior slabs resident.
-      if (!TraceCollector(plan, proc, trace, kMaxEvents, /*swapped=*/true)
+    // The convergence driver re-runs a stencil sweep with the ping-pong
+    // pair swapped: replay that second sweep so the write steps see the
+    // next sweep's halo reads of the very slabs they stage — the hint that
+    // keeps the previous iteration's interior slabs resident.
+    const int sweeps = plan.kind == ProgramKind::kStencil ? 2 : 1;
+    for (int sweep = 0; sweep < sweeps; ++sweep) {
+      if (!TraceCollector(plan, proc, /*swapped=*/sweep == 1, trace,
+                          kMaxEvents)
                .collect()) {
+        // Pathologically long schedule: leave every distance at -1 (the
+        // pool degrades to plain LRU) rather than annotate from a partial
+        // trace.
         for (NodeProgram& p : plans) {
           reset_distances(p.steps);
         }
@@ -845,9 +622,10 @@ void annotate_reuse_distances(std::span<NodeProgram> plans, int proc) {
         break;
       }
     }
-    if (dist >= 0 && (ev.step->reuse_distance < 0 ||
-                      dist < ev.step->reuse_distance)) {
-      ev.step->reuse_distance = dist;
+    // The walk is read-only, but the steps are the caller's mutable plans.
+    Step& step = const_cast<Step&>(*ev.step);
+    if (dist >= 0 && (step.reuse_distance < 0 || dist < step.reuse_distance)) {
+      step.reuse_distance = dist;
     }
     if (ev.is_read) {
       reads.emplace_back(i, ev.sec);

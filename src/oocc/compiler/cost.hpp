@@ -116,10 +116,11 @@ struct StepIoCost {
 /// processor `proc`'s local extents: every ReadSlab/WriteSlab contributes
 /// its section's contiguous-extent count and element volume, and every
 /// ReduceSum drives the same staged-column-writer flush pattern the
-/// executor uses. Because the walk mirrors the interpreter exactly, the
-/// predictions match measured LAF counters request-for-request (the tests
-/// assert this); schema-specific estimators like estimate_gaxpy_cost are
-/// only still needed *before* lowering, to rank candidate orientations.
+/// executor uses. The pricer is a client of the executor's own step walk
+/// (compiler/walk.hpp), so the predictions match measured LAF counters
+/// request-for-request (the tests assert this); schema-specific estimators
+/// like estimate_gaxpy_cost are only still needed *before* lowering, to
+/// rank candidate orientations.
 std::map<std::string, StepIoCost> price_steps(const NodeProgram& plan,
                                               int proc = 0);
 

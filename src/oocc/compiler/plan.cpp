@@ -44,28 +44,6 @@ std::string_view step_kind_name(StepKind k) noexcept {
   return "?";
 }
 
-const std::string& stencil_resolve(const NodeProgram& plan, bool swapped,
-                                   const std::string& name) {
-  if (swapped && !plan.stencils.empty()) {
-    const StencilStmt& st = plan.stencils.front();
-    if (name == st.source) {
-      return st.lhs;
-    }
-    if (name == st.lhs) {
-      return st.source;
-    }
-  }
-  return name;
-}
-
-io::Section widen_columns(const io::Section& s, std::int64_t halo,
-                          std::int64_t local_cols) noexcept {
-  io::Section out = s;
-  out.col0 = std::max<std::int64_t>(0, s.col0 - halo);
-  out.col1 = std::min<std::int64_t>(local_cols, s.col1 + halo);
-  return out;
-}
-
 SideReservation gaxpy_side_reservation(const NodeProgram& plan, int proc) {
   if (plan.kind != ProgramKind::kGaxpy) {
     return {};
@@ -84,35 +62,11 @@ SideReservation gaxpy_side_reservation(const NodeProgram& plan, int proc) {
   return {};
 }
 
-std::vector<const Step*> read_ahead_streams(const NodeProgram& plan,
-                                            const Step& for_each_slab) {
-  std::vector<const Step*> out;
-  if (!plan.loop(for_each_slab.loop).prefetch) {
-    return out;
-  }
-  for (const Step& s : for_each_slab.body) {
-    if (s.kind == StepKind::kReadSlab && !plan.array(s.array).is_output) {
-      out.push_back(&s);
-    }
-  }
-  return out;
-}
-
 const PlanArray& NodeProgram::array(const std::string& name) const {
   const auto it = arrays.find(name);
   OOCC_CHECK(it != arrays.end(), ErrorCode::kInvalidArgument,
              "plan has no array named '" << name << "'");
   return it->second;
-}
-
-const SlabLoop& NodeProgram::loop(const std::string& name) const {
-  for (const SlabLoop& l : loops) {
-    if (l.name == name) {
-      return l;
-    }
-  }
-  OOCC_THROW(ErrorCode::kInvalidArgument,
-             "plan has no slab loop named '" << name << "'");
 }
 
 }  // namespace oocc::compiler

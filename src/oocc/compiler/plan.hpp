@@ -177,24 +177,7 @@ struct NodeProgram {
   bool verified = false;
 
   const PlanArray& array(const std::string& name) const;
-  const SlabLoop& loop(const std::string& name) const;
 };
-
-/// Widens a full-height column section by `halo` columns on each side,
-/// clipped to [0, local_cols). The shape of every halo ReadSlab; shared by
-/// the executor, the step pricer and the reuse annotator so the three
-/// always agree on what a halo read touches.
-io::Section widen_columns(const io::Section& s, std::int64_t halo,
-                          std::int64_t local_cols) noexcept;
-
-/// Ping-pong name resolution for a stencil plan's odd (swapped) sweeps:
-/// with `swapped` set, the stencil pair's lhs and source trade places;
-/// every other name (and every non-stencil plan) resolves to itself. One
-/// shared definition keeps the executor and the reuse annotator replaying
-/// identical schedules. Returns a reference into `plan` or `name` itself,
-/// stable for the caller's lifetime.
-const std::string& stencil_resolve(const NodeProgram& plan, bool swapped,
-                                   const std::string& name);
 
 /// The budget a GAXPY plan reserves on `proc` beside its slab pool: the
 /// reduction temporary (one full-height A column) and the staged output
@@ -208,12 +191,5 @@ struct SideReservation {
   std::int64_t total() const noexcept { return temp + output; }
 };
 SideReservation gaxpy_side_reservation(const NodeProgram& plan, int proc);
-
-/// The read-ahead streams of a ForEachSlab step: its body's pure-input
-/// ReadSlab steps in body order, each read once per slab. Empty unless the
-/// loop prefetches. The executor and the pricer both hand exactly these to
-/// their runtime::IoScheduler.
-std::vector<const Step*> read_ahead_streams(const NodeProgram& plan,
-                                            const Step& for_each_slab);
 
 }  // namespace oocc::compiler

@@ -9,6 +9,7 @@
 
 #include "oocc/compiler/cost.hpp"
 #include "oocc/compiler/pretty.hpp"
+#include "oocc/compiler/walk.hpp"
 #include "oocc/runtime/slab_directory.hpp"
 #include "oocc/util/error.hpp"
 
@@ -139,6 +140,15 @@ class StructureChecker {
   }
 
   void walk(const Step& step) {
+    if (!plan_.stencils.empty() &&
+        step.array == plan_.stencils.front().source) {
+      if (step.kind == StepKind::kExchangeHalo) {
+        exchange_halo_ = std::max(exchange_halo_, step.halo);
+      } else if (step.kind == StepKind::kReadSlab) {
+        read_halo_ = std::max(read_halo_, step.halo);
+        read_step_ = &step;
+      }
+    }
     if (step.halo < 0) {
       fatal("OOCC-V003", "negative halo width", &step);
       return;
@@ -287,44 +297,24 @@ class StructureChecker {
       return;
     }
     const StencilStmt& st = plan_.stencils.front();
-    std::int64_t exchange_halo = -1;
-    std::int64_t read_halo = -1;
-    const Step* read_step = nullptr;
-    scan_stencil(plan_.steps, st.source, exchange_halo, read_halo,
-                 &read_step);
-    if (plan_.nprocs > 1 && exchange_halo < st.halo) {
+    if (plan_.nprocs > 1 && exchange_halo_ < st.halo) {
       sink_.add("OOCC-V012", plan_index_, -1,
-                exchange_halo < 0
+                exchange_halo_ < 0
                     ? "stencil of distance " + std::to_string(st.halo) +
                           " has no ExchangeHalo of '" + st.source +
                           "' (ghost columns never arrive)"
-                    : "ExchangeHalo trades " + std::to_string(exchange_halo) +
+                    : "ExchangeHalo trades " + std::to_string(exchange_halo_) +
                           " edge column(s) but the stencil reaches " +
                           std::to_string(st.halo),
                 nullptr, st.source);
     }
-    if (read_halo < st.halo) {
+    if (read_halo_ < st.halo) {
       sink_.add("OOCC-V012", plan_index_, -1,
                 "the sweep reads '" + st.source + "' widened by " +
-                    std::to_string(std::max<std::int64_t>(read_halo, 0)) +
+                    std::to_string(std::max<std::int64_t>(read_halo_, 0)) +
                     " column(s) but the stencil reaches " +
                     std::to_string(st.halo),
-                read_step, st.source);
-    }
-  }
-
-  void scan_stencil(const std::vector<Step>& steps, const std::string& source,
-                    std::int64_t& exchange_halo, std::int64_t& read_halo,
-                    const Step** read_step) {
-    for (const Step& step : steps) {
-      if (step.kind == StepKind::kExchangeHalo && step.array == source) {
-        exchange_halo = std::max(exchange_halo, step.halo);
-      }
-      if (step.kind == StepKind::kReadSlab && step.array == source) {
-        read_halo = std::max(read_halo, step.halo);
-        *read_step = &step;
-      }
-      scan_stencil(step.body, source, exchange_halo, read_halo, read_step);
+                read_step_, st.source);
     }
   }
 
@@ -335,6 +325,10 @@ class StructureChecker {
   std::vector<std::string> active_;
   std::vector<std::string> column_loops_;
   std::map<std::string, std::set<std::string>> staged_;
+  // The stencil source's widest exchange and read (V012).
+  std::int64_t exchange_halo_ = -1;
+  std::int64_t read_halo_ = -1;
+  const Step* read_step_ = nullptr;
   bool replayable_ = true;
 };
 
@@ -420,300 +414,131 @@ struct RankTrace {
   bool truncated = false;
 };
 
-/// Replays one plan's dynamic slab schedule for one rank, mirroring the
-/// executor's StepExecutor (and cost.cpp's TraceCollector): per-loop
-/// SlabIterator state, pins held until the owning ForEachSlab iteration
-/// ends, stencil ping-pong resolution for the swapped sweep. Pins are
-/// counted by a no-retain runtime::SlabDirectory without a capacity limit:
-/// one entry per (array, section), pins refcounted — the rule the
-/// executor's pool charges its budget by.
-class RankReplayer {
+/// Replays one sweep of one plan on one rank as a StepWalk client: the
+/// executor's own event stream, checked for bounds and recorded as write,
+/// ghost and collective traces. Pins are counted by a no-retain
+/// runtime::SlabDirectory without a capacity limit: one entry per (array,
+/// section), pins refcounted — the rule the executor's pool charges its
+/// budget by.
+class RankReplayer final : public StepWalk {
  public:
-  RankReplayer(const NodeProgram& plan, int plan_index, int proc, Sink& sink,
-               RankTrace& trace)
-      : plan_(plan), plan_index_(plan_index), proc_(proc), sink_(sink),
-        trace_(trace) {
-    for (const SlabLoop& loop : plan_.loops) {
-      const PlanArray& space = plan_.array(loop.space);
-      states_.emplace(loop.name,
-                      LoopState{runtime::SlabIterator(
-                          space.dist.local_rows(proc), space.dist.local_cols(proc),
-                          loop.orientation, loop.capacity_elements)});
-    }
-  }
+  /// `epoch` 1 is a stencil plan's swapped (ping-ponged) sweep; the
+  /// barrier-interval count carries over in `trace`, as it does across the
+  /// convergence driver's back-to-back sweeps.
+  RankReplayer(const NodeProgram& plan, int plan_index, int proc, int epoch,
+               Sink& sink, RankTrace& trace)
+      : StepWalk(plan, proc, /*swapped=*/epoch == 1), plan_index_(plan_index),
+        epoch_(epoch), sink_(sink), trace_(trace) {}
 
-  /// One sweep; stencil plans call this twice (epoch 1 swapped), interval
-  /// and collective state carrying over exactly as the convergence driver's
-  /// back-to-back sweeps do.
-  void run(int epoch, bool swapped) {
-    epoch_ = epoch;
-    swapped_ = swapped && !plan_.stencils.empty();
-    walk(plan_.steps);
-  }
+  void run() { sweep(); }
 
  private:
-  struct LoopState {
-    explicit LoopState(runtime::SlabIterator it) : iter(std::move(it)) {}
-    runtime::SlabIterator iter;
-    io::Section section{};
-    std::int64_t column = -1;  ///< current ForEachColumn global offset
-    std::vector<std::pair<std::string, io::Section>> pins;
-  };
-
-  const std::string& resolve(const std::string& name) const {
-    return stencil_resolve(plan_, swapped_, name);
-  }
-
-  bool count_event() {
+  void count_event() {
     if (++trace_.events > kMaxReplayEvents) {
       trace_.truncated = true;
-      return false;
+      stop();
     }
-    return true;
   }
 
-  /// Pins (array, section) until the owning loop's iteration ends.
-  void pin(LoopState& owner, const std::string& array,
-           const io::Section& sec, const Step& step) {
-    pins_.pin(unlimited_, array, sec);
-    if (pins_.pinned_elements() > trace_.peak_pinned) {
-      trace_.peak_pinned = pins_.pinned_elements();
+  void note_peak(std::int64_t pinned, const Step& step) {
+    if (pinned > trace_.peak_pinned) {
+      trace_.peak_pinned = pinned;
       trace_.peak_step = &step;
     }
-    owner.pins.emplace_back(array, sec);
   }
 
-  void unpin_all(LoopState& loop) {
-    for (const auto& [array, sec] : loop.pins) {
-      pins_.unpin(unlimited_, array, sec);
-    }
-    loop.pins.clear();
+  void pin(const Node& n, const io::Section& sec) {
+    pins_.pin(unlimited_, *n.array, sec);
+    note_peak(pins_.pinned_elements(), *n.step);
   }
 
-  /// Clamped bounds check of a section against the resolved array's local
-  /// extents; out-of-bounds reads/writes are the V020/V021 diagnostics.
-  void check_bounds(const Step& step, const char* code,
-                    const std::string& array, const io::Section& sec,
+  /// Bounds check of a section against the resolved array's local extents;
+  /// out-of-bounds reads/writes are the V020/V021 diagnostics.
+  void check_bounds(const Node& n, const char* code, const io::Section& sec,
                     const char* what) {
-    const PlanArray& pa = plan_.array(array);
-    const std::int64_t rows = pa.dist.local_rows(proc_);
-    const std::int64_t cols = pa.dist.local_cols(proc_);
+    const std::int64_t rows = n.info->dist.local_rows(rank_);
+    const std::int64_t cols = n.info->dist.local_cols(rank_);
     if (sec.row0 < 0 || sec.col0 < 0 || sec.row1 > rows || sec.col1 > cols) {
       std::ostringstream oss;
       oss << what << " section [" << sec.row0 << ',' << sec.row1 << ")x["
-          << sec.col0 << ',' << sec.col1 << ") of '" << array
+          << sec.col0 << ',' << sec.col1 << ") of '" << *n.array
           << "' exceeds its local " << rows << 'x' << cols << " extent";
-      sink_.add(code, plan_index_, proc_, oss.str(), &step);
+      sink_.add(code, plan_index_, rank_, oss.str(), n.step);
     }
   }
 
-  void walk(const std::vector<Step>& steps) {
-    for (const Step& step : steps) {
-      if (trace_.truncated) {
-        return;
-      }
-      walk(step);
-    }
+  void read(const Node& n, const io::Section& s) override {
+    count_event();
+    check_bounds(n, "OOCC-V020", n.loop->section, "ReadSlab");
+    pin(n, s);
   }
 
-  void walk(const Step& step) {
-    switch (step.kind) {
-      case StepKind::kForEachSlab: {
-        LoopState& loop = states_.at(step.loop);
-        for (std::int64_t i = 0; i < loop.iter.count(); ++i) {
-          loop.section = loop.iter.section(i);
-          walk(step.body);
-          unpin_all(loop);
-          if (trace_.truncated) {
-            return;
-          }
-        }
-        return;
-      }
-      case StepKind::kForEachColumn: {
-        LoopState& loop = states_.at(step.loop);
-        for (std::int64_t m = 0; m < loop.section.cols(); ++m) {
-          loop.column = loop.section.col0 + m;
-          if (trace_.truncated) {
-            return;
-          }
-          walk(step.body);
-        }
-        loop.column = -1;
-        return;
-      }
-      case StepKind::kReadSlab: {
-        if (!count_event()) {
-          return;
-        }
-        LoopState& loop = states_.at(step.loop);
-        const std::string& array = resolve(step.array);
-        io::Section sec = loop.section;
-        check_bounds(step, "OOCC-V020", array, sec, "ReadSlab");
-        if (step.halo > 0) {
-          sec = widen_columns(sec, step.halo,
-                              plan_.array(array).dist.local_cols(proc_));
-        }
-        pin(loop, array, sec, step);
-        return;
-      }
-      case StepKind::kWriteSlab: {
-        if (!count_event()) {
-          return;
-        }
-        LoopState& loop = states_.at(step.loop);
-        const std::string& array = resolve(step.array);
-        const io::Section sec = loop.section;
-        check_bounds(step, "OOCC-V021", array, sec, "WriteSlab");
-        const PlanArray& pa = plan_.array(array);
-        trace_.writes.push_back(WriteEvent{
-            array, sec, global_rects(pa.dist, proc_, sec), interval_, epoch_,
-            &step});
-        pin(loop, array, sec, step);
-        return;
-      }
-      case StepKind::kComputeElementwise: {
-        LoopState& loop = states_.at(step.loop);
-        const std::string& lhs = resolve(
-            plan_.statements.at(static_cast<std::size_t>(step.stmt)).lhs);
-        pin(loop, lhs, loop.section, step);
-        return;
-      }
-      case StepKind::kComputeStencil: {
-        LoopState& loop = states_.at(step.loop);
-        const std::string& lhs = resolve(
-            plan_.stencils.at(static_cast<std::size_t>(step.stmt)).lhs);
-        pin(loop, lhs, loop.section, step);
-        return;
-      }
-      case StepKind::kComputeGaxpyPartial:
-        return;  // reads already-pinned slabs into the side-reserved temp
-      case StepKind::kReduceSum: {
-        if (!count_event()) {
-          return;
-        }
-        const std::string& array = resolve(step.array);
-        trace_.collectives.push_back("reduce:" + array);
-        reduce_write(step, array);
-        ++interval_;  // the global sum synchronizes every rank
-        ++trace_.intervals;
-        return;
-      }
-      case StepKind::kExchangeHalo: {
-        const std::string& array = resolve(step.array);
-        trace_.collectives.push_back("exchange:" + array + ":" +
-                                     std::to_string(step.halo));
-        if (plan_.nprocs == 1 || step.halo <= 0) {
-          return;
-        }
-        if (!count_event()) {
-          return;
-        }
-        const PlanArray& pa = plan_.array(array);
-        const std::int64_t rows = pa.dist.local_rows(proc_);
-        const std::int64_t nlc = pa.dist.local_cols(proc_);
-        // Own edge columns are read and sent; ghosts from each neighbour
-        // are held transiently. Model the momentary working set.
-        std::int64_t transient = 0;
-        const auto ghost_from = [&](int neighbour, bool low_edge) {
-          const std::int64_t ncols = pa.dist.local_cols(neighbour);
-          const std::int64_t d = std::min(step.halo, ncols);
-          const io::Section remote =
-              low_edge ? io::Section{0, pa.dist.local_rows(neighbour), 0, d}
-                       : io::Section{0, pa.dist.local_rows(neighbour),
-                                     ncols - d, ncols};
-          trace_.ghosts.push_back(
-              GhostRead{array, global_rects(pa.dist, neighbour, remote),
-                        interval_, &step});
-          transient += remote.elements();
-        };
-        if (proc_ > 0) {
-          // Receive the left neighbour's high edge; send our low edge.
-          ghost_from(proc_ - 1, /*low_edge=*/false);
-          transient += io::Section{0, rows, 0, std::min(step.halo, nlc)}
-                           .elements();
-        }
-        if (proc_ < plan_.nprocs - 1) {
-          ghost_from(proc_ + 1, /*low_edge=*/true);
-          transient +=
-              io::Section{0, rows, nlc - std::min(step.halo, nlc), nlc}
-                  .elements();
-        }
-        if (pins_.pinned_elements() + transient > trace_.peak_pinned) {
-          trace_.peak_pinned = pins_.pinned_elements() + transient;
-          trace_.peak_step = &step;
-        }
-        return;
-      }
-      case StepKind::kBarrier:
-        trace_.collectives.emplace_back("barrier");
-        ++interval_;
-        ++trace_.intervals;
-        return;
-    }
+  void stage(const Node& n) override { pin(n, n.loop->section); }
+
+  void write(const Node& n) override {
+    count_event();
+    const io::Section& sec = n.loop->section;
+    check_bounds(n, "OOCC-V021", sec, "WriteSlab");
+    trace_.writes.push_back(WriteEvent{*n.array, sec,
+                                       global_rects(n.info->dist, rank_, sec),
+                                       trace_.intervals, epoch_, n.step});
   }
 
-  /// A ReduceSum stages one output (sub)column on the owner of the current
-  /// global column (Figure 9/12's GLOBAL_SUM + owner store). The rows are
-  /// the active row-slab's range when the A sweep is a row stripmine
-  /// (Figure 12), the full column otherwise (Figure 9).
-  void reduce_write(const Step& step, const std::string& array) {
-    const PlanArray& out = plan_.array(array);
-    const LoopState& col_loop = states_.at(step.with);
-    if (col_loop.column < 0) {
-      return;  // structurally rejected already (V004)
-    }
-    const SlabLoop* with_decl = nullptr;
-    for (const SlabLoop& loop : plan_.loops) {
-      if (loop.name == step.with) {
-        with_decl = &loop;
-      }
-    }
-    if (with_decl == nullptr) {
+  void exchange(const Node& n, const Exchange& ex) override {
+    trace_.collectives.push_back("exchange:" + *n.array + ":" +
+                                 std::to_string(n.step->halo));
+    if (plan_.nprocs == 1 || n.step->halo <= 0) {
       return;
     }
-    // Global column index: the column loop streams B, whose column axis is
-    // collapsed for the GAXPY layout, so local == global; go through the
-    // distribution anyway so exotic layouts stay honest.
-    const std::int64_t g = plan_.array(with_decl->space)
-                               .dist.col_dist()
-                               .local_to_global(proc_, col_loop.column);
-    if (out.dist.col_dist().owner(g) != proc_ &&
-        out.dist.col_dist().kind() != hpf::DistKind::kCollapsed) {
-      return;
-    }
-    std::int64_t row0 = 0;
-    std::int64_t row1 = out.dist.local_rows(proc_);
-    if (plan_.kind == ProgramKind::kGaxpy) {
-      // Figure 12's row stripmine of A stages only the active row range of
-      // the output column; Figure 9 (column orientation) stages it whole.
-      for (const SlabLoop& loop : plan_.loops) {
-        if (loop.space == plan_.a &&
-            loop.orientation == runtime::SlabOrientation::kRowSlabs) {
-          const LoopState& a_state = states_.at(loop.name);
-          if (!a_state.section.empty()) {
-            row0 = a_state.section.row0;
-            row1 = a_state.section.row1;
-          }
-        }
+    count_event();
+    // Own edge columns are read and sent; ghosts from each neighbour are
+    // held transiently. Model the momentary working set.
+    std::int64_t transient = 0;
+    for (const std::optional<Edge>& edge : {ex.left, ex.right}) {
+      if (edge) {
+        check_bounds(n, "OOCC-V020", edge->sent, "ExchangeHalo edge");
+        trace_.ghosts.push_back(GhostRead{
+            *n.array, global_rects(n.info->dist, edge->peer, edge->received),
+            trace_.intervals, n.step});
+        transient += edge->sent.elements() + edge->received.elements();
       }
     }
-    const io::Section local{row0, row1, out.dist.col_dist().global_to_local(g),
-                            out.dist.col_dist().global_to_local(g) + 1};
-    trace_.writes.push_back(WriteEvent{array, local,
-                                       global_rects(out.dist, proc_, local),
-                                       interval_, epoch_, &step});
+    note_peak(pins_.pinned_elements() + transient, *n.step);
   }
 
-  const NodeProgram& plan_;
+  /// A ReduceSum stages one output (sub)column on the owner of the global
+  /// column (Figure 9/12's GLOBAL_SUM + owner store), over the rows of the
+  /// A slab that produced it: a row slab's range under Figure 12's row
+  /// stripmine, the full column under Figure 9's.
+  void reduce(const Node& n, std::int64_t column, std::int64_t row0,
+              std::int64_t row1) override {
+    count_event();
+    trace_.collectives.push_back("reduce:" + *n.array);
+    const hpf::DimDistribution& cols = n.info->dist.col_dist();
+    if (cols.owner(column) == rank_ ||
+        cols.kind() == hpf::DistKind::kCollapsed) {
+      const std::int64_t lc = cols.global_to_local(column);
+      const io::Section local{row0, row1, lc, lc + 1};
+      trace_.writes.push_back(WriteEvent{
+          *n.array, local, global_rects(n.info->dist, rank_, local),
+          trace_.intervals, epoch_, n.step});
+    }
+    ++trace_.intervals;  // the global sum synchronizes every rank
+  }
+
+  void barrier() override {
+    trace_.collectives.emplace_back("barrier");
+    ++trace_.intervals;
+  }
+
+  void release(const std::string& array, const io::Section& s) override {
+    pins_.unpin(unlimited_, array, s);
+  }
+
   int plan_index_;
-  int proc_;
+  int epoch_;
   Sink& sink_;
   RankTrace& trace_;
-  bool swapped_ = false;
-  int epoch_ = 0;
-  std::int64_t interval_ = 0;
-  std::map<std::string, LoopState> states_;
   struct Unlimited final : runtime::SlabDirectory<>::Host {} unlimited_;
   runtime::SlabDirectory<> pins_{"verify", /*retain=*/false};
 };
@@ -1027,14 +852,14 @@ VerifyReport verify_sequence(std::span<const NodeProgram> plans,
     }
     std::vector<RankTrace> traces(static_cast<std::size_t>(plan.nprocs));
     for (int p = 0; p < plan.nprocs; ++p) {
-      RankReplayer replayer(plan, static_cast<int>(i), p, sink,
-                            traces[static_cast<std::size_t>(p)]);
-      replayer.run(/*epoch=*/0, /*swapped=*/false);
-      if (plan.kind == ProgramKind::kStencil) {
-        // The convergence driver re-runs the sweep ping-ponged; replaying
-        // it as a second epoch checks the steady-state schedule — the one
-        // whose exchange reads what the previous sweep wrote.
-        replayer.run(/*epoch=*/1, /*swapped=*/true);
+      // The convergence driver re-runs a stencil sweep ping-ponged;
+      // replaying it as a second epoch checks the steady-state schedule —
+      // the one whose exchange reads what the previous sweep wrote.
+      const int epochs = plan.kind == ProgramKind::kStencil ? 2 : 1;
+      for (int epoch = 0; epoch < epochs; ++epoch) {
+        RankReplayer(plan, static_cast<int>(i), p, epoch, sink,
+                     traces[static_cast<std::size_t>(p)])
+            .run();
       }
       report.stats.events += traces[static_cast<std::size_t>(p)].events;
       report.stats.intervals =

@@ -1,0 +1,231 @@
+#include "oocc/compiler/walk.hpp"
+
+#include <algorithm>
+#include <utility>
+
+#include "oocc/util/error.hpp"
+
+namespace oocc::compiler {
+
+namespace {
+
+/// Widens a full-height column section by `halo` columns on each side,
+/// clipped to [0, local_cols): the shape of every halo ReadSlab.
+io::Section widen_columns(const io::Section& s, std::int64_t halo,
+                          std::int64_t local_cols) noexcept {
+  io::Section out = s;
+  out.col0 = std::max<std::int64_t>(0, s.col0 - halo);
+  out.col1 = std::min<std::int64_t>(local_cols, s.col1 + halo);
+  return out;
+}
+
+/// With `swapped` set, the stencil pair's lhs and source trade places;
+/// every other name resolves to itself. Returns a reference into `plan` or
+/// `name` itself.
+const std::string& stencil_resolve(const NodeProgram& plan, bool swapped,
+                                   const std::string& name) {
+  if (swapped) {
+    const StencilStmt& st = plan.stencils.front();
+    if (name == st.source) {
+      return st.lhs;
+    }
+    if (name == st.lhs) {
+      return st.source;
+    }
+  }
+  return name;
+}
+
+}  // namespace
+
+StepWalk::StepWalk(const NodeProgram& plan, int rank, bool swapped)
+    : plan_(plan), rank_(rank), swapped_(swapped && !plan.stencils.empty()) {
+  cursors_.reserve(plan.loops.size());
+  for (const SlabLoop& loop : plan.loops) {
+    const PlanArray& space =
+        plan.array(stencil_resolve(plan, swapped_, loop.space));
+    cursors_.push_back(Cursor{
+        &loop, cursors_.size(),
+        runtime::SlabIterator(space.dist.local_rows(rank),
+                              space.dist.local_cols(rank), loop.orientation,
+                              loop.capacity_elements)});
+  }
+  bind(plan.steps);
+}
+
+void StepWalk::bind(const std::vector<Step>& steps) {
+  const auto cursor = [&](const std::string& name) {
+    const auto it =
+        std::find_if(cursors_.begin(), cursors_.end(),
+                     [&](const Cursor& c) { return c.decl->name == name; });
+    OOCC_CHECK(it != cursors_.end(), ErrorCode::kRuntimeError,
+               "step references undeclared slab loop '" << name << "'");
+    return &*it;
+  };
+  const auto statement_lhs = [&](const Step& step,
+                                 const auto& stmts) -> const std::string& {
+    OOCC_CHECK(step.stmt >= 0 &&
+                   static_cast<std::size_t>(step.stmt) < stmts.size(),
+               ErrorCode::kRuntimeError,
+               step_kind_name(step.kind) << " names statement #" << step.stmt
+                                         << " of " << stmts.size());
+    return stmts[static_cast<std::size_t>(step.stmt)].lhs;
+  };
+  for (const Step& step : steps) {
+    const std::size_t i = nodes_.size();
+    Node& n = nodes_.emplace_back(Node{&step});  // valid until bind(body)
+    const std::string* array = nullptr;
+    switch (step.kind) {
+      case StepKind::kForEachSlab:
+      case StepKind::kForEachColumn:
+        n.loop = cursor(step.loop);
+        break;
+      case StepKind::kReadSlab:
+      case StepKind::kWriteSlab:
+        n.loop = cursor(step.loop);
+        array = &step.array;
+        break;
+      case StepKind::kComputeElementwise:
+        n.loop = cursor(step.loop);
+        array = &statement_lhs(step, plan_.statements);
+        break;
+      case StepKind::kComputeStencil:
+        n.loop = cursor(step.loop);
+        array = &statement_lhs(step, plan_.stencils);
+        break;
+      case StepKind::kComputeGaxpyPartial:
+        n.loop = cursor(step.loop);
+        n.with = cursor(step.with);
+        break;
+      case StepKind::kReduceSum:
+        n.with = cursor(step.with);
+        array = &step.array;
+        break;
+      case StepKind::kExchangeHalo:
+        array = &step.array;
+        break;
+      case StepKind::kBarrier:
+        break;
+    }
+    if (array != nullptr) {
+      n.array = &stencil_resolve(plan_, swapped_, *array);
+      n.info = &plan_.array(*n.array);
+    }
+    if (step.kind == StepKind::kForEachSlab && n.loop->decl->prefetch) {
+      for (const Step& s : step.body) {
+        if (s.kind == StepKind::kReadSlab && !plan_.array(s.array).is_output) {
+          n.streams.push_back(runtime::IoScheduler::Request{
+              stencil_resolve(plan_, swapped_, s.array), {},
+              s.reuse_distance});
+        }
+      }
+    }
+    bind(step.body);
+    nodes_[i].end = nodes_.size();
+  }
+}
+
+bool StepWalk::sweep() {
+  visit(0, nodes_.size());
+  return !stopped_;
+}
+
+void StepWalk::visit(std::size_t first, std::size_t last) {
+  for (std::size_t i = first; i < last && !stopped_; i = nodes_[i].end) {
+    visit(i);
+  }
+}
+
+void StepWalk::visit(std::size_t i) {
+  const Node& n = nodes_[i];
+  const Step& step = *n.step;
+  switch (step.kind) {
+    case StepKind::kForEachSlab: {
+      Cursor& c = *n.loop;
+      c.lookahead = static_cast<int>(n.streams.size());
+      c.scheduler.schedule(c.iter, n.streams);
+      for (std::int64_t k = 0; k < c.iter.count(); ++k) {
+        c.section = c.iter.section(k);
+        visit(i + 1, n.end);
+        for (auto it = c.held.rbegin(); it != c.held.rend(); ++it) {
+          release(*it->array, it->section);
+        }
+        c.held.clear();
+        if (stopped_) {
+          return;
+        }
+      }
+      return;
+    }
+    case StepKind::kForEachColumn: {
+      Cursor& c = *n.loop;
+      for (std::int64_t m = 0; m < c.section.cols() && !stopped_; ++m) {
+        c.column = m;
+        fresh_column_ = true;
+        visit(i + 1, n.end);
+      }
+      c.column = -1;
+      return;
+    }
+    case StepKind::kReadSlab: {
+      // Halo reads widen the owner slab by the dependence distance, clipped
+      // at the local array bounds (columns beyond them arrive as ghosts).
+      const io::Section s =
+          step.halo > 0 ? widen_columns(n.loop->section, step.halo,
+                                        n.info->dist.local_cols(rank_))
+                        : n.loop->section;
+      read(n, s);
+      n.loop->held.push_back(Held{n.array, s});
+      return;
+    }
+    case StepKind::kWriteSlab:
+      write(n);
+      return;
+    case StepKind::kComputeElementwise:
+    case StepKind::kComputeStencil:
+      stage(n);
+      n.loop->held.push_back(Held{n.array, n.loop->section});
+      return;
+    case StepKind::kComputeGaxpyPartial: {
+      const bool fresh = std::exchange(fresh_column_, false);
+      if (fresh) {
+        row0_ = n.loop->section.row0;
+        row1_ = n.loop->section.row1;
+      }
+      partial(n, fresh);
+      return;
+    }
+    case StepKind::kReduceSum:
+      reduce(n, n.with->section.col0 + n.with->column, row0_, row1_);
+      return;
+    case StepKind::kExchangeHalo: {
+      // Every rank ships its `halo` edge columns to each neighbour and
+      // receives the neighbour's facing edge as ghost columns.
+      Exchange ex;
+      if (plan_.nprocs > 1) {
+        const hpf::ArrayDistribution& dist = n.info->dist;
+        const std::int64_t d = step.halo;
+        const auto low = [&](int p) {
+          return io::Section{0, dist.local_rows(p), 0, d};
+        };
+        const auto high = [&](int p) {
+          const std::int64_t cols = dist.local_cols(p);
+          return io::Section{0, dist.local_rows(p), cols - d, cols};
+        };
+        if (rank_ > 0) {
+          ex.left = Edge{rank_ - 1, low(rank_), high(rank_ - 1)};
+        }
+        if (rank_ < plan_.nprocs - 1) {
+          ex.right = Edge{rank_ + 1, high(rank_), low(rank_ + 1)};
+        }
+      }
+      exchange(n, ex);
+      return;
+    }
+    case StepKind::kBarrier:
+      barrier();
+      return;
+  }
+}
+
+}  // namespace oocc::compiler

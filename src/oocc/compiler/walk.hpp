@@ -1,0 +1,135 @@
+// One traversal of a plan's slab-program IR.
+//
+// The paper's compiler emits one node program of I/O, compute and message
+// steps (Figures 9 and 12), and its T_fetch/T_data model prices that same
+// program. StepWalk runs one sweep of one plan on one rank and calls a
+// client hook at every event; the executor (exec/interp.cpp), the pricer
+// and the reuse annotator (cost.cpp) and the verifier's replay
+// (verify.cpp) are its clients. The walk owns everything they share: the
+// per-loop SlabIterator cursors, ForEachSlab / ForEachColumn iteration,
+// halo widening of reads, the ExchangeHalo edge sections, stencil
+// ping-pong names, the ReduceSum output column and row range, the
+// read-ahead schedule, and holding read and staged sections until their
+// slab iteration ends. So priced == measured and verified == executed hold
+// because all four see the same event stream, not because they mirror one
+// another.
+#pragma once
+
+#include <cstdint>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "oocc/compiler/plan.hpp"
+#include "oocc/runtime/bufferpool.hpp"
+
+namespace oocc::compiler {
+
+class StepWalk {
+ public:
+  /// A section held until its slab iteration ends.
+  struct Held {
+    const std::string* array;
+    io::Section section;
+  };
+
+  /// One slab loop's position.
+  struct Cursor {
+    const SlabLoop* decl;
+    std::size_t index;  ///< position in NodeProgram::loops
+    runtime::SlabIterator iter;
+    io::Section section{};      ///< the current slab
+    std::int64_t column = -1;   ///< ForEachColumn offset into `section`
+    std::vector<Held> held{};   ///< released in reverse at iteration end
+    /// The loop's read-ahead queue (prefetching loops; see Node::streams),
+    /// pumped by the I/O clients after each demand read.
+    runtime::IoScheduler scheduler{};
+    int lookahead = 0;
+  };
+
+  /// One step with its names bound.
+  struct Node {
+    const Step* step;
+    Cursor* loop = nullptr;  ///< `step.loop`
+    Cursor* with = nullptr;  ///< `step.with`
+    /// The array the step touches, ping-pong resolved: `step.array`, or the
+    /// statement's lhs for a compute step. Null for loops, GAXPY partials
+    /// and barriers.
+    const std::string* array = nullptr;
+    const PlanArray* info = nullptr;  ///< placement of `*array`
+    /// ForEachSlab: the body's pure-input reads, streamed ahead once per
+    /// slab when the loop prefetches.
+    std::vector<runtime::IoScheduler::Request> streams{};
+    std::size_t end = 0;  ///< one past this step's subtree in preorder
+  };
+
+  /// One side of a ghost exchange: the edge this rank sends to `peer`,
+  /// and the peer's edge it receives, in the peer's local coordinates.
+  struct Edge {
+    int peer;
+    io::Section sent;
+    io::Section received;
+  };
+  struct Exchange {
+    std::optional<Edge> left;   ///< rank - 1: our low edge, its high edge
+    std::optional<Edge> right;  ///< rank + 1: our high edge, its low edge
+  };
+
+  /// Binds `plan` for `rank`; `swapped` runs a stencil plan's odd sweep,
+  /// where the ping-pong pair trade places. Throws Error on a step that
+  /// names an undeclared loop or an unknown array or statement.
+  StepWalk(const NodeProgram& plan, int rank, bool swapped);
+
+  // Nodes point at the walk's own cursors.
+  StepWalk(const StepWalk&) = delete;
+  StepWalk& operator=(const StepWalk&) = delete;
+
+ protected:
+  ~StepWalk() = default;
+
+  /// Runs the sweep, calling the hooks below in program order; false when
+  /// a client stopped it early.
+  bool sweep();
+
+  /// ReadSlab of section `s` (halo-widened); held after the hook.
+  virtual void read(const Node& /*n*/, const io::Section& /*s*/) {}
+  /// ComputeElementwise / ComputeStencil staging `*n.array` over the
+  /// current slab; held after the hook.
+  virtual void stage(const Node& /*n*/) {}
+  /// WriteSlab of the current slab.
+  virtual void write(const Node& /*n*/) {}
+  /// ExchangeHalo: trade edge columns of `*n.array` with the neighbours.
+  virtual void exchange(const Node& /*n*/, const Exchange& /*ex*/) {}
+  /// ComputeGaxpyPartial; `fresh` when it opens a new output column.
+  virtual void partial(const Node& /*n*/, bool /*fresh*/) {}
+  /// ReduceSum of global output column `column`, over the rows of the A
+  /// slab whose partial opened it.
+  virtual void reduce(const Node& /*n*/, std::int64_t /*column*/,
+                      std::int64_t /*row0*/, std::int64_t /*row1*/) {}
+  virtual void barrier() {}
+  /// Drops a held section, at the end of its slab iteration.
+  virtual void release(const std::string& /*array*/,
+                       const io::Section& /*s*/) {}
+
+  /// Ends the sweep after the current event (the replay and annotation
+  /// event caps); held sections are still released.
+  void stop() noexcept { stopped_ = true; }
+
+  const NodeProgram& plan_;
+  const int rank_;
+
+ private:
+  void bind(const std::vector<Step>& steps);
+  void visit(std::size_t first, std::size_t last);
+  void visit(std::size_t i);
+
+  bool swapped_;
+  bool stopped_ = false;
+  std::vector<Cursor> cursors_;
+  std::vector<Node> nodes_;  ///< the step tree in preorder
+  bool fresh_column_ = false;
+  std::int64_t row0_ = 0;  ///< rows of the current output column
+  std::int64_t row1_ = 0;
+};
+
+}  // namespace oocc::compiler

@@ -6,10 +6,10 @@
 #include <vector>
 
 #include "oocc/compiler/verify.hpp"
+#include "oocc/compiler/walk.hpp"
 #include "oocc/exec/checkpoint.hpp"
 #include "oocc/exec/eval.hpp"
 #include "oocc/runtime/bufferpool.hpp"
-#include "oocc/runtime/slab_iter.hpp"
 #include "oocc/runtime/slab_writer.hpp"
 #include "oocc/sim/collectives.hpp"
 #include "oocc/util/env.hpp"
@@ -51,14 +51,14 @@ void check_binding(const compiler::NodeProgram& plan,
                        << pa.dist.to_string());
 }
 
-/// Interprets a plan's slab-program IR on one simulated processor. The
-/// executor is schema-free: every behavior (which arrays stream through
-/// which loops, where partial products accumulate, when the global sum
-/// runs) is read off the step tree, so new kernels are new step programs,
-/// not new executors. All slab I/O routes through the SlabBufferPool, pinned
-/// per slab iteration; whether staged outputs write back lazily or at once
-/// is the pool's mode.
-class StepExecutor {
+/// Runs a plan's slab-program IR on one simulated processor: the StepWalk
+/// client that does the work. The executor is schema-free: every behavior
+/// (which arrays stream through which loops, where partial products
+/// accumulate, when the global sum runs) is read off the step tree, so new
+/// kernels are new step programs, not new executors. All slab I/O routes
+/// through the SlabBufferPool, pinned per slab iteration; whether staged
+/// outputs write back lazily or at once is the pool's mode.
+class StepExecutor final : public compiler::StepWalk {
  public:
   /// `stencil_swapped` runs a stencil plan's sweep with the lhs/source
   /// roles exchanged (the convergence driver's odd sweeps): every array
@@ -67,19 +67,8 @@ class StepExecutor {
   StepExecutor(sim::SpmdContext& ctx, const compiler::NodeProgram& plan,
                const ArrayBindings& arrays, runtime::SlabBufferPool& pool,
                bool stencil_swapped = false)
-      : ctx_(ctx), plan_(plan), arrays_(arrays), pool_(pool),
-        swap_(stencil_swapped && !plan.stencils.empty()) {
-    for (const compiler::SlabLoop& loop : plan_.loops) {
-      const runtime::OutOfCoreArray& space =
-          bound(arrays_, resolve(loop.space));
-      states_.emplace(
-          loop.name,
-          LoopState(&loop, runtime::SlabIterator(space.local_rows(),
-                                                 space.local_cols(),
-                                                 loop.orientation,
-                                                 loop.capacity_elements)));
-    }
-  }
+      : StepWalk(plan, ctx.rank(), stencil_swapped), ctx_(ctx),
+        arrays_(arrays), pool_(pool), loaded_(plan.loops.size()) {}
 
   /// Local max |update| of the sweep's interior elements (stencil plans).
   double residual() const noexcept { return residual_; }
@@ -90,7 +79,7 @@ class StepExecutor {
       // which bypasses the pool: cached slabs of it would go stale.
       pool_.invalidate(ctx_, plan_.c);
     }
-    run_steps(plan_.steps);
+    sweep();
     if (writer_) {
       writer_->flush(ctx_);
       writer_.reset();
@@ -108,157 +97,79 @@ class StepExecutor {
   }
 
  private:
-  struct LoopState {
-    LoopState(const compiler::SlabLoop* d, runtime::SlabIterator it)
-        : decl(d), iter(it) {}
+  /// Buffers holding the current slab of each array a loop streams, keyed
+  /// by plan name (the swapped sweep resolves names only at the pool).
+  using Loaded = std::map<std::string, const runtime::IclaBuffer*>;
 
-    const compiler::SlabLoop* decl;
-    runtime::SlabIterator iter;
-    io::Section section{};         ///< current slab's section
-    std::int64_t column = -1;      ///< ForEachColumn position
-    /// Buffers holding the current slab of each streamed array.
-    std::map<std::string, const runtime::IclaBuffer*> loaded;
-    /// Pool entries pinned during the current slab iteration.
-    std::vector<std::pair<std::string, io::Section>> pinned;
-    /// Read-ahead queue for this loop's upcoming ReadSlab schedule.
-    runtime::IoScheduler scheduler;
-    int lookahead = 0;  ///< reads to keep in flight (streamed array count)
-  };
+  Loaded& loaded(const Cursor& c) { return loaded_[c.index]; }
 
-  LoopState& state(const std::string& name) {
-    const auto it = states_.find(name);
-    OOCC_CHECK(it != states_.end(), ErrorCode::kRuntimeError,
-               "step references undeclared slab loop '" << name << "'");
-    return it->second;
+  void read(const Node& n, const io::Section& s) override {
+    runtime::OutOfCoreArray& array = bound(arrays_, *n.array);
+    runtime::IclaBuffer& buf =
+        pool_.acquire_read(ctx_, array.laf(), *n.array, s,
+                           n.step->reuse_distance, n.step->halo > 0);
+    loaded(*n.loop)[n.step->array] = &buf;
+    n.loop->scheduler.pump(
+        n.loop->lookahead,
+        [&](const runtime::IoScheduler::Request& r) {
+          return pool_.resident(r.array, r.section);
+        },
+        [&](const runtime::IoScheduler::Request& r) {
+          return pool_.read_ahead(ctx_, bound(arrays_, r.array).laf(),
+                                  r.array, r.section, r.reuse_hint);
+        });
   }
 
-  /// Plan array name -> the array actually touched this sweep. Identity
-  /// except for a swapped stencil sweep, where the ping-pong pair trade
-  /// places. Only LAF/pool accesses resolve; the in-executor `loaded` maps
-  /// stay keyed by plan name.
-  const std::string& resolve(const std::string& name) const {
-    return compiler::stencil_resolve(plan_, swap_, name);
+  // A retaining pool defers the write-back: the dirty slab reaches the LAF
+  // on eviction or at the end-of-sequence flush, and a later statement's
+  // read of it meanwhile is a hit.
+  void write(const Node& n) override {
+    pool_.mark_dirty(ctx_, *n.array, n.loop->section, n.step->reuse_distance);
   }
 
-  void run_steps(const std::vector<compiler::Step>& steps) {
-    for (const compiler::Step& step : steps) {
-      run_step(step);
-    }
+  // Settle in-flight async write-backs first: a rank must not report "done"
+  // to its peers while a worker error is still pending, and post-barrier
+  // reads by other statements expect the bytes on disk.
+  void barrier() override {
+    pool_.drain_writes(ctx_);
+    sim::barrier(ctx_);
   }
 
-  void run_step(const compiler::Step& step) {
-    using compiler::StepKind;
-    switch (step.kind) {
-      case StepKind::kForEachSlab: {
-        LoopState& loop = state(step.loop);
-        // Hand the loop's upcoming read-ahead schedule to its queue.
-        std::vector<runtime::IoScheduler::Request> streams;
-        for (const compiler::Step* s :
-             compiler::read_ahead_streams(plan_, step)) {
-          const std::string& name = resolve(s->array);
-          streams.push_back(runtime::IoScheduler::Request{
-              &bound(arrays_, name).laf(), name, {}, s->reuse_distance});
-        }
-        loop.lookahead = static_cast<int>(streams.size());
-        loop.scheduler.schedule(loop.iter, std::move(streams));
-        for (std::int64_t i = 0; i < loop.iter.count(); ++i) {
-          loop.section = loop.iter.section(i);
-          run_steps(step.body);
-          for (auto it = loop.pinned.rbegin(); it != loop.pinned.rend();
-               ++it) {
-            pool_.unpin(ctx_, it->first, it->second);
-          }
-          loop.pinned.clear();
-        }
-        return;
-      }
-      case StepKind::kForEachColumn: {
-        LoopState& loop = state(step.loop);
-        for (std::int64_t m = 0; m < loop.section.cols(); ++m) {
-          loop.column = m;
-          fresh_column_ = true;
-          run_steps(step.body);
-        }
-        loop.column = -1;
-        return;
-      }
-      case StepKind::kReadSlab:
-        read_slab(step);
-        return;
-      case StepKind::kWriteSlab:
-        // A retaining pool defers the write-back: the dirty slab reaches
-        // the LAF on eviction or at the end-of-sequence flush, and a later
-        // statement's read of it meanwhile is a hit.
-        pool_.mark_dirty(ctx_, resolve(step.array), state(step.loop).section,
-                         step.reuse_distance);
-        return;
-      case StepKind::kComputeElementwise:
-        compute_elementwise(step);
-        return;
-      case StepKind::kComputeGaxpyPartial:
-        compute_gaxpy_partial(step);
-        return;
-      case StepKind::kReduceSum:
-        reduce_sum(step);
-        return;
-      case StepKind::kExchangeHalo:
-        exchange_halo(step);
-        return;
-      case StepKind::kComputeStencil:
-        compute_stencil(step);
-        return;
-      case StepKind::kBarrier:
-        // Settle in-flight async write-backs first: a rank must not report
-        // "done" to its peers while a worker error is still pending, and
-        // post-barrier reads by other statements expect the bytes on disk.
-        pool_.drain_writes(ctx_);
-        sim::barrier(ctx_);
-        return;
-    }
-    OOCC_THROW(ErrorCode::kRuntimeError, "unknown step kind");
+  void release(const std::string& array, const io::Section& s) override {
+    pool_.unpin(ctx_, array, s);
   }
 
-  void read_slab(const compiler::Step& step) {
-    LoopState& loop = state(step.loop);
-    const std::string& name = resolve(step.array);
-    runtime::OutOfCoreArray& array = bound(arrays_, name);
-    // Halo reads widen the owner slab by the dependence distance, clipped
-    // at the local array bounds (columns beyond them arrive as ghosts).
-    const io::Section sec =
-        step.halo > 0
-            ? compiler::widen_columns(loop.section, step.halo,
-                                      array.local_cols())
-            : loop.section;
-    runtime::IclaBuffer& buf = pool_.acquire_read(
-        ctx_, array.laf(), name, sec, step.reuse_distance, step.halo > 0);
-    loop.pinned.emplace_back(name, sec);
-    loop.loaded[step.array] = &buf;
-    loop.scheduler.pump(ctx_, pool_, loop.lookahead);
-  }
-
-  void compute_elementwise(const compiler::Step& step) {
-    const compiler::ElementwiseStmt& st =
-        plan_.statements.at(static_cast<std::size_t>(step.stmt));
-    LoopState& loop = state(step.loop);
-    const io::Section sec = loop.section;
-    runtime::OutOfCoreArray& lhs = bound(arrays_, st.lhs);
-    // Stage into a pool entry: an in-place load or an earlier statement of
-    // the fused group may already have created it (data preserved).
+  /// Stages the statement's output slab into a pool entry (an in-place
+  /// load or an earlier statement of the fused group may already have
+  /// created it, data preserved) and computes it.
+  void stage(const Node& n) override {
     runtime::IclaBuffer& out =
-        pool_.acquire_write(ctx_, lhs.laf(), st.lhs, sec, step.reuse_distance);
-    loop.pinned.emplace_back(st.lhs, sec);
+        pool_.acquire_write(ctx_, bound(arrays_, *n.array).laf(), *n.array,
+                            n.loop->section, n.step->reuse_distance);
+    if (n.step->kind == compiler::StepKind::kComputeElementwise) {
+      compute_elementwise(n, out);
+    } else {
+      compute_stencil(n, out);
+    }
+  }
+
+  void compute_elementwise(const Node& n, runtime::IclaBuffer& out) {
+    const compiler::ElementwiseStmt& st =
+        plan_.statements[static_cast<std::size_t>(n.step->stmt)];
+    const io::Section sec = n.loop->section;
     // Safe to install before evaluating: each element is written only from
     // values of the same (row, column), read before the write. Later
     // statements of a fused group read this result from memory.
-    loop.loaded[st.lhs] = &out;
+    Loaded& buffers = loaded(*n.loop);
+    buffers[st.lhs] = &out;
 
     EvalEnv env;
     env.forall_var = st.forall_var;
-    env.buffers = &loop.loaded;
+    env.buffers = &buffers;
     for (std::int64_t c = 0; c < sec.cols(); ++c) {
       // FORALL index is the 1-based global column number.
       env.forall_value =
-          lhs.dist().local_to_global_col(ctx_.rank(), sec.col0 + c) + 1;
+          n.info->dist.local_to_global_col(rank_, sec.col0 + c) + 1;
       env.col_rel = c;
       for (std::int64_t r = 0; r < sec.rows(); ++r) {
         env.row = r;
@@ -268,27 +179,21 @@ class StepExecutor {
     ctx_.charge_flops(static_cast<double>(sec.elements()));
   }
 
-  void compute_gaxpy_partial(const compiler::Step& step) {
-    LoopState& a_loop = state(step.loop);
-    LoopState& col_loop = state(step.with);
-    const runtime::IclaBuffer* a_buf = a_loop.loaded.at(a_loop.decl->space);
-    const runtime::IclaBuffer* b_buf =
-        col_loop.loaded.at(col_loop.decl->space);
+  void partial(const Node& n, bool fresh) override {
+    const runtime::IclaBuffer* a_buf = loaded(*n.loop).at(n.loop->decl->space);
+    const runtime::IclaBuffer* b_buf = loaded(*n.with).at(n.with->decl->space);
     const io::Section asec = a_buf->section();
-    if (fresh_column_) {
+    if (fresh) {
       if (temp_reserved_ == 0) {
         const std::int64_t temp =
-            compiler::gaxpy_side_reservation(plan_, ctx_.rank()).temp;
+            compiler::gaxpy_side_reservation(plan_, rank_).temp;
         pool_.ensure_available(ctx_, temp);
         pool_.budget().reserve(temp, "temp column");
         temp_reserved_ = temp;
       }
       temp_.assign(static_cast<std::size_t>(asec.rows()), 0.0);
-      temp_row0_ = asec.row0;
-      temp_row1_ = asec.row1;
-      fresh_column_ = false;
     }
-    const std::int64_t m = col_loop.column;
+    const std::int64_t m = n.with->column;
     for (std::int64_t i = 0; i < asec.cols(); ++i) {
       // Local column asec.col0+i of A pairs with the same local row of B
       // (both derive from the same distribution template).
@@ -302,82 +207,69 @@ class StepExecutor {
                       static_cast<double>(asec.cols()));
   }
 
-  void reduce_sum(const compiler::Step& step) {
-    LoopState& col_loop = state(step.with);
-    runtime::OutOfCoreArray& c = bound(arrays_, step.array);
-    // Global output column = the column loop's position in its sweep.
-    const std::int64_t gj = col_loop.section.col0 + col_loop.column;
-    const int owner = c.dist().owner_of_col(gj);
+  void reduce(const Node& n, std::int64_t column, std::int64_t row0,
+              std::int64_t row1) override {
+    runtime::OutOfCoreArray& c = bound(arrays_, *n.array);
+    const int owner = c.dist().owner_of_col(column);
     std::vector<double> summed = sim::reduce_sum<double>(
         ctx_, owner, std::span<const double>(temp_.data(), temp_.size()));
     // A new row range (the next A row slab) starts a new output pass;
     // flush what the previous pass staged.
-    if (writer_ &&
-        (writer_->row0() != temp_row0_ || writer_->row1() != temp_row1_)) {
+    if (writer_ && (writer_->row0() != row0 || writer_->row1() != row1)) {
       writer_->flush(ctx_);
       writer_.reset();
     }
-    if (ctx_.rank() != owner) {
+    if (rank_ != owner) {
       return;
     }
     if (!writer_) {
       if (!c_buf_) {
         const std::int64_t capacity =
-            compiler::gaxpy_side_reservation(plan_, ctx_.rank()).output;
+            compiler::gaxpy_side_reservation(plan_, rank_).output;
         pool_.ensure_available(ctx_, capacity);
         c_buf_ = std::make_unique<runtime::IclaBuffer>(
-            pool_.budget(), capacity, "icla_" + step.array);
+            pool_.budget(), capacity, "icla_" + *n.array);
       }
-      writer_ = std::make_unique<runtime::OwnedColumnWriter>(
-          c, *c_buf_, temp_row0_, temp_row1_);
+      writer_ =
+          std::make_unique<runtime::OwnedColumnWriter>(c, *c_buf_, row0, row1);
     }
     writer_->append(
-        ctx_, c.dist().global_to_local_col(gj),
+        ctx_, c.dist().global_to_local_col(column),
         std::span<const double>(summed.data(), summed.size()));
   }
 
   /// Ghost-column exchange before a stencil sweep: every rank ships its
-  /// `halo` edge columns to the neighbouring ranks and keeps the columns it
+  /// edge columns to the neighbouring ranks and keeps the columns it
   /// receives for the sweep's out-of-panel reads. Reads go through the pool,
   /// so columns a previous sweep staged (and never wrote back) are seen
   /// current.
-  void exchange_halo(const compiler::Step& step) {
-    left_ghost_.clear();
-    right_ghost_.clear();
-    const int p = ctx_.nprocs();
-    if (p == 1) {
-      return;
-    }
-    const std::int64_t d = step.halo;
-    const std::string& name = resolve(step.array);
-    runtime::OutOfCoreArray& arr = bound(arrays_, name);
-    const std::int64_t rows = arr.local_rows();
-    const std::int64_t nlc = arr.local_cols();
-    const int rank = ctx_.rank();
-
+  void exchange(const Node& n, const Exchange& ex) override {
+    low_ghost_.clear();
+    high_ghost_.clear();
+    runtime::OutOfCoreArray& arr = bound(arrays_, *n.array);
     std::vector<double> edge;
-    const auto read_edge = [&](const io::Section& sec) {
+    const auto send = [&](const Edge& e, int tag) {
       const std::span<const double> data =
-          pool_.acquire_read(ctx_, arr.laf(), name, sec, step.reuse_distance)
+          pool_.acquire_read(ctx_, arr.laf(), *n.array, e.sent,
+                             n.step->reuse_distance)
               .data();
       edge.assign(data.begin(), data.end());
-      pool_.unpin(ctx_, name, sec);
+      pool_.unpin(ctx_, *n.array, e.sent);
+      ctx_.send<double>(e.peer, tag,
+                        std::span<const double>(edge.data(), edge.size()));
     };
-    if (rank > 0) {
-      read_edge(io::Section{0, rows, 0, d});
-      ctx_.send<double>(rank - 1, kTagStencilLeft,
-                        std::span<const double>(edge.data(), edge.size()));
+    if (ex.left) {
+      send(*ex.left, kTagStencilLeft);
     }
-    if (rank < p - 1) {
-      read_edge(io::Section{0, rows, nlc - d, nlc});
-      ctx_.send<double>(rank + 1, kTagStencilRight,
-                        std::span<const double>(edge.data(), edge.size()));
+    if (ex.right) {
+      send(*ex.right, kTagStencilRight);
     }
-    if (rank < p - 1) {
-      left_ghost_ = ctx_.recv<double>(rank + 1, kTagStencilLeft);
+    if (ex.right) {
+      high_ghost_ = ctx_.recv<double>(ex.right->peer, kTagStencilLeft);
     }
-    if (rank > 0) {
-      right_ghost_ = ctx_.recv<double>(rank - 1, kTagStencilRight);
+    if (ex.left) {
+      low_ghost_ = ctx_.recv<double>(ex.left->peer, kTagStencilRight);
+      low_ghost_cols_ = ex.left->received.cols();
     }
   }
 
@@ -424,39 +316,36 @@ class StepExecutor {
   /// out-of-panel offsets); boundary rows and the first/last `halo` global
   /// columns copy through from the source — the hand-coded Jacobi oracle's
   /// exact arithmetic and boundary policy, element for element.
-  void compute_stencil(const compiler::Step& step) {
+  void compute_stencil(const Node& n, runtime::IclaBuffer& out) {
     const compiler::StencilStmt& st =
-        plan_.stencils.at(static_cast<std::size_t>(step.stmt));
-    LoopState& loop = state(step.loop);
-    const io::Section sec = loop.section;
-    const std::string& lhs_name = resolve(st.lhs);
-    runtime::OutOfCoreArray& lhs = bound(arrays_, lhs_name);
-    const runtime::IclaBuffer* src = loop.loaded.at(st.source);
+        plan_.stencils[static_cast<std::size_t>(n.step->stmt)];
+    const io::Section sec = n.loop->section;
+    const hpf::ArrayDistribution& dist = n.info->dist;
+    Loaded& buffers = loaded(*n.loop);
+    const runtime::IclaBuffer* src = buffers.at(st.source);
     const io::Section hs = src->section();
     const std::int64_t rows = sec.rows();
-    const std::int64_t nlc = lhs.local_cols();
-    const std::int64_t gcols = lhs.dist().global_cols();
+    const std::int64_t nlc = dist.local_cols(rank_);
+    const std::int64_t gcols = dist.global_cols();
     const std::int64_t d = st.halo;
     const std::int64_t rh = st.row_halo;
 
-    runtime::IclaBuffer& out = pool_.acquire_write(ctx_, lhs.laf(), lhs_name,
-                                                   sec, step.reuse_distance);
-    loop.pinned.emplace_back(lhs_name, sec);
-
+    // Local column lc < 0 is ghost column lc of the left neighbour's edge,
+    // however wide the exchange made it; lc >= nlc is the right one's.
     const auto col_at = [&](std::int64_t lc) -> const double* {
       if (lc < 0) {
-        return right_ghost_.data() +
-               static_cast<std::size_t>((lc + d) * rows);
+        return low_ghost_.data() +
+               static_cast<std::size_t>((lc + low_ghost_cols_) * rows);
       }
       if (lc >= nlc) {
-        return left_ghost_.data() +
+        return high_ghost_.data() +
                static_cast<std::size_t>((lc - nlc) * rows);
       }
       return &src->at(0, lc - hs.col0);
     };
     const double ops = static_cast<double>(hpf::count_binary_ops(*st.rhs));
     for (std::int64_t lc = sec.col0; lc < sec.col1; ++lc) {
-      const std::int64_t gc = lhs.dist().local_to_global_col(ctx_.rank(), lc);
+      const std::int64_t gc = dist.local_to_global_col(rank_, lc);
       const double* center = col_at(lc);
       double* res = &out.at(0, lc - sec.col0);
       if (gc < d || gc >= gcols - d) {
@@ -477,28 +366,24 @@ class StepExecutor {
       }
       ctx_.charge_flops(ops * static_cast<double>(rows - 2 * rh));
     }
-    loop.loaded[st.lhs] = &out;
+    buffers[st.lhs] = &out;
   }
 
   sim::SpmdContext& ctx_;
-  const compiler::NodeProgram& plan_;
   const ArrayBindings& arrays_;
   runtime::SlabBufferPool& pool_;
-  bool swap_ = false;  ///< stencil ping-pong: lhs/source roles exchanged
-  std::map<std::string, LoopState> states_;
+  std::vector<Loaded> loaded_;  ///< per slab loop, by Cursor::index
 
   // Stencil sweep state: ghost columns from the neighbouring ranks and the
   // running max |update| of the interior.
-  std::vector<double> left_ghost_;   ///< right neighbour's first d columns
-  std::vector<double> right_ghost_;  ///< left neighbour's last d columns
+  std::vector<double> low_ghost_;   ///< the left neighbour's last columns
+  std::int64_t low_ghost_cols_ = 0;
+  std::vector<double> high_ghost_;  ///< the right neighbour's first columns
   double residual_ = 0.0;
 
   // GAXPY reduction state: the in-memory partial column of Figures 9/12.
   std::vector<double> temp_;
   std::int64_t temp_reserved_ = 0;
-  std::int64_t temp_row0_ = 0;
-  std::int64_t temp_row1_ = 0;
-  bool fresh_column_ = false;
   std::unique_ptr<runtime::IclaBuffer> c_buf_;
   std::unique_ptr<runtime::OwnedColumnWriter> writer_;
 };

@@ -3,11 +3,13 @@
 // This closes the loop the paper describes: HPF source -> two-phase
 // compilation -> node program with explicit I/O and message passing ->
 // execution on the distributed-memory machine. There is one generic
-// executor: it walks the plan's slab-program IR (ForEachSlab /
-// ForEachColumn structure with ReadSlab, WriteSlab, ComputeElementwise,
-// ComputeGaxpyPartial, ReduceSum, Barrier leaves) and has one I/O path:
-// every ReadSlab/WriteSlab goes through a runtime::SlabBufferPool, and
-// prefetching loops drive an IoScheduler read-ahead queue over it. The
+// executor: a client of compiler::StepWalk, the traversal of the plan's
+// slab-program IR (ForEachSlab / ForEachColumn structure with ReadSlab,
+// WriteSlab, ComputeElementwise, ComputeGaxpyPartial, ReduceSum,
+// ExchangeHalo, ComputeStencil, Barrier leaves) that the pricer and the
+// verifier run too. It adds the kernels and the messages, and has one I/O
+// path: every ReadSlab/WriteSlab goes through a runtime::SlabBufferPool,
+// and prefetching loops drive an IoScheduler read-ahead queue over it. The
 // pool has two modes over one policy. Retaining (the default) shares the
 // pool across the statements of a sequence, so slabs a statement staged
 // (or a re-sweep already fetched) are served from memory, guided by the

@@ -311,14 +311,4 @@ const IoScheduler::Request& IoScheduler::request(std::size_t k) {
   return r;
 }
 
-void IoScheduler::pump(sim::SpmdContext& ctx, SlabBufferPool& pool,
-                       int lookahead) {
-  pump(
-      lookahead,
-      [&](const Request& r) { return pool.resident(r.array, r.section); },
-      [&](const Request& r) {
-        return pool.read_ahead(ctx, *r.laf, r.array, r.section, r.reuse_hint);
-      });
-}
-
 }  // namespace oocc::runtime

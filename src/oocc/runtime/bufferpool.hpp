@@ -24,10 +24,11 @@
 // its completion timestamp; a demand acquire waits for it, a read-ahead
 // does not. One outstanding request per pool (one disk per processor).
 //
-// IoScheduler is the read-ahead front: the executor hands it a prefetching
-// slab loop's upcoming ReadSlab schedule and pumps it after each demand
-// read, which generalizes the old two-buffer prefetch to any lookahead the
-// budget can hold. The pricer pumps the same scheduler over its directory.
+// IoScheduler is the read-ahead front: the step walk (compiler/walk.hpp)
+// hands it a prefetching slab loop's upcoming ReadSlab schedule, and the
+// executor pumps it after each demand read, which generalizes the old
+// two-buffer prefetch to any lookahead the budget can hold. The pricer
+// pumps the same scheduler over its directory.
 #pragma once
 
 #include <cstdint>
@@ -224,7 +225,6 @@ class IoScheduler {
  public:
   /// One stream of the schedule; `section` is filled in per slab.
   struct Request {
-    io::LocalArrayFile* laf = nullptr;  ///< null in the pricer
     std::string array;
     io::Section section;
     double reuse_hint = -1.0;
@@ -252,9 +252,6 @@ class IoScheduler {
       ++in_flight;
     }
   }
-
-  /// pump() over a pool.
-  void pump(sim::SpmdContext& ctx, SlabBufferPool& pool, int lookahead);
 
  private:
   std::size_t size() const noexcept {

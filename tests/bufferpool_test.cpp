@@ -300,11 +300,18 @@ TEST(IoSchedulerTest, PumpsReadAheadInScheduleOrder) {
     SlabBufferPool pool(budget, "t");
     IoScheduler sched;
     sched.schedule(SlabIterator(8, 8, SlabOrientation::kColumnSlabs, 8),
-                   {IoScheduler::Request{&laf, "a", {}, -1.0}});
+                   {IoScheduler::Request{"a", {}, -1.0}});
     // Demand-read column 0, then pump with lookahead 2: columns 1 and 2
     // are fetched ahead; the queue front advances past the resident one.
     (void)pool.acquire_read(ctx, laf, "a", cols(0, 1), -1.0);
-    sched.pump(ctx, pool, 2);
+    sched.pump(
+        2,
+        [&](const IoScheduler::Request& r) {
+          return pool.resident(r.array, r.section);
+        },
+        [&](const IoScheduler::Request& r) {
+          return pool.read_ahead(ctx, laf, r.array, r.section, r.reuse_hint);
+        });
     EXPECT_TRUE(pool.resident("a", cols(1, 2)));
     EXPECT_TRUE(pool.resident("a", cols(2, 3)));
     EXPECT_FALSE(pool.resident("a", cols(3, 4)));

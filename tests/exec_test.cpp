@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <type_traits>
 
 #include "oocc/compiler/lower.hpp"
 #include "oocc/exec/interp.hpp"
@@ -41,11 +43,20 @@ std::vector<double> dense(std::int64_t n, double (*f)(std::int64_t,
   return m;
 }
 
+// gtest prints a parameter type that has no PrintTo overload as its raw
+// bytes, and CTest builds each case name from that dump. The `pad` fields
+// occupy what would otherwise be alignment padding, so every printed byte
+// is initialised and a case has the same name in every build.
 struct EndToEndCase {
+  EndToEndCase(int p, std::int64_t size, bool reorg)
+      : nprocs(p), n(size), reorganize(reorg) {}
   int nprocs;
+  std::int32_t pad = 0;
   std::int64_t n;
   bool reorganize;  ///< enable_access_reorganization
+  std::uint8_t tail_pad[7] = {};
 };
+static_assert(std::has_unique_object_representations_v<EndToEndCase>);
 
 class CompiledGaxpy : public ::testing::TestWithParam<EndToEndCase> {};
 

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <type_traits>
 
 #include "oocc/gaxpy/gaxpy.hpp"
 #include "oocc/runtime/redistribute.hpp"
@@ -44,13 +46,21 @@ std::vector<double> dense_from(
 
 enum class Kernel { kColumnSlabs, kRowSlabs, kInCore };
 
+// gtest prints a parameter type that has no PrintTo overload as its raw
+// bytes, and CTest builds each case name from that dump. The `pad` fields
+// occupy what would otherwise be alignment padding, so every printed byte
+// is initialised and a case has the same name in every build.
 struct Case {
+  Case(Kernel k, int p, std::int64_t size, std::int64_t den, StorageOrder o)
+      : kernel(k), nprocs(p), n(size), slab_ratio_den(den), a_order(o) {}
   Kernel kernel;
   int nprocs;
   std::int64_t n;
   std::int64_t slab_ratio_den;  // slab = local elements / den
   StorageOrder a_order;
+  std::int32_t pad = 0;
 };
+static_assert(std::has_unique_object_representations_v<Case>);
 
 std::string case_name(const ::testing::TestParamInfo<Case>& info) {
   const Case& c = info.param;

@@ -10,10 +10,12 @@
 // silently mis-lowering.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <mutex>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "oocc/apps/jacobi.hpp"
@@ -37,6 +39,12 @@ double hot_edge(std::int64_t r, std::int64_t c) {
   return c == 0 ? 100.0 : (r % 4 == 0 ? 2.0 : -1.0);
 }
 
+/// Every column differs, so a ghost column read from the wrong offset
+/// changes the result (hot_edge's columns past the first are identical).
+double column_ramp(std::int64_t r, std::int64_t c) {
+  return static_cast<double>(c * c) + 0.25 * static_cast<double>(r % 3);
+}
+
 compiler::NodeProgram compile_stencil(std::int64_t n, int p,
                                       std::int64_t budget) {
   compiler::CompileOptions options;
@@ -52,9 +60,10 @@ struct CompiledRun {
   std::map<int, std::map<std::string, io::IoStats>> stats;
 };
 
-CompiledRun run_compiled(const compiler::NodeProgram& plan, std::int64_t n,
-                         int p, int iters, bool use_cache,
-                         double tol = 0.0) {
+CompiledRun run_compiled(
+    const compiler::NodeProgram& plan, std::int64_t n, int p, int iters,
+    bool use_cache, double tol = 0.0,
+    double (*init)(std::int64_t, std::int64_t) = hot_edge) {
   CompiledRun out;
   TempDir dir("oocc-stencil");
   Machine machine(p, MachineCostModel::zero());
@@ -62,7 +71,7 @@ CompiledRun run_compiled(const compiler::NodeProgram& plan, std::int64_t n,
   machine.run([&](SpmdContext& ctx) {
     auto arrays =
         exec::create_plan_arrays(ctx, plan, dir.path(), DiskModel::zero());
-    arrays.at("a")->initialize(ctx, hot_edge, n * n);
+    arrays.at("a")->initialize(ctx, init, n * n);
     for (auto& [name, arr] : arrays) {
       arr->laf().reset_stats();
     }
@@ -204,12 +213,21 @@ TEST(StencilLowering, ParameterScalarsFoldToConstants) {
 
 // --------------------------------------------------- oracle bit-identity
 
+// gtest prints a parameter type that has no PrintTo overload as its raw
+// bytes, and CTest builds each case name from that dump. The `pad` fields
+// occupy what would otherwise be alignment padding, so every printed byte
+// is initialised and a case has the same name in every build.
 struct StencilCase {
+  StencilCase(int p, std::int64_t size, int it, std::int64_t m)
+      : nprocs(p), n(size), iters(it), budget(m) {}
   int nprocs;
+  std::int32_t pad = 0;
   std::int64_t n;
   int iters;
+  std::int32_t iters_pad = 0;
   std::int64_t budget;  ///< compiler memory budget in elements
 };
+static_assert(std::has_unique_object_representations_v<StencilCase>);
 
 class StencilOracleTest : public ::testing::TestWithParam<StencilCase> {};
 
@@ -268,6 +286,25 @@ TEST(StencilExec, MatchesSerialReference) {
   ASSERT_EQ(compiled.state.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
     ASSERT_EQ(compiled.state[i], want[i]) << "element " << i;
+  }
+}
+
+TEST(StencilExec, WiderExchangeIsBitIdentical) {
+  // Ghost columns are found by the width the exchange shipped, not by the
+  // stencil's reach: trading 2 edge columns for a distance-1 stencil must
+  // not change a single element.
+  const std::int64_t n = 24;
+  const compiler::NodeProgram plan = compile_stencil(n, 4, 960);
+  compiler::NodeProgram wide = compile_stencil(n, 4, 960);
+  ASSERT_EQ(wide.steps[0].kind, compiler::StepKind::kExchangeHalo);
+  ASSERT_EQ(wide.steps[0].halo, 1);
+  wide.steps[0].halo = 2;
+  wide.verified = false;  // the executor verifies the edited plan first
+  const CompiledRun want = run_compiled(plan, n, 4, 3, true, 0.0, column_ramp);
+  const CompiledRun got = run_compiled(wide, n, 4, 3, true, 0.0, column_ramp);
+  ASSERT_EQ(got.state.size(), want.state.size());
+  for (std::size_t i = 0; i < want.state.size(); ++i) {
+    ASSERT_EQ(got.state[i], want.state[i]) << "element " << i;
   }
 }
 

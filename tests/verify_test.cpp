@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "oocc/compiler/lower.hpp"
@@ -134,10 +136,17 @@ bool has_code(const VerifyReport& report, const std::string& code) {
 
 // ------------------------------------------------------------ clean pass
 
+// gtest prints a parameter type that has no PrintTo overload as its raw
+// bytes, and CTest builds each case name from that dump. The `pad` fields
+// occupy what would otherwise be alignment padding, so every printed byte
+// is initialised and a case has the same name in every build.
 struct CleanCase {
+  CleanCase(int p, bool t) : nprocs(p), tight(t) {}
   int nprocs;
   bool tight;  ///< smallest budget the lowering accepts vs a roomy one
+  std::uint8_t pad[3] = {};
 };
+static_assert(std::has_unique_object_representations_v<CleanCase>);
 
 class VerifyClean : public ::testing::TestWithParam<CleanCase> {};
 
@@ -286,6 +295,23 @@ TEST(VerifyMutationTest, V020ReadBeyondLocalExtent) {
   EXPECT_TRUE(fires(plan, "OOCC-V020"));
 }
 
+TEST(VerifyMutationTest, V020ExchangeEdgeBeyondLocalExtent) {
+  // P=4 over 24 columns gives 6-column panels; trading 8 edge columns
+  // would read past them (the executor throws OutOfRange mid-exchange).
+  NodeProgram plan = stencil_plan(4, 960);
+  require_step(plan, StepKind::kExchangeHalo)->halo = 8;
+  const VerifyReport report = verify_plan(plan);
+  const auto edge = std::find_if(
+      report.diagnostics.begin(), report.diagnostics.end(),
+      [](const VerifyDiagnostic& d) {
+        return d.code == "OOCC-V020" &&
+               d.message.find("ExchangeHalo edge section [0,24)x[-2,6) of "
+                              "'a' exceeds its local 24x6 extent") !=
+                   std::string::npos;
+      });
+  EXPECT_NE(edge, report.diagnostics.end()) << report.to_string();
+}
+
 TEST(VerifyMutationTest, V021WriteBeyondLocalExtent) {
   std::vector<NodeProgram> plans = fused_plans(3, 4096);
   ASSERT_FALSE(plans.empty());
@@ -422,6 +448,35 @@ TEST(VerifyIntegrationTest, NoVerifyOptionSkipsTheCheck) {
     options.verify = false;
     exec::execute(ctx, plan, bindings, options);
   });
+}
+
+TEST(VerifyIntegrationTest, NoVerifyUndeclaredLoopIsAnError) {
+  // Without the verifier nothing proves the loop names; the executor must
+  // still fail with a structured error, never touch an unbound loop.
+  NodeProgram plan = elementwise_plan(2);
+  require_step(plan, StepKind::kReadSlab)->loop = "bogus";
+  plan.verified = false;
+
+  TempDir dir;
+  Machine machine(2, MachineCostModel::zero());
+  try {
+    machine.run([&](SpmdContext& ctx) {
+      auto arrays =
+          exec::create_plan_arrays(ctx, plan, dir.path(), DiskModel::zero());
+      ArrayBindings bindings;
+      for (auto& [name, arr] : arrays) {
+        bindings[name] = arr.get();
+      }
+      ExecOptions options;
+      options.verify = false;
+      exec::execute(ctx, plan, bindings, options);
+    });
+    FAIL() << "expected Error for the undeclared loop";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("undeclared slab loop 'bogus'"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(VerifyIntegrationTest, ExecutorRunsCleanUnstampedPlan) {
