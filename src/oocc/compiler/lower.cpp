@@ -868,9 +868,10 @@ NodeProgram lower_stencil(const BoundProgram& program,
   stmt.forall_var = match.forall_var;
   stmt.halo = match.halo;
   stmt.row_halo = match.row_halo;
-  stmt.rhs = hpf::clone_expr(*match.rhs);
+  hpf::ExprPtr rhs = hpf::clone_expr(*match.rhs);
   const LoopContext loops{"", match.forall_var};
-  normalize_stencil_refs(*stmt.rhs, program, loops, 1 + match.row_halo);
+  normalize_stencil_refs(*rhs, program, loops, 1 + match.row_halo);
+  stmt.rhs = std::move(rhs);
   plan.stencils.push_back(std::move(stmt));
 
   // Memory plan: the source's halo-widened slab plus the output slab must

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -118,7 +119,7 @@ struct Step {
 /// later statement reads the in-memory result of an earlier one.
 struct ElementwiseStmt {
   std::string lhs;
-  hpf::ExprPtr rhs;  ///< cloned expression tree (NodeProgram is move-only)
+  std::shared_ptr<const hpf::Expr> rhs;  ///< immutable after lowering
   std::string forall_var;
 };
 
@@ -133,7 +134,7 @@ struct ElementwiseStmt {
 struct StencilStmt {
   std::string lhs;     ///< output array of one sweep
   std::string source;  ///< the single stenciled input array
-  hpf::ExprPtr rhs;    ///< stencil-normalized expression tree
+  std::shared_ptr<const hpf::Expr> rhs;  ///< stencil-normalized tree
   std::string forall_var;
   std::int64_t halo = 1;      ///< max |column offset| (dependence distance)
   std::int64_t row_halo = 0;  ///< max |row shift| (boundary rows copied)

@@ -14,46 +14,6 @@ namespace oocc::compiler {
 
 namespace {
 
-/// Deep copy of a (move-only) NodeProgram: everything is value-copyable
-/// except the statements' expression trees, which clone via hpf::clone_expr.
-NodeProgram clone_plan(const NodeProgram& p) {
-  NodeProgram out;
-  out.kind = p.kind;
-  out.nprocs = p.nprocs;
-  out.n = p.n;
-  out.a = p.a;
-  out.b = p.b;
-  out.c = p.c;
-  out.a_orientation = p.a_orientation;
-  out.prefetch = p.prefetch;
-  for (const ElementwiseStmt& st : p.statements) {
-    ElementwiseStmt c;
-    c.lhs = st.lhs;
-    c.rhs = hpf::clone_expr(*st.rhs);
-    c.forall_var = st.forall_var;
-    out.statements.push_back(std::move(c));
-  }
-  out.elementwise_cols = p.elementwise_cols;
-  for (const StencilStmt& st : p.stencils) {
-    StencilStmt c;
-    c.lhs = st.lhs;
-    c.source = st.source;
-    c.rhs = hpf::clone_expr(*st.rhs);
-    c.forall_var = st.forall_var;
-    c.halo = st.halo;
-    c.row_halo = st.row_halo;
-    out.stencils.push_back(std::move(c));
-  }
-  out.loops = p.loops;
-  out.steps = p.steps;
-  out.arrays = p.arrays;
-  out.cost = p.cost;
-  out.memory = p.memory;
-  out.memory_budget_elements = p.memory_budget_elements;
-  out.verified = p.verified;
-  return out;
-}
-
 /// How many source statements one compiled plan covers (fusion merges
 /// several elementwise statements into one plan; GAXPY and stencil plans
 /// always cover exactly one).
@@ -80,7 +40,7 @@ struct Candidate {
 
 // ------------------------------------------------- elementwise run search
 
-/// Fuses `members` (clones of per-statement proto plans, in order) into one
+/// Fuses `members` (per-statement proto plans, in order) into one
 /// sweep, dividing `frac` of the budget among the buffers while the plan —
 /// and therefore the runtime slab pool — keeps the full budget: a share
 /// fraction below 1 shrinks the slabs to leave the pool headroom to retain
@@ -90,7 +50,7 @@ struct Candidate {
 NodeProgram build_group(const std::vector<const NodeProgram*>& members,
                         const CompileOptions& options, bool prefetch,
                         double frac) {
-  NodeProgram head = clone_plan(*members.front());
+  NodeProgram head = *members.front();
   for (std::size_t i = 1; i < members.size(); ++i) {
     const NodeProgram& next = *members[i];
     for (const auto& [name, pa] : next.arrays) {
@@ -98,13 +58,8 @@ NodeProgram build_group(const std::vector<const NodeProgram*>& members,
         head.arrays.emplace(name, pa);
       }
     }
-    for (const ElementwiseStmt& st : next.statements) {
-      ElementwiseStmt c;
-      c.lhs = st.lhs;
-      c.rhs = hpf::clone_expr(*st.rhs);
-      c.forall_var = st.forall_var;
-      head.statements.push_back(std::move(c));
-    }
+    head.statements.insert(head.statements.end(), next.statements.begin(),
+                           next.statements.end());
   }
   CompileOptions scaled = options;
   scaled.memory_budget_elements = std::max<std::int64_t>(
@@ -285,13 +240,9 @@ SearchResult search_sequence(const hpf::BoundProgram& program,
     std::vector<NodeProgram> seq;
     for (std::size_t s = 0; s < seg_plans.size(); ++s) {
       if (static_cast<int>(s) == replace_seg) {
-        for (const NodeProgram& p : replacement) {
-          seq.push_back(clone_plan(p));
-        }
+        seq.insert(seq.end(), replacement.begin(), replacement.end());
       } else {
-        for (const NodeProgram& p : seg_plans[s]) {
-          seq.push_back(clone_plan(p));
-        }
+        seq.insert(seq.end(), seg_plans[s].begin(), seg_plans[s].end());
       }
     }
     return seq;
@@ -427,7 +378,7 @@ SearchResult search_sequence(const hpf::BoundProgram& program,
               const MemoryPlan mem =
                   plan_memory(strategy, options.memory_budget_elements,
                               proto.n, proto.nprocs, orient, options.disk);
-              NodeProgram plan = clone_plan(proto);
+              NodeProgram plan = proto;
               plan.memory = mem;
               plan.a_orientation = orient;
               const std::int64_t floor_a = row ? nlc : proto.n;
@@ -520,7 +471,7 @@ SearchResult search_sequence(const hpf::BoundProgram& program,
       desc << "stencil w=" << w << " (slabs of " << w
            << " column(s), halo " << d << ")";
       ++report.enumerated;
-      NodeProgram plan = clone_plan(proto);
+      NodeProgram plan = proto;
       plan.memory.slab_a = (w + 2 * d) * rows;
       plan.memory.slab_b = w * rows;
       plan.arrays.at(st.source).slab_elements = plan.memory.slab_a;

@@ -729,44 +729,6 @@ void check_budget(const NodeProgram& plan,
 
 // ------------------------------------------------------------- reuse check
 
-/// A structural copy of a plan sufficient to replay its slab schedule:
-/// statements and stencils keep their names/halos but drop the expression
-/// trees (NodeProgram is move-only because of them; the reuse annotator
-/// never dereferences an rhs).
-NodeProgram replay_clone(const NodeProgram& plan) {
-  NodeProgram c;
-  c.kind = plan.kind;
-  c.nprocs = plan.nprocs;
-  c.n = plan.n;
-  c.a = plan.a;
-  c.b = plan.b;
-  c.c = plan.c;
-  c.a_orientation = plan.a_orientation;
-  c.prefetch = plan.prefetch;
-  c.elementwise_cols = plan.elementwise_cols;
-  for (const ElementwiseStmt& st : plan.statements) {
-    ElementwiseStmt s;
-    s.lhs = st.lhs;
-    s.forall_var = st.forall_var;
-    c.statements.push_back(std::move(s));
-  }
-  for (const StencilStmt& st : plan.stencils) {
-    StencilStmt s;
-    s.lhs = st.lhs;
-    s.source = st.source;
-    s.forall_var = st.forall_var;
-    s.halo = st.halo;
-    s.row_halo = st.row_halo;
-    c.stencils.push_back(std::move(s));
-  }
-  c.loops = plan.loops;
-  c.steps = plan.steps;
-  c.arrays = plan.arrays;
-  c.memory = plan.memory;
-  c.memory_budget_elements = plan.memory_budget_elements;
-  return c;
-}
-
 void compare_distances(const std::vector<Step>& got,
                        const std::vector<Step>& want, int plan_index,
                        Sink& sink) {
@@ -784,18 +746,14 @@ void compare_distances(const std::vector<Step>& got,
   }
 }
 
-/// OOCC-V041: re-derives the reuse annotations on replay clones of the
+/// OOCC-V041: re-derives the reuse annotations on copies of the
 /// whole sequence (annotate_reuse_distances' own scope) and compares.
 void check_reuse_annotations(std::span<const NodeProgram> plans, Sink& sink) {
-  std::vector<NodeProgram> clones;
-  clones.reserve(plans.size());
-  for (const NodeProgram& plan : plans) {
-    clones.push_back(replay_clone(plan));
-  }
+  std::vector<NodeProgram> copies(plans.begin(), plans.end());
   annotate_reuse_distances(
-      std::span<NodeProgram>(clones.data(), clones.size()));
+      std::span<NodeProgram>(copies.data(), copies.size()));
   for (std::size_t i = 0; i < plans.size(); ++i) {
-    compare_distances(plans[i].steps, clones[i].steps, static_cast<int>(i),
+    compare_distances(plans[i].steps, copies[i].steps, static_cast<int>(i),
                       sink);
   }
 }

@@ -9,11 +9,11 @@
 // the submitter blocks only when it actually needs the bytes (Ticket::wait).
 //
 // Ordering. Jobs are FIFO per *stream* (an opaque `const void*` key).
-// The LAF layer keys its submissions by SPMD context — one stream per
-// simulated processor — which mirrors the pricing model's one-disk-per-
-// processor queue exactly and keeps fault-injection op counting in program
-// order per rank (see util/faults.hpp). FileBackend's raw async API keys by
-// backend, giving per-file FIFO.
+// The LAF layer keys its submissions by file — one stream per
+// LocalArrayFile — so a read never overtakes the write-back it must
+// observe, the journal protocol stays serialized, and one rank's
+// operations on one file reach the fault sites in program order (see
+// util/faults.hpp). Distinct files overlap like independent devices.
 //
 // Fault identity. submit() captures faults::thread_rank() on the calling
 // thread and the worker runs the job under a faults::ThreadRankGuard for

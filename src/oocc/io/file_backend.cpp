@@ -117,21 +117,6 @@ void FileBackend::write_at(std::uint64_t offset, const void* data,
   }
 }
 
-AsyncEngine::Ticket FileBackend::read_at_async(AsyncEngine& engine,
-                                               std::uint64_t offset,
-                                               void* data, std::size_t bytes) {
-  return engine.submit(this,
-                       [this, offset, data, bytes] { read_at(offset, data, bytes); });
-}
-
-AsyncEngine::Ticket FileBackend::write_at_async(AsyncEngine& engine,
-                                                std::uint64_t offset,
-                                                const void* data,
-                                                std::size_t bytes) {
-  return engine.submit(
-      this, [this, offset, data, bytes] { write_at(offset, data, bytes); });
-}
-
 std::uint64_t FileBackend::size() const {
   OOCC_CHECK(fd_ >= 0, ErrorCode::kIoError, "file " << path_ << " is closed");
   struct stat st {};

@@ -11,8 +11,6 @@
 #include <filesystem>
 #include <string>
 
-#include "oocc/io/async_engine.hpp"
-
 namespace oocc::io {
 
 /// Random-access file with pread/pwrite semantics. Movable, not copyable.
@@ -51,14 +49,6 @@ class FileBackend {
 
   /// Writes exactly `bytes` at `offset`, extending the file as needed.
   void write_at(std::uint64_t offset, const void* data, std::size_t bytes);
-
-  /// Submit/wait counterparts of read_at/write_at: the physical transfer
-  /// runs on `engine` (FIFO per backend), errors and injected faults
-  /// surface from Ticket::wait(). `data` must stay valid until then.
-  AsyncEngine::Ticket read_at_async(AsyncEngine& engine, std::uint64_t offset,
-                                    void* data, std::size_t bytes);
-  AsyncEngine::Ticket write_at_async(AsyncEngine& engine, std::uint64_t offset,
-                                     const void* data, std::size_t bytes);
 
   /// Current file size in bytes.
   std::uint64_t size() const;

@@ -1,6 +1,6 @@
 #include "oocc/io/laf.hpp"
 
-#include <cstring>
+#include <exception>
 
 #include "oocc/util/log.hpp"
 
@@ -37,42 +37,12 @@ std::uint64_t fnv1a(const void* data, std::size_t bytes) noexcept {
 }
 
 /// Runs `op`, masking transient faults with bounded retries. Each failed
-/// attempt charges exponential backoff to the simulated clock (and the
-/// paper's I/O time metric); exhausting the budget escalates to a
-/// permanent kIoError.
+/// attempt is only recorded in `attempts`, since the physical half of a
+/// transfer touches no simulated state; LocalArrayFile::finish charges its
+/// backoff. Exhausting the budget escalates to a permanent kIoError.
 template <typename Op>
-void with_retry(sim::SpmdContext& ctx, const faults::RetryPolicy& policy,
-                const DiskModel& disk, IoStats& stats, Op&& op) {
-  for (int attempt = 1;; ++attempt) {
-    try {
-      op();
-      return;
-    } catch (const Error& e) {
-      if (e.code() != ErrorCode::kTransientIoError) {
-        throw;
-      }
-      if (attempt >= policy.max_attempts) {
-        OOCC_THROW(ErrorCode::kIoError,
-                   "transient I/O fault persisted after "
-                       << attempt << " attempts: " << e.what());
-      }
-      const double backoff =
-          policy.backoff_s(attempt, disk.request_overhead_s);
-      ctx.charge_io_time(backoff);
-      stats.time_s += backoff;
-      ++stats.retries;
-      ++ctx.stats().retries;
-    }
-  }
-}
-
-/// Worker-thread variant of with_retry: no SpmdContext is available on an
-/// engine thread, so failed transient attempts are only *recorded* (their
-/// simulated backoff is charged later by LocalArrayFile::settle). The
-/// escalation behaviour and message match with_retry exactly.
-template <typename Op>
-void retry_on_worker(const faults::RetryPolicy& policy,
-                     std::vector<int>& attempts, Op&& op) {
+void with_retry(const faults::RetryPolicy& policy, std::vector<int>& attempts,
+                Op&& op) {
   for (int attempt = 1;; ++attempt) {
     try {
       op();
@@ -87,6 +57,20 @@ void retry_on_worker(const faults::RetryPolicy& policy,
                        << attempt << " attempts: " << e.what());
       }
       attempts.push_back(attempt);
+    }
+  }
+}
+
+/// Calls copy(rm, cm) for every element of a `rows` x `cols` section: `rm`
+/// indexes its row-major image (a row-major file's payload), `cm` its
+/// column-major image (the caller's buffer). A read scatters with it, a
+/// write gathers; either way the row-major image is walked in order.
+template <typename Copy>
+void transpose(std::int64_t rows, std::int64_t cols, Copy&& copy) {
+  for (std::int64_t r = 0; r < rows; ++r) {
+    for (std::int64_t c = 0; c < cols; ++c) {
+      copy(static_cast<std::size_t>(r * cols + c),
+           static_cast<std::size_t>(c * rows + r));
     }
   }
 }
@@ -251,8 +235,16 @@ std::uint64_t LocalArrayFile::section_request_count(const Section& s) const {
   return section_extent_count(s, rows_, cols_, order_);
 }
 
-void LocalArrayFile::charge(sim::SpmdContext& ctx,
-                            const std::vector<Extent>& extents, bool is_read) {
+std::vector<Extent> LocalArrayFile::charge_section(sim::SpmdContext& ctx,
+                                                   const Section& s,
+                                                   std::size_t elements,
+                                                   bool is_read) {
+  validate_section(s);
+  OOCC_REQUIRE(elements == static_cast<std::size_t>(s.elements()),
+               (is_read ? "output" : "input")
+                   << " buffer holds " << elements << " elements; section "
+                   << "needs " << s.elements());
+  std::vector<Extent> extents = section_extents(s);
   double time = 0.0;
   std::uint64_t bytes = 0;
   for (const Extent& e : extents) {
@@ -268,261 +260,168 @@ void LocalArrayFile::charge(sim::SpmdContext& ctx,
     stats_.read_requests += extents.size();
     stats_.bytes_read += bytes;
     ps.io_bytes_read += bytes;
-  } else {
-    stats_.write_requests += extents.size();
-    stats_.bytes_written += bytes;
+    return extents;
+  }
+  stats_.write_requests += extents.size();
+  stats_.bytes_written += bytes;
+  ps.io_bytes_written += bytes;
+  if (journal_ != nullptr) {
+    // The shadow record is one streaming request against the same disk.
+    const double shadow = disk_.request_time(
+        static_cast<double>(sizeof(WalHeader) + bytes + sizeof(kWalCommit)),
+        ctx.nprocs());
+    ctx.charge_io_time(shadow);
+    stats_.time_s += shadow;
+    ++stats_.journal_writes;
+    stats_.bytes_journaled += bytes;
+    ++ps.io_requests;
     ps.io_bytes_written += bytes;
   }
+  return extents;
 }
 
-void LocalArrayFile::bread(sim::SpmdContext& ctx, std::uint64_t offset,
-                           void* data, std::size_t bytes) {
-  with_retry(ctx, retry_, disk_, stats_,
-             [&] { backend_.read_at(offset, data, bytes); });
-}
-
-void LocalArrayFile::bwrite(sim::SpmdContext& ctx, std::uint64_t offset,
-                            const void* data, std::size_t bytes) {
-  with_retry(ctx, retry_, disk_, stats_,
-             [&] { backend_.write_at(offset, data, bytes); });
-}
-
-void LocalArrayFile::extent_payload(const Section& s,
-                                    std::span<const double> in,
-                                    std::vector<double>& out) const {
-  out.resize(static_cast<std::size_t>(s.elements()));
-  if (order_ == StorageOrder::kColumnMajor) {
-    // Column-major extents follow column-major section order exactly.
-    std::memcpy(out.data(), in.data(), in.size() * kElem);
-    return;
+void LocalArrayFile::read_extents(const Section& s,
+                                  const std::vector<Extent>& extents,
+                                  std::span<double> out,
+                                  std::vector<double>& staging,
+                                  const faults::RetryPolicy& policy,
+                                  std::vector<int>& attempts) {
+  // Column-major extents follow column-major section order, so they land
+  // in `out` directly; row-major ones are staged, then scattered.
+  const bool direct = order_ == StorageOrder::kColumnMajor;
+  if (!direct) {
+    staging.resize(out.size());
   }
-  const std::int64_t srows = s.rows();
-  const std::int64_t scols = s.cols();
-  for (std::int64_t r = 0; r < srows; ++r) {
-    for (std::int64_t c = 0; c < scols; ++c) {
-      out[static_cast<std::size_t>(r * scols + c)] =
-          in[static_cast<std::size_t>(c * srows + r)];
-    }
+  char* bytes = reinterpret_cast<char*>(direct ? out.data() : staging.data());
+  std::size_t off = 0;
+  for (const Extent& e : extents) {
+    with_retry(policy, attempts, [&] {
+      backend_.read_at(e.offset_bytes, bytes + off, e.length_bytes);
+    });
+    off += static_cast<std::size_t>(e.length_bytes);
+  }
+  if (!direct) {
+    transpose(s.rows(), s.cols(), [&](std::size_t rm, std::size_t cm) {
+      out[cm] = staging[rm];
+    });
   }
 }
 
-void LocalArrayFile::journal_write(sim::SpmdContext& ctx, const Section& s,
-                                   const std::vector<double>& payload) {
-  const std::uint64_t payload_bytes = payload.size() * kElem;
-  WalHeader h;
-  h.magic = kWalMagic;
-  h.row0 = s.row0;
-  h.row1 = s.row1;
-  h.col0 = s.col0;
-  h.col1 = s.col1;
-  h.payload_bytes = payload_bytes;
-  h.checksum = fnv1a(payload.data(), payload_bytes);
+void LocalArrayFile::write_extents(const Section& s,
+                                   const std::vector<Extent>& extents,
+                                   std::span<const double> in,
+                                   FileBackend* journal,
+                                   std::vector<double>& staging,
+                                   const faults::RetryPolicy& policy,
+                                   std::vector<int>& attempts) {
+  // The file holds the section as the concatenation of its extents.
+  // Column-major section order already is that payload; row-major storage
+  // gathers it into staging.
+  if (order_ == StorageOrder::kRowMajor) {
+    staging.resize(in.size());
+    transpose(s.rows(), s.cols(), [&](std::size_t rm, std::size_t cm) {
+      staging[rm] = in[cm];
+    });
+    in = staging;
+  }
+  const char* bytes = reinterpret_cast<const char*>(in.data());
+  const std::uint64_t payload_bytes = in.size_bytes();
+  const auto put = [&](FileBackend& file, std::uint64_t offset,
+                       const void* data, std::size_t n) {
+    with_retry(policy, attempts, [&] { file.write_at(offset, data, n); });
+  };
+  if (journal != nullptr) {
+    // Shadow-write + commit, then apply in place from the same payload
+    // bytes the journal holds, then clear. A crash at either point leaves
+    // the old section (uncommitted record discarded on open) or the new
+    // one (committed record replayed).
+    auto& injector = faults::FaultInjector::instance();
+    const WalHeader h{kWalMagic,     s.row0, s.row1, s.col0, s.col1,
+                      payload_bytes, fnv1a(bytes, payload_bytes)};
+    journal->truncate(0);
+    put(*journal, 0, &h, sizeof(h));
+    put(*journal, sizeof(h), bytes, payload_bytes);
+    injector.check_crash("shadow",
+                         "journal " + backend_.path().filename().string());
+    put(*journal, sizeof(h) + payload_bytes, &kWalCommit, sizeof(kWalCommit));
+    injector.check_crash("apply",
+                         "write " + backend_.path().filename().string());
+  }
+  std::size_t off = 0;
+  for (const Extent& e : extents) {
+    put(backend_, e.offset_bytes, bytes + off, e.length_bytes);
+    off += static_cast<std::size_t>(e.length_bytes);
+  }
+  if (journal != nullptr) {
+    journal->truncate(0);
+  }
+}
 
-  // The shadow record is one streaming request against the same disk.
-  const double time = disk_.request_time(
-      static_cast<double>(sizeof(WalHeader) + payload_bytes +
-                          sizeof(kWalCommit)),
-      ctx.nprocs());
-  ctx.charge_io_time(time);
-  stats_.time_s += time;
-  ++stats_.journal_writes;
-  stats_.bytes_journaled += payload_bytes;
-  auto& ps = ctx.stats();
-  ++ps.io_requests;
-  ps.io_bytes_written += payload_bytes;
-
-  journal_->truncate(0);
-  with_retry(ctx, retry_, disk_, stats_,
-             [&] { journal_->write_at(0, &h, sizeof(WalHeader)); });
-  with_retry(ctx, retry_, disk_, stats_, [&] {
-    journal_->write_at(sizeof(WalHeader), payload.data(), payload_bytes);
-  });
-  // Crash here (before the commit marker) => record is discarded on open.
-  faults::FaultInjector::instance().check_crash(
-      "shadow", "journal " + backend_.path().filename().string());
-  with_retry(ctx, retry_, disk_, stats_, [&] {
-    journal_->write_at(sizeof(WalHeader) + payload_bytes, &kWalCommit,
-                       sizeof(kWalCommit));
-  });
+template <typename Transfer>
+void LocalArrayFile::finish(sim::SpmdContext& ctx, std::vector<int>& attempts,
+                            Transfer&& transfer) {
+  std::exception_ptr error;
+  try {
+    transfer();
+  } catch (...) {
+    error = std::current_exception();
+  }
+  // Backoff lands after the transfer's extent and shadow-record charges,
+  // in attempt order, on either route.
+  for (const int attempt : attempts) {
+    const double backoff = retry_.backoff_s(attempt, disk_.request_overhead_s);
+    ctx.charge_io_time(backoff);
+    stats_.time_s += backoff;
+    ++stats_.retries;
+    ++ctx.stats().retries;
+  }
+  attempts.clear();
+  if (error != nullptr) {
+    std::rethrow_exception(error);
+  }
 }
 
 void LocalArrayFile::read_section(sim::SpmdContext& ctx, const Section& s,
                                   std::span<double> out) {
-  validate_section(s);
-  OOCC_REQUIRE(out.size() == static_cast<std::size_t>(s.elements()),
-               "output buffer holds " << out.size() << " elements; section "
-                                      << "needs " << s.elements());
-  const std::vector<Extent> extents = section_extents(s);
-  charge(ctx, extents, /*is_read=*/true);
-
-  const std::int64_t srows = s.rows();
-  if (order_ == StorageOrder::kColumnMajor) {
-    if (extents.size() == 1 && s.row0 == 0 && s.row1 == rows_) {
-      bread(ctx, extents[0].offset_bytes, out.data(),
-            extents[0].length_bytes);
-      return;
-    }
-    // One extent per column; each maps to a contiguous run of `out`.
-    std::size_t off = 0;
-    for (const Extent& e : extents) {
-      bread(ctx, e.offset_bytes, out.data() + off, e.length_bytes);
-      off += static_cast<std::size_t>(srows);
-    }
-    return;
-  }
-
-  // Row-major storage: each extent is one row segment (or the whole
-  // section when it spans all columns); scatter into column-major `out`.
-  if (extents.size() == 1 && s.col0 == 0 && s.col1 == cols_) {
-    scratch_.resize(static_cast<std::size_t>(s.elements()));
-    bread(ctx, extents[0].offset_bytes, scratch_.data(),
-          extents[0].length_bytes);
-    for (std::int64_t r = 0; r < s.rows(); ++r) {
-      for (std::int64_t c = 0; c < s.cols(); ++c) {
-        out[static_cast<std::size_t>(c * srows + r)] =
-            scratch_[static_cast<std::size_t>(r * s.cols() + c)];
-      }
-    }
-    return;
-  }
-  scratch_.resize(static_cast<std::size_t>(s.cols()));
-  std::int64_t r = s.row0;
-  for (const Extent& e : extents) {
-    bread(ctx, e.offset_bytes, scratch_.data(), e.length_bytes);
-    for (std::int64_t c = 0; c < s.cols(); ++c) {
-      out[static_cast<std::size_t>(c * srows + (r - s.row0))] =
-          scratch_[static_cast<std::size_t>(c)];
-    }
-    ++r;
-  }
+  const std::vector<Extent> extents =
+      charge_section(ctx, s, out.size(), /*is_read=*/true);
+  std::vector<int> attempts;
+  finish(ctx, attempts, [&] {
+    read_extents(s, extents, out, scratch_, retry_, attempts);
+  });
 }
 
 void LocalArrayFile::write_section(sim::SpmdContext& ctx, const Section& s,
                                    std::span<const double> in) {
-  validate_section(s);
-  OOCC_REQUIRE(in.size() == static_cast<std::size_t>(s.elements()),
-               "input buffer holds " << in.size() << " elements; section "
-                                     << "needs " << s.elements());
-  const std::vector<Extent> extents = section_extents(s);
-  charge(ctx, extents, /*is_read=*/false);
-
-  if (journal_ != nullptr) {
-    // Crash-consistent path: shadow-write + commit, then apply in place
-    // from the same payload bytes the journal holds, then clear. A crash
-    // at any point leaves either the old section (uncommitted record
-    // discarded on open) or the new one (committed record replayed).
-    extent_payload(s, in, journal_scratch_);
-    journal_write(ctx, s, journal_scratch_);
-    faults::FaultInjector::instance().check_crash(
-        "apply", "write " + backend_.path().filename().string());
-    const char* bytes =
-        reinterpret_cast<const char*>(journal_scratch_.data());
-    std::size_t off = 0;
-    for (const Extent& e : extents) {
-      bwrite(ctx, e.offset_bytes, bytes + off, e.length_bytes);
-      off += static_cast<std::size_t>(e.length_bytes);
-    }
-    journal_->truncate(0);
-    return;
-  }
-
-  const std::int64_t srows = s.rows();
-  if (order_ == StorageOrder::kColumnMajor) {
-    if (extents.size() == 1 && s.row0 == 0 && s.row1 == rows_) {
-      bwrite(ctx, extents[0].offset_bytes, in.data(),
-             extents[0].length_bytes);
-      return;
-    }
-    std::size_t off = 0;
-    for (const Extent& e : extents) {
-      bwrite(ctx, e.offset_bytes, in.data() + off, e.length_bytes);
-      off += static_cast<std::size_t>(srows);
-    }
-    return;
-  }
-
-  if (extents.size() == 1 && s.col0 == 0 && s.col1 == cols_) {
-    scratch_.resize(static_cast<std::size_t>(s.elements()));
-    for (std::int64_t r = 0; r < s.rows(); ++r) {
-      for (std::int64_t c = 0; c < s.cols(); ++c) {
-        scratch_[static_cast<std::size_t>(r * s.cols() + c)] =
-            in[static_cast<std::size_t>(c * srows + r)];
-      }
-    }
-    bwrite(ctx, extents[0].offset_bytes, scratch_.data(),
-           extents[0].length_bytes);
-    return;
-  }
-  scratch_.resize(static_cast<std::size_t>(s.cols()));
-  std::int64_t r = s.row0;
-  for (const Extent& e : extents) {
-    for (std::int64_t c = 0; c < s.cols(); ++c) {
-      scratch_[static_cast<std::size_t>(c)] =
-          in[static_cast<std::size_t>(c * srows + (r - s.row0))];
-    }
-    bwrite(ctx, e.offset_bytes, scratch_.data(), e.length_bytes);
-    ++r;
-  }
+  const std::vector<Extent> extents =
+      charge_section(ctx, s, in.size(), /*is_read=*/false);
+  std::vector<int> attempts;
+  finish(ctx, attempts, [&] {
+    write_extents(s, extents, in, journal_.get(), scratch_, retry_, attempts);
+  });
 }
+
+// The engine routes below run the same physical halves on a worker. Their
+// stream key is the file itself: submissions against one LAF stay in
+// program order (so a read never overtakes a write-back it must see);
+// different files behave as independent devices and overlap. A worker
+// stages in a job-local buffer, since scratch_ belongs to the compute
+// thread.
 
 AsyncHandle LocalArrayFile::read_section_async(sim::SpmdContext& ctx,
                                                AsyncEngine& engine,
                                                const Section& s,
                                                std::span<double> out) {
-  validate_section(s);
-  OOCC_REQUIRE(out.size() == static_cast<std::size_t>(s.elements()),
-               "output buffer holds " << out.size() << " elements; section "
-                                      << "needs " << s.elements());
-  std::vector<Extent> extents = section_extents(s);
-  // Simulated cost is charged now, on the compute thread — identical to the
-  // synchronous path in fault-free runs. Only the physical transfer moves
-  // to the engine.
-  charge(ctx, extents, /*is_read=*/true);
+  std::vector<Extent> extents =
+      charge_section(ctx, s, out.size(), /*is_read=*/true);
   ++stats_.async_reads;
-
-  AsyncHandle h;
-  h.retry_attempts = std::make_shared<std::vector<int>>();
-  auto attempts = h.retry_attempts;
-  const faults::RetryPolicy policy = retry_;
-  const Section sec = s;
-  // Stream key: the file itself. Submissions against one LAF stay in
-  // program order (so a read never overtakes a write-back it must see);
-  // different files behave as independent devices and overlap.
-  h.ticket = engine.submit(
-      this, [this, sec, out, extents = std::move(extents), attempts, policy] {
-        if (order_ == StorageOrder::kColumnMajor) {
-          // Each extent maps to a contiguous run of `out`.
-          std::size_t off = 0;
-          for (const Extent& e : extents) {
-            retry_on_worker(policy, *attempts, [&] {
-              backend_.read_at(e.offset_bytes, out.data() + off,
-                               e.length_bytes);
-            });
-            off += static_cast<std::size_t>(e.length_bytes / kElem);
-          }
-          return;
-        }
-        // Row-major storage: the concatenated extents hold the section in
-        // row-major order; read into a job-local staging buffer (the shared
-        // scratch_ belongs to the compute thread) and scatter.
-        std::vector<double> payload(static_cast<std::size_t>(sec.elements()));
-        char* bytes = reinterpret_cast<char*>(payload.data());
-        std::size_t off = 0;
-        for (const Extent& e : extents) {
-          retry_on_worker(policy, *attempts, [&] {
-            backend_.read_at(e.offset_bytes, bytes + off, e.length_bytes);
-          });
-          off += static_cast<std::size_t>(e.length_bytes);
-        }
-        const std::int64_t srows = sec.rows();
-        const std::int64_t scols = sec.cols();
-        for (std::int64_t r = 0; r < srows; ++r) {
-          for (std::int64_t c = 0; c < scols; ++c) {
-            out[static_cast<std::size_t>(c * srows + r)] =
-                payload[static_cast<std::size_t>(r * scols + c)];
-          }
-        }
-      });
+  AsyncHandle h{{}, std::make_shared<std::vector<int>>()};
+  h.ticket = engine.submit(this, [this, s, out, extents = std::move(extents),
+                                  attempts = h.retry_attempts,
+                                  policy = retry_] {
+    std::vector<double> staging;
+    read_extents(s, extents, out, staging, policy, *attempts);
+  });
   return h;
 }
 
@@ -530,119 +429,24 @@ AsyncHandle LocalArrayFile::write_section_async(sim::SpmdContext& ctx,
                                                 AsyncEngine& engine,
                                                 const Section& s,
                                                 std::vector<double> in) {
-  validate_section(s);
-  OOCC_REQUIRE(in.size() == static_cast<std::size_t>(s.elements()),
-               "input buffer holds " << in.size() << " elements; section "
-                                     << "needs " << s.elements());
-  std::vector<Extent> extents = section_extents(s);
-  charge(ctx, extents, /*is_read=*/false);
+  std::vector<Extent> extents =
+      charge_section(ctx, s, in.size(), /*is_read=*/false);
   ++stats_.async_writes;
-
-  const bool journaled = journal_ != nullptr;
-  if (journaled) {
-    // Same simulated charge journal_write makes: one streaming request for
-    // the shadow record.
-    const std::uint64_t payload_bytes =
-        static_cast<std::uint64_t>(s.elements()) * kElem;
-    const double time = disk_.request_time(
-        static_cast<double>(sizeof(WalHeader) + payload_bytes +
-                            sizeof(kWalCommit)),
-        ctx.nprocs());
-    ctx.charge_io_time(time);
-    stats_.time_s += time;
-    ++stats_.journal_writes;
-    stats_.bytes_journaled += payload_bytes;
-    auto& ps = ctx.stats();
-    ++ps.io_requests;
-    ps.io_bytes_written += payload_bytes;
-  }
-
-  AsyncHandle h;
-  h.retry_attempts = std::make_shared<std::vector<int>>();
-  auto attempts = h.retry_attempts;
-  const faults::RetryPolicy policy = retry_;
-  const Section sec = s;
+  AsyncHandle h{{}, std::make_shared<std::vector<int>>()};
   h.ticket = engine.submit(
-      this, [this, sec, in = std::move(in), extents = std::move(extents),
-             attempts, policy, journaled] {
-        // Column-major extents follow column-major section order exactly,
-        // so `in` already IS the extent payload — skip the copy (it is
-        // megabytes of memcpy stolen from the compute threads' cores).
-        std::vector<double> scratch;
-        if (order_ != StorageOrder::kColumnMajor) {
-          extent_payload(sec, in, scratch);
-        }
-        const std::vector<double>& payload =
-            order_ == StorageOrder::kColumnMajor ? in : scratch;
-        const char* bytes = reinterpret_cast<const char*>(payload.data());
-        const std::uint64_t payload_bytes = payload.size() * kElem;
-        if (journaled) {
-          // The full physical journal protocol runs on the worker in the
-          // same order as the synchronous path, so an injected crash at
-          // either point leaves the journal in exactly the states the
-          // open-time recovery scan handles.
-          WalHeader wal;
-          wal.magic = kWalMagic;
-          wal.row0 = sec.row0;
-          wal.row1 = sec.row1;
-          wal.col0 = sec.col0;
-          wal.col1 = sec.col1;
-          wal.payload_bytes = payload_bytes;
-          wal.checksum = fnv1a(payload.data(), payload_bytes);
-          journal_->truncate(0);
-          retry_on_worker(policy, *attempts, [&] {
-            journal_->write_at(0, &wal, sizeof(WalHeader));
-          });
-          retry_on_worker(policy, *attempts, [&] {
-            journal_->write_at(sizeof(WalHeader), payload.data(),
-                               payload_bytes);
-          });
-          faults::FaultInjector::instance().check_crash(
-              "shadow", "journal " + backend_.path().filename().string());
-          retry_on_worker(policy, *attempts, [&] {
-            journal_->write_at(sizeof(WalHeader) + payload_bytes, &kWalCommit,
-                               sizeof(kWalCommit));
-          });
-          faults::FaultInjector::instance().check_crash(
-              "apply", "write " + backend_.path().filename().string());
-        }
-        std::size_t off = 0;
-        for (const Extent& e : extents) {
-          retry_on_worker(policy, *attempts, [&] {
-            backend_.write_at(e.offset_bytes, bytes + off, e.length_bytes);
-          });
-          off += static_cast<std::size_t>(e.length_bytes);
-        }
-        if (journaled) {
-          journal_->truncate(0);
-        }
+      this, [this, s, in = std::move(in), extents = std::move(extents),
+             journal = journal_.get(), attempts = h.retry_attempts,
+             policy = retry_] {
+        std::vector<double> staging;
+        write_extents(s, extents, in, journal, staging, policy, *attempts);
       });
   return h;
 }
 
 void LocalArrayFile::settle(sim::SpmdContext& ctx, AsyncHandle& h) {
-  std::exception_ptr error;
-  try {
-    h.ticket.wait();
-  } catch (...) {
-    error = std::current_exception();
-  }
-  if (h.retry_attempts != nullptr) {
-    // Deferred transient-fault accounting: the worker could not touch the
-    // simulated clock, so each failed attempt's backoff lands here, at the
-    // wait point.
-    for (const int attempt : *h.retry_attempts) {
-      const double backoff = retry_.backoff_s(attempt, disk_.request_overhead_s);
-      ctx.charge_io_time(backoff);
-      stats_.time_s += backoff;
-      ++stats_.retries;
-      ++ctx.stats().retries;
-    }
-    h.retry_attempts->clear();
-  }
-  if (error != nullptr) {
-    std::rethrow_exception(error);
-  }
+  std::vector<int> none;  // a default-constructed handle records nothing
+  finish(ctx, h.retry_attempts != nullptr ? *h.retry_attempts : none,
+         [&] { h.ticket.wait(); });
 }
 
 void LocalArrayFile::fill(sim::SpmdContext& ctx, double value) {

@@ -67,9 +67,9 @@ struct Extent {
 
 /// One in-flight asynchronous section transfer (read_section_async /
 /// write_section_async). The simulated cost was already charged at submit;
-/// settle() waits for the physical transfer, applies any deferred
-/// transient-retry backoff, and rethrows the job's error (injected faults
-/// surface here with today's error codes).
+/// settle() waits for the physical transfer, charges its transient-retry
+/// backoff, and rethrows the job's error (injected faults surface here with
+/// the error codes of the synchronous calls).
 struct AsyncHandle {
   AsyncEngine::Ticket ticket;
   /// Failed transient attempts recorded by the worker (attempt indices);
@@ -91,6 +91,14 @@ std::uint64_t section_extent_count(const Section& s, std::int64_t rows,
 /// costs. All data operations take the owning processor's SpmdContext so
 /// simulated time and the paper's request/byte metrics are charged to the
 /// right processor.
+///
+/// Every section transfer has two halves. The simulated half charges the
+/// extents (and a journaled write's shadow record) on the calling thread.
+/// The physical half moves the bytes, runs the journal protocol and
+/// retries transient faults; it touches no simulated state. The
+/// synchronous calls run the physical half inline, the *_async calls run
+/// the same routine on an engine worker, and both charge the recorded
+/// retries' backoff when the transfer ends.
 class LocalArrayFile {
  public:
   /// Creates (or opens) the LAF at `path` for a `rows` x `cols` local
@@ -126,7 +134,8 @@ class LocalArrayFile {
   /// kCrash) between any two steps leaves the array recoverable: the open
   /// scan replays committed records and discards uncommitted ones. Off by
   /// default — journaling adds one disk request per write, which would
-  /// break the priced == measured invariants of fault-free runs.
+  /// break the priced == measured invariants of fault-free runs. Settle
+  /// every async write before turning it off: the job uses the journal.
   void set_journaling(bool on);
   bool journaling() const noexcept { return journal_ != nullptr; }
 
@@ -151,7 +160,8 @@ class LocalArrayFile {
 
   /// Reads the section into `out`, which receives the data in
   /// *column-major section order*: out[(c-col0)*section_rows + (r-row0)].
-  /// Charges one request per extent to the simulated clock.
+  /// Charges one request per extent to the simulated clock, then any
+  /// transient-retry backoff.
   void read_section(sim::SpmdContext& ctx, const Section& s,
                     std::span<double> out);
 
@@ -159,14 +169,15 @@ class LocalArrayFile {
   void write_section(sim::SpmdContext& ctx, const Section& s,
                      std::span<const double> in);
 
-  /// Asynchronous counterparts: the simulated clock/counters are charged
-  /// here (on the compute thread, identically to the synchronous calls in
-  /// fault-free runs), while the physical transfer runs on `engine`, FIFO
-  /// per file — every submission against one LocalArrayFile runs in
-  /// program order (a read never overtakes the write-back it must observe,
-  /// and the journal protocol stays serialized), while transfers against
-  /// *different* files overlap freely, like independent devices. `out`
-  /// must stay valid until settle(); the write takes its payload by value.
+  /// Asynchronous counterparts: the extents (and shadow record) are
+  /// charged here, on the compute thread, exactly as the synchronous calls
+  /// charge them; retry backoff follows at settle(). The physical transfer
+  /// runs on `engine`, FIFO per file — every submission against one
+  /// LocalArrayFile runs in program order (a read never overtakes the
+  /// write-back it must observe, and the journal protocol stays
+  /// serialized), while transfers against *different* files overlap
+  /// freely, like independent devices. `out` must stay valid until
+  /// settle(); the write takes its payload by value.
   AsyncHandle read_section_async(sim::SpmdContext& ctx, AsyncEngine& engine,
                                  const Section& s, std::span<double> out);
   AsyncHandle write_section_async(sim::SpmdContext& ctx, AsyncEngine& engine,
@@ -189,20 +200,31 @@ class LocalArrayFile {
 
  private:
   void validate_section(const Section& s) const;
-  void charge(sim::SpmdContext& ctx, const std::vector<Extent>& extents,
-              bool is_read);
-  /// Backend read/write wrapped in the transient-fault retry loop.
-  void bread(sim::SpmdContext& ctx, std::uint64_t offset, void* data,
-             std::size_t bytes);
-  void bwrite(sim::SpmdContext& ctx, std::uint64_t offset, const void* data,
-              std::size_t bytes);
-  /// Serializes `in` (column-major section order) into the byte layout the
-  /// file will hold: the concatenation of the section's extents.
-  void extent_payload(const Section& s, std::span<const double> in,
-                      std::vector<double>& out) const;
-  /// Shadow-write + commit of one section's payload to the journal.
-  void journal_write(sim::SpmdContext& ctx, const Section& s,
-                     const std::vector<double>& payload);
+  /// Simulated half of a transfer, on the compute thread: validates the
+  /// section and the buffer's `elements`, then charges the extents and,
+  /// for a journaled write, the shadow record. Returns the extents.
+  std::vector<Extent> charge_section(sim::SpmdContext& ctx, const Section& s,
+                                     std::size_t elements, bool is_read);
+  /// Physical halves: move a section's extents between the file and the
+  /// caller's buffer (column-major section order), staging row-major
+  /// storage in `staging`. A write with a `journal` runs the WAL protocol
+  /// around the in-place apply. Transient faults are retried under
+  /// `policy`, each failed attempt recorded in `attempts`.
+  void read_extents(const Section& s, const std::vector<Extent>& extents,
+                    std::span<double> out, std::vector<double>& staging,
+                    const faults::RetryPolicy& policy,
+                    std::vector<int>& attempts);
+  void write_extents(const Section& s, const std::vector<Extent>& extents,
+                     std::span<const double> in, FileBackend* journal,
+                     std::vector<double>& staging,
+                     const faults::RetryPolicy& policy,
+                     std::vector<int>& attempts);
+  /// Runs `transfer` (a physical half inline, or a wait on its ticket),
+  /// then charges each recorded attempt's backoff and rethrows the
+  /// transfer's error, if any.
+  template <typename Transfer>
+  void finish(sim::SpmdContext& ctx, std::vector<int>& attempts,
+              Transfer&& transfer);
   /// Open-time scan: replay a committed journal record, discard the rest.
   void recover_from_journal();
   std::filesystem::path journal_path() const;
@@ -219,10 +241,9 @@ class LocalArrayFile {
   DiskModel disk_;
   FileBackend backend_;
   IoStats stats_;
-  std::vector<double> scratch_;
+  std::vector<double> scratch_;  ///< staging of the inline transfers
   faults::RetryPolicy retry_ = faults::RetryPolicy::from_env();
   std::unique_ptr<FileBackend> journal_;  ///< non-null while journaling
-  std::vector<double> journal_scratch_;
 };
 
 }  // namespace oocc::io

@@ -173,7 +173,11 @@ class SpmdContext {
                                          "size "
                                       << sizeof(T));
     std::vector<T> out(m.payload.size() / sizeof(T));
-    std::memcpy(out.data(), m.payload.data(), m.payload.size());
+    // An empty payload may carry null pointers, and memcpy with a null
+    // pointer is undefined even for zero bytes.
+    if (!m.payload.empty()) {
+      std::memcpy(out.data(), m.payload.data(), m.payload.size());
+    }
     return out;
   }
 
@@ -196,7 +200,9 @@ class SpmdContext {
                "message size " << m.payload.size()
                                << " != expected buffer size "
                                << out.size_bytes());
-    std::memcpy(out.data(), m.payload.data(), m.payload.size());
+    if (!m.payload.empty()) {
+      std::memcpy(out.data(), m.payload.data(), m.payload.size());
+    }
   }
 
   /// True if a matching message is already queued (no time charge).

@@ -41,7 +41,13 @@
 //
 // Determinism: nth-mode counts operations per (spec, rank); p-mode draws
 // from an RNG stream seeded by (seed, spec index, rank). Neither depends on
-// thread interleaving, so a plan replays identically run after run.
+// how ranks interleave, so a rank that reaches its sites in program order
+// meets the same faults run after run. Timing still matters in two places:
+// with the async engine, one rank's transfers on different files may reach
+// the read/write sites in either order; and after a region aborts, how far
+// the other ranks got (and so what they counted) depends on timing. So
+// tools/soak.sh checks each run's outcome, not its retry, recovery and
+// restart tallies, which may vary from run to run.
 #pragma once
 
 #include <atomic>

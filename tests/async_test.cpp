@@ -1,15 +1,18 @@
 // Tests for the real asynchronous I/O engine (docs/async-io.md): engine
-// ordering/error semantics, per-fd pread/pwrite concurrency, the LAF's
-// charge-at-submit / settle-at-wait split, fault and crash-journal behaviour
-// on worker threads, and bit-identity of the pool between async and
-// synchronous modes.
+// ordering/error semantics, per-fd pread/pwrite concurrency, parity of the
+// LAF's inline and engine routes (bytes, simulated time, counters, journal,
+// retries), fault and crash-journal behaviour on worker threads, and
+// bit-identity of the pool between async and synchronous modes.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
 #include <mutex>
 #include <numeric>
+#include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -163,23 +166,110 @@ TEST(FileBackendAsyncTest, ConcurrentPerFdPreadPwriteAreSafe) {
   EXPECT_EQ(bad.load(), 0);
 }
 
-TEST(FileBackendAsyncTest, AsyncRoundTripOnOneStream) {
-  TempDir dir;
-  FileBackend f(dir.file("rt.bin"));
-  AsyncEngine engine(2);
-  std::vector<double> out(64, 7.5);
-  std::vector<double> in(64, 0.0);
-  // Same backend = same stream: the read is FIFO-ordered after the write.
-  AsyncEngine::Ticket w =
-      f.write_at_async(engine, 0, out.data(), out.size() * sizeof(double));
-  AsyncEngine::Ticket r =
-      f.read_at_async(engine, 0, in.data(), in.size() * sizeof(double));
-  w.wait();
-  r.wait();
-  EXPECT_EQ(in, out);
+// ----------------------------------------------- LAF async vs sync parity
+
+/// What one transfer route left behind.
+struct RouteResult {
+  std::vector<double> section;  ///< the buffer after the transfer
+  std::vector<double> file;     ///< the whole array afterwards
+  double sim_time = 0.0;        ///< the simulated clock afterwards
+  IoStats stats;
+  std::uintmax_t wal_bytes = 0;  ///< journal size afterwards (0: none)
+};
+
+/// Writes a known 8x6 array to a fresh LAF at `path`, then reads or writes
+/// section `s` once, inline or through an engine, with `faults` installed
+/// afresh around that one transfer. Each route gets its own 1-processor
+/// machine, so two routes' clocks compare bit for bit.
+RouteResult run_route(const std::filesystem::path& path, StorageOrder order,
+                      bool journaled, bool async, bool is_read,
+                      const Section& s, const std::string& faults) {
+  RouteResult out;
+  run1([&](sim::SpmdContext& ctx) {
+    LocalArrayFile laf(path, 8, 6, order, DiskModel::unit_test());
+    std::vector<double> all(48);
+    for (std::size_t i = 0; i < all.size(); ++i) {
+      all[i] = static_cast<double>(i) * 1.25;
+    }
+    laf.write_full(ctx, all);
+    laf.set_journaling(journaled);
+    std::vector<double> data(static_cast<std::size_t>(s.elements()));
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      data[i] = 100.0 - static_cast<double>(i);
+    }
+    AsyncEngine engine(2);
+    {
+      ScopedFaultPlan plan(faults);
+      if (async) {
+        AsyncHandle h = is_read
+                            ? laf.read_section_async(ctx, engine, s, data)
+                            : laf.write_section_async(ctx, engine, s, data);
+        laf.settle(ctx, h);
+      } else if (is_read) {
+        laf.read_section(ctx, s, data);
+      } else {
+        laf.write_section(ctx, s, data);
+      }
+    }
+    out.sim_time = ctx.clock().now();
+    out.stats = laf.stats();
+    out.section = data;
+    out.file.resize(all.size());
+    laf.read_full(ctx, out.file);
+  });
+  std::error_code ec;
+  const std::uintmax_t wal = std::filesystem::file_size(
+      std::filesystem::path(path.string() + ".wal"), ec);
+  out.wal_bytes = ec ? 0 : wal;
+  return out;
 }
 
-// ----------------------------------------------- LAF async vs sync parity
+/// Runs the inline and the engine route of one transfer and checks they
+/// agree on bytes, simulated time, counters and the journal's final state.
+/// Returns the inline route's result for further checks.
+RouteResult expect_routes_agree(const std::filesystem::path& dir,
+                                StorageOrder order, bool journaled,
+                                bool is_read, const Section& s,
+                                const std::string& faults = "") {
+  SCOPED_TRACE(::testing::Message()
+               << (is_read ? "read" : "write") << " of [" << s.row0 << ","
+               << s.row1 << ")x[" << s.col0 << "," << s.col1 << ")"
+               << (journaled ? ", journaled" : "") << ", faults '" << faults
+               << "'");
+  const RouteResult inline_route = run_route(
+      dir / "inline.laf", order, journaled, false, is_read, s, faults);
+  const RouteResult engine_route = run_route(
+      dir / "engine.laf", order, journaled, true, is_read, s, faults);
+  EXPECT_EQ(engine_route.section, inline_route.section);
+  EXPECT_EQ(engine_route.file, inline_route.file);
+  EXPECT_EQ(engine_route.sim_time, inline_route.sim_time);
+  EXPECT_EQ(engine_route.stats.time_s, inline_route.stats.time_s);
+  EXPECT_EQ(engine_route.stats.read_requests,
+            inline_route.stats.read_requests);
+  EXPECT_EQ(engine_route.stats.write_requests,
+            inline_route.stats.write_requests);
+  EXPECT_EQ(engine_route.stats.bytes_read, inline_route.stats.bytes_read);
+  EXPECT_EQ(engine_route.stats.bytes_written,
+            inline_route.stats.bytes_written);
+  EXPECT_EQ(engine_route.stats.journal_writes,
+            inline_route.stats.journal_writes);
+  EXPECT_EQ(engine_route.stats.bytes_journaled,
+            inline_route.stats.bytes_journaled);
+  EXPECT_EQ(engine_route.stats.retries, inline_route.stats.retries);
+  // Only the async counters tell the routes apart.
+  EXPECT_EQ(engine_route.stats.async_reads, is_read ? 1u : 0u);
+  EXPECT_EQ(engine_route.stats.async_writes, is_read ? 0u : 1u);
+  EXPECT_EQ(inline_route.stats.async_reads + inline_route.stats.async_writes,
+            0u);
+  EXPECT_EQ(inline_route.wal_bytes, 0u);
+  EXPECT_EQ(engine_route.wal_bytes, 0u);
+  return inline_route;
+}
+
+/// Sections of the 8x6 test array: strided in either order, full-height
+/// (one extent column-major), full-width (one extent row-major).
+const Section kParitySections[] = {
+    {1, 7, 1, 5}, {0, 8, 1, 5}, {2, 6, 0, 6}};
 
 class LafAsyncOrderTest : public ::testing::TestWithParam<StorageOrder> {};
 
@@ -188,79 +278,49 @@ INSTANTIATE_TEST_SUITE_P(Orders, LafAsyncOrderTest,
                                            StorageOrder::kRowMajor));
 
 TEST_P(LafAsyncOrderTest, ReadSectionAsyncMatchesSyncExactly) {
-  TempDir dir;
-  run1([&](sim::SpmdContext& ctx) {
-    LocalArrayFile laf(dir.file("a.laf"), 8, 6, GetParam(),
-                       DiskModel::unit_test());
-    std::vector<double> all(48);
-    for (std::size_t i = 0; i < all.size(); ++i) {
-      all[i] = static_cast<double>(i) * 1.25;
-    }
-    laf.write_full(ctx, all);
-    const Section s{1, 7, 1, 5};  // strided in either order
-    AsyncEngine engine(2);
-
-    std::vector<double> sync_buf(static_cast<std::size_t>(s.elements()));
-    const double t0 = ctx.clock().now();
-    const IoStats before_sync = laf.stats();
-    laf.read_section(ctx, s, sync_buf);
-    const double sync_time = ctx.clock().now() - t0;
-    const std::uint64_t sync_reqs =
-        laf.stats().read_requests - before_sync.read_requests;
-
-    std::vector<double> async_buf(static_cast<std::size_t>(s.elements()));
-    const double t1 = ctx.clock().now();
-    const IoStats before_async = laf.stats();
-    AsyncHandle h = laf.read_section_async(ctx, engine, s, async_buf);
-    laf.settle(ctx, h);
-    const double async_time = ctx.clock().now() - t1;
-
-    EXPECT_EQ(async_buf, sync_buf);
-    // Priced identically: same simulated time, same request count; only the
-    // async_reads counter distinguishes the modes.
-    EXPECT_DOUBLE_EQ(async_time, sync_time);
-    EXPECT_EQ(laf.stats().read_requests - before_async.read_requests,
-              sync_reqs);
-    EXPECT_EQ(laf.stats().async_reads, 1u);
-  });
+  for (const Section& s : kParitySections) {
+    TempDir dir;
+    expect_routes_agree(dir.path(), GetParam(), false, true, s);
+  }
 }
 
 TEST_P(LafAsyncOrderTest, WriteSectionAsyncMatchesSyncExactly) {
+  for (const Section& s : kParitySections) {
+    TempDir dir;
+    const RouteResult r =
+        expect_routes_agree(dir.path(), GetParam(), false, false, s);
+    EXPECT_EQ(r.stats.journal_writes, 0u);
+    EXPECT_EQ(r.file[static_cast<std::size_t>(s.col0 * 8 + s.row0)], 100.0);
+  }
+}
+
+TEST_P(LafAsyncOrderTest, JournaledWriteSectionAsyncMatchesSyncExactly) {
+  for (const Section& s : kParitySections) {
+    TempDir dir;
+    const RouteResult r =
+        expect_routes_agree(dir.path(), GetParam(), true, false, s);
+    EXPECT_EQ(r.stats.journal_writes, 1u);
+    EXPECT_EQ(r.stats.bytes_journaled,
+              static_cast<std::uint64_t>(s.elements()) * sizeof(double));
+    EXPECT_EQ(r.file[static_cast<std::size_t>(s.col0 * 8 + s.row0)], 100.0);
+  }
+}
+
+TEST_P(LafAsyncOrderTest, TransientReadFaultRetriesIdentically) {
   TempDir dir;
-  run1([&](sim::SpmdContext& ctx) {
-    LocalArrayFile sync_laf(dir.file("s.laf"), 8, 6, GetParam(),
-                            DiskModel::unit_test());
-    LocalArrayFile async_laf(dir.file("a.laf"), 8, 6, GetParam(),
-                             DiskModel::unit_test());
-    sync_laf.fill(ctx, 0.0);
-    async_laf.fill(ctx, 0.0);
-    const Section s{2, 7, 0, 4};
-    std::vector<double> data(static_cast<std::size_t>(s.elements()));
-    for (std::size_t i = 0; i < data.size(); ++i) {
-      data[i] = 100.0 - static_cast<double>(i);
-    }
-    AsyncEngine engine(2);
+  const RouteResult r = expect_routes_agree(
+      dir.path(), GetParam(), false, true, kParitySections[0], "read:nth=1");
+  EXPECT_EQ(r.stats.retries, 1u);
+}
 
-    const double t0 = ctx.clock().now();
-    sync_laf.write_section(ctx, s, data);
-    const double sync_time = ctx.clock().now() - t0;
-
-    const double t1 = ctx.clock().now();
-    AsyncHandle h = async_laf.write_section_async(ctx, engine, s, data);
-    async_laf.settle(ctx, h);
-    const double async_time = ctx.clock().now() - t1;
-
-    std::vector<double> want(48);
-    std::vector<double> got(48);
-    sync_laf.read_full(ctx, want);
-    async_laf.read_full(ctx, got);
-    EXPECT_EQ(got, want);
-    EXPECT_DOUBLE_EQ(async_time, sync_time);
-    EXPECT_EQ(async_laf.stats().write_requests,
-              sync_laf.stats().write_requests);
-    EXPECT_EQ(async_laf.stats().bytes_written, sync_laf.stats().bytes_written);
-    EXPECT_EQ(async_laf.stats().async_writes, 1u);
-  });
+TEST_P(LafAsyncOrderTest, TransientWriteFaultRetriesIdentically) {
+  for (const bool journaled : {false, true}) {
+    TempDir dir;
+    const RouteResult r =
+        expect_routes_agree(dir.path(), GetParam(), journaled, false,
+                            kParitySections[0], "write:nth=1");
+    EXPECT_EQ(r.stats.retries, 1u);
+  }
 }
 
 // ------------------------------------------------ faults on worker threads
