@@ -134,13 +134,14 @@ CandidateCost estimate_gaxpy_cost(runtime::SlabOrientation orientation,
   return out;
 }
 
-CostDecision choose_access_reorganization(const GaxpyCostQuery& query,
+CostDecision choose_access_reorganization(const GaxpyCostQuery& column_query,
+                                          const GaxpyCostQuery& row_query,
                                           const io::DiskModel& disk) {
   CostDecision decision;
   decision.candidates.push_back(estimate_gaxpy_cost(
-      runtime::SlabOrientation::kColumnSlabs, query));
+      runtime::SlabOrientation::kColumnSlabs, column_query));
   decision.candidates.push_back(
-      estimate_gaxpy_cost(runtime::SlabOrientation::kRowSlabs, query));
+      estimate_gaxpy_cost(runtime::SlabOrientation::kRowSlabs, row_query));
 
   // Figure 14, step 3: which array requires the largest amount of I/O?
   // Judged on the straightforward translation (the first candidate), as
@@ -164,8 +165,10 @@ CostDecision choose_access_reorganization(const GaxpyCostQuery& query,
     }
     const ArrayCost& lhs = cand.cost_of(decision.dominant_array);
     const ArrayCost& rhs = best->cost_of(decision.dominant_array);
-    const double lhs_time = cand.estimated_io_time_s(disk, query.nprocs);
-    const double rhs_time = best->estimated_io_time_s(disk, query.nprocs);
+    const double lhs_time =
+        cand.estimated_io_time_s(disk, column_query.nprocs);
+    const double rhs_time =
+        best->estimated_io_time_s(disk, column_query.nprocs);
     if (lhs.data_elements < rhs.data_elements ||
         (lhs.data_elements == rhs.data_elements && lhs_time < rhs_time)) {
       best = &cand;

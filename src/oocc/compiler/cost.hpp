@@ -78,10 +78,13 @@ struct CostDecision {
   std::string prefetch_rationale;
 };
 
-/// Runs Figure 14: estimate each candidate, find the dominant array, pick
-/// the orientation with the lowest cost for it (ties: total estimated
-/// time under `disk`).
-CostDecision choose_access_reorganization(const GaxpyCostQuery& query,
+/// Runs Figure 14: estimate each orientation under its own query (the
+/// slab sizes of that orientation's memory plan), find the dominant array
+/// on the column-slab candidate, pick the orientation with the lowest cost
+/// for it (ties: total estimated time under `disk`) and explain the pick
+/// from those same candidates.
+CostDecision choose_access_reorganization(const GaxpyCostQuery& column_query,
+                                          const GaxpyCostQuery& row_query,
                                           const io::DiskModel& disk);
 
 /// End-to-end time prediction for a GAXPY candidate: disk service (from
@@ -118,9 +121,10 @@ struct StepIoCost {
 /// ReduceSum drives the same staged-column-writer flush pattern the
 /// executor uses. The pricer is a client of the executor's own step walk
 /// (compiler/walk.hpp), so the predictions match measured LAF counters
-/// request-for-request (the tests assert this); schema-specific estimators
-/// like estimate_gaxpy_cost are only still needed *before* lowering, to
-/// rank candidate orientations.
+/// request-for-request (the tests assert this); the closed-form
+/// estimate_gaxpy_cost is only still needed *before* a plan exists: to rank
+/// candidate orientations and to score the memory planner's
+/// access-weighted grid.
 std::map<std::string, StepIoCost> price_steps(const NodeProgram& plan,
                                               int proc = 0);
 

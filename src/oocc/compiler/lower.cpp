@@ -8,7 +8,6 @@
 
 #include "oocc/compiler/access.hpp"
 #include "oocc/compiler/lower_internal.hpp"
-#include "oocc/compiler/pretty.hpp"
 #include "oocc/compiler/search.hpp"
 #include "oocc/compiler/verify.hpp"
 #include "oocc/hpf/parser.hpp"
@@ -66,6 +65,17 @@ std::optional<std::int64_t> const_bound(
   } catch (const Error&) {
     return std::nullopt;
   }
+}
+
+/// A plan array as the program declares it: column-major, swept in column
+/// slabs, unsized. The layout routines size it (and reorient GAXPY's).
+PlanArray plan_array(const BoundProgram& program, const std::string& name,
+                     bool is_output) {
+  PlanArray pa;
+  pa.name = name;
+  pa.dist = program.array(name).dist;
+  pa.is_output = is_output;
+  return pa;
 }
 
 // ------------------------------------------------------- step emission
@@ -156,14 +166,6 @@ Step barrier_step() {
   return s;
 }
 
-}  // namespace
-
-// Emission hooks shared with the global plan search (lower_internal.hpp):
-// the searcher's candidates are re-emitted by the exact routines the
-// heuristic pipeline uses, so every searched plan is a plan this file
-// could have produced.
-namespace detail {
-
 /// Builds the GAXPY step program for the plan's chosen orientation: the
 /// exact loop nests of Figure 9 (column slabs, A re-swept per output
 /// column) and Figure 12 (row slabs, A fetched exactly once).
@@ -199,13 +201,13 @@ void emit_gaxpy_steps(NodeProgram& plan) {
   }
 }
 
-void collect_ref_names(const Expr& e, std::vector<std::string>& out) {
-  if (e.kind == ExprKind::kArrayRef &&
-      std::find(out.begin(), out.end(), e.name) == out.end()) {
-    out.push_back(e.name);
+/// Collects every array reference expression in `e` (pre-order).
+void collect_ref_exprs(const Expr& e, std::vector<const Expr*>& out) {
+  if (e.kind == ExprKind::kArrayRef) {
+    out.push_back(&e);
   }
-  if (e.lhs) collect_ref_names(*e.lhs, out);
-  if (e.rhs) collect_ref_names(*e.rhs, out);
+  if (e.lhs) collect_ref_exprs(*e.lhs, out);
+  if (e.rhs) collect_ref_exprs(*e.rhs, out);
 }
 
 /// Divides the budget among the sweep's buffers and emits the elementwise
@@ -214,7 +216,9 @@ void collect_ref_names(const Expr& e, std::vector<std::string>& out) {
 /// group produces it, evaluate the statements in order (later statements
 /// read earlier results from memory), then write every produced array.
 /// `enable_prefetch` double-buffers the pure-input streams (re-runnable:
-/// the --prefetch=auto pass builds both layouts and keeps one).
+/// the --prefetch=auto pass builds both layouts and keeps one). Throws
+/// Error(kResourceExhausted) when one column per buffer does not fit
+/// options.memory_budget_elements.
 void finish_elementwise_plan(NodeProgram& plan, const CompileOptions& options,
                              bool enable_prefetch) {
   OOCC_ASSERT(!plan.statements.empty(), "no elementwise statements");
@@ -224,9 +228,10 @@ void finish_elementwise_plan(NodeProgram& plan, const CompileOptions& options,
   std::vector<std::string> written;
   std::vector<std::string> read_first;
   for (const ElementwiseStmt& st : plan.statements) {
-    std::vector<std::string> refs;
-    collect_ref_names(*st.rhs, refs);
-    for (const std::string& r : refs) {
+    std::vector<const Expr*> refs;
+    collect_ref_exprs(*st.rhs, refs);
+    for (const Expr* ref : refs) {
+      const std::string& r = ref->name;
       if (std::find(written.begin(), written.end(), r) == written.end() &&
           std::find(read_first.begin(), read_first.end(), r) ==
               read_first.end()) {
@@ -295,38 +300,120 @@ void finish_elementwise_plan(NodeProgram& plan, const CompileOptions& options,
   plan.steps.push_back(for_each_slab("S", std::move(body)));
 }
 
-/// Whether `next` can join a fused group whose sweep geometry is `head`'s:
-/// both are communication-free elementwise plans whose sweeps cover
-/// identically distributed sections, and the union of arrays still fits
-/// the memory budget at one column per buffer.
-bool can_fuse(const NodeProgram& head, const NodeProgram& next,
-              const CompileOptions& options,
-              std::size_t union_array_count) {
-  if (head.kind != ProgramKind::kElementwise ||
-      next.kind != ProgramKind::kElementwise) {
+}  // namespace
+
+// The plan builder shared with the global plan search (lower_internal.hpp).
+namespace detail {
+
+void layout_gaxpy(NodeProgram& plan, const GaxpyLayout& layout,
+                  const CompileOptions& options) {
+  plan.a_orientation = layout.orientation;
+  plan.memory =
+      plan_memory(layout.split, options.memory_budget_elements, plan.n,
+                  plan.nprocs, layout.orientation, options.disk);
+  // A's slab keeps at least one natural unit: all n rows of a column, or
+  // the nlc local columns of a row.
+  const std::int64_t floor_a =
+      layout.orientation == runtime::SlabOrientation::kRowSlabs
+          ? (plan.n + plan.nprocs - 1) / plan.nprocs
+          : plan.n;
+  if (layout.halve_a) {
+    plan.memory.slab_a = std::max(floor_a, plan.memory.slab_a / 2);
+  }
+  // Prefetch double-buffers A: halve its slab so two buffers fit.
+  plan.prefetch = layout.prefetch;
+  if (plan.prefetch) {
+    plan.memory.slab_a = std::max(floor_a, plan.memory.slab_a / 2);
+  }
+
+  // Out-of-core phase step 3: storage orders. A and C follow the chosen
+  // orientation when storage reorganization is enabled; B's column slabs
+  // are always contiguous in column-major order.
+  const io::StorageOrder ac_order =
+      options.enable_storage_reorganization
+          ? runtime::contiguous_order_for(plan.a_orientation)
+          : io::StorageOrder::kColumnMajor;
+  for (const std::string* name : {&plan.a, &plan.c}) {
+    PlanArray& pa = plan.arrays.at(*name);
+    pa.storage = ac_order;
+    pa.orientation = plan.a_orientation;
+    pa.needs_storage_reorganization =
+        ac_order != io::StorageOrder::kColumnMajor;
+  }
+  plan.arrays.at(plan.a).slab_elements = plan.memory.slab_a;
+  plan.arrays.at(plan.b).slab_elements = plan.memory.slab_b;
+  plan.arrays.at(plan.c).slab_elements = plan.memory.slab_c;
+  emit_gaxpy_steps(plan);
+}
+
+void layout_stencil(NodeProgram& plan, std::int64_t w) {
+  const StencilStmt& st = plan.stencils.front();
+  const std::int64_t rows = plan.array(st.lhs).dist.local_rows(0);
+  const std::int64_t d = st.halo;
+  plan.memory.slab_a = (w + 2 * d) * rows;  // source (halo-widened)
+  plan.memory.slab_b = w * rows;            // output
+  plan.memory.slab_c = 0;
+  plan.memory.temp_elements = 0;
+  plan.arrays.at(st.source).slab_elements = plan.memory.slab_a;
+  plan.arrays.at(st.lhs).slab_elements = plan.memory.slab_b;
+
+  plan.loops.clear();
+  plan.steps.clear();
+  plan.loops.push_back(SlabLoop{"S", st.lhs,
+                                runtime::SlabOrientation::kColumnSlabs,
+                                w * rows, false});
+  plan.steps.push_back(exchange_halo_step("S", st.source, d));
+  plan.steps.push_back(for_each_slab(
+      "S", {halo_read_slab("S", st.source, d), stencil_step("S", 0),
+            write_slab("S", st.lhs)}));
+  plan.steps.push_back(barrier_step());
+}
+
+bool same_sweep(const NodeProgram& a, const NodeProgram& b) {
+  if (a.kind != ProgramKind::kElementwise ||
+      b.kind != ProgramKind::kElementwise) {
     return false;
   }
-  const PlanArray& a = head.array(head.statements.front().lhs);
-  const PlanArray& b = next.array(next.statements.front().lhs);
-  if (!(a.dist == b.dist) || a.storage != b.storage ||
-      a.orientation != b.orientation) {
-    return false;
+  const PlanArray& pa = a.array(a.statements.front().lhs);
+  const PlanArray& pb = b.array(b.statements.front().lhs);
+  return pa.dist == pb.dist && pa.storage == pb.storage &&
+         pa.orientation == pb.orientation;
+}
+
+NodeProgram fuse(const std::vector<const NodeProgram*>& members,
+                 const CompileOptions& options, bool prefetch, double frac) {
+  NodeProgram head = *members.front();
+  for (std::size_t i = 1; i < members.size(); ++i) {
+    const NodeProgram& next = *members[i];
+    OOCC_CHECK(same_sweep(head, next), ErrorCode::kCompileError,
+               "sweep geometries differ within a fused group");
+    for (const auto& [name, pa] : next.arrays) {
+      head.arrays.try_emplace(name, pa);
+    }
+    head.statements.insert(head.statements.end(), next.statements.begin(),
+                           next.statements.end());
   }
-  // Conservative capacity check: every buffer (plus a second one per array
-  // when prefetching — assumed for kAuto too) must still hold one column.
-  const std::int64_t buffers =
-      static_cast<std::int64_t>(union_array_count) *
-      (options.prefetch != PrefetchMode::kOff ? 2 : 1);
-  return options.memory_budget_elements / buffers >= a.dist.local_rows(0);
+  if (head.statements.size() > 1) {
+    head.cost.rationale =
+        "fused " + std::to_string(head.statements.size()) +
+        " communication-free elementwise statements into one slab sweep";
+  }
+  CompileOptions scaled = options;
+  scaled.memory_budget_elements = std::max<std::int64_t>(
+      1, static_cast<std::int64_t>(
+             static_cast<double>(options.memory_budget_elements) * frac));
+  finish_elementwise_plan(head, scaled, prefetch);
+  // The executor's pool budget is the plan's memory_budget_elements;
+  // restore the full budget so shrunken slabs buy retention, not a
+  // smaller pool.
+  head.memory_budget_elements = options.memory_budget_elements;
+  head.verified = false;
+  return head;
 }
 
 }  // namespace detail
 
 namespace {
-
-using detail::can_fuse;
-using detail::emit_gaxpy_steps;
-using detail::finish_elementwise_plan;
 
 /// Matches `do j=1,n { forall(k=1:n) temp(:,k)=b(k,j)*a(:,k); c(:,j)=SUM(temp,2) }`.
 std::optional<GaxpyMatch> match_gaxpy(const BoundProgram& program) {
@@ -575,33 +662,7 @@ std::optional<ElementwiseMatch> match_elementwise(
   return match;
 }
 
-void check_elementwise_layout(const BoundProgram& program,
-                              const ElementwiseMatch& m) {
-  const ArrayInfo& lhs = program.array(m.lhs);
-  std::vector<RefAccess> refs;
-  const LoopContext loops{"", m.forall_var};
-  collect_references(*m.rhs, program, loops, false, refs);
-  for (const RefAccess& ref : refs) {
-    const ArrayInfo& info = program.array(ref.array);
-    OOCC_CHECK(info.dist == lhs.dist, ErrorCode::kCompileError,
-               "elementwise lowering requires identically distributed "
-               "operands; '"
-                   << ref.array << "' (" << info.dist.to_string()
-                   << ") differs from '" << m.lhs << "' ("
-                   << lhs.dist.to_string() << ")");
-  }
-}
-
 // ------------------------------------------------------- stencil lowering
-
-/// Collects every array reference expression in `e` (pre-order).
-void collect_ref_exprs(const Expr& e, std::vector<const Expr*>& out) {
-  if (e.kind == ExprKind::kArrayRef) {
-    out.push_back(&e);
-  }
-  if (e.lhs) collect_ref_exprs(*e.lhs, out);
-  if (e.rhs) collect_ref_exprs(*e.rhs, out);
-}
 
 /// True when any column subscript in `e` is forall-index +/- nonzero
 /// constant — the trigger that makes a FORALL "stencil-shaped". Once this
@@ -879,8 +940,8 @@ NodeProgram lower_stencil(const BoundProgram& program,
   // section while the entries covering it stay pinned (worst case: the
   // covering slabs of one sweep plus the new assembled copy). Sizing the
   // width as w = budget / (4 rows) - d bounds that peak by the budget.
-  const ArrayInfo& lhs_info = program.array(match.lhs);
-  const std::int64_t local_rows = lhs_info.dist.local_rows(0);
+  const std::int64_t local_rows =
+      program.array(match.lhs).dist.local_rows(0);
   const std::int64_t d = match.halo;
   const std::int64_t w =
       options.memory_budget_elements / (4 * local_rows) - d;
@@ -896,29 +957,9 @@ NodeProgram lower_stencil(const BoundProgram& program,
                                       << " this memory budget allows; raise "
                                          "--memory");
   plan.memory.strategy = options.memory_strategy;
-  plan.memory.slab_a = (w + 2 * d) * local_rows;  // source (halo-widened)
-  plan.memory.slab_b = w * local_rows;            // output
-  plan.memory.slab_c = 0;
-  plan.memory.temp_elements = 0;
-
-  plan.arrays[match.source] =
-      PlanArray{match.source, program.array(match.source).dist,
-                io::StorageOrder::kColumnMajor,
-                runtime::SlabOrientation::kColumnSlabs, plan.memory.slab_a,
-                false, false};
-  plan.arrays[match.lhs] =
-      PlanArray{match.lhs, lhs_info.dist, io::StorageOrder::kColumnMajor,
-                runtime::SlabOrientation::kColumnSlabs, plan.memory.slab_b,
-                true, false};
-
-  plan.loops.push_back(SlabLoop{"S", match.lhs,
-                                runtime::SlabOrientation::kColumnSlabs,
-                                w * local_rows, false});
-  plan.steps.push_back(exchange_halo_step("S", match.source, d));
-  plan.steps.push_back(for_each_slab(
-      "S", {halo_read_slab("S", match.source, d), stencil_step("S", 0),
-            write_slab("S", match.lhs)}));
-  plan.steps.push_back(barrier_step());
+  plan.arrays[match.source] = plan_array(program, match.source, false);
+  plan.arrays[match.lhs] = plan_array(program, match.lhs, true);
+  detail::layout_stencil(plan, w);
 
   std::ostringstream why;
   why << "stencil FORALL: halo distance " << d << " (rows shifted by "
@@ -945,9 +986,9 @@ NodeProgram lower_gaxpy(const BoundProgram& program, const GaxpyMatch& match,
   // Out-of-core phase step 2 (Figure 14): estimate each candidate with a
   // memory plan computed for that orientation, then decide.
   auto query_for = [&](runtime::SlabOrientation orient) {
-    const MemoryPlan mem = plan_memory(options.memory_strategy,
-                                       options.memory_budget_elements,
-                                       match.n, program.nprocs, orient);
+    const MemoryPlan mem =
+        plan_memory(options.memory_strategy, options.memory_budget_elements,
+                    match.n, program.nprocs, orient, options.disk);
     GaxpyCostQuery q;
     q.n = match.n;
     q.nprocs = program.nprocs;
@@ -955,109 +996,53 @@ NodeProgram lower_gaxpy(const BoundProgram& program, const GaxpyMatch& match,
     q.slab_b = mem.slab_b;
     q.slab_c = mem.slab_c;
     q.storage_reorganized = options.enable_storage_reorganization;
-    return std::pair<GaxpyCostQuery, MemoryPlan>(q, mem);
+    return q;
   };
-
-  const auto [col_query, col_mem] =
+  const GaxpyCostQuery col_query =
       query_for(runtime::SlabOrientation::kColumnSlabs);
-  const auto [row_query, row_mem] =
-      query_for(runtime::SlabOrientation::kRowSlabs);
 
   if (options.enable_access_reorganization) {
-    // The decision uses the column-orientation memory plan for the column
-    // candidate and the row plan for the row candidate.
-    CostDecision decision;
-    decision.candidates.push_back(estimate_gaxpy_cost(
-        runtime::SlabOrientation::kColumnSlabs, col_query));
-    decision.candidates.push_back(
-        estimate_gaxpy_cost(runtime::SlabOrientation::kRowSlabs, row_query));
-    // Reuse the Figure 14 logic for the pick.
-    CostDecision canonical =
-        choose_access_reorganization(col_query, options.disk);
-    // Recompute the pick against the per-orientation plans' candidates.
-    const std::string dominant = canonical.dominant_array;
-    const CandidateCost* best = nullptr;
-    for (const CandidateCost& cand : decision.candidates) {
-      if (best == nullptr ||
-          cand.cost_of(dominant).data_elements <
-              best->cost_of(dominant).data_elements ||
-          (cand.cost_of(dominant).data_elements ==
-               best->cost_of(dominant).data_elements &&
-           cand.estimated_io_time_s(options.disk, program.nprocs) <
-               best->estimated_io_time_s(options.disk, program.nprocs))) {
-        best = &cand;
-      }
-    }
-    decision.chosen = *best;
-    decision.dominant_array = dominant;
-    decision.rationale = canonical.rationale;
-    decision.candidate_total_s.push_back(
+    const GaxpyCostQuery row_query =
+        query_for(runtime::SlabOrientation::kRowSlabs);
+    plan.cost =
+        choose_access_reorganization(col_query, row_query, options.disk);
+    plan.cost.candidate_total_s.push_back(
         estimate_gaxpy_total(runtime::SlabOrientation::kColumnSlabs,
                              col_query, options.disk, options.machine)
             .total_s());
-    decision.candidate_total_s.push_back(
+    plan.cost.candidate_total_s.push_back(
         estimate_gaxpy_total(runtime::SlabOrientation::kRowSlabs, row_query,
                              options.disk, options.machine)
             .total_s());
-    plan.cost = std::move(decision);
-    plan.a_orientation = plan.cost.chosen.a_orientation;
   } else {
     // Ablation: behave like the straightforward in-core extension.
-    CostDecision decision;
-    decision.candidates.push_back(estimate_gaxpy_cost(
+    plan.cost.candidates.push_back(estimate_gaxpy_cost(
         runtime::SlabOrientation::kColumnSlabs, col_query));
-    decision.chosen = decision.candidates.front();
-    decision.dominant_array = match.a;
-    decision.rationale =
+    plan.cost.chosen = plan.cost.candidates.front();
+    plan.cost.dominant_array = match.a;
+    plan.cost.rationale =
         "access reorganization disabled: column slabs forced";
-    plan.cost = std::move(decision);
-    plan.a_orientation = runtime::SlabOrientation::kColumnSlabs;
   }
 
-  plan.memory = plan.a_orientation == runtime::SlabOrientation::kColumnSlabs
-                    ? col_mem
-                    : row_mem;
-
-  // Prefetch double-buffers A: halve its slab so two buffers fit. (kAuto
-  // is decided after lowering, when the plan can be priced.)
-  plan.prefetch = options.prefetch == PrefetchMode::kOn &&
-                  plan.a_orientation == runtime::SlabOrientation::kRowSlabs;
-  if (plan.prefetch) {
-    const std::int64_t nlc = (match.n + program.nprocs - 1) / program.nprocs;
-    plan.memory.slab_a = std::max<std::int64_t>(nlc, plan.memory.slab_a / 2);
-  }
-
-  // Out-of-core phase step 3: storage orders. A and C follow the chosen
-  // orientation when storage reorganization is enabled; B's column slabs
-  // are always contiguous in column-major order.
-  const io::StorageOrder ac_order =
-      options.enable_storage_reorganization
-          ? runtime::contiguous_order_for(plan.a_orientation)
-          : io::StorageOrder::kColumnMajor;
-
-  const ArrayInfo& a_info = program.array(match.a);
-  const ArrayInfo& b_info = program.array(match.b);
-  const ArrayInfo& c_info = program.array(match.c);
-  plan.arrays[match.a] =
-      PlanArray{match.a, a_info.dist, ac_order, plan.a_orientation,
-                plan.memory.slab_a, false,
-                ac_order != io::StorageOrder::kColumnMajor};
-  plan.arrays[match.b] =
-      PlanArray{match.b, b_info.dist, io::StorageOrder::kColumnMajor,
-                runtime::SlabOrientation::kColumnSlabs, plan.memory.slab_b,
-                false, false};
-  plan.arrays[match.c] =
-      PlanArray{match.c, c_info.dist, ac_order, plan.a_orientation,
-                plan.memory.slab_c, true,
-                ac_order != io::StorageOrder::kColumnMajor};
-  emit_gaxpy_steps(plan);
+  plan.arrays[match.a] = plan_array(program, match.a, false);
+  plan.arrays[match.b] = plan_array(program, match.b, false);
+  plan.arrays[match.c] = plan_array(program, match.c, true);
+  // Only the row-slab translation streams A through a prefetchable loop
+  // (kAuto is decided after lowering, when the plan can be priced).
+  const runtime::SlabOrientation orientation =
+      plan.cost.chosen.a_orientation;
+  detail::layout_gaxpy(
+      plan,
+      {orientation, options.memory_strategy, /*halve_a=*/false,
+       options.prefetch == PrefetchMode::kOn &&
+           orientation == runtime::SlabOrientation::kRowSlabs},
+      options);
   return plan;
 }
 
 NodeProgram lower_elementwise(const BoundProgram& program,
                               const ElementwiseMatch& match,
                               const CompileOptions& options) {
-  check_elementwise_layout(program, match);
   NodeProgram plan;
   plan.kind = ProgramKind::kElementwise;
   plan.nprocs = program.nprocs;
@@ -1069,26 +1054,23 @@ NodeProgram lower_elementwise(const BoundProgram& program,
   stmt.forall_var = match.forall_var;
   plan.statements.push_back(std::move(stmt));
 
-  // Collect distinct arrays (lhs + rhs references).
+  // Collect distinct arrays (lhs + rhs references), every operand
+  // distributed like the lhs.
   std::vector<RefAccess> refs;
   const LoopContext loops{"", match.forall_var};
   collect_references(*match.rhs, program, loops, false, refs);
-  std::map<std::string, PlanArray> arrays;
-  const ArrayInfo& lhs_info = program.array(match.lhs);
-  arrays[match.lhs] = PlanArray{match.lhs, lhs_info.dist,
-                                io::StorageOrder::kColumnMajor,
-                                runtime::SlabOrientation::kColumnSlabs,
-                                0, true, false};
+  const ArrayInfo& lhs = program.array(match.lhs);
+  plan.arrays[match.lhs] = plan_array(program, match.lhs, true);
   for (const RefAccess& ref : refs) {
-    if (!arrays.contains(ref.array)) {
-      const ArrayInfo& info = program.array(ref.array);
-      arrays[ref.array] = PlanArray{ref.array, info.dist,
-                                    io::StorageOrder::kColumnMajor,
-                                    runtime::SlabOrientation::kColumnSlabs,
-                                    0, false, false};
-    }
+    const ArrayInfo& info = program.array(ref.array);
+    OOCC_CHECK(info.dist == lhs.dist, ErrorCode::kCompileError,
+               "elementwise lowering requires identically distributed "
+               "operands; '"
+                   << ref.array << "' (" << info.dist.to_string()
+                   << ") differs from '" << match.lhs << "' ("
+                   << lhs.dist.to_string() << ")");
+    plan.arrays.emplace(ref.array, plan_array(program, ref.array, false));
   }
-  plan.arrays = std::move(arrays);
   finish_elementwise_plan(plan, options,
                           options.prefetch == PrefetchMode::kOn);
   return plan;
@@ -1096,37 +1078,36 @@ NodeProgram lower_elementwise(const BoundProgram& program,
 
 // ----------------------------------------------------------- slab fusion
 
+/// Whether `next` can join the fused group `head`: the same sweep, and
+/// the union of arrays still fits the memory budget at one column per
+/// buffer (plus a second one per array when prefetching, assumed for kAuto
+/// too).
+bool can_fuse(const NodeProgram& head, const NodeProgram& next,
+              const CompileOptions& options) {
+  if (!detail::same_sweep(head, next)) {
+    return false;
+  }
+  std::int64_t arrays = static_cast<std::int64_t>(head.arrays.size());
+  for (const auto& [name, pa] : next.arrays) {
+    if (!head.arrays.contains(name)) ++arrays;
+  }
+  const std::int64_t buffers =
+      arrays * (options.prefetch != PrefetchMode::kOff ? 2 : 1);
+  return options.memory_budget_elements / buffers >=
+         head.array(head.statements.front().lhs).dist.local_rows(0);
+}
+
 /// Merges consecutive fusable elementwise plans into single sweeps.
 std::vector<NodeProgram> fuse_statement_plans(std::vector<NodeProgram> plans,
                                               const CompileOptions& options) {
   std::vector<NodeProgram> out;
   for (NodeProgram& plan : plans) {
-    if (!out.empty() &&
-        can_fuse(out.back(), plan, options,
-                 [&] {
-                   std::size_t n = out.back().arrays.size();
-                   for (const auto& [name, pa] : plan.arrays) {
-                     if (!out.back().arrays.contains(name)) ++n;
-                   }
-                   return n;
-                 }())) {
-      NodeProgram& head = out.back();
-      for (auto& [name, pa] : plan.arrays) {
-        if (!head.arrays.contains(name)) {
-          head.arrays.emplace(name, std::move(pa));
-        }
-      }
-      for (ElementwiseStmt& st : plan.statements) {
-        head.statements.push_back(std::move(st));
-      }
-      head.cost.rationale =
-          "fused " + std::to_string(head.statements.size()) +
-          " communication-free elementwise statements into one slab sweep";
-      finish_elementwise_plan(head, options,
-                              options.prefetch == PrefetchMode::kOn);
-      continue;
+    if (!out.empty() && can_fuse(out.back(), plan, options)) {
+      out.back() = detail::fuse({&out.back(), &plan}, options,
+                                options.prefetch == PrefetchMode::kOn, 1.0);
+    } else {
+      out.push_back(std::move(plan));
     }
-    out.push_back(std::move(plan));
   }
   return out;
 }
@@ -1209,8 +1190,7 @@ void auto_prefetch_elementwise(NodeProgram& plan,
 /// --prefetch=auto for a GAXPY plan: only the row-slab translation streams
 /// A through a prefetchable loop; compare it with the halved-slab
 /// double-buffered variant.
-void auto_prefetch_gaxpy(NodeProgram& plan, const BoundProgram& program,
-                         const CompileOptions& options) {
+void auto_prefetch_gaxpy(NodeProgram& plan, const CompileOptions& options) {
   if (plan.a_orientation != runtime::SlabOrientation::kRowSlabs) {
     plan.cost.prefetch_rationale =
         "auto: prefetch disabled (column-slab translation re-sweeps A; only "
@@ -1218,21 +1198,47 @@ void auto_prefetch_gaxpy(NodeProgram& plan, const BoundProgram& program,
     return;
   }
   const std::optional<double> t_off = price_candidate(plan, options);
-  const std::int64_t saved_slab_a = plan.memory.slab_a;
-  const std::int64_t nlc =
-      (plan.n + program.nprocs - 1) / program.nprocs;
-  plan.prefetch = true;
-  plan.memory.slab_a = std::max<std::int64_t>(nlc, saved_slab_a / 2);
-  plan.arrays.at(plan.a).slab_elements = plan.memory.slab_a;
-  emit_gaxpy_steps(plan);
+  detail::GaxpyLayout layout{plan.a_orientation, options.memory_strategy,
+                             /*halve_a=*/false, /*prefetch=*/true};
+  detail::layout_gaxpy(plan, layout, options);
   std::string why;
   if (!choose_prefetch(price_candidate(plan, options), t_off, why)) {
-    plan.prefetch = false;
-    plan.memory.slab_a = saved_slab_a;
-    plan.arrays.at(plan.a).slab_elements = saved_slab_a;
-    emit_gaxpy_steps(plan);
+    layout.prefetch = false;
+    detail::layout_gaxpy(plan, layout, options);
   }
   plan.cost.prefetch_rationale = why;
+}
+
+/// Matches and lowers one statement (the whole program), including the
+/// --prefetch=auto decision.
+NodeProgram lower_statement(const BoundProgram& program,
+                            const CompileOptions& options) {
+  OOCC_REQUIRE(options.memory_budget_elements >= 1,
+               "memory budget must be positive");
+  if (auto gaxpy = match_gaxpy(program)) {
+    NodeProgram p = lower_gaxpy(program, *gaxpy, options);
+    if (options.prefetch == PrefetchMode::kAuto) {
+      auto_prefetch_gaxpy(p, options);
+    }
+    return p;
+  }
+  hpf::StmtPtr normalized;  // keeps a synthesized FORALL alive
+  if (auto elementwise = match_elementwise(program, normalized)) {
+    NodeProgram p = lower_elementwise(program, *elementwise, options);
+    if (options.prefetch == PrefetchMode::kAuto) {
+      auto_prefetch_elementwise(p, options);
+    }
+    return p;
+  }
+  // Stencil-shaped FORALLs either lower or throw a structured
+  // "stencil lowering: ..." diagnostic from inside the matcher.
+  if (auto stencil = match_stencil(program)) {
+    return lower_stencil(program, *stencil, options);
+  }
+  OOCC_THROW(ErrorCode::kCompileError,
+             "no supported statement pattern: expected the GAXPY reduction "
+             "nest (do/forall/SUM), a single elementwise FORALL over "
+             "aligned sections, or a halo-stencil FORALL");
 }
 
 }  // namespace
@@ -1259,41 +1265,54 @@ std::string_view opt_mode_name(OptMode m) noexcept {
   return "?";
 }
 
+namespace detail {
+
+std::vector<NodeProgram> lower_statements(const BoundProgram& program,
+                                          const CompileOptions& options) {
+  // A single statement (including the GAXPY nest) lowers as the whole
+  // program; statement dependencies in longer sequences flow through the
+  // arrays' Local Array Files, so every statement lowers independently.
+  std::vector<NodeProgram> plans;
+  if (program.stmts.size() <= 1) {
+    plans.push_back(lower_statement(program, options));
+    return plans;
+  }
+  for (std::size_t i = 0; i < program.stmts.size(); ++i) {
+    BoundProgram view;
+    view.nprocs = program.nprocs;
+    view.parameters = program.parameters;
+    view.arrays = program.arrays;
+    view.stmts.push_back(hpf::clone_stmt(*program.stmts[i]));
+    try {
+      plans.push_back(lower_statement(view, options));
+    } catch (const Error& e) {
+      OOCC_THROW(ErrorCode::kCompileError,
+                 "statement " << i + 1 << " of the sequence: " << e.what());
+    }
+  }
+  return plans;
+}
+
+void annotate_and_verify(std::span<NodeProgram> plans,
+                         const CompileOptions& options) {
+  // Reuse distances span statement boundaries: annotate the whole sequence
+  // so the runtime pool knows which slabs a *later* statement will read.
+  annotate_reuse_distances(plans);
+  if (options.verify) {
+    verify_sequence_or_throw(
+        std::span<const NodeProgram>(plans.data(), plans.size()));
+    for (NodeProgram& plan : plans) {
+      plan.verified = true;
+    }
+  }
+}
+
+}  // namespace detail
+
 NodeProgram compile(const BoundProgram& program,
                     const CompileOptions& options) {
-  OOCC_REQUIRE(options.memory_budget_elements >= 1,
-               "memory budget must be positive");
-  NodeProgram plan = [&]() -> NodeProgram {
-    if (auto gaxpy = match_gaxpy(program)) {
-      NodeProgram p = lower_gaxpy(program, *gaxpy, options);
-      if (options.prefetch == PrefetchMode::kAuto) {
-        auto_prefetch_gaxpy(p, program, options);
-      }
-      return p;
-    }
-    hpf::StmtPtr normalized;  // keeps a synthesized FORALL alive
-    if (auto elementwise = match_elementwise(program, normalized)) {
-      NodeProgram p = lower_elementwise(program, *elementwise, options);
-      if (options.prefetch == PrefetchMode::kAuto) {
-        auto_prefetch_elementwise(p, options);
-      }
-      return p;
-    }
-    // Stencil-shaped FORALLs either lower or throw a structured
-    // "stencil lowering: ..." diagnostic from inside the matcher.
-    if (auto stencil = match_stencil(program)) {
-      return lower_stencil(program, *stencil, options);
-    }
-    OOCC_THROW(ErrorCode::kCompileError,
-               "no supported statement pattern: expected the GAXPY reduction "
-               "nest (do/forall/SUM), a single elementwise FORALL over "
-               "aligned sections, or a halo-stencil FORALL");
-  }();
-  annotate_reuse_distances(std::span<NodeProgram>(&plan, 1));
-  if (options.verify) {
-    verify_or_throw(plan);
-    plan.verified = true;
-  }
+  NodeProgram plan = lower_statement(program, options);
+  detail::annotate_and_verify(std::span<NodeProgram>(&plan, 1), options);
   return plan;
 }
 
@@ -1310,27 +1329,7 @@ std::vector<NodeProgram> compile_sequence(const BoundProgram& program,
     // space, and returns the min-priced verified candidate sequence.
     return search_sequence(program, options).plans;
   }
-  // A single statement (including the GAXPY nest) goes through compile();
-  // statement dependencies in longer sequences flow through the arrays'
-  // Local Array Files, so every statement lowers independently.
-  std::vector<NodeProgram> plans;
-  if (program.stmts.size() <= 1) {
-    plans.push_back(compile(program, options));
-    return plans;
-  }
-  for (std::size_t i = 0; i < program.stmts.size(); ++i) {
-    BoundProgram view;
-    view.nprocs = program.nprocs;
-    view.parameters = program.parameters;
-    view.arrays = program.arrays;
-    view.stmts.push_back(hpf::clone_stmt(*program.stmts[i]));
-    try {
-      plans.push_back(compile(view, options));
-    } catch (const Error& e) {
-      OOCC_THROW(ErrorCode::kCompileError,
-                 "statement " << i + 1 << " of the sequence: " << e.what());
-    }
-  }
+  std::vector<NodeProgram> plans = detail::lower_statements(program, options);
   if (options.enable_statement_fusion) {
     plans = fuse_statement_plans(std::move(plans), options);
     // Fusion re-emits the fused sweeps with the static prefetch setting;
@@ -1344,19 +1343,9 @@ std::vector<NodeProgram> compile_sequence(const BoundProgram& program,
       }
     }
   }
-  // Reuse distances span statement boundaries: annotate the whole sequence
-  // so the runtime pool knows which slabs a *later* statement will read.
-  annotate_reuse_distances(std::span<NodeProgram>(plans.data(), plans.size()));
-  if (options.verify) {
-    // Fusion and the sequence-wide reuse annotation may have reshaped the
-    // per-statement plans since compile() stamped them; re-verify the
-    // sequence as the executor will actually see it.
-    verify_sequence_or_throw(
-        std::span<const NodeProgram>(plans.data(), plans.size()));
-    for (NodeProgram& plan : plans) {
-      plan.verified = true;
-    }
-  }
+  // The sequence is annotated and verified once, as the executor will see
+  // it: after fusion, never statement by statement.
+  detail::annotate_and_verify(plans, options);
   return plans;
 }
 

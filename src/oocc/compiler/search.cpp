@@ -1,7 +1,6 @@
 #include "oocc/compiler/search.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <sstream>
 
 #include "oocc/compiler/lower_internal.hpp"
@@ -37,52 +36,6 @@ struct Candidate {
   std::string describe;
   std::vector<NodeProgram> plans;
 };
-
-// ------------------------------------------------- elementwise run search
-
-/// Fuses `members` (per-statement proto plans, in order) into one
-/// sweep, dividing `frac` of the budget among the buffers while the plan —
-/// and therefore the runtime slab pool — keeps the full budget: a share
-/// fraction below 1 shrinks the slabs to leave the pool headroom to retain
-/// other statements' data (the cache-share vs slab-size split).
-/// Throws Error(kResourceExhausted) when one column per buffer no longer
-/// fits the scaled budget.
-NodeProgram build_group(const std::vector<const NodeProgram*>& members,
-                        const CompileOptions& options, bool prefetch,
-                        double frac) {
-  NodeProgram head = *members.front();
-  for (std::size_t i = 1; i < members.size(); ++i) {
-    const NodeProgram& next = *members[i];
-    for (const auto& [name, pa] : next.arrays) {
-      if (!head.arrays.contains(name)) {
-        head.arrays.emplace(name, pa);
-      }
-    }
-    head.statements.insert(head.statements.end(), next.statements.begin(),
-                           next.statements.end());
-  }
-  CompileOptions scaled = options;
-  scaled.memory_budget_elements = std::max<std::int64_t>(
-      1, static_cast<std::int64_t>(
-             static_cast<double>(options.memory_budget_elements) * frac));
-  detail::finish_elementwise_plan(head, scaled, prefetch);
-  // The executor's pool budget is the plan's memory_budget_elements;
-  // restore the full budget so shrunken slabs buy retention, not a
-  // smaller pool.
-  head.memory_budget_elements = options.memory_budget_elements;
-  head.verified = false;
-  return head;
-}
-
-/// Two elementwise protos can share a sweep only when their lhs sections
-/// are identically distributed, stored and oriented (detail::can_fuse's
-/// structural half; the budget half is finish_elementwise_plan throwing).
-bool compatible_sweeps(const NodeProgram& a, const NodeProgram& b) {
-  const PlanArray& pa = a.array(a.statements.front().lhs);
-  const PlanArray& pb = b.array(b.statements.front().lhs);
-  return pa.dist == pb.dist && pa.storage == pb.storage &&
-         pa.orientation == pb.orientation;
-}
 
 std::string partition_text(std::span<const int> group_of, int count) {
   std::ostringstream oss;
@@ -134,25 +87,13 @@ SearchResult search_sequence(const hpf::BoundProgram& program,
   report.statements = static_cast<int>(std::max<std::size_t>(
       1, program.stmts.size()));
 
-  // Per-statement proto plans: the raw material candidates clone from.
-  // Compiled without prefetch (layouts are re-emitted per candidate) and
-  // without per-proto verification (candidate sequences verify jointly).
+  // Per-statement proto plans: the raw material candidates are laid out
+  // from, by lowering's own layout routines. Lowered without prefetch
+  // (every candidate sets its own); candidate sequences verify jointly.
   CompileOptions proto_options = heuristic;
   proto_options.prefetch = PrefetchMode::kOff;
-  proto_options.verify = false;
-  std::vector<NodeProgram> protos;
-  if (program.stmts.size() <= 1) {
-    protos.push_back(compile(program, proto_options));
-  } else {
-    for (std::size_t i = 0; i < program.stmts.size(); ++i) {
-      hpf::BoundProgram view;
-      view.nprocs = program.nprocs;
-      view.parameters = program.parameters;
-      view.arrays = program.arrays;
-      view.stmts.push_back(hpf::clone_stmt(*program.stmts[i]));
-      protos.push_back(compile(view, proto_options));
-    }
-  }
+  const std::vector<NodeProgram> protos =
+      detail::lower_statements(program, proto_options);
 
   // Split the statement list into segments: GAXPY/stencil statements are
   // their own segments (their collective schedules are fusion barriers);
@@ -326,13 +267,8 @@ SearchResult search_sequence(const hpf::BoundProgram& program,
                   members.push_back(&protos[seg.first_stmt + i]);
                 }
               }
-              for (std::size_t i = 1; i < members.size(); ++i) {
-                OOCC_CHECK(compatible_sweeps(*members[0], *members[i]),
-                           ErrorCode::kCompileError,
-                           "sweep geometries differ within a fused group");
-              }
               plans.push_back(
-                  build_group(members, options, prefetch, fracs[f]));
+                  detail::fuse(members, options, prefetch, fracs[f]));
             }
             out.push_back(Candidate{desc.str(), std::move(plans)});
           } catch (const Error& e) {
@@ -350,8 +286,6 @@ SearchResult search_sequence(const hpf::BoundProgram& program,
                                    std::vector<Candidate>& out,
                                    std::vector<SearchCandidate>& rejected) {
     const NodeProgram& proto = protos[seg.first_stmt];
-    const std::int64_t nlc =
-        (proto.n + proto.nprocs - 1) / proto.nprocs;
     std::vector<runtime::SlabOrientation> orients = {
         runtime::SlabOrientation::kColumnSlabs};
     if (options.enable_access_reorganization) {
@@ -375,50 +309,10 @@ SearchResult search_sequence(const hpf::BoundProgram& program,
                  << " prefetch=" << (prefetch ? "on" : "off");
             ++report.enumerated;
             try {
-              const MemoryPlan mem =
-                  plan_memory(strategy, options.memory_budget_elements,
-                              proto.n, proto.nprocs, orient, options.disk);
               NodeProgram plan = proto;
-              plan.memory = mem;
-              plan.a_orientation = orient;
-              const std::int64_t floor_a = row ? nlc : proto.n;
-              if (halve_a) {
-                plan.memory.slab_a =
-                    std::max(floor_a, plan.memory.slab_a / 2);
-              }
-              plan.prefetch = prefetch;
-              if (prefetch) {
-                plan.memory.slab_a =
-                    std::max(floor_a, plan.memory.slab_a / 2);
-              }
-              const io::StorageOrder ac_order =
-                  options.enable_storage_reorganization
-                      ? runtime::contiguous_order_for(orient)
-                      : io::StorageOrder::kColumnMajor;
-              for (const std::string* name : {&plan.a, &plan.c}) {
-                PlanArray& pa = plan.arrays.at(*name);
-                pa.storage = ac_order;
-                pa.orientation = orient;
-                pa.needs_storage_reorganization =
-                    ac_order != io::StorageOrder::kColumnMajor;
-              }
-              plan.arrays.at(plan.a).slab_elements = plan.memory.slab_a;
-              plan.arrays.at(plan.b).slab_elements = plan.memory.slab_b;
-              plan.arrays.at(plan.c).slab_elements = plan.memory.slab_c;
-              detail::emit_gaxpy_steps(plan);
-              // Keep the decision report truthful about the layout the
-              // search picked.
-              GaxpyCostQuery q;
-              q.n = plan.n;
-              q.nprocs = plan.nprocs;
-              q.slab_a = plan.memory.slab_a;
-              q.slab_b = plan.memory.slab_b;
-              q.slab_c = plan.memory.slab_c;
-              q.storage_reorganized =
-                  options.enable_storage_reorganization;
-              plan.cost.chosen = estimate_gaxpy_cost(orient, q);
+              detail::layout_gaxpy(plan, {orient, strategy, halve_a, prefetch},
+                                   options);
               plan.cost.rationale = "plan search: " + desc.str();
-              plan.verified = false;
               std::vector<NodeProgram> plans;
               plans.push_back(std::move(plan));
               out.push_back(Candidate{desc.str(), std::move(plans)});
@@ -445,11 +339,12 @@ SearchResult search_sequence(const hpf::BoundProgram& program,
     // Upper bound: the pool's halo-assembly transient (the covering slabs
     // of one sweep stay pinned while the widened copy is assembled) stays
     // inside the budget when (4w + 2d) * rows <= budget. The heuristic's
-    // w = budget/(4 rows) - d always satisfies it, so the baseline width
-    // is always in the space.
+    // width, read off the lowered loop, always satisfies it, so the
+    // baseline width is always in the space.
     const std::int64_t wmax = (budget / rows - 2 * d) / 4;
     const std::int64_t wmin = std::max<std::int64_t>(1, d);
-    const std::int64_t w_heuristic = budget / (4 * rows) - d;
+    const std::int64_t w_heuristic =
+        proto.loops.front().capacity_elements / rows;
     std::vector<std::int64_t> widths = {w_heuristic, wmax, wmin};
     // Widths dividing the local panel evenly avoid the ragged tail slab
     // (and its extra halo-overlapped requests).
@@ -472,13 +367,8 @@ SearchResult search_sequence(const hpf::BoundProgram& program,
            << " column(s), halo " << d << ")";
       ++report.enumerated;
       NodeProgram plan = proto;
-      plan.memory.slab_a = (w + 2 * d) * rows;
-      plan.memory.slab_b = w * rows;
-      plan.arrays.at(st.source).slab_elements = plan.memory.slab_a;
-      plan.arrays.at(st.lhs).slab_elements = plan.memory.slab_b;
-      plan.loops.front().capacity_elements = w * rows;
+      detail::layout_stencil(plan, w);
       plan.cost.rationale = "plan search: " + desc.str();
-      plan.verified = false;
       std::vector<NodeProgram> plans;
       plans.push_back(std::move(plan));
       out.push_back(Candidate{desc.str(), std::move(plans)});
@@ -589,15 +479,7 @@ SearchResult search_sequence(const hpf::BoundProgram& program,
       result.plans.push_back(std::move(p));
     }
   }
-  annotate_reuse_distances(
-      std::span<NodeProgram>(result.plans.data(), result.plans.size()));
-  if (options.verify) {
-    verify_sequence_or_throw(std::span<const NodeProgram>(
-        result.plans.data(), result.plans.size()));
-    for (NodeProgram& p : result.plans) {
-      p.verified = true;
-    }
-  }
+  detail::annotate_and_verify(result.plans, options);
 
   report.chosen_priced_s = best_priced;
   if (best_priced < report.heuristic_priced_s - 1e-12) {

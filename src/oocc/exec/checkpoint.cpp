@@ -7,6 +7,7 @@
 
 #include "oocc/io/file_backend.hpp"
 #include "oocc/sim/collectives.hpp"
+#include "oocc/util/hash.hpp"
 #include "oocc/util/log.hpp"
 
 namespace oocc::exec {
@@ -27,16 +28,6 @@ struct CkptHeader {
   std::uint64_t checksum = 0;
 };
 static_assert(sizeof(CkptHeader) == 48);
-
-std::uint64_t fnv1a(const void* data, std::size_t bytes) noexcept {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = 1469598103934665603ULL;
-  for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 }  // namespace
 
@@ -76,7 +67,7 @@ void CheckpointStore::save(sim::SpmdContext& ctx, int iterations,
   h.rows = array.local_rows();
   h.cols = array.local_cols();
   h.payload_bytes = buf.size() * sizeof(double);
-  h.checksum = fnv1a(buf.data(), h.payload_bytes);
+  h.checksum = fnv1a(buf.data(), h.payload_bytes, kFileChecksumSeed);
   {
     io::FileBackend f(data_path(meta, ctx.rank()));
     f.truncate(0);
@@ -145,7 +136,8 @@ void CheckpointStore::restore(sim::SpmdContext& ctx, const Meta& meta,
                                      << " payload bytes, expected " << want);
   std::vector<double> buf(static_cast<std::size_t>(array.local_elements()));
   f.read_at(sizeof(h), buf.data(), h.payload_bytes);
-  OOCC_CHECK(fnv1a(buf.data(), h.payload_bytes) == h.checksum,
+  OOCC_CHECK(fnv1a(buf.data(), h.payload_bytes, kFileChecksumSeed) ==
+                 h.checksum,
              ErrorCode::kIoError,
              "checkpoint data file " << path << " fails its checksum");
   const double time = array.laf().disk().request_time(

@@ -2,6 +2,7 @@
 
 #include <exception>
 
+#include "oocc/util/hash.hpp"
 #include "oocc/util/log.hpp"
 
 namespace oocc::io {
@@ -25,16 +26,6 @@ struct WalHeader {
   std::uint64_t checksum = 0;
 };
 static_assert(sizeof(WalHeader) == 56);
-
-std::uint64_t fnv1a(const void* data, std::size_t bytes) noexcept {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = 1469598103934665603ULL;
-  for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 /// Runs `op`, masking transient faults with bounded retries. Each failed
 /// attempt is only recorded in `attempts`, since the physical half of a
@@ -140,7 +131,8 @@ void LocalArrayFile::recover_from_journal() {
           journal.read_at(sizeof(WalHeader), payload.data(),
                           h.payload_bytes);
           const Section s{h.row0, h.row1, h.col0, h.col1};
-          if (fnv1a(payload.data(), payload.size()) == h.checksum &&
+          if (fnv1a(payload.data(), payload.size(), kFileChecksumSeed) ==
+                  h.checksum &&
               static_cast<std::uint64_t>(s.elements()) * kElem ==
                   h.payload_bytes) {
             // Committed record: redo the in-place apply (idempotent — the
@@ -337,7 +329,8 @@ void LocalArrayFile::write_extents(const Section& s,
     // one (committed record replayed).
     auto& injector = faults::FaultInjector::instance();
     const WalHeader h{kWalMagic,     s.row0, s.row1, s.col0, s.col1,
-                      payload_bytes, fnv1a(bytes, payload_bytes)};
+                      payload_bytes,
+                      fnv1a(bytes, payload_bytes, kFileChecksumSeed)};
     journal->truncate(0);
     put(*journal, 0, &h, sizeof(h));
     put(*journal, sizeof(h), bytes, payload_bytes);

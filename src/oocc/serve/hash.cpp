@@ -6,15 +6,6 @@
 
 namespace oocc::serve {
 
-std::uint64_t fnv1a64(std::string_view bytes, std::uint64_t seed) noexcept {
-  std::uint64_t h = seed;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 std::uint64_t canonical_program_hash(const hpf::BoundProgram& bound) {
   std::ostringstream oss;
   oss << "nprocs=" << bound.nprocs << "\n";

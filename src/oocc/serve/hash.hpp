@@ -21,15 +21,19 @@
 
 #include "oocc/compiler/lower.hpp"
 #include "oocc/hpf/sema.hpp"
+#include "oocc/util/hash.hpp"
 
 namespace oocc::serve {
 
 /// FNV-1a offset basis: the starting value of every serve fingerprint.
-inline constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ULL;
+inline constexpr std::uint64_t kFnvOffsetBasis = kFnv1aOffsetBasis;
 
-/// 64-bit FNV-1a over raw bytes; the building block of every serve hash.
-std::uint64_t fnv1a64(std::string_view bytes,
-                      std::uint64_t seed = kFnvOffsetBasis) noexcept;
+/// 64-bit FNV-1a (util/hash.hpp) over raw bytes; the building block of
+/// every serve hash.
+inline std::uint64_t fnv1a64(std::string_view bytes,
+                             std::uint64_t seed = kFnvOffsetBasis) noexcept {
+  return fnv1a(bytes.data(), bytes.size(), seed);
+}
 
 /// Hash of the canonical (analyzed) program text: nprocs, every array's
 /// shape + resolved distribution, and the statement list. Two sources that

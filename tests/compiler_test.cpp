@@ -3,6 +3,8 @@
 // lowering decisions, and the pseudo-code renderer.
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "oocc/compiler/access.hpp"
 #include "oocc/compiler/cost.hpp"
 #include "oocc/compiler/lower.hpp"
@@ -180,8 +182,8 @@ TEST(CostTest, Figure14PicksRowSlabsAndExplainsWhy) {
   q.n = 1024;
   q.nprocs = 16;
   q.slab_a = q.slab_b = q.slab_c = 16 * 1024;
-  const CostDecision decision =
-      choose_access_reorganization(q, io::DiskModel::touchstone_delta_cfs());
+  const CostDecision decision = choose_access_reorganization(
+      q, q, io::DiskModel::touchstone_delta_cfs());
   EXPECT_EQ(decision.dominant_array, "a");
   EXPECT_EQ(decision.chosen.a_orientation, SlabOrientation::kRowSlabs);
   EXPECT_EQ(decision.candidates.size(), 2u);
@@ -390,6 +392,43 @@ TEST(LowerTest, PrefetchHalvesDominantSlab) {
   const NodeProgram pf = compile_source(hpf::gaxpy_source(256, 4), options);
   EXPECT_TRUE(pf.prefetch);
   EXPECT_LE(pf.memory.slab_a, base.memory.slab_a / 2 + 64);
+}
+
+TEST(LowerTest, Figure14RationaleQuotesItsCandidates) {
+  // docs/examples/gaxpy.hpf's shape. Each orientation is estimated under
+  // its own memory plan, and the rationale must quote those same
+  // candidates, the ones the decision report tabulates above it.
+  CompileOptions options;
+  options.memory_budget_elements = 2048;
+  const NodeProgram plan = compile_source(hpf::gaxpy_source(64, 4), options);
+  ASSERT_EQ(plan.cost.candidates.size(), 2u);
+  for (const CandidateCost& cand : plan.cost.candidates) {
+    const ArrayCost& dominant = cand.cost_of(plan.cost.dominant_array);
+    std::ostringstream quote;
+    quote << runtime::slab_orientation_name(cand.a_orientation)
+          << ": T_fetch=" << dominant.fetch_requests
+          << " T_data=" << dominant.data_elements << ";";
+    EXPECT_NE(plan.cost.rationale.find(quote.str()), std::string::npos)
+        << "'" << quote.str() << "' missing from: " << plan.cost.rationale;
+  }
+}
+
+TEST(LowerTest, MemorySplitFollowsTheDiskModel) {
+  CompileOptions options;
+  options.memory_budget_elements = 1024;
+  options.disk = io::DiskModel::unit_test();
+  const NodeProgram plan = compile_source(hpf::gaxpy_source(64, 4), options);
+  const MemoryPlan expected =
+      plan_memory(MemoryStrategy::kAccessWeighted, 1024, 64, 4,
+                  plan.a_orientation, options.disk);
+  EXPECT_EQ(plan.memory.slab_a, expected.slab_a);
+  EXPECT_EQ(plan.memory.slab_b, expected.slab_b);
+  EXPECT_EQ(plan.memory.slab_c, expected.slab_c);
+  EXPECT_EQ(plan.memory.temp_elements, expected.temp_elements);
+  // The Touchstone model would split this budget 286/394/280.
+  EXPECT_EQ(plan.memory.slab_a, 394);
+  EXPECT_EQ(plan.memory.slab_b, 178);
+  EXPECT_EQ(plan.memory.slab_c, 388);
 }
 
 TEST(LowerTest, AcceptsOperandOrderVariants) {

@@ -421,6 +421,67 @@ TEST(SearchSpace, StencilPrefetchEmitsNotSearchableDiagnostic) {
   EXPECT_TRUE(halo_diag);
 }
 
+/// The pass-1 candidate described exactly `describe` (nullptr if absent).
+const SearchCandidate* pass1_candidate(const SearchReport& report,
+                                       const std::string& describe) {
+  for (const SearchCandidate& c : report.candidates) {
+    if (c.pass == 1 && c.describe == describe) {
+      return &c;
+    }
+  }
+  return nullptr;
+}
+
+TEST(SearchSpace, HeuristicLayoutIsACandidate) {
+  // The baseline and every candidate are laid out by lowering's own
+  // routines, so the candidate carrying the heuristic's knobs must price
+  // exactly the baseline: under any disk model, at any budget.
+  for (const DiskModel& disk :
+       {DiskModel::touchstone_delta_cfs(), DiskModel::unit_test()}) {
+    for (const std::int64_t budget : {512, 1024, 2048}) {
+      CompileOptions options;
+      options.memory_budget_elements = budget;
+      options.disk = disk;
+      const std::string src = hpf::gaxpy_source(64, 4);
+      const NodeProgram heuristic = compile_source(src, options);
+      const SearchResult result = search_sequence_source(src, options);
+      const std::string knobs =
+          std::string("orientation=") +
+          (heuristic.a_orientation == runtime::SlabOrientation::kRowSlabs
+               ? "row"
+               : "column") +
+          " split=" +
+          std::string(memory_strategy_name(options.memory_strategy)) +
+          " slabA=full prefetch=off";
+      const SearchCandidate* cand = pass1_candidate(result.report, knobs);
+      ASSERT_NE(cand, nullptr) << knobs << " budget " << budget;
+      ASSERT_TRUE(cand->priced) << knobs << " budget " << budget;
+      EXPECT_EQ(cand->priced_s, result.report.heuristic_priced_s)
+          << knobs << " budget " << budget << " disk latency "
+          << disk.request_overhead_s;
+    }
+  }
+  for (const std::int64_t budget : {1024, 2048, 2176, 4096}) {
+    CompileOptions options;
+    options.memory_budget_elements = budget;
+    const std::string src = hpf::stencil_source(64, 4);
+    const NodeProgram heuristic = compile_source(src, options);
+    const SearchResult result = search_sequence_source(src, options);
+    const StencilStmt& st = heuristic.stencils.front();
+    const std::int64_t rows = heuristic.array(st.lhs).dist.local_rows(0);
+    const std::int64_t w = heuristic.loops.front().capacity_elements / rows;
+    const std::string knobs = "stencil w=" + std::to_string(w) +
+                              " (slabs of " + std::to_string(w) +
+                              " column(s), halo " + std::to_string(st.halo) +
+                              ")";
+    const SearchCandidate* cand = pass1_candidate(result.report, knobs);
+    ASSERT_NE(cand, nullptr) << knobs << " budget " << budget;
+    ASSERT_TRUE(cand->priced) << knobs << " budget " << budget;
+    EXPECT_EQ(cand->priced_s, result.report.heuristic_priced_s)
+        << knobs << " budget " << budget;
+  }
+}
+
 // ------------------------- verifier reachability on search-produced plans
 
 /// The verify_test mutation catalogue replayed against plans the *search*

@@ -1,10 +1,11 @@
-// Unit tests for oocc/util: errors, stats, tables, env parsing, RNG.
+// Unit tests for oocc/util: errors, stats, tables, env parsing, RNG, hash.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 
 #include "oocc/util/env.hpp"
 #include "oocc/util/error.hpp"
+#include "oocc/util/hash.hpp"
 #include "oocc/util/rng.hpp"
 #include "oocc/util/stats.hpp"
 #include "oocc/util/table.hpp"
@@ -209,6 +210,23 @@ TEST(RngTest, RoughlyUniform) {
   for (int count : buckets) {
     EXPECT_NEAR(count, trials / 10, trials / 100);
   }
+}
+
+TEST(HashTest, Fnv1aStandardVectors) {
+  EXPECT_EQ(fnv1a("", 0, kFnv1aOffsetBasis), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(fnv1a("a", 1, kFnv1aOffsetBasis), 0xaf63dc4c8601ec8cULL);
+}
+
+TEST(HashTest, FileChecksumSeedKeepsEarlierFilesReadable) {
+  // The WAL and checkpoint checksum of a fixed 64-byte payload, as builds
+  // before the shared hash computed it: a different seed would make every
+  // file they wrote fail its checksum.
+  unsigned char payload[64];
+  for (int i = 0; i < 64; ++i) {
+    payload[i] = static_cast<unsigned char>(i * 37 + 11);
+  }
+  EXPECT_EQ(fnv1a(payload, sizeof(payload), kFileChecksumSeed),
+            0x286d4b6114e61fc3ULL);
 }
 
 }  // namespace

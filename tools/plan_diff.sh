@@ -1,0 +1,89 @@
+#!/usr/bin/env bash
+# Compares the plans two builds of the compiler driver emit for the same
+# inputs: the check for compiler refactors that must not move a plan.
+#
+# Every docs/examples/*.hpf program is compiled at each budget in BUDGETS
+# with --dump-plan under each option set in OPTION_SETS, plus one
+# --dump-search run per program and budget. Each run's stdout, stderr and
+# exit status are captured from both binaries; every run whose capture
+# differs is printed as a `diff -u` (old first).
+#
+# Usage: tools/plan_diff.sh <old oocc_compile> <new oocc_compile>
+#
+# Exits 0 when every run matches, 1 when any differs, 2 on bad usage.
+set -euo pipefail
+
+if [ $# -ne 2 ]; then
+  sed -n '2,13p' "$0" >&2
+  exit 2
+fi
+OLD="$1"
+NEW="$2"
+for bin in "$OLD" "$NEW"; do
+  if [ ! -x "$bin" ]; then
+    echo "plan_diff.sh: $bin is not an executable" >&2
+    exit 2
+  fi
+done
+
+cd "$(dirname "$0")/.."
+
+BUDGETS=(512 1024 2048 2176 4096 16384)
+OPTION_SETS=(
+  ""
+  "--prefetch"
+  "--prefetch=auto"
+  "--equal-split"
+  "--no-access-reorg"
+  "--no-storage-reorg"
+  "--no-fuse"
+  "--opt=search"
+  "--opt=search --prefetch=auto"
+)
+
+WORK="$(mktemp -d)"
+trap 'rm -rf "$WORK"' EXIT
+
+# capture <binary> <output file> <args...>: stdout, then stderr, then the
+# exit status, in one file.
+capture() {
+  local bin="$1" out="$2"
+  shift 2
+  local status=0
+  "$bin" "$@" >"$out.stdout" 2>"$out.stderr" || status=$?
+  {
+    echo "--- stdout"
+    cat "$out.stdout"
+    echo "--- stderr"
+    cat "$out.stderr"
+    echo "--- exit $status"
+  } >"$out"
+  rm -f "$out.stdout" "$out.stderr"
+}
+
+runs=0
+differing=0
+compare() {
+  runs=$((runs + 1))
+  capture "$OLD" "$WORK/old" "$@"
+  capture "$NEW" "$WORK/new" "$@"
+  if ! cmp -s "$WORK/old" "$WORK/new"; then
+    differing=$((differing + 1))
+    echo "=== oocc_compile $*"
+    diff -u --label old --label new "$WORK/old" "$WORK/new" || true
+  fi
+}
+
+for program in docs/examples/*.hpf; do
+  for budget in "${BUDGETS[@]}"; do
+    for opts in "${OPTION_SETS[@]}"; do
+      # Word splitting of $opts is intended: each set is a flag list.
+      # shellcheck disable=SC2086
+      compare "$program" --memory "$budget" --dump-plan $opts
+    done
+    compare "$program" --memory "$budget" --dump-search
+  done
+done
+
+echo "plan_diff.sh: $differing of $runs runs differ"
+[ "$differing" -eq 0 ]
