@@ -345,26 +345,12 @@ class StepPricer final : public StepWalk, public Directory::Host {
         });
   }
 
-  /// One acquire_write of the output slab; an elementwise statement costs a
-  /// flop per element, a stencil `binary ops x interior rows` per
-  /// non-boundary column.
+  /// One acquire_write of the output slab, and the statement's flops.
   void stage(const Node& n) override {
     const io::Section& sec = n.loop->section;
-    if (n.step->kind == StepKind::kComputeElementwise) {
-      price_.flops += static_cast<double>(sec.elements());
-    } else {
-      const StencilStmt& st =
-          plan_.stencils[static_cast<std::size_t>(n.step->stmt)];
-      const std::int64_t gcols = n.info->dist.global_cols();
-      const double ops = static_cast<double>(hpf::count_binary_ops(*st.rhs));
-      for (std::int64_t lc = sec.col0; lc < sec.col1; ++lc) {
-        const std::int64_t gc = n.info->dist.local_to_global_col(rank_, lc);
-        if (gc >= st.halo && gc < gcols - st.halo) {
-          price_.flops +=
-              ops * static_cast<double>(sec.rows() - 2 * st.row_halo);
-        }
-      }
-    }
+    price_.flops += compute_flops(
+        plan_.statements[static_cast<std::size_t>(n.step->stmt)],
+        n.info->dist, rank_, sec);
     dir_.acquire_write(*this, *n.array, sec, n.step->reuse_distance);
   }
 

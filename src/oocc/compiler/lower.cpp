@@ -227,7 +227,7 @@ void finish_elementwise_plan(NodeProgram& plan, const CompileOptions& options,
   // they are consumed before (or without) being produced?
   std::vector<std::string> written;
   std::vector<std::string> read_first;
-  for (const ElementwiseStmt& st : plan.statements) {
+  for (const SlabStmt& st : plan.statements) {
     std::vector<const Expr*> refs;
     collect_ref_exprs(*st.rhs, refs);
     for (const Expr* ref : refs) {
@@ -347,7 +347,7 @@ void layout_gaxpy(NodeProgram& plan, const GaxpyLayout& layout,
 }
 
 void layout_stencil(NodeProgram& plan, std::int64_t w) {
-  const StencilStmt& st = plan.stencils.front();
+  const SlabStmt& st = plan.statements.front();
   const std::int64_t rows = plan.array(st.lhs).dist.local_rows(0);
   const std::int64_t d = st.halo;
   plan.memory.slab_a = (w + 2 * d) * rows;  // source (halo-widened)
@@ -878,14 +878,14 @@ void check_stencil_layout(const BoundProgram& program,
   }
 }
 
-/// Rewrites the cloned rhs into stencil-normalized form: every array
-/// reference's subscripts become two integer constants (row shift, column
-/// offset) relative to the element being computed, and parameter scalars
-/// fold to integer constants (the executor's stencil evaluator binds only
-/// the FORALL index).
-void normalize_stencil_refs(Expr& e, const BoundProgram& program,
-                            const LoopContext& loops,
-                            std::int64_t lhs_row_lo) {
+/// Rewrites a cloned rhs into position-normalized form (SlabStmt): every
+/// array reference's subscripts become two integer constants (row shift
+/// from `lhs_row_lo`, column offset) relative to the element being
+/// computed, and parameter scalars fold to integer constants (the executor
+/// binds only the FORALL index). Elementwise and stencil statements both
+/// come through here.
+void normalize_refs(Expr& e, const BoundProgram& program,
+                    const LoopContext& loops, std::int64_t lhs_row_lo) {
   if (e.kind == ExprKind::kVarRef &&
       program.parameters.contains(e.name)) {
     e.int_value = program.parameters.at(e.name);
@@ -908,8 +908,8 @@ void normalize_stencil_refs(Expr& e, const BoundProgram& program,
     e.subscripts.push_back(std::move(col));
     return;
   }
-  if (e.lhs) normalize_stencil_refs(*e.lhs, program, loops, lhs_row_lo);
-  if (e.rhs) normalize_stencil_refs(*e.rhs, program, loops, lhs_row_lo);
+  if (e.lhs) normalize_refs(*e.lhs, program, loops, lhs_row_lo);
+  if (e.rhs) normalize_refs(*e.rhs, program, loops, lhs_row_lo);
 }
 
 NodeProgram lower_stencil(const BoundProgram& program,
@@ -920,20 +920,13 @@ NodeProgram lower_stencil(const BoundProgram& program,
   plan.kind = ProgramKind::kStencil;
   plan.nprocs = program.nprocs;
   plan.n = match.rows;
-  plan.elementwise_cols = match.cols;
   plan.memory_budget_elements = options.memory_budget_elements;
 
-  StencilStmt stmt;
-  stmt.lhs = match.lhs;
-  stmt.source = match.source;
-  stmt.forall_var = match.forall_var;
-  stmt.halo = match.halo;
-  stmt.row_halo = match.row_halo;
   hpf::ExprPtr rhs = hpf::clone_expr(*match.rhs);
   const LoopContext loops{"", match.forall_var};
-  normalize_stencil_refs(*rhs, program, loops, 1 + match.row_halo);
-  stmt.rhs = std::move(rhs);
-  plan.stencils.push_back(std::move(stmt));
+  normalize_refs(*rhs, program, loops, 1 + match.row_halo);
+  plan.statements.push_back(SlabStmt{match.lhs, std::move(rhs), match.source,
+                                     match.halo, match.row_halo});
 
   // Memory plan: the source's halo-widened slab plus the output slab must
   // fit, and the slab pool needs transient headroom to assemble a widened
@@ -1047,17 +1040,16 @@ NodeProgram lower_elementwise(const BoundProgram& program,
   plan.kind = ProgramKind::kElementwise;
   plan.nprocs = program.nprocs;
   plan.n = match.rows;
-  plan.elementwise_cols = match.cols;
-  ElementwiseStmt stmt;
+  const LoopContext loops{"", match.forall_var};
+  hpf::ExprPtr rhs = hpf::clone_expr(*match.rhs);
+  normalize_refs(*rhs, program, loops, /*lhs_row_lo=*/1);
+  SlabStmt& stmt = plan.statements.emplace_back();
   stmt.lhs = match.lhs;
-  stmt.rhs = hpf::clone_expr(*match.rhs);
-  stmt.forall_var = match.forall_var;
-  plan.statements.push_back(std::move(stmt));
+  stmt.rhs = std::move(rhs);
 
   // Collect distinct arrays (lhs + rhs references), every operand
   // distributed like the lhs.
   std::vector<RefAccess> refs;
-  const LoopContext loops{"", match.forall_var};
   collect_references(*match.rhs, program, loops, false, refs);
   const ArrayInfo& lhs = program.array(match.lhs);
   plan.arrays[match.lhs] = plan_array(program, match.lhs, true);

@@ -62,6 +62,23 @@ SideReservation gaxpy_side_reservation(const NodeProgram& plan, int proc) {
   return {};
 }
 
+double compute_flops(const SlabStmt& stmt, const hpf::ArrayDistribution& dist,
+                     int proc, const io::Section& section) {
+  if (stmt.source.empty()) {
+    return static_cast<double>(section.elements());
+  }
+  std::int64_t interior_cols = 0;
+  for (std::int64_t lc = section.col0; lc < section.col1; ++lc) {
+    const std::int64_t gc = dist.local_to_global_col(proc, lc);
+    if (gc >= stmt.halo && gc < dist.global_cols() - stmt.halo) {
+      ++interior_cols;
+    }
+  }
+  return static_cast<double>(hpf::count_binary_ops(*stmt.rhs)) *
+         static_cast<double>(interior_cols) *
+         static_cast<double>(section.rows() - 2 * stmt.row_halo);
+}
+
 const PlanArray& NodeProgram::array(const std::string& name) const {
   const auto it = arrays.find(name);
   OOCC_CHECK(it != arrays.end(), ErrorCode::kInvalidArgument,

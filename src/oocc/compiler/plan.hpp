@@ -80,8 +80,8 @@ enum class StepKind {
   kReduceSum,      ///< global sum of temp; owner stages its output column
   kExchangeHalo,   ///< trade `halo` edge columns of `array` with the
                    ///< neighbouring processors (ghost columns for a sweep)
-  kComputeStencil, ///< evaluate stencils[stmt] over the current slab, with
-                   ///< halo/ghost columns bound and boundary copy-through
+  kComputeStencil, ///< evaluate statements[stmt] over the current slab,
+                   ///< with halo/ghost columns bound and boundary copy-through
   kBarrier         ///< synchronize all processors
 };
 
@@ -114,29 +114,23 @@ struct Step {
   std::vector<Step> body;
 };
 
-/// One lowered elementwise assignment `lhs(1:rows,k) = rhs`. A fused plan
-/// carries several; each slab of the sweep evaluates them in order, so a
-/// later statement reads the in-memory result of an earlier one.
-struct ElementwiseStmt {
+/// One lowered FORALL statement `lhs(section) = rhs`, elementwise or
+/// stencil. The rhs is *position-normalized*: every array reference's two
+/// subscripts are integer constants (row shift, column offset) relative to
+/// the element being computed, parameters are folded to constants, and the
+/// FORALL index (its 1-based global column number) is the only free scalar.
+/// An elementwise statement reads every operand at (0, 0); a fused plan
+/// carries several, and each slab of the sweep evaluates them in order, so a
+/// later statement reads the in-memory result of an earlier one. A stencil
+/// reads its one `source` at shifted positions, and the elements outside its
+/// interior (the first/last `halo` global columns and the first/last
+/// `row_halo` rows) copy through from `source`: the canonical Jacobi fixed
+/// boundary.
+struct SlabStmt {
   std::string lhs;
   std::shared_ptr<const hpf::Expr> rhs;  ///< immutable after lowering
-  std::string forall_var;
-};
-
-/// One lowered halo-stencil FORALL `lhs(interior) = f(source shifted)`.
-/// The rhs is *stencil-normalized*: every array reference's subscripts are
-/// rewritten to two integer constants (row shift, column offset) relative
-/// to the element being computed, so the executor reads them positionally
-/// instead of re-deriving the subscript algebra per element. Elements
-/// outside the FORALL's interior (the first/last `halo` global columns and
-/// the first/last `row_halo` rows) copy through from `source` — the
-/// canonical Jacobi fixed boundary.
-struct StencilStmt {
-  std::string lhs;     ///< output array of one sweep
-  std::string source;  ///< the single stenciled input array
-  std::shared_ptr<const hpf::Expr> rhs;  ///< stencil-normalized tree
-  std::string forall_var;
-  std::int64_t halo = 1;      ///< max |column offset| (dependence distance)
+  std::string source;         ///< the stencil's input; empty if elementwise
+  std::int64_t halo = 0;      ///< max |column offset| (dependence distance)
   std::int64_t row_halo = 0;  ///< max |row shift| (boundary rows copied)
 };
 
@@ -154,13 +148,10 @@ struct NodeProgram {
       runtime::SlabOrientation::kColumnSlabs;
   bool prefetch = false;
 
-  // Elementwise statement group (one entry per fused source statement).
-  std::vector<ElementwiseStmt> statements;
-  std::int64_t elementwise_cols = 0;
-
-  // Stencil statement (one per plan; the executor's convergence driver
-  // ping-pongs lhs/source between sweeps).
-  std::vector<StencilStmt> stencils;
+  // The lowered statements: an elementwise group (one entry per fused
+  // source statement) or one stencil, whose lhs/source the executor's
+  // convergence driver ping-pongs between sweeps.
+  std::vector<SlabStmt> statements;
 
   // The slab-program IR interpreted by exec::execute.
   std::vector<SlabLoop> loops;
@@ -192,5 +183,13 @@ struct SideReservation {
   std::int64_t total() const noexcept { return temp + output; }
 };
 SideReservation gaxpy_side_reservation(const NodeProgram& plan, int proc);
+
+/// Flops of one ComputeElementwise / ComputeStencil step of `stmt` over the
+/// slab `section` on `proc`: one per element for an elementwise statement
+/// (the historical rule), and the rhs's binary operations per interior
+/// element for a stencil, whose boundary copy-through is free. The executor
+/// charges exactly this and the pricer prices it.
+double compute_flops(const SlabStmt& stmt, const hpf::ArrayDistribution& dist,
+                     int proc, const io::Section& section);
 
 }  // namespace oocc::compiler

@@ -74,55 +74,9 @@ void emit_gaxpy_row(std::ostringstream& oss, const NodeProgram& p) {
       << "   end do\n";
 }
 
-void emit_elementwise(std::ostringstream& oss, const NodeProgram& p) {
-  oss << "C  Elementwise FORALL translation (no communication";
-  if (p.statements.size() > 1) {
-    oss << "; " << p.statements.size() << " statements fused into one sweep";
-  }
-  oss << ")\n";
-  const std::string& sweep = p.statements.front().lhs;
-  oss << "   do s = 1, slabs_of(" << sweep << ")\n";
-  // Render the sweep body off the step program so the pseudo-code shows
-  // exactly which reads the fusion pass kept and which it eliminated.
-  OOCC_ASSERT(!p.steps.empty() &&
-                  p.steps.front().kind == StepKind::kForEachSlab,
-              "elementwise plan must be a single slab sweep");
-  for (const Step& step : p.steps.front().body) {
-    switch (step.kind) {
-      case StepKind::kReadSlab:
-        oss << "      call READ_ICLA(" << step.array << ", slab s)\n";
-        break;
-      case StepKind::kComputeElementwise: {
-        const ElementwiseStmt& st =
-            p.statements[static_cast<std::size_t>(step.stmt)];
-        oss << "      do each element (j,i) in slab s\n"
-            << "         " << st.lhs << "(j,i) = " << hpf::to_string(*st.rhs)
-            << "\n"
-            << "      end do\n";
-        break;
-      }
-      case StepKind::kWriteSlab:
-        oss << "      call WRITE_ICLA(" << step.array << ", slab s)\n";
-        break;
-      default:
-        break;
-    }
-  }
-  oss << "   end do\n";
-}
-
-void emit_steps(std::ostringstream& oss, const std::vector<Step>& steps,
-                int depth) {
-  const std::string pad(static_cast<std::size_t>(depth) * 2, ' ');
-  for (const Step& s : steps) {
-    oss << pad << step_text(s) << "\n";
-    emit_steps(oss, s.body, depth + 1);
-  }
-}
-
-/// Renders a stencil-normalized expression: array references print as
+/// Renders a position-normalized expression: array references print as
 /// name(r+shift, c+offset) relative to the element being computed.
-void stencil_expr_text(std::ostringstream& oss, const hpf::Expr& e) {
+void expr_text(std::ostringstream& oss, const hpf::Expr& e) {
   switch (e.kind) {
     case hpf::ExprKind::kIntConst:
       oss << e.int_value;
@@ -161,9 +115,9 @@ void stencil_expr_text(std::ostringstream& oss, const hpf::Expr& e) {
           break;
       }
       oss << "(";
-      stencil_expr_text(oss, *e.lhs);
+      expr_text(oss, *e.lhs);
       oss << op;
-      stencil_expr_text(oss, *e.rhs);
+      expr_text(oss, *e.rhs);
       oss << ")";
       return;
     }
@@ -173,15 +127,59 @@ void stencil_expr_text(std::ostringstream& oss, const hpf::Expr& e) {
   }
 }
 
-std::string stencil_stmt_text(const StencilStmt& st) {
+std::string stmt_text(const SlabStmt& st) {
   std::ostringstream oss;
   oss << st.lhs << "(r,c) = ";
-  stencil_expr_text(oss, *st.rhs);
+  expr_text(oss, *st.rhs);
   return oss.str();
 }
 
+void emit_elementwise(std::ostringstream& oss, const NodeProgram& p) {
+  oss << "C  Elementwise FORALL translation (no communication";
+  if (p.statements.size() > 1) {
+    oss << "; " << p.statements.size() << " statements fused into one sweep";
+  }
+  oss << ")\n";
+  const std::string& sweep = p.statements.front().lhs;
+  oss << "   do s = 1, slabs_of(" << sweep << ")\n";
+  // Render the sweep body off the step program so the pseudo-code shows
+  // exactly which reads the fusion pass kept and which it eliminated.
+  OOCC_ASSERT(!p.steps.empty() &&
+                  p.steps.front().kind == StepKind::kForEachSlab,
+              "elementwise plan must be a single slab sweep");
+  for (const Step& step : p.steps.front().body) {
+    switch (step.kind) {
+      case StepKind::kReadSlab:
+        oss << "      call READ_ICLA(" << step.array << ", slab s)\n";
+        break;
+      case StepKind::kComputeElementwise:
+        oss << "      do each element (r,c) in slab s\n"
+            << "         "
+            << stmt_text(p.statements[static_cast<std::size_t>(step.stmt)])
+            << "\n"
+            << "      end do\n";
+        break;
+      case StepKind::kWriteSlab:
+        oss << "      call WRITE_ICLA(" << step.array << ", slab s)\n";
+        break;
+      default:
+        break;
+    }
+  }
+  oss << "   end do\n";
+}
+
+void emit_steps(std::ostringstream& oss, const std::vector<Step>& steps,
+                int depth) {
+  const std::string pad(static_cast<std::size_t>(depth) * 2, ' ');
+  for (const Step& s : steps) {
+    oss << pad << step_text(s) << "\n";
+    emit_steps(oss, s.body, depth + 1);
+  }
+}
+
 void emit_stencil(std::ostringstream& oss, const NodeProgram& p) {
-  const StencilStmt& st = p.stencils.front();
+  const SlabStmt& st = p.statements.front();
   oss << "C  Halo-stencil translation (one sweep of the ping-pong pair)\n"
       << "C  slabs: " << st.source << "="
       << p.array(st.source).slab_elements << " elems (halo-widened), "
@@ -192,7 +190,7 @@ void emit_stencil(std::ostringstream& oss, const NodeProgram& p) {
       << "      call READ_ICLA(" << st.source << ", slab s widened by "
       << st.halo << " column(s) each side, clipped)\n"
       << "      do each interior element (r,c) in slab s\n"
-      << "         " << stencil_stmt_text(st) << "\n"
+      << "         " << stmt_text(st) << "\n"
       << "      end do\n"
       << "      boundary rows/columns copy through from " << st.source
       << "\n"
@@ -314,22 +312,19 @@ std::string decision_report(const NodeProgram& plan) {
       oss << "\n";
     }
     oss << "rationale: " << plan.cost.rationale << "\n";
-  } else if (plan.kind == ProgramKind::kStencil) {
-    const StencilStmt& st = plan.stencils.front();
-    oss << "stmt: " << stencil_stmt_text(st) << "\n";
-    oss << "halo: +/-" << st.halo << " columns, +/-" << st.row_halo
-        << " rows; ping-pong pair " << st.lhs << "/" << st.source << "\n";
-    for (const auto& [name, pa] : plan.arrays) {
-      oss << "array '" << name << "': " << pa.dist.to_string() << ", stored "
-          << io::storage_order_name(pa.storage) << ", slab "
-          << pa.slab_elements << " elems\n";
-    }
-    if (!plan.cost.rationale.empty()) {
-      oss << "rationale: " << plan.cost.rationale << "\n";
-    }
   } else {
-    for (const ElementwiseStmt& st : plan.statements) {
-      oss << "stmt: " << st.lhs << " = " << hpf::to_string(*st.rhs) << "\n";
+    for (const SlabStmt& st : plan.statements) {
+      oss << "stmt: " << stmt_text(st) << "\n";
+    }
+    if (plan.kind == ProgramKind::kStencil) {
+      const SlabStmt& st = plan.statements.front();
+      oss << "halo: +/-" << st.halo << " columns, +/-" << st.row_halo
+          << " rows; ping-pong pair " << st.lhs << "/" << st.source << "\n";
+      for (const auto& [name, pa] : plan.arrays) {
+        oss << "array '" << name << "': " << pa.dist.to_string()
+            << ", stored " << io::storage_order_name(pa.storage) << ", slab "
+            << pa.slab_elements << " elems\n";
+      }
     }
     if (!plan.cost.rationale.empty()) {
       oss << "rationale: " << plan.cost.rationale << "\n";

@@ -331,7 +331,7 @@ SearchResult search_sequence(const hpf::BoundProgram& program,
   const auto enumerate_stencil = [&](const Segment& seg,
                                      std::vector<Candidate>& out) {
     const NodeProgram& proto = protos[seg.first_stmt];
-    const StencilStmt& st = proto.stencils.front();
+    const SlabStmt& st = proto.statements.front();
     const PlanArray& lhs = proto.arrays.at(st.lhs);
     const std::int64_t rows = lhs.dist.local_rows(0);
     const std::int64_t d = st.halo;

@@ -74,7 +74,10 @@ class Sink {
 class StructureChecker {
  public:
   StructureChecker(const NodeProgram& plan, int plan_index, Sink& sink)
-      : plan_(plan), plan_index_(plan_index), sink_(sink) {}
+      : plan_(plan), plan_index_(plan_index), sink_(sink),
+        stencil_(plan.kind == ProgramKind::kStencil && !plan.statements.empty()
+                     ? &plan.statements.front()
+                     : nullptr) {}
 
   bool run() {
     for (const SlabLoop& loop : plan_.loops) {
@@ -140,8 +143,7 @@ class StructureChecker {
   }
 
   void walk(const Step& step) {
-    if (!plan_.stencils.empty() &&
-        step.array == plan_.stencils.front().source) {
+    if (stencil_ != nullptr && step.array == stencil_->source) {
       if (step.kind == StepKind::kExchangeHalo) {
         exchange_halo_ = std::max(exchange_halo_, step.halo);
       } else if (step.kind == StepKind::kReadSlab) {
@@ -213,7 +215,8 @@ class StructureChecker {
           }
         }
         return;
-      case StepKind::kComputeElementwise: {
+      case StepKind::kComputeElementwise:
+      case StepKind::kComputeStencil: {
         if (!check_loop_ref(step, step.loop) ||
             !check_active(step, step.loop)) {
           return;
@@ -221,35 +224,14 @@ class StructureChecker {
         if (step.stmt < 0 ||
             static_cast<std::size_t>(step.stmt) >= plan_.statements.size()) {
           fatal("OOCC-V003",
-                "ComputeElementwise stmt#" + std::to_string(step.stmt) +
-                    " is outside the plan's " +
+                std::string(step_kind_name(step.kind)) + " stmt#" +
+                    std::to_string(step.stmt) + " is outside the plan's " +
                     std::to_string(plan_.statements.size()) + " statement(s)",
                 &step);
           return;
         }
         const std::string& lhs =
             plan_.statements[static_cast<std::size_t>(step.stmt)].lhs;
-        if (check_array_ref(step, lhs)) {
-          staged_[step.loop].insert(lhs);
-        }
-        return;
-      }
-      case StepKind::kComputeStencil: {
-        if (!check_loop_ref(step, step.loop) ||
-            !check_active(step, step.loop)) {
-          return;
-        }
-        if (step.stmt < 0 ||
-            static_cast<std::size_t>(step.stmt) >= plan_.stencils.size()) {
-          fatal("OOCC-V003",
-                "ComputeStencil stmt#" + std::to_string(step.stmt) +
-                    " is outside the plan's " +
-                    std::to_string(plan_.stencils.size()) + " stencil(s)",
-                &step);
-          return;
-        }
-        const std::string& lhs =
-            plan_.stencils[static_cast<std::size_t>(step.stmt)].lhs;
         if (check_array_ref(step, lhs)) {
           staged_[step.loop].insert(lhs);
         }
@@ -293,10 +275,10 @@ class StructureChecker {
   /// by at least d — otherwise interior elements read stale or absent
   /// neighbour data.
   void check_stencil_halo() {
-    if (plan_.stencils.empty()) {
+    if (stencil_ == nullptr) {
       return;
     }
-    const StencilStmt& st = plan_.stencils.front();
+    const SlabStmt& st = *stencil_;
     if (plan_.nprocs > 1 && exchange_halo_ < st.halo) {
       sink_.add("OOCC-V012", plan_index_, -1,
                 exchange_halo_ < 0
@@ -321,6 +303,7 @@ class StructureChecker {
   const NodeProgram& plan_;
   int plan_index_;
   Sink& sink_;
+  const SlabStmt* stencil_;  ///< the plan's stencil statement, if any
   std::map<std::string, const SlabLoop*> loops_;
   std::vector<std::string> active_;
   std::vector<std::string> column_loops_;

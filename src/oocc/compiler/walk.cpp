@@ -25,7 +25,7 @@ io::Section widen_columns(const io::Section& s, std::int64_t halo,
 const std::string& stencil_resolve(const NodeProgram& plan, bool swapped,
                                    const std::string& name) {
   if (swapped) {
-    const StencilStmt& st = plan.stencils.front();
+    const SlabStmt& st = plan.statements.front();
     if (name == st.source) {
       return st.lhs;
     }
@@ -39,7 +39,9 @@ const std::string& stencil_resolve(const NodeProgram& plan, bool swapped,
 }  // namespace
 
 StepWalk::StepWalk(const NodeProgram& plan, int rank, bool swapped)
-    : plan_(plan), rank_(rank), swapped_(swapped && !plan.stencils.empty()) {
+    : plan_(plan), rank_(rank),
+      swapped_(swapped && plan.kind == ProgramKind::kStencil &&
+               !plan.statements.empty()) {
   cursors_.reserve(plan.loops.size());
   for (const SlabLoop& loop : plan.loops) {
     const PlanArray& space =
@@ -62,8 +64,8 @@ void StepWalk::bind(const std::vector<Step>& steps) {
                "step references undeclared slab loop '" << name << "'");
     return &*it;
   };
-  const auto statement_lhs = [&](const Step& step,
-                                 const auto& stmts) -> const std::string& {
+  const auto statement_lhs = [&](const Step& step) -> const std::string& {
+    const std::vector<SlabStmt>& stmts = plan_.statements;
     OOCC_CHECK(step.stmt >= 0 &&
                    static_cast<std::size_t>(step.stmt) < stmts.size(),
                ErrorCode::kRuntimeError,
@@ -86,12 +88,9 @@ void StepWalk::bind(const std::vector<Step>& steps) {
         array = &step.array;
         break;
       case StepKind::kComputeElementwise:
-        n.loop = cursor(step.loop);
-        array = &statement_lhs(step, plan_.statements);
-        break;
       case StepKind::kComputeStencil:
         n.loop = cursor(step.loop);
-        array = &statement_lhs(step, plan_.stencils);
+        array = &statement_lhs(step);
         break;
       case StepKind::kComputeGaxpyPartial:
         n.loop = cursor(step.loop);

@@ -168,9 +168,9 @@ bool restartable_error(ErrorCode code) noexcept {
     case ErrorCode::kTransientIoError:
     case ErrorCode::kCrash:
     case ErrorCode::kResourceExhausted:
-    // The abort protocol surfaces the failing rank's error on that rank and
-    // kRuntimeError ("aborted by another rank") everywhere else; Machine::
-    // run rethrows the lowest rank's exception, which may be either.
+    // Injected message faults and exhausted send retries raise
+    // kRuntimeError, and Machine::run rethrows the error that started the
+    // abort, so a restartable failure can arrive as this code.
     case ErrorCode::kRuntimeError:
       return true;
     default:

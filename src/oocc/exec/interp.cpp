@@ -8,7 +8,6 @@
 #include "oocc/compiler/verify.hpp"
 #include "oocc/compiler/walk.hpp"
 #include "oocc/exec/checkpoint.hpp"
-#include "oocc/exec/eval.hpp"
 #include "oocc/runtime/bufferpool.hpp"
 #include "oocc/runtime/slab_writer.hpp"
 #include "oocc/sim/collectives.hpp"
@@ -146,37 +145,7 @@ class StepExecutor final : public compiler::StepWalk {
     runtime::IclaBuffer& out =
         pool_.acquire_write(ctx_, bound(arrays_, *n.array).laf(), *n.array,
                             n.loop->section, n.step->reuse_distance);
-    if (n.step->kind == compiler::StepKind::kComputeElementwise) {
-      compute_elementwise(n, out);
-    } else {
-      compute_stencil(n, out);
-    }
-  }
-
-  void compute_elementwise(const Node& n, runtime::IclaBuffer& out) {
-    const compiler::ElementwiseStmt& st =
-        plan_.statements[static_cast<std::size_t>(n.step->stmt)];
-    const io::Section sec = n.loop->section;
-    // Safe to install before evaluating: each element is written only from
-    // values of the same (row, column), read before the write. Later
-    // statements of a fused group read this result from memory.
-    Loaded& buffers = loaded(*n.loop);
-    buffers[st.lhs] = &out;
-
-    EvalEnv env;
-    env.forall_var = st.forall_var;
-    env.buffers = &buffers;
-    for (std::int64_t c = 0; c < sec.cols(); ++c) {
-      // FORALL index is the 1-based global column number.
-      env.forall_value =
-          n.info->dist.local_to_global_col(rank_, sec.col0 + c) + 1;
-      env.col_rel = c;
-      for (std::int64_t r = 0; r < sec.rows(); ++r) {
-        env.row = r;
-        out.at(r, c) = eval_element(*st.rhs, env);
-      }
-    }
-    ctx_.charge_flops(static_cast<double>(sec.elements()));
+    compute(plan_.statements[static_cast<std::size_t>(n.step->stmt)], n, out);
   }
 
   void partial(const Node& n, bool fresh) override {
@@ -273,20 +242,42 @@ class StepExecutor final : public compiler::StepWalk {
     }
   }
 
-  /// Evaluates one element of a stencil-normalized expression: array
-  /// references carry (row shift, column offset) integer subscripts.
-  template <typename ColAt>
-  double eval_stencil(const hpf::Expr& e, std::int64_t r, std::int64_t lc,
-                      std::int64_t forall_value, const ColAt& col_at) const {
+  /// One array reference of the statement being computed, bound to the
+  /// slab buffer holding its array.
+  struct Operand {
+    const runtime::IclaBuffer* buffer;
+    std::int64_t row_shift;
+    std::int64_t col_offset;
+    const double* column = nullptr;  ///< its column for the current element
+  };
+
+  /// Binds the array references of `e`, in preorder, to their buffers.
+  void bind_operands(const hpf::Expr& e, const Loaded& buffers) {
+    if (e.kind == hpf::ExprKind::kArrayRef) {
+      const auto it = buffers.find(e.name);
+      OOCC_CHECK(it != buffers.end(), ErrorCode::kRuntimeError,
+                 "array '" << e.name << "' has no bound slab");
+      operands_.push_back(Operand{it->second, e.subscripts[0].scalar->int_value,
+                                  e.subscripts[1].scalar->int_value});
+      return;
+    }
+    if (e.lhs) bind_operands(*e.lhs, buffers);
+    if (e.rhs) bind_operands(*e.rhs, buffers);
+  }
+
+  /// Evaluates row `r` of a position-normalized expression; the array
+  /// references read operands_ in preorder, counted by `next`.
+  double eval(const hpf::Expr& e, std::int64_t r, double index,
+              std::size_t& next) const {
     switch (e.kind) {
       case hpf::ExprKind::kIntConst:
         return static_cast<double>(e.int_value);
       case hpf::ExprKind::kVarRef:
         // Lowering only admits the FORALL index as a free scalar.
-        return static_cast<double>(forall_value);
+        return index;
       case hpf::ExprKind::kBinary: {
-        const double a = eval_stencil(*e.lhs, r, lc, forall_value, col_at);
-        const double b = eval_stencil(*e.rhs, r, lc, forall_value, col_at);
+        const double a = eval(*e.lhs, r, index, next);
+        const double b = eval(*e.rhs, r, index, next);
         switch (e.op) {
           case hpf::BinOp::kAdd:
             return a + b;
@@ -300,39 +291,46 @@ class StepExecutor final : public compiler::StepWalk {
         return 0.0;
       }
       case hpf::ExprKind::kArrayRef: {
-        const std::int64_t sr = e.subscripts[0].scalar->int_value;
-        const std::int64_t co = e.subscripts[1].scalar->int_value;
-        return col_at(lc + co)[r + sr];
+        const Operand& o = operands_[next++];
+        return o.column[r + o.row_shift];
       }
       case hpf::ExprKind::kSumIntrinsic:
         break;
     }
     OOCC_THROW(ErrorCode::kRuntimeError,
-               "unsupported node in a stencil-normalized expression");
+               "unsupported node in a position-normalized expression");
   }
 
-  /// One slab of the stencil sweep. Interior elements evaluate the
-  /// normalized rhs over the halo-widened source slab (ghost columns for
-  /// out-of-panel offsets); boundary rows and the first/last `halo` global
-  /// columns copy through from the source — the hand-coded Jacobi oracle's
-  /// exact arithmetic and boundary policy, element for element.
-  void compute_stencil(const Node& n, runtime::IclaBuffer& out) {
-    const compiler::StencilStmt& st =
-        plan_.stencils[static_cast<std::size_t>(n.step->stmt)];
+  /// Computes one slab of a statement. Each element evaluates the rhs over
+  /// the slab buffers of its operands; a stencil's are the halo-widened
+  /// source slab and, for out-of-panel offsets, the ghost columns. A
+  /// stencil's boundary rows and its first/last `halo` global columns copy
+  /// through from the source instead: the hand-coded Jacobi oracle's exact
+  /// arithmetic and boundary policy, element for element.
+  void compute(const compiler::SlabStmt& st, const Node& n,
+               runtime::IclaBuffer& out) {
     const io::Section sec = n.loop->section;
     const hpf::ArrayDistribution& dist = n.info->dist;
-    Loaded& buffers = loaded(*n.loop);
-    const runtime::IclaBuffer* src = buffers.at(st.source);
-    const io::Section hs = src->section();
     const std::int64_t rows = sec.rows();
     const std::int64_t nlc = dist.local_cols(rank_);
     const std::int64_t gcols = dist.global_cols();
     const std::int64_t d = st.halo;
     const std::int64_t rh = st.row_halo;
+    // Safe to install before evaluating: an elementwise element reads only
+    // its own (row, column), before the write, and a stencil never reads
+    // its lhs. Later statements of a fused group read this result from
+    // memory.
+    Loaded& buffers = loaded(*n.loop);
+    buffers[st.lhs] = &out;
+    operands_.clear();
+    bind_operands(*st.rhs, buffers);
+    const runtime::IclaBuffer* src =
+        st.source.empty() ? nullptr : buffers.at(st.source);
 
     // Local column lc < 0 is ghost column lc of the left neighbour's edge,
     // however wide the exchange made it; lc >= nlc is the right one's.
-    const auto col_at = [&](std::int64_t lc) -> const double* {
+    const auto col_at = [&](const runtime::IclaBuffer& buf,
+                            std::int64_t lc) -> const double* {
       if (lc < 0) {
         return low_ghost_.data() +
                static_cast<std::size_t>((lc + low_ghost_cols_) * rows);
@@ -341,38 +339,54 @@ class StepExecutor final : public compiler::StepWalk {
         return high_ghost_.data() +
                static_cast<std::size_t>((lc - nlc) * rows);
       }
-      return &src->at(0, lc - hs.col0);
+      return &buf.at(0, lc - buf.section().col0);
     };
-    const double ops = static_cast<double>(hpf::count_binary_ops(*st.rhs));
     for (std::int64_t lc = sec.col0; lc < sec.col1; ++lc) {
       const std::int64_t gc = dist.local_to_global_col(rank_, lc);
-      const double* center = col_at(lc);
       double* res = &out.at(0, lc - sec.col0);
-      if (gc < d || gc >= gcols - d) {
-        std::copy(center, center + rows, res);  // fixed boundary column
-        continue;
+      const double* center = src != nullptr ? col_at(*src, lc) : nullptr;
+      if (center != nullptr) {
+        if (gc < d || gc >= gcols - d) {
+          std::copy(center, center + rows, res);  // fixed boundary column
+          continue;
+        }
+        for (std::int64_t r = 0; r < rh; ++r) {
+          res[r] = center[r];  // fixed boundary rows
+        }
+        for (std::int64_t r = rows - rh; r < rows; ++r) {
+          res[r] = center[r];
+        }
       }
-      for (std::int64_t r = 0; r < rh; ++r) {
-        res[r] = center[r];  // fixed boundary rows
+      for (Operand& o : operands_) {
+        o.column = col_at(*o.buffer, lc + o.col_offset);
       }
-      for (std::int64_t r = rows - rh; r < rows; ++r) {
-        res[r] = center[r];
-      }
-      const std::int64_t forall_value = gc + 1;  // 1-based Fortran index
+      const double index = static_cast<double>(gc + 1);  // 1-based Fortran
       for (std::int64_t r = rh; r < rows - rh; ++r) {
-        const double v = eval_stencil(*st.rhs, r, lc, forall_value, col_at);
+        std::size_t next = 0;
+        const double v = eval(*st.rhs, r, index, next);
         res[r] = v;
-        residual_ = std::max(residual_, std::abs(v - center[r]));
+        if (center != nullptr) {
+          residual_ = std::max(residual_, std::abs(v - center[r]));
+        }
       }
-      ctx_.charge_flops(ops * static_cast<double>(rows - 2 * rh));
+      // The simulated clock is charged in the units it always was: a
+      // stencil column by column, like the hand-coded Jacobi kernel, and
+      // an elementwise slab at once, so clocks round identically.
+      if (center != nullptr) {
+        ctx_.charge_flops(compiler::compute_flops(
+            st, dist, rank_, io::Section{sec.row0, sec.row1, lc, lc + 1}));
+      }
     }
-    buffers[st.lhs] = &out;
+    if (src == nullptr) {
+      ctx_.charge_flops(compiler::compute_flops(st, dist, rank_, sec));
+    }
   }
 
   sim::SpmdContext& ctx_;
   const ArrayBindings& arrays_;
   runtime::SlabBufferPool& pool_;
   std::vector<Loaded> loaded_;  ///< per slab loop, by Cursor::index
+  std::vector<Operand> operands_;  ///< of the statement being computed
 
   // Stencil sweep state: ghost columns from the neighbouring ranks and the
   // running max |update| of the interior.
@@ -424,7 +438,7 @@ void check_plan(sim::SpmdContext& ctx, const compiler::NodeProgram& plan,
 void run_stencil(sim::SpmdContext& ctx, const compiler::NodeProgram& plan,
                  const ArrayBindings& arrays, const ExecOptions& options,
                  runtime::SlabBufferPool& pool) {
-  const compiler::StencilStmt& st = plan.stencils.front();
+  const compiler::SlabStmt& st = plan.statements.front();
   const int max_iters = std::max(1, options.max_iters);
   const bool want_residual =
       options.residual_tol > 0 || options.stencil_info != nullptr;

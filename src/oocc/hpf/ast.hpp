@@ -70,9 +70,9 @@ ExprPtr make_var(std::string name, int line = 0);
 ExprPtr make_binary(BinOp op, ExprPtr lhs, ExprPtr rhs, int line = 0);
 ExprPtr clone_expr(const Expr& e);
 
-/// Number of binary operations one evaluation of `e` performs — the flop
-/// count both the executor charges and the cost model prices for a
-/// compiled expression (one shared definition keeps them identical).
+/// Number of binary operations one evaluation of `e` performs. The one
+/// flop rule, compiler::compute_flops, charges it per interior element of
+/// a stencil; the executor charges that rule and the pricer prices it.
 std::int64_t count_binary_ops(const Expr& e);
 
 /// Renders an expression back to (lower-case) source-like text.

@@ -257,6 +257,7 @@ RunReport Machine::run(const std::function<void(SpmdContext&)>& body) {
 
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(nprocs_));
   std::atomic<bool> aborted{false};
+  int first_failure = -1;  // the rank whose error started the abort
 
   const auto wall_start = std::chrono::steady_clock::now();
   std::vector<std::thread> threads;
@@ -271,6 +272,7 @@ RunReport Machine::run(const std::function<void(SpmdContext&)>& body) {
       } catch (...) {
         errors[static_cast<std::size_t>(r)] = std::current_exception();
         if (!aborted.exchange(true)) {
+          first_failure = r;
           abort_all();
         }
       }
@@ -281,10 +283,8 @@ RunReport Machine::run(const std::function<void(SpmdContext&)>& body) {
   }
   const auto wall_end = std::chrono::steady_clock::now();
 
-  for (auto& err : errors) {
-    if (err) {
-      std::rethrow_exception(err);
-    }
+  if (first_failure >= 0) {
+    std::rethrow_exception(errors[static_cast<std::size_t>(first_failure)]);
   }
 
   // A clean region must not leave unmatched messages behind (abort messages

@@ -255,7 +255,9 @@ class Machine {
   const MachineOptions& options() const noexcept { return options_; }
 
   /// Runs `body(ctx)` on every simulated processor, one host thread each.
-  /// Rethrows the lowest-rank exception if any rank fails.
+  /// If any rank fails, rethrows the exception of the rank whose failure
+  /// started the abort (the others mostly fail with "aborted by another
+  /// rank").
   ///
   /// Unless options().async is off, the machine lazily creates its async
   /// I/O engine on the first run (options().io_threads workers, default

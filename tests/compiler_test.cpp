@@ -528,7 +528,6 @@ TEST(LowerTest, NormalizesArrayAssignmentToForall) {
   EXPECT_EQ(plan.kind, ProgramKind::kElementwise);
   ASSERT_EQ(plan.statements.size(), 1u);
   EXPECT_EQ(plan.statements.front().lhs, "y");
-  EXPECT_EQ(plan.elementwise_cols, 16);
 }
 
 TEST(LowerTest, ArrayAssignmentWithColonSections) {
@@ -570,7 +569,6 @@ TEST(LowerTest, CompilesElementwiseForall) {
   EXPECT_EQ(plan.kind, ProgramKind::kElementwise);
   ASSERT_EQ(plan.statements.size(), 1u);
   EXPECT_EQ(plan.statements.front().lhs, "y");
-  EXPECT_EQ(plan.statements.front().forall_var, "k");
   EXPECT_EQ(plan.arrays.size(), 2u);
   EXPECT_TRUE(plan.array("y").is_output);
   EXPECT_FALSE(plan.array("x").is_output);

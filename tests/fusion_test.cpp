@@ -8,7 +8,9 @@
 #include <map>
 #include <mutex>
 #include <set>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "oocc/compiler/lower.hpp"
 #include "oocc/compiler/pretty.hpp"
@@ -192,27 +194,29 @@ TEST(SlabFusion, FusedAndUnfusedAreBitIdentical) {
             2.0 * static_cast<double>(a.laf_bytes));
 }
 
+// Two statements updating the same array.
+const char* kInPlaceSource =
+    "parameter (n=8, p=2)\n"
+    "real x(n,n)\n"
+    "!hpf$ processors Pr(p)\n"
+    "!hpf$ template d(n)\n"
+    "!hpf$ distribute d(block) onto Pr\n"
+    "!hpf$ align (*,:) with d :: x\n"
+    "forall (k=1:n)\n"
+    "  x(1:n,k) = x(1:n,k)*2\n"
+    "end forall\n"
+    "forall (k=1:n)\n"
+    "  x(1:n,k) = x(1:n,k) + k\n"
+    "end forall\n"
+    "end\n";
+
 TEST(SlabFusion, InPlaceChainOnOneArray) {
-  // Two statements updating the same array fuse into one sweep with a
-  // single staged read and a single write per slab.
-  const std::string src =
-      "parameter (n=8, p=2)\n"
-      "real x(n,n)\n"
-      "!hpf$ processors Pr(p)\n"
-      "!hpf$ template d(n)\n"
-      "!hpf$ distribute d(block) onto Pr\n"
-      "!hpf$ align (*,:) with d :: x\n"
-      "forall (k=1:n)\n"
-      "  x(1:n,k) = x(1:n,k)*2\n"
-      "end forall\n"
-      "forall (k=1:n)\n"
-      "  x(1:n,k) = x(1:n,k) + k\n"
-      "end forall\n"
-      "end\n";
+  // The in-place pair fuses into one sweep with a single staged read and a
+  // single write per slab.
   CompileOptions options;
   options.memory_budget_elements = 4096;
   const std::vector<NodeProgram> plans =
-      compiler::compile_sequence_source(src, options);
+      compiler::compile_sequence_source(kInPlaceSource, options);
   ASSERT_EQ(plans.size(), 1u);
   ASSERT_EQ(plans.front().statements.size(), 2u);
 
@@ -349,6 +353,67 @@ TEST(StepPricing, MatchesSchemaEstimatorForGaxpy) {
                      schema.cost_of("c").fetch_requests);
     EXPECT_DOUBLE_EQ(steps.at(plan.c).elements_written,
                      schema.cost_of("c").data_elements);
+  }
+}
+
+/// The flops each rank charges in one run (one sweep) of `plans`.
+std::vector<double> charged_flops(const std::vector<NodeProgram>& plans,
+                                  int nprocs) {
+  const std::span<const NodeProgram> seq(plans.data(), plans.size());
+  TempDir dir;
+  Machine machine(nprocs, MachineCostModel::zero());
+  const sim::RunReport report = machine.run([&](SpmdContext& ctx) {
+    auto arrays = create_sequence_arrays(ctx, seq, dir.path(),
+                                         DiskModel::zero());
+    ArrayBindings bindings;
+    for (auto& [name, arr] : arrays) {
+      arr->initialize(ctx, gen_x, 4096);
+      bindings[name] = arr.get();
+    }
+    execute_sequence(ctx, seq, bindings);
+  });
+  std::vector<double> out;
+  for (const sim::ProcStats& p : report.procs) {
+    out.push_back(p.flops);
+  }
+  return out;
+}
+
+TEST(StepPricing, PricedFlopsEqualChargedFlops) {
+  // One flop rule (compiler::compute_flops) for the pricer and the
+  // executor: fused and in-place elementwise sweeps, and stencil sweeps
+  // whose boundary columns are free, over even and uneven panels. GAXPY is
+  // left out: sim::reduce_sum charges its additions inside the collective,
+  // which the pricer does not model.
+  const auto expect_equal = [](const std::vector<NodeProgram>& plans,
+                               int nprocs, const std::string& label) {
+    const std::vector<double> charged = charged_flops(plans, nprocs);
+    for (int p = 0; p < nprocs; ++p) {
+      double priced = 0.0;
+      for (const NodeProgram& plan : plans) {
+        priced += compiler::price_plan(plan, p).flops;
+      }
+      EXPECT_GT(priced, 0.0) << label << " rank " << p;
+      EXPECT_EQ(priced, charged[static_cast<std::size_t>(p)])
+          << label << " rank " << p;
+    }
+  };
+  CompileOptions options;
+  options.memory_budget_elements = 4096;
+  const std::vector<NodeProgram> chain =
+      compiler::compile_sequence_source(kChainSource, options);
+  ASSERT_EQ(chain.size(), 1u);
+  expect_equal(chain, 4, "fused chain");
+  const std::vector<NodeProgram> in_place =
+      compiler::compile_sequence_source(kInPlaceSource, options);
+  ASSERT_EQ(in_place.size(), 1u);
+  expect_equal(in_place, 2, "in-place pair");
+
+  options.memory_budget_elements = 26 * 4 * 5;  // 4-column owner slabs
+  for (const int p : {1, 3, 4}) {
+    expect_equal({compiler::compile_source(hpf::stencil_source(26, p),
+                                           options)},
+                 p, "stencil P=" + std::to_string(p));
   }
 }
 

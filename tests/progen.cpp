@@ -42,7 +42,8 @@ std::int64_t pick_n(Rng& rng) {
 
 int pick_p(Rng& rng) { return rng.choose<int>({1, 2, 4}); }
 
-/// One elementwise assignment text: lhs(1:n,k) = f(defined arrays, k).
+/// One elementwise assignment text: lhs(1:n,k) = f(defined arrays, k, the
+/// parameter p).
 std::string chain_stmt(Rng& rng, const std::string& lhs,
                        const std::vector<std::string>& defined) {
   const std::string s1 = rng.choose(defined);
@@ -51,7 +52,7 @@ std::string chain_stmt(Rng& rng, const std::string& lhs,
   std::ostringstream oss;
   switch (rng.pick(4)) {
     case 0:
-      oss << lhs << "(1:n,k) = " << s1 << "(1:n,k)*" << c << " + 1";
+      oss << lhs << "(1:n,k) = " << s1 << "(1:n,k)*" << c << " + p";
       break;
     case 1:
       oss << lhs << "(1:n,k) = " << s1 << "(1:n,k) + " << s2 << "(1:n,k)*"

@@ -467,7 +467,7 @@ TEST(SearchSpace, HeuristicLayoutIsACandidate) {
     const std::string src = hpf::stencil_source(64, 4);
     const NodeProgram heuristic = compile_source(src, options);
     const SearchResult result = search_sequence_source(src, options);
-    const StencilStmt& st = heuristic.stencils.front();
+    const SlabStmt& st = heuristic.statements.front();
     const std::int64_t rows = heuristic.array(st.lhs).dist.local_rows(0);
     const std::int64_t w = heuristic.loops.front().capacity_elements / rows;
     const std::string knobs = "stencil w=" + std::to_string(w) +

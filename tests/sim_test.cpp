@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <string>
+#include <thread>
 
 #include "oocc/sim/collectives.hpp"
 #include "oocc/sim/machine.hpp"
@@ -174,6 +177,28 @@ TEST(MachineTest, AbortReleasesBlockedPeers) {
                  }
                }),
                Error);
+}
+
+TEST(MachineTest, RethrowsTheErrorThatStartedTheAbort) {
+  // Rank 2 fails while the others wait in a barrier; the abort then fails
+  // them too, with "aborted by another rank". The run must surface rank 2's
+  // error, not the lowest rank's secondary one.
+  Machine machine(4, MachineCostModel::zero());
+  try {
+    machine.run([](SpmdContext& ctx) {
+      if (ctx.rank() == 2) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        OOCC_THROW(ErrorCode::kCompileError, "root cause on rank 2");
+      }
+      barrier(ctx);
+    });
+    FAIL() << "the failing region did not throw";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kCompileError);
+    EXPECT_NE(std::string(e.what()).find("root cause on rank 2"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(MachineTest, MachineReusableAfterAbort) {

@@ -107,6 +107,30 @@ CompiledRun run_compiled(
   return out;
 }
 
+/// Runs an elementwise plan y = f(x) once over column_ramp input and
+/// returns the gathered y (rank 0).
+std::vector<double> run_elementwise(const compiler::NodeProgram& plan,
+                                    std::int64_t n, int p) {
+  std::vector<double> y;
+  TempDir dir("oocc-elementwise");
+  Machine machine(p, MachineCostModel::zero());
+  machine.run([&](SpmdContext& ctx) {
+    auto arrays =
+        exec::create_plan_arrays(ctx, plan, dir.path(), DiskModel::zero());
+    arrays.at("x")->initialize(ctx, column_ramp, n * n);
+    exec::ArrayBindings bindings;
+    for (auto& [name, arr] : arrays) {
+      bindings[name] = arr.get();
+    }
+    exec::execute(ctx, plan, bindings);
+    std::vector<double> got = arrays.at("y")->gather_global(ctx, n * n);
+    if (ctx.rank() == 0) {
+      y = std::move(got);
+    }
+  });
+  return y;
+}
+
 std::vector<double> run_oracle(std::int64_t n, int p, int iters,
                                std::int64_t slab_elements) {
   std::vector<double> state;
@@ -135,11 +159,11 @@ std::vector<double> run_oracle(std::int64_t n, int p, int iters,
 TEST(StencilLowering, RecognizesTheJacobiForall) {
   const compiler::NodeProgram plan = compile_stencil(32, 4, 1 << 10);
   EXPECT_EQ(plan.kind, compiler::ProgramKind::kStencil);
-  ASSERT_EQ(plan.stencils.size(), 1u);
-  EXPECT_EQ(plan.stencils[0].lhs, "b");
-  EXPECT_EQ(plan.stencils[0].source, "a");
-  EXPECT_EQ(plan.stencils[0].halo, 1);
-  EXPECT_EQ(plan.stencils[0].row_halo, 1);
+  ASSERT_EQ(plan.statements.size(), 1u);
+  EXPECT_EQ(plan.statements[0].lhs, "b");
+  EXPECT_EQ(plan.statements[0].source, "a");
+  EXPECT_EQ(plan.statements[0].halo, 1);
+  EXPECT_EQ(plan.statements[0].row_halo, 1);
   // Steps: exchange, sweep (halo read + compute + write), barrier.
   ASSERT_EQ(plan.steps.size(), 3u);
   EXPECT_EQ(plan.steps[0].kind, compiler::StepKind::kExchangeHalo);
@@ -164,8 +188,8 @@ TEST(StencilLowering, StepProgramTextShowsHaloSections) {
 
 TEST(StencilLowering, ParameterScalarsFoldToConstants) {
   // A parameter coefficient in the rhs must fold at lowering — the
-  // executor's stencil evaluator binds only the FORALL index, so a
-  // surviving VarRef would silently evaluate as the column number.
+  // executor binds only the FORALL index, so a surviving VarRef would
+  // evaluate as the column number.
   const std::string with_param =
       "      parameter (n=16, p=2, w=2)\n"
       "      real a(n,n), b(n,n)\n"
@@ -201,13 +225,47 @@ TEST(StencilLowering, ParameterScalarsFoldToConstants) {
         if (e.lhs) no_vars(*e.lhs);
         if (e.rhs) no_vars(*e.rhs);
       };
-  no_vars(*folded.stencils[0].rhs);
+  no_vars(*folded.statements[0].rhs);
   // ...and both spellings must run bit-identically.
   const CompiledRun a = run_compiled(folded, 16, 2, 3, true);
   const CompiledRun b = run_compiled(literal, 16, 2, 3, true);
   ASSERT_EQ(a.state.size(), b.state.size());
   for (std::size_t i = 0; i < a.state.size(); ++i) {
     ASSERT_EQ(a.state[i], b.state[i]) << "element " << i;
+  }
+
+  // Elementwise statements share the normalization, so their parameters
+  // fold too (an unfolded one used to fail at run time as an unbound
+  // scalar after the plan had verified).
+  for (const int p : {1, 3, 4}) {
+    SCOPED_TRACE("P=" + std::to_string(p));
+    const auto elementwise = [&](const std::string& params,
+                                 const std::string& coeff) {
+      return "      parameter (n=16, p=" + std::to_string(p) + params +
+             ")\n"
+             "      real x(n,n), y(n,n)\n"
+             "!hpf$ processors Pr(p)\n"
+             "!hpf$ template d(n)\n"
+             "!hpf$ distribute d(block) onto Pr\n"
+             "!hpf$ align (*,:) with d :: x, y\n"
+             "      forall (k=1:n)\n"
+             "        y(1:n,k) = x(1:n,k)*" +
+             coeff +
+             " + 1\n"
+             "      end forall\n"
+             "      end\n";
+    };
+    const compiler::NodeProgram param =
+        compiler::compile_source(elementwise(", s=3", "s"), options);
+    const compiler::NodeProgram lit =
+        compiler::compile_source(elementwise("", "3"), options);
+    no_vars(*param.statements[0].rhs);
+    const std::vector<double> got = run_elementwise(param, 16, p);
+    const std::vector<double> want = run_elementwise(lit, 16, p);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(got[i], want[i]) << "element " << i;
+    }
   }
 }
 
@@ -476,8 +534,8 @@ TEST(StencilDiagnostics, WideBudgetAcceptsDistanceTwo) {
   const compiler::NodeProgram plan =
       compiler::compile_source(source, options);
   EXPECT_EQ(plan.kind, compiler::ProgramKind::kStencil);
-  EXPECT_EQ(plan.stencils[0].halo, 2);
-  EXPECT_EQ(plan.stencils[0].row_halo, 0);
+  EXPECT_EQ(plan.statements[0].halo, 2);
+  EXPECT_EQ(plan.statements[0].row_halo, 0);
 }
 
 TEST(StencilDiagnostics, InPlaceStencilRejected) {
