@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "oocc/compiler/verify.hpp"
@@ -50,6 +52,152 @@ void check_binding(const compiler::NodeProgram& plan,
                        << pa.dist.to_string());
 }
 
+/// A statement's position-normalized rhs as a flat postfix program, run one
+/// column at a time. Each binary op is one loop over the column into a
+/// reused column-length temporary (the root's straight into the output
+/// column); an op on two scalars folds once per column. Every element
+/// still sees its operations in the tree's order (left operand, right
+/// operand, op), so results are bit-identical to an element-at-a-time
+/// walk, in-place statements included: only the root loop writes the
+/// output column, and at row r it reads only row r.
+class ColumnKernel {
+ public:
+  /// One array reference: its array's slab, read at row r + row_shift of
+  /// local column c + col_offset.
+  struct Ref {
+    std::string array;
+    std::int64_t row_shift;
+    std::int64_t col_offset;
+  };
+
+  explicit ColumnKernel(const hpf::Expr& rhs) {
+    emit(rhs, 0);
+    stack_.resize(depth_);
+  }
+
+  /// The references, in the order run() takes their columns.
+  const std::vector<Ref>& refs() const noexcept { return refs_; }
+
+  /// Computes `n` rows into `out`; `columns[i]` points at ref i's first
+  /// row, `index` is the FORALL index of the column.
+  void run(const std::vector<const double*>& columns, double index,
+           double* out, std::int64_t n, std::vector<double>& temps) {
+    const auto len = static_cast<std::size_t>(std::max<std::int64_t>(0, n));
+    if (temps.size() < depth_ * len) {
+      temps.resize(depth_ * len);
+    }
+    std::size_t top = 0;  // stack_[0, top) is live
+    for (std::size_t pc = 0; pc < code_.size(); ++pc) {
+      const Instr& in = code_[pc];
+      switch (in.kind) {
+        case Kind::kRef:
+          stack_[top++] = Value{columns[in.ref], 0.0};
+          continue;
+        case Kind::kConst:
+          stack_[top++] = Value{nullptr, in.value};
+          continue;
+        case Kind::kIndex:
+          stack_[top++] = Value{nullptr, index};
+          continue;
+        case Kind::kBinary:
+          break;
+      }
+      const Value b = stack_[--top];
+      Value& a = stack_[top - 1];
+      double* d =
+          pc + 1 == code_.size() ? out : temps.data() + (top - 1) * len;
+      // d[r] = a[r] op b[r] over the column, a scalar side held fixed; two
+      // scalars fold once.
+      const auto apply = [&](auto op) {
+        const double* x = a.col;
+        const double* y = b.col;
+        if (x == nullptr && y == nullptr) {
+          a.scalar = op(a.scalar, b.scalar);
+          return;
+        }
+        const double s = x != nullptr ? b.scalar : a.scalar;
+        if (x != nullptr && y != nullptr) {
+          for (std::int64_t r = 0; r < n; ++r) d[r] = op(x[r], y[r]);
+        } else if (x != nullptr) {
+          for (std::int64_t r = 0; r < n; ++r) d[r] = op(x[r], s);
+        } else {
+          for (std::int64_t r = 0; r < n; ++r) d[r] = op(s, y[r]);
+        }
+        a.col = d;
+      };
+      switch (in.op) {
+        case hpf::BinOp::kAdd:
+          apply(std::plus<double>());
+          break;
+        case hpf::BinOp::kSub:
+          apply(std::minus<double>());
+          break;
+        case hpf::BinOp::kMul:
+          apply(std::multiplies<double>());
+          break;
+        case hpf::BinOp::kDiv:
+          apply(std::divides<double>());
+          break;
+      }
+    }
+    // A leaf or all-scalar rhs never reached the output column.
+    const Value& v = stack_[0];
+    if (v.col == nullptr) {
+      std::fill_n(out, n, v.scalar);
+    } else if (v.col != out) {
+      std::copy_n(v.col, n, out);
+    }
+  }
+
+ private:
+  enum class Kind : std::uint8_t { kRef, kConst, kIndex, kBinary };
+  struct Instr {
+    Kind kind;
+    hpf::BinOp op = hpf::BinOp::kAdd;
+    std::size_t ref = 0;
+    double value = 0.0;
+  };
+  /// A stack slot: a column (first row) or, when `col` is null, a scalar.
+  struct Value {
+    const double* col;
+    double scalar;
+  };
+
+  /// Appends `e` in postfix; `depth` is the stack slot its value lands in.
+  void emit(const hpf::Expr& e, std::size_t depth) {
+    depth_ = std::max(depth_, depth + 1);
+    switch (e.kind) {
+      case hpf::ExprKind::kIntConst:
+        code_.push_back(
+            {Kind::kConst, {}, 0, static_cast<double>(e.int_value)});
+        return;
+      case hpf::ExprKind::kVarRef:
+        // Lowering only admits the FORALL index as a free scalar.
+        code_.push_back({Kind::kIndex});
+        return;
+      case hpf::ExprKind::kArrayRef:
+        code_.push_back({Kind::kRef, {}, refs_.size()});
+        refs_.push_back(Ref{e.name, e.subscripts[0].scalar->int_value,
+                            e.subscripts[1].scalar->int_value});
+        return;
+      case hpf::ExprKind::kBinary:
+        emit(*e.lhs, depth);
+        emit(*e.rhs, depth + 1);
+        code_.push_back({Kind::kBinary, e.op});
+        return;
+      case hpf::ExprKind::kSumIntrinsic:
+        break;
+    }
+    OOCC_THROW(ErrorCode::kRuntimeError,
+               "unsupported node in a position-normalized expression");
+  }
+
+  std::vector<Instr> code_;
+  std::vector<Ref> refs_;
+  std::size_t depth_ = 0;  ///< stack slots, one temporary column each
+  std::vector<Value> stack_;
+};
+
 /// Runs a plan's slab-program IR on one simulated processor: the StepWalk
 /// client that does the work. The executor is schema-free: every behavior
 /// (which arrays stream through which loops, where partial products
@@ -67,7 +215,8 @@ class StepExecutor final : public compiler::StepWalk {
                const ArrayBindings& arrays, runtime::SlabBufferPool& pool,
                bool stencil_swapped = false)
       : StepWalk(plan, ctx.rank(), stencil_swapped), ctx_(ctx),
-        arrays_(arrays), pool_(pool), loaded_(plan.loops.size()) {}
+        arrays_(arrays), pool_(pool), loaded_(plan.loops.size()),
+        kernels_(plan.statements.size()) {}
 
   /// Local max |update| of the sweep's interior elements (stencil plans).
   double residual() const noexcept { return residual_; }
@@ -242,71 +391,13 @@ class StepExecutor final : public compiler::StepWalk {
     }
   }
 
-  /// One array reference of the statement being computed, bound to the
-  /// slab buffer holding its array.
-  struct Operand {
-    const runtime::IclaBuffer* buffer;
-    std::int64_t row_shift;
-    std::int64_t col_offset;
-    const double* column = nullptr;  ///< its column for the current element
-  };
-
-  /// Binds the array references of `e`, in preorder, to their buffers.
-  void bind_operands(const hpf::Expr& e, const Loaded& buffers) {
-    if (e.kind == hpf::ExprKind::kArrayRef) {
-      const auto it = buffers.find(e.name);
-      OOCC_CHECK(it != buffers.end(), ErrorCode::kRuntimeError,
-                 "array '" << e.name << "' has no bound slab");
-      operands_.push_back(Operand{it->second, e.subscripts[0].scalar->int_value,
-                                  e.subscripts[1].scalar->int_value});
-      return;
-    }
-    if (e.lhs) bind_operands(*e.lhs, buffers);
-    if (e.rhs) bind_operands(*e.rhs, buffers);
-  }
-
-  /// Evaluates row `r` of a position-normalized expression; the array
-  /// references read operands_ in preorder, counted by `next`.
-  double eval(const hpf::Expr& e, std::int64_t r, double index,
-              std::size_t& next) const {
-    switch (e.kind) {
-      case hpf::ExprKind::kIntConst:
-        return static_cast<double>(e.int_value);
-      case hpf::ExprKind::kVarRef:
-        // Lowering only admits the FORALL index as a free scalar.
-        return index;
-      case hpf::ExprKind::kBinary: {
-        const double a = eval(*e.lhs, r, index, next);
-        const double b = eval(*e.rhs, r, index, next);
-        switch (e.op) {
-          case hpf::BinOp::kAdd:
-            return a + b;
-          case hpf::BinOp::kSub:
-            return a - b;
-          case hpf::BinOp::kMul:
-            return a * b;
-          case hpf::BinOp::kDiv:
-            return a / b;
-        }
-        return 0.0;
-      }
-      case hpf::ExprKind::kArrayRef: {
-        const Operand& o = operands_[next++];
-        return o.column[r + o.row_shift];
-      }
-      case hpf::ExprKind::kSumIntrinsic:
-        break;
-    }
-    OOCC_THROW(ErrorCode::kRuntimeError,
-               "unsupported node in a position-normalized expression");
-  }
-
-  /// Computes one slab of a statement. Each element evaluates the rhs over
-  /// the slab buffers of its operands; a stencil's are the halo-widened
-  /// source slab and, for out-of-panel offsets, the ghost columns. A
-  /// stencil's boundary rows and its first/last `halo` global columns copy
-  /// through from the source instead: the hand-coded Jacobi oracle's exact
-  /// arithmetic and boundary policy, element for element.
+  /// Computes one slab of a statement with its column kernel, built once
+  /// per sweep. The operands are the slab buffers of its array references;
+  /// a stencil's are the halo-widened source slab and, for out-of-panel
+  /// offsets, the ghost columns. A stencil's boundary rows and its
+  /// first/last `halo` global columns copy through from the source
+  /// instead: the hand-coded Jacobi oracle's exact arithmetic and boundary
+  /// policy, element for element.
   void compute(const compiler::SlabStmt& st, const Node& n,
                runtime::IclaBuffer& out) {
     const io::Section sec = n.loop->section;
@@ -316,14 +407,23 @@ class StepExecutor final : public compiler::StepWalk {
     const std::int64_t gcols = dist.global_cols();
     const std::int64_t d = st.halo;
     const std::int64_t rh = st.row_halo;
-    // Safe to install before evaluating: an elementwise element reads only
-    // its own (row, column), before the write, and a stencil never reads
-    // its lhs. Later statements of a fused group read this result from
-    // memory.
+    auto& kernel = kernels_[static_cast<std::size_t>(n.step->stmt)];
+    if (!kernel) {
+      kernel.emplace(*st.rhs);
+    }
+    // Safe to install before computing: only the kernel's root loop writes
+    // the output column, and a stencil never reads its lhs. Later
+    // statements of a fused group read this result from memory.
     Loaded& buffers = loaded(*n.loop);
     buffers[st.lhs] = &out;
     operands_.clear();
-    bind_operands(*st.rhs, buffers);
+    for (const ColumnKernel::Ref& ref : kernel->refs()) {
+      const auto it = buffers.find(ref.array);
+      OOCC_CHECK(it != buffers.end(), ErrorCode::kRuntimeError,
+                 "array '" << ref.array << "' has no bound slab");
+      operands_.push_back(it->second);
+    }
+    columns_.resize(operands_.size());
     const runtime::IclaBuffer* src =
         st.source.empty() ? nullptr : buffers.at(st.source);
 
@@ -357,22 +457,20 @@ class StepExecutor final : public compiler::StepWalk {
           res[r] = center[r];
         }
       }
-      for (Operand& o : operands_) {
-        o.column = col_at(*o.buffer, lc + o.col_offset);
+      for (std::size_t i = 0; i < operands_.size(); ++i) {
+        const ColumnKernel::Ref& ref = kernel->refs()[i];
+        columns_[i] =
+            col_at(*operands_[i], lc + ref.col_offset) + rh + ref.row_shift;
       }
       const double index = static_cast<double>(gc + 1);  // 1-based Fortran
-      for (std::int64_t r = rh; r < rows - rh; ++r) {
-        std::size_t next = 0;
-        const double v = eval(*st.rhs, r, index, next);
-        res[r] = v;
-        if (center != nullptr) {
-          residual_ = std::max(residual_, std::abs(v - center[r]));
-        }
-      }
-      // The simulated clock is charged in the units it always was: a
-      // stencil column by column, like the hand-coded Jacobi kernel, and
-      // an elementwise slab at once, so clocks round identically.
+      kernel->run(columns_, index, res + rh, rows - 2 * rh, temps_);
       if (center != nullptr) {
+        for (std::int64_t r = rh; r < rows - rh; ++r) {
+          residual_ = std::max(residual_, std::abs(res[r] - center[r]));
+        }
+        // The simulated clock is charged in the units it always was: a
+        // stencil column by column, like the hand-coded Jacobi kernel, and
+        // an elementwise slab at once, so clocks round identically.
         ctx_.charge_flops(compiler::compute_flops(
             st, dist, rank_, io::Section{sec.row0, sec.row1, lc, lc + 1}));
       }
@@ -386,7 +484,13 @@ class StepExecutor final : public compiler::StepWalk {
   const ArrayBindings& arrays_;
   runtime::SlabBufferPool& pool_;
   std::vector<Loaded> loaded_;  ///< per slab loop, by Cursor::index
-  std::vector<Operand> operands_;  ///< of the statement being computed
+  /// Per statement, built at its first slab of the sweep.
+  std::vector<std::optional<ColumnKernel>> kernels_;
+  // The kernel's operands for the slab and column being computed, and its
+  // column-length temporaries.
+  std::vector<const runtime::IclaBuffer*> operands_;
+  std::vector<const double*> columns_;
+  std::vector<double> temps_;
 
   // Stencil sweep state: ghost columns from the neighbouring ranks and the
   // running max |update| of the interior.

@@ -1,5 +1,7 @@
 #include "oocc/hpf/parser.hpp"
 
+#include <string>
+
 #include "oocc/hpf/lexer.hpp"
 #include "oocc/util/error.hpp"
 
@@ -396,7 +398,23 @@ class Parser {
     return lhs;
   }
 
+  // Every nesting (parentheses, unary minus, subscripts) recurses through
+  // parse_primary, so capping its depth bounds the parser's stack and the
+  // depth of right-nested expression trees.
+  static constexpr int kMaxNesting = 256;
+
   ExprPtr parse_primary() {
+    if (nesting_ == kMaxNesting) {
+      fail("expression nested more than " + std::to_string(kMaxNesting) +
+           " levels deep");
+    }
+    ++nesting_;
+    ExprPtr e = parse_operand();
+    --nesting_;
+    return e;
+  }
+
+  ExprPtr parse_operand() {
     if (at(TokenKind::kInteger)) {
       const Token& t = advance();
       return make_int(t.int_value, t.line);
@@ -462,6 +480,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
+  int nesting_ = 0;  ///< parse_primary calls in progress
 };
 
 }  // namespace

@@ -421,13 +421,13 @@ AsyncHandle LocalArrayFile::read_section_async(sim::SpmdContext& ctx,
 AsyncHandle LocalArrayFile::write_section_async(sim::SpmdContext& ctx,
                                                 AsyncEngine& engine,
                                                 const Section& s,
-                                                std::vector<double> in) {
+                                                std::span<const double> in) {
   std::vector<Extent> extents =
       charge_section(ctx, s, in.size(), /*is_read=*/false);
   ++stats_.async_writes;
   AsyncHandle h{{}, std::make_shared<std::vector<int>>()};
   h.ticket = engine.submit(
-      this, [this, s, in = std::move(in), extents = std::move(extents),
+      this, [this, s, in, extents = std::move(extents),
              journal = journal_.get(), attempts = h.retry_attempts,
              policy = retry_] {
         std::vector<double> staging;

@@ -176,12 +176,14 @@ class LocalArrayFile {
   /// LocalArrayFile runs in program order (a read never overtakes the
   /// write-back it must observe, and the journal protocol stays
   /// serialized), while transfers against *different* files overlap
-  /// freely, like independent devices. `out` must stay valid until
-  /// settle(); the write takes its payload by value.
+  /// freely, like independent devices. Neither call copies: the owner
+  /// keeps `out` (resp. `in`) valid, and does not modify `in`, until
+  /// settle().
   AsyncHandle read_section_async(sim::SpmdContext& ctx, AsyncEngine& engine,
                                  const Section& s, std::span<double> out);
   AsyncHandle write_section_async(sim::SpmdContext& ctx, AsyncEngine& engine,
-                                  const Section& s, std::vector<double> in);
+                                  const Section& s,
+                                  std::span<const double> in);
 
   /// Waits out an async transfer, charges deferred retry backoff, and
   /// rethrows the worker's exception (fault, crash, I/O error), if any.

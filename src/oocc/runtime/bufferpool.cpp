@@ -28,6 +28,9 @@ class SlabBufferPool::Io final : public Directory::Host {
     // Eviction may pick a never-consumed prefetch: its fill must complete
     // before the buffer is dropped.
     settle_entry(ctx_, e);
+    if (e.data.buf != nullptr) {  // null when its allocation failed
+      pool_.orphan(ctx_, *e.data.buf);
+    }
     if (evicted && pool_.dir_.retains()) {
       ++pool_.stats_.evictions;
       e.data.laf->note_cache_eviction();
@@ -136,20 +139,68 @@ void SlabBufferPool::settle_entry(sim::SpmdContext& ctx, Entry& e) {
 void SlabBufferPool::write_back(sim::SpmdContext& ctx, Entry& e) {
   settle_entry(ctx, e);
   if (engine_ != nullptr) {
-    // The job owns a snapshot of the slab, so the entry can be dropped
-    // immediately; errors surface at the next drain_writes().
-    const std::span<const double> data = e.data.buf->data();
+    // The job reads the entry's own buffer, which nothing modifies until
+    // the write settles (acquire_write settles it first); errors surface
+    // at the next drain_writes() or orphan settle.
     pending_writes_.push_back(PendingWrite{
         e.data.laf,
-        e.data.laf->write_section_async(
-            ctx, *engine_, e.sec,
-            std::vector<double>(data.begin(), data.end()))});
+        e.data.laf->write_section_async(ctx, *engine_, e.sec,
+                                        e.data.buf->data()),
+        e.data.buf.get(), {}});
   } else {
     e.data.buf->store_as(ctx, *e.data.laf, e.sec);
   }
   if (dir_.retains()) {
     ++stats_.writebacks;
     e.data.laf->note_cache_writeback();
+  }
+}
+
+void SlabBufferPool::settle_write(sim::SpmdContext& ctx, std::size_t i) {
+  // Take the write off the list first, so a throwing settle is not
+  // retried; an orphan's storage is freed once the job is done.
+  PendingWrite w = std::move(pending_writes_[i]);
+  pending_writes_.erase(pending_writes_.begin() +
+                        static_cast<std::ptrdiff_t>(i));
+  w.laf->settle(ctx, w.handle);
+}
+
+void SlabBufferPool::settle_writes_of(sim::SpmdContext& ctx,
+                                      const IclaBuffer& buf) {
+  for (std::size_t i = 0; i < pending_writes_.size();) {
+    if (pending_writes_[i].borrowed == &buf) {
+      settle_write(ctx, i);
+    } else {
+      ++i;
+    }
+  }
+}
+
+void SlabBufferPool::orphan(sim::SpmdContext& ctx, IclaBuffer& buf) {
+  // The buffer's last write keeps its storage: an earlier write of it is
+  // on the same file, so it finishes first.
+  const auto last_write = [&] {
+    return std::find_if(
+        pending_writes_.rbegin(), pending_writes_.rend(),
+        [&](const PendingWrite& w) { return w.borrowed == &buf; });
+  };
+  if (last_write() == pending_writes_.rend()) {
+    return;
+  }
+  // At most one orphan in flight: settle the older one before this buffer
+  // gives up its storage, so a throwing settle leaves the entry intact.
+  const auto older =
+      std::find_if(pending_writes_.begin(), pending_writes_.end(),
+                   [](const PendingWrite& w) { return !w.orphan.empty(); });
+  if (older != pending_writes_.end()) {
+    settle_write(ctx,
+                 static_cast<std::size_t>(older - pending_writes_.begin()));
+  }
+  last_write()->orphan = buf.release_storage();
+  for (PendingWrite& w : pending_writes_) {
+    if (w.borrowed == &buf) {
+      w.borrowed = nullptr;
+    }
   }
 }
 
@@ -234,7 +285,10 @@ IclaBuffer& SlabBufferPool::acquire_write(sim::SpmdContext& ctx,
   if (e.data.buf == nullptr) {
     allocate(e, laf, array);
   } else {
+    // The caller is about to modify the buffer: no transfer may still be
+    // using it.
     settle_entry(ctx, e);
+    settle_writes_of(ctx, *e.data.buf);
   }
   return *e.data.buf;
 }

@@ -24,6 +24,12 @@
 // its completion timestamp; a demand acquire waits for it, a read-ahead
 // does not. One outstanding request per pool (one disk per processor).
 //
+// With an async engine, a write-back copies nothing: the job reads the
+// entry's own buffer, an entry erased while its write is in flight hands
+// the buffer's storage to that write, and at most one such orphan is in
+// flight per pool. A pool's host memory is thus bounded by its budget
+// plus one slab (plus the compute kernel's column temporaries).
+//
 // IoScheduler is the read-ahead front: the step walk (compiler/walk.hpp)
 // hands it a prefetching slab loop's upcoming ReadSlab schedule, and the
 // executor pumps it after each demand read, which generalizes the old
@@ -200,11 +206,24 @@ class SlabBufferPool {
   /// Waits out `e`'s pending read (if any), applying its deferred
   /// accounting.
   static void settle_entry(sim::SpmdContext& ctx, Entry& e);
+  /// Settles pending write `i` and drops it from the list.
+  void settle_write(sim::SpmdContext& ctx, std::size_t i);
+  /// Settles every in-flight write-back reading `buf`.
+  void settle_writes_of(sim::SpmdContext& ctx, const IclaBuffer& buf);
+  /// `buf` is about to be dropped: when a write-back still reads it, that
+  /// write takes over its storage, after the pool's previous orphan (if
+  /// any) has settled.
+  void orphan(sim::SpmdContext& ctx, IclaBuffer& buf);
   void note_hit(io::LocalArrayFile& laf, const io::Section& s);
 
+  /// An asynchronous write-back in flight. It reads `borrowed`, a resident
+  /// entry's buffer, or, once that entry is gone, `orphan`, the storage it
+  /// handed over.
   struct PendingWrite {
     io::LocalArrayFile* laf = nullptr;
     io::AsyncHandle handle;
+    const IclaBuffer* borrowed = nullptr;
+    std::vector<double> orphan;
   };
 
   MemoryBudget& budget_;

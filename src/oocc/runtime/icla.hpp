@@ -98,6 +98,15 @@ class IclaBuffer {
   /// Fills the current section with a value.
   void fill(double value) noexcept;
 
+  /// Hands the storage to a transfer still reading it (the slab pool's
+  /// orphaned write-back). Moving a vector keeps its heap block, so spans
+  /// into it stay valid. The buffer is left empty; its budget is released
+  /// when it is destroyed, as usual.
+  std::vector<double> release_storage() noexcept {
+    section_ = io::Section{};
+    return std::move(data_);
+  }
+
  private:
   MemoryBudget& budget_;
   std::int64_t capacity_;

@@ -239,7 +239,21 @@ class Parser {
     return false;
   }
 
+  // Objects and arrays recurse through parse_value, so capping its depth
+  // bounds the parser's stack.
+  static constexpr int kMaxNesting = 256;
+
   Json parse_value() {
+    OOCC_CHECK(nesting_ < kMaxNesting, ErrorCode::kParseError,
+               "json: nested more than " << kMaxNesting
+                                         << " levels deep at offset " << pos_);
+    ++nesting_;
+    Json v = parse_element();
+    --nesting_;
+    return v;
+  }
+
+  Json parse_element() {
     const char c = peek();
     switch (c) {
       case '{':
@@ -428,6 +442,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int nesting_ = 0;  ///< parse_value calls in progress
 };
 
 }  // namespace

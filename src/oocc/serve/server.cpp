@@ -289,10 +289,15 @@ Json Server::stats_json() const {
   jobs.set("failed", jobs_failed_.load(std::memory_order_relaxed));
   jobs.set("in_flight", jobs_in_flight_.load(std::memory_order_relaxed));
 
+  Json socket = Json::object();
+  socket.set("unjoined_readers",
+             unjoined_readers_.load(std::memory_order_relaxed));
+
   Json out = Json::object();
   out.set("cache", std::move(cache));
   out.set("admission", std::move(admission));
   out.set("jobs", std::move(jobs));
+  out.set("socket", std::move(socket));
   out.set("uptime_s", up_s);
   out.set("programs_per_sec", up_s > 0.0 ? static_cast<double>(done) / up_s
                                          : 0.0);
@@ -346,6 +351,7 @@ struct Connection {
   std::mutex write_mu;
   std::atomic<int> pending{0};  ///< jobs queued or running
   std::atomic<bool> closed{false};
+  std::atomic<bool> finished{false};  ///< the reader thread is done
 
   /// Best-effort framed write. MSG_NOSIGNAL: a client that disconnected
   /// mid-job must not SIGPIPE the daemon; the response is simply dropped.
@@ -494,6 +500,18 @@ int serve_socket(Server& server, const std::filesystem::path& socket_path,
       break;  // listener closed (shutdown) or fatal error
     }
     ++connections;
+    // Join the readers whose connection has finished: an exited thread
+    // keeps its stack mapped until it is joined.
+    for (std::size_t i = 0; i < readers.size();) {
+      if (conns[i]->finished.load(std::memory_order_acquire)) {
+        readers[i].join();
+        readers.erase(readers.begin() + static_cast<std::ptrdiff_t>(i));
+        conns.erase(conns.begin() + static_cast<std::ptrdiff_t>(i));
+      } else {
+        ++i;
+      }
+    }
+    server.set_unjoined_readers(readers.size() + 1);
     auto conn = std::make_shared<Connection>();
     conn->fd = fd;
     conns.push_back(conn);
@@ -526,6 +544,7 @@ int serve_socket(Server& server, const std::filesystem::path& socket_path,
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
       conn->close_fd();
+      conn->finished.store(true, std::memory_order_release);
     });
   }
 

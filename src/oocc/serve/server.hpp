@@ -75,6 +75,13 @@ class Server {
   /// same numbers as JSON.
   std::string stats_line() const;
 
+  /// serve_socket's reader threads not yet joined: live connections plus
+  /// finished ones it joins at its next accept. Reported by op=stats.
+  void set_unjoined_readers(std::size_t n) noexcept {
+    unjoined_readers_.store(static_cast<std::int64_t>(n),
+                            std::memory_order_relaxed);
+  }
+
   /// True once an op=shutdown request was handled.
   bool shutdown_requested() const noexcept {
     return shutdown_.load(std::memory_order_acquire);
@@ -97,6 +104,7 @@ class Server {
   std::atomic<std::uint64_t> jobs_done_{0};
   std::atomic<std::uint64_t> jobs_failed_{0};
   std::atomic<int> jobs_in_flight_{0};
+  std::atomic<std::int64_t> unjoined_readers_{0};
   std::atomic<bool> shutdown_{false};
   std::chrono::steady_clock::time_point started_ =
       std::chrono::steady_clock::now();

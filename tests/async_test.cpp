@@ -404,8 +404,8 @@ TEST(LafAsyncJournalTest, CrashAtShadowFromWorkerDiscardsOnReopen) {
       laf.fill(ctx, 1.0);
       laf.set_journaling(true);
       AsyncEngine engine(2);
-      AsyncHandle h = laf.write_section_async(ctx, engine, laf.full(),
-                                              std::vector<double>(16, 2.0));
+      const std::vector<double> twos(16, 2.0);  // valid until settle
+      AsyncHandle h = laf.write_section_async(ctx, engine, laf.full(), twos);
       try {
         laf.settle(ctx, h);
         FAIL();
@@ -437,8 +437,8 @@ TEST(LafAsyncJournalTest, CrashAtApplyFromWorkerReplaysOnReopen) {
       laf.fill(ctx, 1.0);
       laf.set_journaling(true);
       AsyncEngine engine(2);
-      AsyncHandle h = laf.write_section_async(ctx, engine, laf.full(),
-                                              std::vector<double>(16, 2.0));
+      const std::vector<double> twos(16, 2.0);  // valid until settle
+      AsyncHandle h = laf.write_section_async(ctx, engine, laf.full(), twos);
       EXPECT_THROW(laf.settle(ctx, h), Error);
       EXPECT_GE(laf.stats().journal_writes, 1u);
     }
@@ -467,12 +467,13 @@ TEST(LafAsyncJournalTest, JournaledWritesInterleaveWithAsyncReads) {
     AsyncEngine engine(2);
     const Section left{0, 8, 0, 4};
     const Section right{0, 8, 4, 8};
-    AsyncHandle w1 = laf.write_section_async(ctx, engine, left,
-                                             std::vector<double>(32, 1.0));
+    // The write payloads must outlive their settle.
+    const std::vector<double> ones(32, 1.0);
+    const std::vector<double> twos(32, 2.0);
+    AsyncHandle w1 = laf.write_section_async(ctx, engine, left, ones);
     std::vector<double> r1(32);
     AsyncHandle h1 = laf.read_section_async(ctx, engine, left, r1);
-    AsyncHandle w2 = laf.write_section_async(ctx, engine, right,
-                                             std::vector<double>(32, 2.0));
+    AsyncHandle w2 = laf.write_section_async(ctx, engine, right, twos);
     // A synchronous read of a disjoint range runs on the compute thread
     // while the workers are busy — per-fd concurrency in anger.
     std::vector<double> l0(32);

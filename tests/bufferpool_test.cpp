@@ -1,16 +1,20 @@
 // SlabBufferPool / IoScheduler unit tests: hit/miss accounting, LRU-with-
 // reuse-hint eviction under exact-fit budgets, pin-count discipline and
 // leak detection, dirty write-back ordering (disk must see staged data
-// before an entry disappears), multi-entry column-coverage assembly, the
-// write-path invalidation of overlapping stale ranges, and the
-// --prefetch=auto compiler decision built on the cached step pricer.
+// before an entry disappears), copy-free async write-back (re-staging
+// waits for the write reading the buffer; at most one orphaned slab in
+// flight), multi-entry column-coverage assembly, the write-path
+// invalidation of overlapping stale ranges, and the --prefetch=auto
+// compiler decision built on the cached step pricer.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <vector>
 
 #include "oocc/compiler/lower.hpp"
 #include "oocc/hpf/programs.hpp"
+#include "oocc/io/async_engine.hpp"
 #include "oocc/io/file_backend.hpp"
 #include "oocc/runtime/bufferpool.hpp"
 #include "oocc/sim/collectives.hpp"
@@ -287,6 +291,114 @@ TEST(SlabBufferPool, WriteInvalidatesOverlappingStaleRanges) {
     std::vector<double> col(8);
     laf.read_section(ctx, cols(1, 2), std::span<double>(col.data(), 8));
     EXPECT_DOUBLE_EQ(col[2], -7.0);
+  });
+}
+
+/// Sets OOCC_HOST_IO_DELAY_US for the LAFs opened during its lifetime
+/// (FileBackend reads it at construction), so engine write-backs stay in
+/// flight long enough to observe.
+class HostIoDelay {
+ public:
+  explicit HostIoDelay(const char* us) {
+    ::setenv("OOCC_HOST_IO_DELAY_US", us, 1);
+  }
+  ~HostIoDelay() { ::unsetenv("OOCC_HOST_IO_DELAY_US"); }
+  HostIoDelay(const HostIoDelay&) = delete;
+  HostIoDelay& operator=(const HostIoDelay&) = delete;
+};
+
+TEST(SlabBufferPool, EvictedWriteBacksKeepAtMostOneOrphanInFlight) {
+  // A write-back reads the slab's own buffer. An evicted dirty slab hands
+  // that storage to its write, and a pool keeps at most one such orphan in
+  // flight, so a run of evictions under a one-slab budget cannot pile up
+  // unaccounted slab copies behind a slow disk.
+  TempDir dir;
+  io::AsyncEngine engine(2);
+  spmd([&](SpmdContext& ctx) {
+    const HostIoDelay delay("2000");
+    LocalArrayFile laf(dir.file("a.laf"), 8, 16, StorageOrder::kColumnMajor,
+                       DiskModel::zero());
+    MemoryBudget budget(8);  // one 8-element slab
+    SlabBufferPool pool(budget, "t");
+    pool.set_async_engine(&engine);
+    for (std::int64_t c = 0; c < 16; ++c) {
+      IclaBuffer& slab = pool.acquire_write(ctx, laf, "a", cols(c, c + 1),
+                                            -1.0);
+      for (std::int64_t r = 0; r < 8; ++r) {
+        slab.at(r, 0) = static_cast<double>(r + 100 * c);
+      }
+      pool.mark_dirty(ctx, "a", cols(c, c + 1), -1.0);
+      pool.unpin(ctx, "a", cols(c, c + 1));
+    }
+    pool.flush(ctx);
+    EXPECT_EQ(pool.stats().writebacks, 16u);
+    EXPECT_LE(engine.counters().max_queue_depth, 2u);
+    std::vector<double> all(8 * 16);
+    laf.read_full(ctx, std::span<double>(all.data(), all.size()));
+    for (std::int64_t c = 0; c < 16; ++c) {
+      for (std::int64_t r = 0; r < 8; ++r) {
+        ASSERT_EQ(all[static_cast<std::size_t>(c * 8 + r)],
+                  static_cast<double>(r + 100 * c))
+            << "(" << r << "," << c << ")";
+      }
+    }
+  });
+}
+
+TEST(SlabBufferPool, RestagingWaitsForTheWriteBackReadingTheBuffer) {
+  // A write-back in flight reads the resident buffer itself, so staging the
+  // slab again must settle that write before handing the buffer out for
+  // modification: the disk keeps the bytes that were written back, the
+  // pool the new ones.
+  TempDir dir;
+  io::AsyncEngine engine(2);
+  spmd([&](SpmdContext& ctx) {
+    const HostIoDelay delay("2000");
+    LocalArrayFile laf(dir.file("a.laf"), 8, 8, StorageOrder::kColumnMajor,
+                       DiskModel::zero());
+    fill_laf(ctx, laf);
+    std::vector<double> col(8);
+    const auto on_disk = [&](std::int64_t c) {
+      laf.read_section(ctx, cols(c, c + 1), std::span<double>(col.data(), 8));
+      return col[3];
+    };
+    {
+      // Retaining: an overlapping miss writes the dirty slab back and the
+      // entry stays resident.
+      MemoryBudget budget(1000);
+      SlabBufferPool pool(budget, "t");
+      pool.set_async_engine(&engine);
+      pool.acquire_write(ctx, laf, "a", cols(0, 1), -1.0).fill(42.0);
+      pool.mark_dirty(ctx, "a", cols(0, 1), -1.0);
+      pool.unpin(ctx, "a", cols(0, 1));
+      (void)pool.acquire_read(ctx, laf, "a", cols(0, 2), -1.0);
+      pool.unpin(ctx, "a", cols(0, 2));
+      EXPECT_EQ(pool.stats().writebacks, 1u);
+
+      pool.acquire_write(ctx, laf, "a", cols(0, 1), -1.0).fill(7.0);
+      pool.unpin(ctx, "a", cols(0, 1));
+      pool.drain_writes(ctx);
+      EXPECT_EQ(on_disk(0), 42.0);
+      EXPECT_EQ(pool.acquire_read(ctx, laf, "a", cols(0, 1), -1.0).at(3, 0),
+                7.0);
+      pool.unpin(ctx, "a", cols(0, 1));
+    }
+    {
+      // No-retain: the write goes through at mark_dirty while the slab is
+      // still pinned, so a second stage finds the write in flight.
+      MemoryBudget budget(1000);
+      SlabBufferPool pool(budget, "t", /*retain=*/false);
+      pool.set_async_engine(&engine);
+      pool.acquire_write(ctx, laf, "a", cols(1, 2), -1.0).fill(42.0);
+      pool.mark_dirty(ctx, "a", cols(1, 2), -1.0);
+      IclaBuffer& again = pool.acquire_write(ctx, laf, "a", cols(1, 2), -1.0);
+      again.fill(7.0);
+      pool.drain_writes(ctx);
+      EXPECT_EQ(on_disk(1), 42.0);
+      EXPECT_EQ(again.at(3, 0), 7.0);
+      pool.unpin(ctx, "a", cols(1, 2));
+      pool.unpin(ctx, "a", cols(1, 2));
+    }
   });
 }
 

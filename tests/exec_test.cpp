@@ -3,8 +3,13 @@
 // between the compiler's predicted I/O costs and the measured counters.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
+#include <map>
+#include <random>
+#include <string>
 #include <type_traits>
 
 #include "oocc/compiler/lower.hpp"
@@ -341,46 +346,37 @@ TEST(CompiledElementwise, InPlaceUpdateSupported) {
   });
 }
 
-class ElementwiseExprTest : public ::testing::TestWithParam<const char*> {};
+/// Bit-for-bit equality; any NaN matches any NaN.
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b) ||
+         (std::isnan(a) && std::isnan(b));
+}
 
-INSTANTIATE_TEST_SUITE_P(
-    Expressions, ElementwiseExprTest,
-    ::testing::Values("x(1:n,k)*2 + 1", "x(1:n,k) - x(1:n,k)/2",
-                      "(x(1:n,k) + k)*(x(1:n,k) - k)", "k*k - 3",
-                      "x(1:n,k)*x(1:n,k)*x(1:n,k)", "0 - x(1:n,k)"));
-
-TEST_P(ElementwiseExprTest, InterpreterMatchesDirectEvaluation) {
-  // Compile y = <expr> and check every element against a direct C++
-  // evaluation of the same expression.
-  const std::string expr = GetParam();
-  const std::int64_t n = 8;
-  const int p = 2;
+/// Compiles `lhs(1:n,k) = expr` over 10 rows (not a multiple of the
+/// kernel's vector width) on 2 processors, with a budget of a few columns
+/// so each rank computes several slabs; runs it with x = gen_a and returns
+/// the gathered lhs.
+std::vector<double> run_forall(const std::string& lhs,
+                               const std::string& expr) {
   const std::string src =
-      "parameter (n=8, p=2)\n"
+      "parameter (n=10, p=2)\n"
       "real x(n,n), y(n,n)\n"
       "!hpf$ processors Pr(p)\n"
       "!hpf$ template d(n)\n"
       "!hpf$ distribute d(block) onto Pr\n"
       "!hpf$ align (*,:) with d :: x, y\n"
       "forall (k=1:n)\n"
-      "  y(1:n,k) = " + expr + "\n"
+      "  " + lhs + "(1:n,k) = " + expr + "\n"
       "end forall\n"
       "end\n";
-
-  auto direct = [&](double x, double k) -> double {
-    if (expr == "x(1:n,k)*2 + 1") return x * 2 + 1;
-    if (expr == "x(1:n,k) - x(1:n,k)/2") return x - x / 2;
-    if (expr == "(x(1:n,k) + k)*(x(1:n,k) - k)") return (x + k) * (x - k);
-    if (expr == "k*k - 3") return k * k - 3;
-    if (expr == "x(1:n,k)*x(1:n,k)*x(1:n,k)") return x * x * x;
-    return 0 - x;  // "0 - x(1:n,k)"
-  };
-
   CompileOptions options;
-  options.memory_budget_elements = 4096;
+  options.memory_budget_elements = 40;
   const NodeProgram plan = compiler::compile_source(src, options);
+  // Each rank owns 5 columns of 10 rows; the budget must split them.
+  EXPECT_LT(plan.loops.front().capacity_elements, 5 * 10);
+  std::vector<double> got;
   TempDir dir;
-  Machine machine(p, MachineCostModel::zero());
+  Machine machine(2, MachineCostModel::zero());
   machine.run([&](SpmdContext& ctx) {
     auto arrays = create_plan_arrays(ctx, plan, dir.path(),
                                      DiskModel::zero());
@@ -392,17 +388,125 @@ TEST_P(ElementwiseExprTest, InterpreterMatchesDirectEvaluation) {
       bindings[name] = arr.get();
     }
     execute(ctx, plan, bindings);
-    std::vector<double> got = arrays.at("y")->gather_global(ctx, 4096);
+    std::vector<double> all = arrays.at(lhs)->gather_global(ctx, 4096);
     if (ctx.rank() == 0) {
-      for (std::int64_t c = 0; c < n; ++c) {
-        for (std::int64_t r = 0; r < n; ++r) {
-          ASSERT_NEAR(got[static_cast<std::size_t>(c * n + r)],
-                      direct(gen_a(r, c), static_cast<double>(c + 1)), 1e-12)
-              << expr << " at (" << r << "," << c << ")";
-        }
-      }
+      got = std::move(all);
     }
   });
+  return got;
+}
+
+/// Checks every element of `got` (10 x 10, column-major) bit for bit
+/// against `want(x, k)` evaluated element at a time.
+template <typename Want>
+void expect_elementwise(const std::vector<double>& got, const Want& want,
+                        const std::string& what) {
+  ASSERT_EQ(got.size(), 100u) << what;
+  for (std::int64_t c = 0; c < 10; ++c) {
+    for (std::int64_t r = 0; r < 10; ++r) {
+      const double w = want(gen_a(r, c), static_cast<double>(c + 1));
+      const double g = got[static_cast<std::size_t>(c * 10 + r)];
+      ASSERT_TRUE(same_bits(g, w))
+          << what << " at (" << r << "," << c << "): " << g << " vs " << w;
+    }
+  }
+}
+
+class ElementwiseExprTest : public ::testing::TestWithParam<const char*> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Expressions, ElementwiseExprTest,
+    ::testing::Values("x(1:n,k)*2 + 1", "x(1:n,k) - x(1:n,k)/2",
+                      "(x(1:n,k) + k)*(x(1:n,k) - k)", "k*k - 3",
+                      "x(1:n,k)*x(1:n,k)*x(1:n,k)", "0 - x(1:n,k)",
+                      "2 - x(1:n,k)", "x(1:n,k)", "x(1:n,k)/k",
+                      "x(1:n,k) - (x(1:n,k)*3 - (x(1:n,k)/k - (x(1:n,k) + "
+                      "(k - x(1:n,k)))))"));
+
+TEST_P(ElementwiseExprTest, InterpreterMatchesDirectEvaluation) {
+  // Compile y = <expr> and check every element bit for bit against a
+  // direct C++ evaluation of the same expression. The shapes cover each
+  // path of the column kernel: a constant on either side, a leaf rhs, an
+  // all-scalar rhs, division by the index and a right-leaning tree that
+  // needs a temporary per nesting level.
+  using Direct = double (*)(double, double);
+  static const std::map<std::string, Direct> kDirect = {
+      {"x(1:n,k)*2 + 1", [](double x, double) { return x * 2 + 1; }},
+      {"x(1:n,k) - x(1:n,k)/2", [](double x, double) { return x - x / 2; }},
+      {"(x(1:n,k) + k)*(x(1:n,k) - k)",
+       [](double x, double k) { return (x + k) * (x - k); }},
+      {"k*k - 3", [](double, double k) { return k * k - 3; }},
+      {"x(1:n,k)*x(1:n,k)*x(1:n,k)",
+       [](double x, double) { return x * x * x; }},
+      {"0 - x(1:n,k)", [](double x, double) { return 0 - x; }},
+      {"2 - x(1:n,k)", [](double x, double) { return 2 - x; }},
+      {"x(1:n,k)", [](double x, double) { return x; }},
+      {"x(1:n,k)/k", [](double x, double k) { return x / k; }},
+      {"x(1:n,k) - (x(1:n,k)*3 - (x(1:n,k)/k - (x(1:n,k) + "
+       "(k - x(1:n,k)))))",
+       [](double x, double k) {
+         return x - (x * 3 - (x / k - (x + (k - x))));
+       }},
+  };
+  const std::string expr = GetParam();
+  expect_elementwise(run_forall("y", expr), kDirect.at(expr), expr);
+}
+
+TEST(CompiledElementwise, InPlaceColumnKernelIsBitExact) {
+  // x = x*2 + x: the root loop writes x's column while its right operand
+  // is that same column, and the left one is a temporary computed from it.
+  expect_elementwise(run_forall("x", "x(1:n,k)*2 + x(1:n,k)"),
+                     [](double x, double) { return x * 2 + x; },
+                     "x = x*2 + x");
+}
+
+/// A random rhs over x(1:n,k), small integers and the index k: its HPF
+/// text, fully parenthesized, and an element-at-a-time evaluator of the
+/// same tree (left operand, right operand, op).
+struct RandomRhs {
+  std::string text;
+  std::function<double(double, double)> eval;
+};
+
+RandomRhs random_rhs(std::mt19937& rng, int depth) {
+  const unsigned pick = static_cast<unsigned>(rng() % (depth == 0 ? 3 : 7));
+  if (pick == 0) {
+    return {"x(1:n,k)", [](double x, double) { return x; }};
+  }
+  if (pick == 1) {
+    const int v = static_cast<int>(1 + rng() % 9);
+    return {std::to_string(v), [v](double, double) { return v; }};
+  }
+  if (pick == 2) {
+    return {"k", [](double, double k) { return k; }};
+  }
+  const RandomRhs a = random_rhs(rng, depth - 1);
+  const RandomRhs b = random_rhs(rng, depth - 1);
+  const char op = "+-*/"[pick - 3];
+  return {"(" + a.text + ")" + op + "(" + b.text + ")",
+          [a, b, op](double x, double k) {
+            const double l = a.eval(x, k);
+            const double r = b.eval(x, k);
+            switch (op) {
+              case '+':
+                return l + r;
+              case '-':
+                return l - r;
+              case '*':
+                return l * r;
+              default:
+                return l / r;
+            }
+          }};
+}
+
+TEST(CompiledElementwise, SeededRhsTreesMatchElementAtATime) {
+  for (unsigned seed = 1; seed <= 24; ++seed) {
+    std::mt19937 rng(seed);
+    const RandomRhs rhs = random_rhs(rng, 4);
+    expect_elementwise(run_forall("y", rhs.text), rhs.eval,
+                       "seed " + std::to_string(seed) + ": " + rhs.text);
+  }
 }
 
 TEST(CompiledSequence, ChainedStatementsFlowThroughDisk) {

@@ -140,6 +140,33 @@ TEST(ParserTest, UnaryMinus) {
   EXPECT_EQ(evaluate_scalar(*p.stmts[0]->body[0]->rhs, {}), 2);
 }
 
+TEST(ParserTest, NestingDepthIsCapped) {
+  // Past 256 levels, nesting is a structured parse error, not a stack
+  // overflow of the recursive-descent parser (100,000 parentheses or
+  // unary minuses).
+  const auto assignment = [](int depth) {
+    return "real x(4,4)\nforall (k=1:4) x(1:4,k) = " +
+           std::string(static_cast<std::size_t>(depth), '(') + "1" +
+           std::string(static_cast<std::size_t>(depth), ')') + "\nend\n";
+  };
+  EXPECT_EQ(evaluate_scalar(*parse(assignment(200)).stmts[0]->body[0]->rhs,
+                            {}),
+            1);
+  for (const std::string& src :
+       {assignment(100000),
+        "real x(4,4)\nforall (k=1:4) x(1:4,k) = " + std::string(100000, '-') +
+            "1\nend\n"}) {
+    try {
+      parse(src);
+      FAIL() << "deep nesting parsed";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kParseError);
+      EXPECT_NE(std::string(e.what()).find("256 levels"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(ParserTest, DistributeOnAndOnto) {
   for (const char* word : {"on", "onto"}) {
     const std::string src = std::string("real a(8)\n!hpf$ processors P(2)\n") +

@@ -1,7 +1,8 @@
 // Tests for the compile server: canonical hashing, single-flight plan
 // caching, admission fairness (round-robin, no head-of-line blocking,
-// anti-starvation barrier), protocol robustness (malformed requests,
-// mid-job disconnects), request-scoped environment capture, and the
+// anti-starvation barrier), protocol robustness (malformed and deeply
+// nested requests, mid-job disconnects, reaping finished connection
+// readers), request-scoped environment capture, and the
 // bit-identity of cached executions against fresh ones and against the
 // serial oocc_compile driver.
 #include <gtest/gtest.h>
@@ -161,6 +162,24 @@ TEST(ServeJson, RejectsMalformedInput) {
   EXPECT_THROW(Json::parse("{\"a\":1} trailing"), Error);
   EXPECT_THROW(Json::parse("{'a':1}"), Error);
   EXPECT_THROW(Json::parse(""), Error);
+}
+
+TEST(ServeJson, NestingDepthIsCapped) {
+  // Past 256 levels, nesting is a structured parse error, not a stack
+  // overflow that kills the daemon (one 400 KB line of '[').
+  EXPECT_EQ(Json::parse(std::string(200, '[') + std::string(200, ']'))
+                .dump()
+                .size(),
+            400u);
+  try {
+    Json::parse(std::string(400000, '['));
+    FAIL() << "deep nesting parsed";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kParseError);
+  }
+  Server server(ServerOptions{});
+  const Json res = server.handle_line(std::string(400000, '['));
+  EXPECT_FALSE(res.get_bool("ok", true)) << res.dump();
 }
 
 // ---------------------------------------------------------------------------
@@ -626,6 +645,42 @@ TEST(ServeSocket, SurvivesMidJobDisconnect) {
   // mid-compile (common under TSan, where compiles are slow).
   const PlanCache::Stats cs = server.cache().stats();
   EXPECT_GE(cs.misses + cs.hits + cs.inflight_waits, 2u);
+}
+
+TEST(ServeSocket, JoinsFinishedReaders) {
+  // Every connection gets a reader thread; once its client hangs up, the
+  // accept loop must join it instead of keeping its stack until shutdown.
+  io::TempDir dir("oocc-serve-reap");
+  const std::string path = dir.file("serve.sock").string();
+  Server server(ServerOptions{});
+  std::thread daemon([&] { serve_socket(server, path, 2); });
+  int fd = -1;
+  for (int i = 0; i < 1000 && fd < 0; ++i) {
+    std::this_thread::sleep_for(10ms);
+    fd = sock::connect_to(path);
+  }
+  std::int64_t most = 0;
+  for (int i = 0; i < 200 && fd >= 0; ++i) {
+    sock::send_line(fd, "{\"op\":\"stats\"}");
+    const Json res = Json::parse(sock::recv_line(fd));
+    ::close(fd);
+    const Json& stats = res.as_object().at("stats");
+    fd = sock::connect_to(path);
+    if (!stats.has("socket")) {
+      ADD_FAILURE() << "stats report no socket section: " << res.dump();
+      break;
+    }
+    most = std::max(most, stats.as_object().at("socket").get_int(
+                              "unjoined_readers", 0));
+  }
+  ASSERT_GE(fd, 0) << "daemon not reachable";
+  // Readers whose client just hung up may not have noticed yet; 200
+  // unjoined ones mean none was ever joined.
+  EXPECT_LE(most, 16);
+  sock::send_line(fd, "{\"op\":\"shutdown\"}");
+  (void)sock::recv_line(fd);
+  ::close(fd);
+  daemon.join();
 }
 
 TEST(ServeSocket, ShutdownUnblocksIdleConnections) {
