@@ -9,7 +9,6 @@
 #include "oocc/hpf/distribution.hpp"
 #include "oocc/runtime/bufferpool.hpp"
 #include "oocc/runtime/slab_directory.hpp"
-#include "oocc/runtime/slab_writer.hpp"
 #include "oocc/util/error.hpp"
 
 namespace oocc::compiler {
@@ -198,7 +197,7 @@ using Directory = runtime::SlabDirectory<>;
 /// Symbolic execution of a plan for one processor: a StepWalk client that
 /// drives the same runtime::SlabDirectory the executor's pool does
 /// (retaining or not), charging extent counts wherever the pool would move
-/// data, and the same output-writer batching as its OwnedColumnWriter.
+/// data or the GAXPY owner stores an output batch.
 class StepPricer final : public StepWalk, public Directory::Host {
  public:
   /// `dir` persists across the plans of a priced sequence, as the pool does
@@ -210,21 +209,17 @@ class StepPricer final : public StepWalk, public Directory::Host {
              std::int64_t capacity,
              const std::map<std::string, const PlanArray*>& all_arrays)
       : StepWalk(plan, proc, /*swapped=*/false), dir_(dir),
-        capacity_(capacity), all_arrays_(all_arrays),
-        side_(gaxpy_side_reservation(plan, proc)) {}
+        capacity_(capacity), all_arrays_(all_arrays) {}
 
   /// Prices the plan; `flush` adds the end-of-run write-back of every dirty
   /// slab (the executor flushes its pool after the last plan).
   PlanPrice run(bool flush) {
     if (plan_.kind == ProgramKind::kGaxpy) {
-      // The executor write-backs + drops cached slabs of arrays written
-      // through the OwnedColumnWriter bypass before running the plan.
+      // The executor writes back and drops cached slabs of the reduction
+      // output, which it stores around the pool, before running the plan.
       dir_.invalidate(*this, plan_.c);
     }
     sweep();
-    if (writer_) {
-      flush_writer();
-    }
     reserved_ = 0;  // the side buffers go with the plan
     if (flush) {
       dir_.flush(*this);
@@ -240,22 +235,6 @@ class StepPricer final : public StepWalk, public Directory::Host {
   }
 
  private:
-  /// The same batching core the executor's OwnedColumnWriter wraps, minus
-  /// the data copy and the I/O.
-  struct WriterSim {
-    WriterSim(std::int64_t capacity, std::int64_t row0, std::int64_t row1,
-              std::int64_t local_cols, std::string name)
-        : batch(capacity, row0, row1, local_cols),
-          r0(row0),
-          r1(row1),
-          array(std::move(name)) {}
-
-    runtime::ColumnBatch batch;
-    std::int64_t r0;
-    std::int64_t r1;
-    std::string array;
-  };
-
   const PlanArray& resolve_array(const std::string& array) const {
     const auto it = plan_.arrays.find(array);
     if (it != plan_.arrays.end()) {
@@ -282,24 +261,6 @@ class StepPricer final : public StepWalk, public Directory::Host {
       cost.write_requests += extents(array, s);
       cost.elements_written += static_cast<double>(s.elements());
     }
-  }
-
-  /// Reserves a GAXPY side buffer beside the directory, evicting for room
-  /// exactly as the executor's ensure_available does.
-  void reserve(std::int64_t elements) {
-    dir_.make_room(*this, elements);
-    reserved_ += elements;
-  }
-
-  void flush_writer() {
-    if (!writer_ || writer_->batch.pending() == 0) {
-      return;
-    }
-    charge(writer_->array,
-           io::Section{writer_->r0, writer_->r1, writer_->batch.lc0(),
-                       writer_->batch.lc0() + writer_->batch.pending()},
-           /*is_read=*/false);
-    writer_->batch.clear();
   }
 
   /// One demand read through the directory: a miss is charged, a hit is
@@ -371,36 +332,20 @@ class StepPricer final : public StepWalk, public Directory::Host {
     }
   }
 
-  void partial(const Node& n, bool fresh) override {
+  void partial(const Node& n, bool /*fresh*/) override {
     price_.flops += 2.0 * static_cast<double>(n.loop->section.rows()) *
                     static_cast<double>(n.loop->section.cols());
-    if (fresh && !temp_reserved_) {
-      reserve(side_.temp);
-      temp_reserved_ = true;
-    }
   }
 
-  void reduce(const Node& n, std::int64_t column, std::int64_t row0,
-              std::int64_t row1) override {
-    const hpf::ArrayDistribution& dist = n.info->dist;
-    if (writer_ && (writer_->r0 != row0 || writer_->r1 != row1)) {
-      flush_writer();
-      writer_.reset();
-    }
-    if (dist.owner_of_col(column) != rank_) {
-      return;
-    }
-    if (!writer_) {
-      if (!output_reserved_) {
-        reserve(side_.output);
-        output_reserved_ = true;
-      }
-      writer_.emplace(side_.output, row0, row1, dist.local_cols(rank_),
-                      *n.array);
-    }
-    if (writer_->batch.push(dist.global_to_local_col(column))) {
-      flush_writer();
-    }
+  /// Reserves a GAXPY side buffer beside the directory, evicting for room
+  /// exactly as the executor's ensure_available does.
+  void reserve(const Node& /*n*/, std::int64_t elements) override {
+    dir_.make_room(*this, elements);
+    reserved_ += elements;
+  }
+
+  void store(const Node& n, const io::Section& s) override {
+    charge(*n.array, s, /*is_read=*/false);
   }
 
   void release(const std::string& array, const io::Section& s) override {
@@ -410,12 +355,8 @@ class StepPricer final : public StepWalk, public Directory::Host {
   Directory& dir_;
   std::int64_t capacity_;
   const std::map<std::string, const PlanArray*>& all_arrays_;
-  SideReservation side_;
   std::int64_t reserved_ = 0;  ///< side buffers held (GAXPY)
-  bool temp_reserved_ = false;
-  bool output_reserved_ = false;
   PlanPrice price_;
-  std::optional<WriterSim> writer_;
 };
 
 }  // namespace

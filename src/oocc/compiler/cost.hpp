@@ -117,14 +117,13 @@ struct StepIoCost {
 
 /// Prices a compiled plan by symbolically executing its step tree with
 /// processor `proc`'s local extents: every ReadSlab/WriteSlab contributes
-/// its section's contiguous-extent count and element volume, and every
-/// ReduceSum drives the same staged-column-writer flush pattern the
-/// executor uses. The pricer is a client of the executor's own step walk
-/// (compiler/walk.hpp), so the predictions match measured LAF counters
-/// request-for-request (the tests assert this); the closed-form
-/// estimate_gaxpy_cost is only still needed *before* a plan exists: to rank
-/// candidate orientations and to score the memory planner's
-/// access-weighted grid.
+/// its section's contiguous-extent count and element volume, and so does
+/// every GAXPY output batch the walk stores. The pricer is a client of the
+/// executor's own step walk (compiler/walk.hpp), so the predictions match
+/// measured LAF counters request-for-request (the tests assert this); the
+/// closed-form estimate_gaxpy_cost is only still needed *before* a plan
+/// exists: to rank candidate orientations and to score the memory
+/// planner's access-weighted grid.
 std::map<std::string, StepIoCost> price_steps(const NodeProgram& plan,
                                               int proc = 0);
 

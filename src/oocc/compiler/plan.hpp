@@ -174,9 +174,9 @@ struct NodeProgram {
 /// The budget a GAXPY plan reserves on `proc` beside its slab pool: the
 /// reduction temporary (one full-height A column) and the staged output
 /// buffer, which holds at least one full-height (sub)column per flush.
-/// Zero for other plan kinds. The executor reserves exactly these, the
-/// pricer reserves them at the same steps, and the verifier's budget check
-/// adds their total to the peak pinned working set.
+/// Zero for other plan kinds. The step walk (compiler/walk.hpp) reserves
+/// them for the executor and the pricer at the same steps, and the
+/// verifier's budget check adds their total to the peak pinned working set.
 struct SideReservation {
   std::int64_t temp = 0;
   std::int64_t output = 0;

@@ -460,10 +460,16 @@ class RankReplayer final : public StepWalk {
 
   void write(const Node& n) override {
     count_event();
-    const io::Section& sec = n.loop->section;
-    check_bounds(n, "OOCC-V021", sec, "WriteSlab");
-    trace_.writes.push_back(WriteEvent{*n.array, sec,
-                                       global_rects(n.info->dist, rank_, sec),
+    check_bounds(n, "OOCC-V021", n.loop->section, "WriteSlab");
+    store(n, n.loop->section);
+  }
+
+  /// Records a write of `s`: a WriteSlab's slab, or an output batch the
+  /// GAXPY owner stores (Figures 9/12's WRITE_ICLA(C)), the very section
+  /// the executor writes.
+  void store(const Node& n, const io::Section& s) override {
+    trace_.writes.push_back(WriteEvent{*n.array, s,
+                                       global_rects(n.info->dist, rank_, s),
                                        trace_.intervals, epoch_, n.step});
   }
 
@@ -489,23 +495,12 @@ class RankReplayer final : public StepWalk {
     note_peak(pins_.pinned_elements() + transient, *n.step);
   }
 
-  /// A ReduceSum stages one output (sub)column on the owner of the global
-  /// column (Figure 9/12's GLOBAL_SUM + owner store), over the rows of the
-  /// A slab that produced it: a row slab's range under Figure 12's row
-  /// stripmine, the full column under Figure 9's.
-  void reduce(const Node& n, std::int64_t column, std::int64_t row0,
-              std::int64_t row1) override {
+  /// A ReduceSum's GLOBAL_SUM; the owner's stores of the summed columns
+  /// are the walk's store events.
+  void reduce(const Node& n, std::int64_t /*column*/, std::int64_t /*row0*/,
+              std::int64_t /*row1*/) override {
     count_event();
     trace_.collectives.push_back("reduce:" + *n.array);
-    const hpf::DimDistribution& cols = n.info->dist.col_dist();
-    if (cols.owner(column) == rank_ ||
-        cols.kind() == hpf::DistKind::kCollapsed) {
-      const std::int64_t lc = cols.global_to_local(column);
-      const io::Section local{row0, row1, lc, lc + 1};
-      trace_.writes.push_back(WriteEvent{
-          *n.array, local, global_rects(n.info->dist, rank_, local),
-          trace_.intervals, epoch_, n.step});
-    }
     ++trace_.intervals;  // the global sum synchronizes every rank
   }
 
@@ -568,17 +563,8 @@ void check_races(const NodeProgram& plan, const std::vector<RankTrace>& traces,
       if (plan.array(wa.array).dist.axis() != hpf::DistAxis::kNone) {
         continue;
       }
-      // A ReduceSum's store is itself a synchronized collective writing
-      // the identical global sum on every rank — replicated agreement,
-      // not a race.
-      if (wa.step != nullptr && wa.step->kind == StepKind::kReduceSum) {
-        continue;
-      }
       for (std::size_t q = p + 1; q < traces.size(); ++q) {
         for (const WriteEvent& wb : traces[q].writes) {
-          if (wb.step != nullptr && wb.step->kind == StepKind::kReduceSum) {
-            continue;
-          }
           if (wa.array == wb.array && wa.interval == wb.interval &&
               rects_overlap(wa.global, wb.global)) {
             std::ostringstream oss;
@@ -793,20 +779,18 @@ VerifyReport verify_sequence(std::span<const NodeProgram> plans,
     }
     std::vector<RankTrace> traces(static_cast<std::size_t>(plan.nprocs));
     for (int p = 0; p < plan.nprocs; ++p) {
+      RankTrace& trace = traces[static_cast<std::size_t>(p)];
       // The convergence driver re-runs a stencil sweep ping-ponged;
       // replaying it as a second epoch checks the steady-state schedule —
       // the one whose exchange reads what the previous sweep wrote.
       const int epochs = plan.kind == ProgramKind::kStencil ? 2 : 1;
       for (int epoch = 0; epoch < epochs; ++epoch) {
-        RankReplayer(plan, static_cast<int>(i), p, epoch, sink,
-                     traces[static_cast<std::size_t>(p)])
-            .run();
+        RankReplayer(plan, static_cast<int>(i), p, epoch, sink, trace).run();
       }
-      report.stats.events += traces[static_cast<std::size_t>(p)].events;
-      report.stats.intervals =
-          std::max(report.stats.intervals,
-                   traces[static_cast<std::size_t>(p)].intervals);
-      if (traces[static_cast<std::size_t>(p)].truncated) {
+      report.stats.events += trace.events;
+      report.stats.writes += std::ssize(trace.writes);
+      report.stats.intervals = std::max(report.stats.intervals, trace.intervals);
+      if (trace.truncated) {
         report.stats.truncated = true;
       }
     }

@@ -60,6 +60,9 @@ struct VerifyStats {
   int plans = 0;
   int ranks = 0;             ///< ranks replayed (the plans' nprocs)
   std::int64_t events = 0;   ///< slab I/O / exchange events across all ranks
+  /// Write sections replayed across all ranks: the WriteSlabs and the GAXPY
+  /// output batches the executor stores. Not printed.
+  std::int64_t writes = 0;
   std::int64_t intervals = 0;  ///< barrier intervals (max over ranks)
   std::int64_t peak_pinned_elements = 0;  ///< worst simultaneous working set
   std::int64_t side_reservation_elements = 0;  ///< non-pool GAXPY buffers

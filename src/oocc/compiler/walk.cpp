@@ -41,7 +41,8 @@ const std::string& stencil_resolve(const NodeProgram& plan, bool swapped,
 StepWalk::StepWalk(const NodeProgram& plan, int rank, bool swapped)
     : plan_(plan), rank_(rank),
       swapped_(swapped && plan.kind == ProgramKind::kStencil &&
-               !plan.statements.empty()) {
+               !plan.statements.empty()),
+      side_(gaxpy_side_reservation(plan, rank)) {
   cursors_.reserve(plan.loops.size());
   for (const SlabLoop& loop : plan.loops) {
     const PlanArray& space =
@@ -126,6 +127,9 @@ void StepWalk::bind(const std::vector<Step>& steps) {
 
 bool StepWalk::sweep() {
   visit(0, nodes_.size());
+  if (batch_ && !stopped_) {
+    close_batch();
+  }
   return !stopped_;
 }
 
@@ -190,12 +194,15 @@ void StepWalk::visit(std::size_t i) {
       if (fresh) {
         row0_ = n.loop->section.row0;
         row1_ = n.loop->section.row1;
+        if (!std::exchange(temp_reserved_, true)) {
+          reserve(n, side_.temp);
+        }
       }
       partial(n, fresh);
       return;
     }
     case StepKind::kReduceSum:
-      reduce(n, n.with->section.col0 + n.with->column, row0_, row1_);
+      visit_reduce(n);
       return;
     case StepKind::kExchangeHalo: {
       // Every rank ships its `halo` edge columns to each neighbour and
@@ -225,6 +232,42 @@ void StepWalk::visit(std::size_t i) {
       barrier();
       return;
   }
+}
+
+void StepWalk::visit_reduce(const Node& n) {
+  const std::int64_t column = n.with->section.col0 + n.with->column;
+  reduce(n, column, row0_, row1_);
+  const hpf::ArrayDistribution& dist = n.info->dist;
+  const bool owned = dist.owner_of_col(column) == rank_;
+  const std::int64_t lc = owned ? dist.global_to_local_col(column) : -1;
+  // A new row range (the next A row slab) closes the open batch, and so
+  // does an owned column that does not extend it, which a valid plan never
+  // produces.
+  if (batch_ && (row0_ != batch_->row0() || row1_ != batch_->row1() ||
+                 (owned && lc != batch_->lc0() + batch_->pending()))) {
+    close_batch();
+  }
+  if (!owned) {
+    return;
+  }
+  if (!batch_) {
+    if (batch_node_ == nullptr) {
+      reserve(n, side_.output);  // this rank's first owned column
+    }
+    batch_.emplace(side_.output, row0_, row1_, dist.local_cols(rank_));
+    batch_node_ = &n;
+  }
+  const std::int64_t slot = batch_->pending();
+  const bool full = batch_->push(lc);
+  place(n, slot);
+  if (full) {
+    close_batch();
+  }
+}
+
+void StepWalk::close_batch() {
+  store(*batch_node_, batch_->section());
+  batch_.reset();
 }
 
 }  // namespace oocc::compiler

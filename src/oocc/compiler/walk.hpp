@@ -8,11 +8,13 @@
 // (verify.cpp) are its clients. The walk owns everything they share: the
 // per-loop SlabIterator cursors, ForEachSlab / ForEachColumn iteration,
 // halo widening of reads, the ExchangeHalo edge sections, stencil
-// ping-pong names, the ReduceSum output column and row range, the
-// read-ahead schedule, and holding read and staged sections until their
-// slab iteration ends. So priced == measured and verified == executed hold
-// because all four see the same event stream, not because they mirror one
-// another.
+// ping-pong names, the read-ahead schedule, holding read and staged
+// sections until their slab iteration ends, and the GAXPY reduction's
+// output: the ReduceSum column and row range, when each side buffer is
+// taken from the budget, and which owned columns the owner stores as one
+// LAF write ("if ICLA is full then write"). So priced == measured and
+// verified == executed hold because all four see the same event stream,
+// not because they mirror one another.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +24,7 @@
 
 #include "oocc/compiler/plan.hpp"
 #include "oocc/runtime/bufferpool.hpp"
+#include "oocc/runtime/slab_writer.hpp"
 
 namespace oocc::compiler {
 
@@ -102,10 +105,20 @@ class StepWalk {
   virtual void exchange(const Node& /*n*/, const Exchange& /*ex*/) {}
   /// ComputeGaxpyPartial; `fresh` when it opens a new output column.
   virtual void partial(const Node& /*n*/, bool /*fresh*/) {}
-  /// ReduceSum of global output column `column`, over the rows of the A
-  /// slab whose partial opened it.
+  /// ReduceSum's collective (every rank) for global output column
+  /// `column`, over the rows of the A slab whose partial opened it.
   virtual void reduce(const Node& /*n*/, std::int64_t /*column*/,
                       std::int64_t /*row0*/, std::int64_t /*row1*/) {}
+  /// Takes a GAXPY side buffer of `elements` from the budget, held until
+  /// the sweep ends: the partial-sum column before this rank's first fresh
+  /// partial `n`, the output batch buffer at its first owned ReduceSum `n`.
+  virtual void reserve(const Node& /*n*/, std::int64_t /*elements*/) {}
+  /// Places this rank's owned column, just reduced by `n`, at slot `slot`
+  /// of the open output batch.
+  virtual void place(const Node& /*n*/, std::int64_t /*slot*/) {}
+  /// Stores the output batch as local section `s` of `*n.array` (one LAF
+  /// write); `n` is the ReduceSum that opened the batch.
+  virtual void store(const Node& /*n*/, const io::Section& /*s*/) {}
   virtual void barrier() {}
   /// Drops a held section, at the end of its slab iteration.
   virtual void release(const std::string& /*array*/,
@@ -122,6 +135,8 @@ class StepWalk {
   void bind(const std::vector<Step>& steps);
   void visit(std::size_t first, std::size_t last);
   void visit(std::size_t i);
+  void visit_reduce(const Node& n);
+  void close_batch();
 
   bool swapped_;
   bool stopped_ = false;
@@ -130,6 +145,16 @@ class StepWalk {
   bool fresh_column_ = false;
   std::int64_t row0_ = 0;  ///< rows of the current output column
   std::int64_t row1_ = 0;
+
+  // The GAXPY reduction's output (Figures 9 and 12): the owner places each
+  // summed column in a batch of consecutive owned columns over one row
+  // range, and stores the batch when it is full.
+  SideReservation side_;
+  bool temp_reserved_ = false;
+  std::optional<runtime::ColumnBatch> batch_;  ///< the open batch
+  /// The ReduceSum that opened the latest batch; null until this rank's
+  /// first owned column.
+  const Node* batch_node_ = nullptr;
 };
 
 }  // namespace oocc::compiler

@@ -11,7 +11,6 @@
 #include "oocc/compiler/walk.hpp"
 #include "oocc/exec/checkpoint.hpp"
 #include "oocc/runtime/bufferpool.hpp"
-#include "oocc/runtime/slab_writer.hpp"
 #include "oocc/sim/collectives.hpp"
 #include "oocc/util/env.hpp"
 #include "oocc/util/error.hpp"
@@ -223,19 +222,11 @@ class StepExecutor final : public compiler::StepWalk {
 
   void run() {
     if (plan_.kind == compiler::ProgramKind::kGaxpy) {
-      // The reduction output is written through the OwnedColumnWriter,
-      // which bypasses the pool: cached slabs of it would go stale.
+      // The reduction output is stored straight to its LAF, around the
+      // pool: cached slabs of it would go stale.
       pool_.invalidate(ctx_, plan_.c);
     }
     sweep();
-    if (writer_) {
-      writer_->flush(ctx_);
-      writer_.reset();
-    }
-    if (temp_reserved_ > 0) {
-      pool_.budget().release(temp_reserved_);
-      temp_reserved_ = 0;
-    }
     // Pin-count leak detection: every slab iteration must have unpinned
     // what it acquired.
     OOCC_CHECK(pool_.pinned_count() == 0, ErrorCode::kRuntimeError,
@@ -297,19 +288,22 @@ class StepExecutor final : public compiler::StepWalk {
     compute(plan_.statements[static_cast<std::size_t>(n.step->stmt)], n, out);
   }
 
+  /// A GAXPY side buffer is an IclaBuffer, so its budget is released on
+  /// every exit path, faults included.
+  void reserve(const Node& n, std::int64_t elements) override {
+    const bool output = n.step->kind == compiler::StepKind::kReduceSum;
+    pool_.ensure_available(ctx_, elements);
+    (output ? out_ : temp_) = std::make_unique<runtime::IclaBuffer>(
+        pool_.budget(), elements, output ? "icla_" + *n.array : "temp column");
+  }
+
   void partial(const Node& n, bool fresh) override {
     const runtime::IclaBuffer* a_buf = loaded(*n.loop).at(n.loop->decl->space);
     const runtime::IclaBuffer* b_buf = loaded(*n.with).at(n.with->decl->space);
     const io::Section asec = a_buf->section();
+    double* temp = temp_->data().data();
     if (fresh) {
-      if (temp_reserved_ == 0) {
-        const std::int64_t temp =
-            compiler::gaxpy_side_reservation(plan_, rank_).temp;
-        pool_.ensure_available(ctx_, temp);
-        pool_.budget().reserve(temp, "temp column");
-        temp_reserved_ = temp;
-      }
-      temp_.assign(static_cast<std::size_t>(asec.rows()), 0.0);
+      std::fill_n(temp, asec.rows(), 0.0);
     }
     const std::int64_t m = n.with->column;
     for (std::int64_t i = 0; i < asec.cols(); ++i) {
@@ -318,7 +312,7 @@ class StepExecutor final : public compiler::StepWalk {
       const double bval = b_buf->at(asec.col0 + i, m);
       const double* acol = &a_buf->at(0, i);
       for (std::int64_t r = 0; r < asec.rows(); ++r) {
-        temp_[static_cast<std::size_t>(r)] += acol[r] * bval;
+        temp[r] += acol[r] * bval;
       }
     }
     ctx_.charge_flops(2.0 * static_cast<double>(asec.rows()) *
@@ -327,33 +321,19 @@ class StepExecutor final : public compiler::StepWalk {
 
   void reduce(const Node& n, std::int64_t column, std::int64_t row0,
               std::int64_t row1) override {
-    runtime::OutOfCoreArray& c = bound(arrays_, *n.array);
-    const int owner = c.dist().owner_of_col(column);
-    std::vector<double> summed = sim::reduce_sum<double>(
-        ctx_, owner, std::span<const double>(temp_.data(), temp_.size()));
-    // A new row range (the next A row slab) starts a new output pass;
-    // flush what the previous pass staged.
-    if (writer_ && (writer_->row0() != row0 || writer_->row1() != row1)) {
-      writer_->flush(ctx_);
-      writer_.reset();
-    }
-    if (rank_ != owner) {
-      return;
-    }
-    if (!writer_) {
-      if (!c_buf_) {
-        const std::int64_t capacity =
-            compiler::gaxpy_side_reservation(plan_, rank_).output;
-        pool_.ensure_available(ctx_, capacity);
-        c_buf_ = std::make_unique<runtime::IclaBuffer>(
-            pool_.budget(), capacity, "icla_" + *n.array);
-      }
-      writer_ =
-          std::make_unique<runtime::OwnedColumnWriter>(c, *c_buf_, row0, row1);
-    }
-    writer_->append(
-        ctx_, c.dist().global_to_local_col(column),
-        std::span<const double>(summed.data(), summed.size()));
+    summed_ = sim::reduce_sum<double>(
+        ctx_, n.info->dist.owner_of_col(column),
+        temp_->data().first(static_cast<std::size_t>(row1 - row0)));
+  }
+
+  void place(const Node& /*n*/, std::int64_t slot) override {
+    std::ranges::copy(summed_,
+                      out_->data().begin() + slot * std::ssize(summed_));
+  }
+
+  void store(const Node& n, const io::Section& s) override {
+    bound(arrays_, *n.array).laf().write_section(
+        ctx_, s, out_->data().first(static_cast<std::size_t>(s.elements())));
   }
 
   /// Ghost-column exchange before a stencil sweep: every rank ships its
@@ -499,11 +479,11 @@ class StepExecutor final : public compiler::StepWalk {
   std::vector<double> high_ghost_;  ///< the right neighbour's first columns
   double residual_ = 0.0;
 
-  // GAXPY reduction state: the in-memory partial column of Figures 9/12.
-  std::vector<double> temp_;
-  std::int64_t temp_reserved_ = 0;
-  std::unique_ptr<runtime::IclaBuffer> c_buf_;
-  std::unique_ptr<runtime::OwnedColumnWriter> writer_;
+  // GAXPY reduction state (Figures 9/12): the partial-sum column, the last
+  // global sum (on its owner), and the output batch buffer.
+  std::unique_ptr<runtime::IclaBuffer> temp_;
+  std::vector<double> summed_;
+  std::unique_ptr<runtime::IclaBuffer> out_;
 };
 
 }  // namespace

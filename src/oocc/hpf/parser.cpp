@@ -341,6 +341,7 @@ class Parser {
     auto s = std::make_unique<Stmt>();
     s->kind = StmtKind::kAssign;
     s->line = peek().line;
+    operators_ = 0;  // the lhs is a top-level expression of its own
     s->lhs = parse_primary();
     OOCC_CHECK(s->lhs->kind == ExprKind::kArrayRef, ErrorCode::kParseError,
                "assignment target must be an array reference at line "
@@ -376,11 +377,15 @@ class Parser {
   // -------------------------------------------------------------- exprs --
 
   ExprPtr parse_expr() {
+    if (nesting_ == 0) {
+      operators_ = 0;  // a top-level expression
+    }
     ExprPtr lhs = parse_term();
     while (at(TokenKind::kPlus) || at(TokenKind::kMinus)) {
       const BinOp op =
           at(TokenKind::kPlus) ? BinOp::kAdd : BinOp::kSub;
       const int line = peek().line;
+      count_operator();
       advance();
       lhs = make_binary(op, std::move(lhs), parse_term(), line);
     }
@@ -392,6 +397,7 @@ class Parser {
     while (at(TokenKind::kStar) || at(TokenKind::kSlash)) {
       const BinOp op = at(TokenKind::kStar) ? BinOp::kMul : BinOp::kDiv;
       const int line = peek().line;
+      count_operator();
       advance();
       lhs = make_binary(op, std::move(lhs), parse_primary(), line);
     }
@@ -399,9 +405,19 @@ class Parser {
   }
 
   // Every nesting (parentheses, unary minus, subscripts) recurses through
-  // parse_primary, so capping its depth bounds the parser's stack and the
-  // depth of right-nested expression trees.
+  // parse_primary, so capping its depth bounds the parser's stack. A flat
+  // chain `x+x+...` nests one tree level per operator, so capping the
+  // binary operators of a top-level expression too bounds the depth of the
+  // trees every later pass walks recursively.
   static constexpr int kMaxNesting = 256;
+  static constexpr int kMaxOperators = 4096;
+
+  void count_operator() {
+    if (++operators_ > kMaxOperators) {
+      fail("expression has more than " + std::to_string(kMaxOperators) +
+           " binary operators");
+    }
+  }
 
   ExprPtr parse_primary() {
     if (nesting_ == kMaxNesting) {
@@ -421,6 +437,7 @@ class Parser {
     }
     if (at(TokenKind::kMinus)) {
       const int line = peek().line;
+      count_operator();
       advance();
       return make_binary(BinOp::kSub, make_int(0, line), parse_primary(),
                          line);
@@ -481,6 +498,7 @@ class Parser {
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
   int nesting_ = 0;  ///< parse_primary calls in progress
+  int operators_ = 0;  ///< binary operators of the current top-level expression
 };
 
 }  // namespace

@@ -143,9 +143,6 @@ class LocalArrayFile {
   /// and writes; backoff is charged to the simulated clock (the DiskModel
   /// request overhead is the default base).
   const faults::RetryPolicy& retry_policy() const noexcept { return retry_; }
-  void set_retry_policy(const faults::RetryPolicy& policy) noexcept {
-    retry_ = policy;
-  }
 
   /// Whole-array section.
   Section full() const noexcept { return Section{0, rows_, 0, cols_}; }

@@ -148,7 +148,7 @@ class SlabBufferPool {
 
   /// Writes back and drops every entry of `array`. Used before a plan
   /// writes the array through a path that bypasses the pool (the GAXPY
-  /// OwnedColumnWriter), after which cached slabs would be stale.
+  /// reduction's output batches), after which cached slabs would be stale.
   void invalidate(sim::SpmdContext& ctx, const std::string& array);
 
   /// Attaches the machine's real async I/O engine. With an engine, the

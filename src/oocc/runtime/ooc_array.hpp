@@ -42,10 +42,6 @@ class OutOfCoreArray {
   io::LocalArrayFile& laf() noexcept { return laf_; }
   const io::LocalArrayFile& laf() const noexcept { return laf_; }
 
-  io::Section local_full() const noexcept {
-    return io::Section{0, ocla_.local_rows, 0, ocla_.local_cols};
-  }
-
   /// Fills the local piece from a global-index generator f(grow, gcol),
   /// processed in slabs of at most `budget_elements` (each processor only
   /// writes data it owns; no communication).

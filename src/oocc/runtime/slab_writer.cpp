@@ -6,11 +6,7 @@ namespace oocc::runtime {
 
 OwnedColumnWriter::OwnedColumnWriter(OutOfCoreArray& c, IclaBuffer& icla,
                                      std::int64_t r0, std::int64_t r1)
-    : c_(c),
-      icla_(icla),
-      r0_(r0),
-      r1_(r1),
-      batch_(icla.capacity(), r0, r1, c.local_cols()) {}
+    : c_(c), icla_(icla), batch_(icla.capacity(), r0, r1, c.local_cols()) {}
 
 void OwnedColumnWriter::append(sim::SpmdContext& ctx, std::int64_t lc,
                                std::span<const double> values) {
@@ -20,12 +16,11 @@ void OwnedColumnWriter::append(sim::SpmdContext& ctx, std::int64_t lc,
                   << batch_.lc0() + batch_.pending() << ", got " << lc);
   const bool full = batch_.push(lc);
   if (starting) {
-    icla_.reset_section(
-        io::Section{r0_, r1_, batch_.lc0(), batch_.lc0() + batch_.span()});
+    icla_.reset_section(io::Section{batch_.row0(), batch_.row1(), batch_.lc0(),
+                                    batch_.lc0() + batch_.span()});
   }
-  std::copy(values.begin(), values.end(),
-            icla_.data().begin() + static_cast<std::ptrdiff_t>(
-                                       (batch_.pending() - 1) * (r1_ - r0_)));
+  std::ranges::copy(values, icla_.data().begin() + (batch_.pending() - 1) *
+                                                      std::ssize(values));
   if (full) {
     flush(ctx);
   }
@@ -35,9 +30,7 @@ void OwnedColumnWriter::flush(sim::SpmdContext& ctx) {
   if (batch_.pending() == 0) {
     return;
   }
-  const io::Section sec{r0_, r1_, batch_.lc0(),
-                        batch_.lc0() + batch_.pending()};
-  icla_.store_as(ctx, c_.laf(), sec);
+  icla_.store_as(ctx, c_.laf(), batch_.section());
   batch_.clear();
 }
 

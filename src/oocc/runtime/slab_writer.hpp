@@ -1,6 +1,9 @@
 // Buffered writer for owned output columns — the "if ICLA is full then
-// write" logic of the paper's Figures 9/12, shared by the hand-coded GAXPY
-// kernels and the generic step executor.
+// write" logic of the paper's Figures 9/12. ColumnBatch is its shape-only
+// core; compiler::StepWalk drives it for the executor, the pricer and the
+// verifier, and OwnedColumnWriter serves only the hand-coded GAXPY
+// kernels (gaxpy/gaxpy.cpp), the reference the executor is checked
+// against.
 #pragma once
 
 #include <algorithm>
@@ -15,20 +18,28 @@ namespace oocc::runtime {
 /// Shape-only batching arithmetic for staged output columns: given the
 /// staging capacity, the row range, and the owner's local column count,
 /// decides which consecutive appended columns share one flushed section.
-/// OwnedColumnWriter wraps it with the data copy and the I/O; the
-/// compiler's step pricer (compiler::price_steps) drives it directly so
-/// priced write requests can never drift from measured ones.
+/// OwnedColumnWriter wraps it with the data copy and the I/O; the step
+/// walk (compiler/walk.hpp) drives it once for all of its clients, so
+/// priced and verified writes are the executor's writes.
 class ColumnBatch {
  public:
   ColumnBatch(std::int64_t capacity, std::int64_t r0, std::int64_t r1,
               std::int64_t local_cols)
-      : width_(std::max<std::int64_t>(1, capacity / (r1 - r0))),
+      : r0_(r0),
+        r1_(r1),
+        width_(std::max<std::int64_t>(1, capacity / (r1 - r0))),
         local_cols_(local_cols) {}
 
+  std::int64_t row0() const noexcept { return r0_; }
+  std::int64_t row1() const noexcept { return r1_; }
   std::int64_t lc0() const noexcept { return lc0_; }
   std::int64_t pending() const noexcept { return pending_; }
   /// Columns the current batch will hold when full (valid once pending>0).
   std::int64_t span() const noexcept { return span_; }
+  /// The pending columns over the row range: the section a flush writes.
+  io::Section section() const noexcept {
+    return io::Section{r0_, r1_, lc0_, lc0_ + pending_};
+  }
 
   /// Records one appended column (`lc` starts a new batch when none is
   /// pending); returns true when the batch just became full and must
@@ -45,6 +56,8 @@ class ColumnBatch {
   void clear() noexcept { pending_ = 0; }
 
  private:
+  std::int64_t r0_;
+  std::int64_t r1_;
   std::int64_t width_;
   std::int64_t local_cols_;
   std::int64_t lc0_ = 0;
@@ -60,9 +73,6 @@ class OwnedColumnWriter {
   OwnedColumnWriter(OutOfCoreArray& c, IclaBuffer& icla, std::int64_t r0,
                     std::int64_t r1);
 
-  std::int64_t row0() const noexcept { return r0_; }
-  std::int64_t row1() const noexcept { return r1_; }
-
   /// Appends the owner's local column `lc` (values for rows [r0, r1)).
   /// Columns must arrive consecutively within one writer's lifetime.
   void append(sim::SpmdContext& ctx, std::int64_t lc,
@@ -74,8 +84,6 @@ class OwnedColumnWriter {
  private:
   OutOfCoreArray& c_;
   IclaBuffer& icla_;
-  std::int64_t r0_;
-  std::int64_t r1_;
   ColumnBatch batch_;
 };
 

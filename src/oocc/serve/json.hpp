@@ -39,12 +39,6 @@ class Json {
   Kind kind() const noexcept { return kind_; }
   bool is_null() const noexcept { return kind_ == Kind::kNull; }
   bool is_object() const noexcept { return kind_ == Kind::kObject; }
-  bool is_array() const noexcept { return kind_ == Kind::kArray; }
-  bool is_string() const noexcept { return kind_ == Kind::kString; }
-  bool is_number() const noexcept {
-    return kind_ == Kind::kInt || kind_ == Kind::kDouble;
-  }
-  bool is_bool() const noexcept { return kind_ == Kind::kBool; }
 
   /// Typed accessors; each throws Error(kRuntimeError) on a kind mismatch.
   bool as_bool() const;

@@ -52,20 +52,6 @@ std::uint64_t RunReport::total_retries() const noexcept {
   return n;
 }
 
-double RunReport::max_io_requests_per_proc() const noexcept {
-  double m = 0.0;
-  for (const auto& p : procs) m = std::max(m, static_cast<double>(p.io_requests));
-  return m;
-}
-
-double RunReport::max_io_bytes_per_proc() const noexcept {
-  double m = 0.0;
-  for (const auto& p : procs) {
-    m = std::max(m, static_cast<double>(p.io_bytes_read + p.io_bytes_written));
-  }
-  return m;
-}
-
 std::string format_report(const RunReport& report) {
   TextTable table({"proc", "sim time (s)", "compute (s)", "comm (s)",
                    "io (s)", "io reqs", "io MB", "msgs sent", "MB sent",

@@ -94,8 +94,6 @@ struct RunReport {
   std::uint64_t total_messages() const noexcept;
   std::uint64_t total_bytes_sent() const noexcept;
   std::uint64_t total_retries() const noexcept;
-  double max_io_requests_per_proc() const noexcept;
-  double max_io_bytes_per_proc() const noexcept;
 };
 
 /// Renders a per-processor breakdown table (simulated time split into

@@ -200,7 +200,7 @@ TEST(DimDistributionProperty, BlockCyclicDegeneratesToBlockAndCyclic) {
 }
 
 TEST(DimDistributionProperty, GlobalToLocalIsMonotonicOnOwnedSets) {
-  // The GAXPY kernels' OwnedColumnWriter relies on this: a processor's
+  // The GAXPY reduction's output batches rely on this: a processor's
   // owned global indices, taken in increasing order, map to consecutive
   // local indices 0, 1, 2, ...
   Rng rng(77);

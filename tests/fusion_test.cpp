@@ -575,7 +575,7 @@ TEST(SlabCache, GaxpyCachedPriceMatchesMeasuredCounters) {
   // pool (and a budget that retains A) the re-sweeps hit. The cached
   // pricer must mirror that exactly — this is the reduction-side
   // counterpart of the elementwise exactness test, covering the
-  // OwnedColumnWriter invalidation and the gaxpy side reservations.
+  // reduction output's invalidation and the gaxpy side reservations.
   CompileOptions options;
   options.memory_budget_elements = 4096;
   options.enable_access_reorganization = false;  // force Figure 9 re-sweeps
@@ -627,8 +627,9 @@ TEST(SlabCache, GaxpyCachedPriceMatchesMeasuredCounters) {
 }
 
 TEST(SlabCache, GaxpyResultUnchangedByCache) {
-  // The GAXPY executor keeps its OwnedColumnWriter bypass; the pool serves
-  // the A/B slab streams. Values must match the uncached run exactly.
+  // The GAXPY executor stores the reduction output around the pool; the
+  // pool serves the A/B slab streams. Values must match the uncached run
+  // exactly.
   CompileOptions options;
   options.memory_budget_elements = 4096;
   const NodeProgram plan =

@@ -167,6 +167,40 @@ TEST(ParserTest, NestingDepthIsCapped) {
   }
 }
 
+TEST(ParserTest, OperatorChainIsCapped) {
+  // A flat chain builds a tree one level deeper per operator. Past 4,096
+  // binary operators in one expression it is a structured parse error, not
+  // a stack overflow in a later recursive tree walk.
+  const auto chain = [](int operators) {
+    std::string rhs = "x(1:4,k)";
+    for (int i = 0; i < operators; ++i) {
+      rhs += i % 2 == 0 ? "+x(1:4,k)" : "*2";
+    }
+    return rhs;
+  };
+  const auto program = [](const std::string& body) {
+    return "real x(4,4), y(4,4)\nforall (k=1:4)\n" + body +
+           "end forall\nend\n";
+  };
+  const Program ok = parse(program("y(1:4,k) = " + chain(4096) + "\n"));
+  EXPECT_EQ(count_binary_ops(*ok.stmts[0]->body[0]->rhs), 4096);
+  for (const int operators : {4097, 30000}) {
+    try {
+      parse(program("y(1:4,k) = " + chain(operators) + "\n"));
+      FAIL() << operators << " operators parsed";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kParseError);
+      EXPECT_NE(std::string(e.what()).find("4096 binary operators"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // Each top-level expression counts afresh: the next statement's lhs
+  // subscript and rhs start from zero.
+  EXPECT_NO_THROW(parse(program("y(1:4,k) = " + chain(4096) +
+                                "\ny(1:2+2,k) = " + chain(4096) + "\n")));
+}
+
 TEST(ParserTest, DistributeOnAndOnto) {
   for (const char* word : {"on", "onto"}) {
     const std::string src = std::string("real a(8)\n!hpf$ processors P(2)\n") +

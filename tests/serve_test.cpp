@@ -1,8 +1,8 @@
 // Tests for the compile server: canonical hashing, single-flight plan
 // caching, admission fairness (round-robin, no head-of-line blocking,
 // anti-starvation barrier), protocol robustness (malformed and deeply
-// nested requests, mid-job disconnects, reaping finished connection
-// readers), request-scoped environment capture, and the
+// nested requests, over-long operator chains, mid-job disconnects, reaping
+// finished connection readers), request-scoped environment capture, and the
 // bit-identity of cached executions against fresh ones and against the
 // serial oocc_compile driver.
 #include <gtest/gtest.h>
@@ -376,6 +376,34 @@ TEST(Server, MalformedRequestsGetErrorResponsesAndServerSurvives) {
       "{\"op\":\"compile\",\"builtin\":\"stencil\",\"n\":32,\"p\":2}");
   EXPECT_TRUE(good.get_bool("ok", false)) << good.dump();
   EXPECT_EQ(server.cache().stats().misses, 1u);
+}
+
+TEST(Server, OperatorChainsAreCappedNotFatal) {
+  // Past the parser's 4,096-operator cap a chain gets an error response
+  // instead of overflowing the daemon's stack in a recursive tree walk
+  // after parsing; a chain at the cap still compiles.
+  const auto request = [](int operators) {
+    std::string src =
+        "      parameter (n=8, p=2)\\n"
+        "      real x(n,n), y(n,n)\\n"
+        "!hpf$ processors Pr(p)\\n"
+        "!hpf$ template d(n)\\n"
+        "!hpf$ distribute d(block) onto Pr\\n"
+        "!hpf$ align (*,:) with d :: x, y\\n"
+        "      forall (k=1:n)\\n"
+        "        y(1:n,k) = x(1:n,k)";
+    for (int i = 0; i < operators; ++i) {
+      src += "+x(1:n,k)";
+    }
+    src += "\\n      end forall\\n      end\\n";
+    return "{\"op\":\"compile\",\"program\":\"" + src + "\"}";
+  };
+  Server server(ServerOptions{});
+  const Json rejected = server.handle_line(request(30000));
+  EXPECT_FALSE(rejected.get_bool("ok", true)) << rejected.dump();
+  EXPECT_EQ(rejected.get_string("code", ""), "ParseError");
+  const Json at_cap = server.handle_line(request(4096));
+  EXPECT_TRUE(at_cap.get_bool("ok", false)) << at_cap.dump();
 }
 
 TEST(Server, HostileTenantNamesStayInsideWorkRoot) {

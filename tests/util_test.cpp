@@ -1,4 +1,4 @@
-// Unit tests for oocc/util: errors, stats, tables, env parsing, RNG, hash.
+// Unit tests for oocc/util: errors, tables, env parsing, RNG, hash.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -7,7 +7,6 @@
 #include "oocc/util/error.hpp"
 #include "oocc/util/hash.hpp"
 #include "oocc/util/rng.hpp"
-#include "oocc/util/stats.hpp"
 #include "oocc/util/table.hpp"
 
 namespace oocc {
@@ -57,58 +56,6 @@ TEST(ErrorTest, EveryCodeHasAName) {
     EXPECT_FALSE(error_code_name(code).empty());
     EXPECT_NE(error_code_name(code), "Unknown");
   }
-}
-
-TEST(StatsTest, EmptyAccumulator) {
-  RunningStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.min(), 0.0);
-  EXPECT_DOUBLE_EQ(s.max(), 0.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
-
-TEST(StatsTest, BasicMoments) {
-  RunningStats s;
-  for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) {
-    s.add(v);
-  }
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_NEAR(s.stddev(), 2.0, 1e-12);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(StatsTest, MergeMatchesSequential) {
-  RunningStats a;
-  RunningStats b;
-  RunningStats all;
-  for (int i = 0; i < 50; ++i) {
-    const double v = i * 0.37 - 3.0;
-    (i % 2 == 0 ? a : b).add(v);
-    all.add(v);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(StatsTest, MergeWithEmptySides) {
-  RunningStats a;
-  RunningStats b;
-  b.add(1.0);
-  b.add(3.0);
-  a.merge(b);  // empty += nonempty
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-  RunningStats c;
-  a.merge(c);  // nonempty += empty
-  EXPECT_EQ(a.count(), 2u);
 }
 
 TEST(TableTest, AlignsColumns) {

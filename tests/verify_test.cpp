@@ -338,6 +338,47 @@ TEST(VerifyMutationTest, V023DuplicateWriteOverlaps) {
   EXPECT_TRUE(fires(plan, "OOCC-V023"));
 }
 
+TEST(VerifyMutationTest, V022ReplicatedReductionOutput) {
+  // The executor stores each summed column on its owner only (rank 0 for
+  // a replicated C), so ranks 1..P-1 would keep stale copies of C.
+  NodeProgram plan = gaxpy_plan(2, 4096, 32);
+  plan.arrays.at("c").dist = hpf::ArrayDistribution(
+      32, 32, hpf::DistAxis::kNone, hpf::DistKind::kCollapsed, plan.nprocs);
+  const VerifyReport report = verify_plan(plan);
+  EXPECT_TRUE(std::any_of(
+      report.diagnostics.begin(), report.diagnostics.end(),
+      [](const VerifyDiagnostic& d) {
+        return d.code == "OOCC-V022" && d.rank == 1 &&
+               d.message.find("cover 0 of the 1024 locally owned") !=
+                   std::string::npos;
+      }))
+      << report.to_string();
+  EXPECT_FALSE(has_code(report, "OOCC-V010")) << report.to_string();
+}
+
+TEST(VerifyMutationTest, V023ColumnReducedTwice) {
+  // A second ReduceSum of each column does not extend the open output
+  // batch, so the owner stores that column twice.
+  NodeProgram plan = gaxpy_plan(3, 4096);
+  Step* per_column = require_step(plan, StepKind::kForEachColumn);
+  ASSERT_NE(per_column, nullptr);
+  Step* reduce = find_step(per_column->body, StepKind::kReduceSum);
+  ASSERT_NE(reduce, nullptr);
+  per_column->body.push_back(*reduce);
+  EXPECT_TRUE(fires(plan, "OOCC-V023"));
+}
+
+TEST(VerifyReplayTest, GaxpyRecordsTheBatchesTheExecutorStores) {
+  // perfbench's GAXPY shape (N=1024, P=4, budget 65,536): each rank
+  // stores one full-width C batch per A row slab, 12 slabs x 4 ranks. The
+  // overlap check is quadratic in a rank's writes, so this count must not
+  // grow to one write per owned column (12,288 here).
+  const NodeProgram plan = gaxpy_plan(4, 65536, 1024);
+  const VerifyReport report = verify_plan(plan);
+  EXPECT_TRUE(report.ok()) << report.to_string();
+  EXPECT_EQ(report.stats.writes, 48);
+}
+
 // ---------------------------------------------------- budget mutations
 
 TEST(VerifyMutationTest, V030HaloWiderThanBudget) {

@@ -3,10 +3,12 @@
 # inputs: the check for compiler refactors that must not move a plan.
 #
 # Every docs/examples/*.hpf program is compiled at each budget in BUDGETS
-# with --dump-plan under each option set in OPTION_SETS, plus one
-# --dump-search run per program and budget. Each run's stdout, stderr and
-# exit status are captured from both binaries; every run whose capture
-# differs is printed as a `diff -u` (old first).
+# with --dump-plan --dump-verify under each option set in OPTION_SETS, plus
+# one --dump-search run per program and budget, so a refactor shows that
+# neither the plans nor the verifier's verdicts and replay statistics
+# moved. Each run's stdout, stderr and exit status are captured from both
+# binaries; every run whose capture differs is printed as a `diff -u` (old
+# first).
 #
 # Usage: tools/plan_diff.sh <old oocc_compile> <new oocc_compile>
 #
@@ -14,7 +16,7 @@
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
-  sed -n '2,13p' "$0" >&2
+  sed -n '2,15p' "$0" >&2
   exit 2
 fi
 OLD="$1"
@@ -79,7 +81,7 @@ for program in docs/examples/*.hpf; do
     for opts in "${OPTION_SETS[@]}"; do
       # Word splitting of $opts is intended: each set is a flag list.
       # shellcheck disable=SC2086
-      compare "$program" --memory "$budget" --dump-plan $opts
+      compare "$program" --memory "$budget" --dump-plan --dump-verify $opts
     done
     compare "$program" --memory "$budget" --dump-search
   done
