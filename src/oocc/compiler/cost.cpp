@@ -205,26 +205,27 @@ class StepPricer final : public StepWalk, public Directory::Host {
   /// GAXPY side buffers. `all_arrays` resolves arrays that live in *other*
   /// plans of the sequence (a persistent cache can evict another
   /// statement's dirty slab mid-walk).
-  StepPricer(const NodeProgram& plan, int proc, Directory& dir,
+  /// `swapped` prices a stencil plan's odd sweep; `price` accumulates the
+  /// plan's sweeps.
+  StepPricer(const NodeProgram& plan, int proc, bool swapped, Directory& dir,
              std::int64_t capacity,
-             const std::map<std::string, const PlanArray*>& all_arrays)
-      : StepWalk(plan, proc, /*swapped=*/false), dir_(dir),
-        capacity_(capacity), all_arrays_(all_arrays) {}
+             const std::map<std::string, const PlanArray*>& all_arrays,
+             PlanPrice& price)
+      : StepWalk(plan, proc, swapped), dir_(dir), capacity_(capacity),
+        all_arrays_(all_arrays), price_(price) {}
 
-  /// Prices the plan; `flush` adds the end-of-run write-back of every dirty
-  /// slab (the executor flushes its pool after the last plan).
-  PlanPrice run(bool flush) {
+  /// Prices one sweep; `flush` adds the end-of-run write-back of every
+  /// dirty slab (the executor flushes its pool after the last plan).
+  void run(bool flush) {
     if (plan_.kind == ProgramKind::kGaxpy) {
       // The executor writes back and drops cached slabs of the reduction
       // output, which it stores around the pool, before running the plan.
-      dir_.invalidate(*this, plan_.c);
+      dir_.drop(*this, plan_.c, /*dead=*/false);
     }
     sweep();
-    reserved_ = 0;  // the side buffers go with the plan
     if (flush) {
       dir_.flush(*this);
     }
-    return std::move(price_);
   }
 
   std::int64_t room() const override {
@@ -352,11 +353,16 @@ class StepPricer final : public StepWalk, public Directory::Host {
     dir_.unpin(*this, array, s);
   }
 
+  /// The pool drops a dead array's slabs unwritten; so does its directory.
+  void discard(const std::string& array) override {
+    dir_.drop(*this, array, /*dead=*/true);
+  }
+
   Directory& dir_;
   std::int64_t capacity_;
   const std::map<std::string, const PlanArray*>& all_arrays_;
-  std::int64_t reserved_ = 0;  ///< side buffers held (GAXPY)
-  PlanPrice price_;
+  std::int64_t reserved_ = 0;  ///< side buffers held (GAXPY), for one sweep
+  PlanPrice& price_;
 };
 
 }  // namespace
@@ -422,10 +428,18 @@ std::vector<PlanPrice> price_sequence(std::span<const NodeProgram> plans,
     if (options.cache_budget_elements > 0) {
       budget = options.cache_budget_elements;
     }
-    // The sequence-end flush lands on the last plan, where the executor
-    // performs it.
-    out.push_back(StepPricer(plans[i], proc, dir, budget, all_arrays)
-                      .run(/*flush=*/i + 1 == plans.size()));
+    // A stencil plan runs its sweeps as the convergence driver does, the
+    // ping-pong pair trading places on odd ones. The run-end flush lands on
+    // the last sweep of the last plan, where the executor performs it.
+    const int sweeps = plans[i].kind == ProgramKind::kStencil
+                           ? std::max(1, options.sweeps)
+                           : 1;
+    PlanPrice& price = out.emplace_back();
+    for (int sweep = 0; sweep < sweeps; ++sweep) {
+      StepPricer(plans[i], proc, /*swapped=*/sweep % 2 != 0, dir, budget,
+                 all_arrays, price)
+          .run(/*flush=*/i + 1 == plans.size() && sweep + 1 == sweeps);
+    }
   }
   return out;
 }

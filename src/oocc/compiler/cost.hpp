@@ -139,6 +139,11 @@ struct PriceOptions {
   /// memory_budget_elements (for price_sequence: the max across plans,
   /// matching the pool execute_sequence shares).
   std::int64_t cache_budget_elements = 0;
+  /// Sweeps of each stencil plan, over one slab pool, the ping-pong pair
+  /// trading places on odd sweeps: the executor's convergence driver with
+  /// this many iterations (a run's StencilRunInfo::iterations). 1 (or
+  /// less) is the compile-time view the plan search and --dump-plan take.
+  int sweeps = 1;
 };
 
 /// Full price of one plan on one processor: per-array LAF traffic plus the

@@ -54,6 +54,7 @@ StepWalk::StepWalk(const NodeProgram& plan, int rank, bool swapped)
                               loop.capacity_elements)});
   }
   bind(plan.steps);
+  find_dead_arrays();
 }
 
 void StepWalk::bind(const std::vector<Step>& steps) {
@@ -125,7 +126,53 @@ void StepWalk::bind(const std::vector<Step>& steps) {
   }
 }
 
+void StepWalk::find_dead_arrays() {
+  // A staged slab is overwritten element by element: an elementwise
+  // statement has no row halo, and a stencil copies its boundary rows and
+  // columns through from its source. So an array is dead on entry when a
+  // compute step directly under a ForEachSlab stages it over every slab of
+  // its panel, a WriteSlab makes that its new contents, and no step reads
+  // it from the LAF. Names are ping-pong resolved; an in-place or
+  // self-reading plan reads its output, so it never qualifies.
+  const auto any = [&](const PlanArray* array, const auto& pred) {
+    return std::ranges::any_of(
+        nodes_, [&](const Node& m) { return m.info == array && pred(m); });
+  };
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    if (nodes_[i].step->kind != StepKind::kForEachSlab) {
+      continue;
+    }
+    const Cursor* loop = nodes_[i].loop;
+    const hpf::ArrayDistribution& space =
+        plan_.array(stencil_resolve(plan_, swapped_, loop->decl->space)).dist;
+    for (std::size_t j = i + 1; j < nodes_[i].end; j = nodes_[j].end) {
+      const Node& n = nodes_[j];
+      if ((n.step->kind != StepKind::kComputeElementwise &&
+           n.step->kind != StepKind::kComputeStencil) ||
+          n.loop != loop) {
+        continue;
+      }
+      const bool tiles =
+          space.local_rows(rank_) == n.info->dist.local_rows(rank_) &&
+          space.local_cols(rank_) == n.info->dist.local_cols(rank_);
+      const bool written = any(n.info, [&](const Node& m) {
+        return m.step->kind == StepKind::kWriteSlab && m.loop == loop;
+      });
+      const bool read = any(n.info, [](const Node& m) {
+        return m.step->kind == StepKind::kReadSlab ||
+               m.step->kind == StepKind::kExchangeHalo;
+      });
+      if (tiles && written && !read) {
+        dead_.push_back(n.array);  // twice when two statements stage it
+      }
+    }
+  }
+}
+
 bool StepWalk::sweep() {
+  for (const std::string* array : dead_) {
+    discard(*array);
+  }
   visit(0, nodes_.size());
   if (batch_ && !stopped_) {
     close_batch();

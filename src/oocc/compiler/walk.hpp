@@ -9,12 +9,14 @@
 // per-loop SlabIterator cursors, ForEachSlab / ForEachColumn iteration,
 // halo widening of reads, the ExchangeHalo edge sections, stencil
 // ping-pong names, the read-ahead schedule, holding read and staged
-// sections until their slab iteration ends, and the GAXPY reduction's
-// output: the ReduceSum column and row range, when each side buffer is
+// sections until their slab iteration ends, the GAXPY reduction's
+// output (the ReduceSum column and row range, when each side buffer is
 // taken from the budget, and which owned columns the owner stores as one
-// LAF write ("if ICLA is full then write"). So priced == measured and
-// verified == executed hold because all four see the same event stream,
-// not because they mirror one another.
+// LAF write: "if ICLA is full then write"), and which arrays are dead on
+// entry: overwritten in full before anything reads them, so the pool and
+// the pricer drop their cached slabs unwritten at sweep start. So priced
+// == measured and verified == executed hold because all four see the same
+// event stream, not because they mirror one another.
 #pragma once
 
 #include <cstdint>
@@ -94,6 +96,9 @@ class StepWalk {
   /// a client stopped it early.
   bool sweep();
 
+  /// Opens the sweep, once per dead array: one the sweep overwrites in full
+  /// before reading any of it, so its cached slabs need no write-back.
+  virtual void discard(const std::string& /*array*/) {}
   /// ReadSlab of section `s` (halo-widened); held after the hook.
   virtual void read(const Node& /*n*/, const io::Section& /*s*/) {}
   /// ComputeElementwise / ComputeStencil staging `*n.array` over the
@@ -133,6 +138,7 @@ class StepWalk {
 
  private:
   void bind(const std::vector<Step>& steps);
+  void find_dead_arrays();
   void visit(std::size_t first, std::size_t last);
   void visit(std::size_t i);
   void visit_reduce(const Node& n);
@@ -142,6 +148,7 @@ class StepWalk {
   bool stopped_ = false;
   std::vector<Cursor> cursors_;
   std::vector<Node> nodes_;  ///< the step tree in preorder
+  std::vector<const std::string*> dead_;  ///< see discard()
   bool fresh_column_ = false;
   std::int64_t row0_ = 0;  ///< rows of the current output column
   std::int64_t row1_ = 0;

@@ -278,6 +278,12 @@ class StepExecutor final : public compiler::StepWalk {
     pool_.unpin(ctx_, array, s);
   }
 
+  // The sweep overwrites all of `array` before reading it: drop its cached
+  // slabs instead of writing them back when they would be evicted.
+  void discard(const std::string& array) override {
+    pool_.discard(ctx_, array);
+  }
+
   /// Stages the statement's output slab into a pool entry (an in-place
   /// load or an earlier statement of the fused group may already have
   /// created it, data preserved) and computes it.

@@ -348,8 +348,17 @@ void SlabBufferPool::drain_writes(sim::SpmdContext& ctx) {
 void SlabBufferPool::invalidate(sim::SpmdContext& ctx,
                                 const std::string& array) {
   Io io(*this, ctx);
-  dir_.invalidate(io, array);
+  dir_.drop(io, array, /*dead=*/false);
   drain_writes(ctx);
+}
+
+void SlabBufferPool::discard(sim::SpmdContext& ctx,
+                             const std::string& array) {
+  Io io(*this, ctx);
+  const std::int64_t dropped = dir_.drop(io, array, /*dead=*/true);
+  if (dir_.retains()) {
+    stats_.discarded += static_cast<std::uint64_t>(dropped);
+  }
 }
 
 void IoScheduler::schedule(const SlabIterator& slabs,

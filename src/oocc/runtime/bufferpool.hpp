@@ -30,6 +30,12 @@
 // flight per pool. A pool's host memory is thus bounded by its budget
 // plus one slab (plus the compute kernel's column temporaries).
 //
+// A sweep that overwrites an array in full before reading it (the step
+// walk's dead arrays: a stencil sweep's target half) has the pool discard
+// that array's slabs first. They go without write-back, dirty or not, so
+// the sweep neither pays to persist data it is about to replace nor
+// evicts live slabs to make room for it.
+//
 // IoScheduler is the read-ahead front: the step walk (compiler/walk.hpp)
 // hands it a prefetching slab loop's upcoming ReadSlab schedule, and the
 // executor pumps it after each demand read, which generalizes the old
@@ -60,6 +66,7 @@ struct SlabCacheStats {
   std::uint64_t evictions = 0;
   std::uint64_t writebacks = 0;   ///< dirty slabs written back to their LAF
   std::uint64_t elements_hit = 0; ///< LAF elements the hits avoided moving
+  std::uint64_t discarded = 0;    ///< dead slabs dropped, never written
 
   void merge(const SlabCacheStats& o) noexcept {
     hits += o.hits;
@@ -67,6 +74,7 @@ struct SlabCacheStats {
     evictions += o.evictions;
     writebacks += o.writebacks;
     elements_hit += o.elements_hit;
+    discarded += o.discarded;
   }
 };
 
@@ -150,6 +158,12 @@ class SlabBufferPool {
   /// writes the array through a path that bypasses the pool (the GAXPY
   /// reduction's output batches), after which cached slabs would be stale.
   void invalidate(sim::SpmdContext& ctx, const std::string& array);
+
+  /// Drops every entry of `array` without writing any back: the sweep about
+  /// to run overwrites the whole array before reading it (the step walk's
+  /// dead arrays), so a dirty slab's data is dead. Frees the budget a
+  /// stale slab would otherwise hold until eviction wrote it back.
+  void discard(sim::SpmdContext& ctx, const std::string& array);
 
   /// Attaches the machine's real async I/O engine. With an engine, the
   /// physical disk transfer of every pool read and write-back runs on a

@@ -27,6 +27,10 @@
 //  * read-ahead never evicts;
 //  * flush writes dirty entries back arrays in name order, sections in
 //    ascending (col0, row0) order;
+//  * dropping an array erases all of its entries: invalidating writes the
+//    dirty ones back first, discarding a dead array (one the caller
+//    overwrites in full before reading it) clears their dirty flag
+//    instead, so its stale data never reaches the LAF;
 //  * capacity is hard: an allocation that evicting every unpinned entry
 //    cannot make room for throws Error(kResourceExhausted).
 //
@@ -275,18 +279,27 @@ class SlabDirectory {
     }
   }
 
-  /// Writes back and drops every entry of `array`; none may be pinned.
-  void invalidate(Host& host, const std::string& array) {
+  /// Drops every entry of `array`; none may be pinned. Dirty entries are
+  /// written back first, unless the array is `dead`: the caller overwrites
+  /// all of it before reading any of it, so no cached byte is needed.
+  /// Returns the number of entries dropped.
+  std::int64_t drop(Host& host, const std::string& array, bool dead) {
     const auto it = entries_.find(array);
     if (it == entries_.end()) {
-      return;
+      return 0;
     }
     for (const Entry& e : it->second) {
       OOCC_CHECK(e.pins == 0, ErrorCode::kRuntimeError,
-                 "invalidate of '" << array << "' with pinned slabs");
+                 "dropping '" << array << "' with pinned slabs");
     }
-    while (!erase(host, it, 0, /*evicted=*/false)) {
-    }
+    std::int64_t dropped = 0;
+    do {
+      if (dead) {
+        it->second.front().dirty = false;
+      }
+      ++dropped;
+    } while (!erase(host, it, 0, /*evicted=*/false));
+    return dropped;
   }
 
   /// Evicts unpinned entries until `elements` fit; throws

@@ -12,10 +12,12 @@
 #include <string>
 #include <vector>
 
+#include "oocc/apps/elementwise.hpp"
 #include "oocc/compiler/lower.hpp"
 #include "oocc/compiler/pretty.hpp"
 #include "oocc/exec/interp.hpp"
 #include "oocc/gaxpy/gaxpy.hpp"
+#include "oocc/hpf/parser.hpp"
 #include "oocc/hpf/programs.hpp"
 #include "oocc/sim/collectives.hpp"
 
@@ -568,6 +570,116 @@ TEST(SlabCache, SequencePriceWithCacheMatchesMeasuredCounters) {
                      cost.elements_written)
         << name;
   }
+}
+
+/// Runs `source` statement at a time at `budget` and checks it against the
+/// serial reference (bit for bit) and its sequence price (rank 0's traffic
+/// and every rank's hits); returns the run.
+SequenceRun expect_sound_unfused(const std::string& source,
+                                 std::int64_t budget) {
+  CompileOptions options;
+  options.memory_budget_elements = budget;
+  options.enable_statement_fusion = false;
+  const hpf::BoundProgram bound = hpf::analyze(hpf::parse(source));
+  const std::vector<NodeProgram> plans =
+      compiler::compile_sequence(bound, options);
+  const SequenceRun run = run_sequence(plans, 4);
+
+  apps::DenseArrays want;
+  std::set<std::string> outputs;
+  for (const NodeProgram& plan : plans) {
+    outputs.insert(plan.statements.front().lhs);
+  }
+  for (const auto& [name, info] : bound.arrays) {
+    std::vector<double>& a = want[name];
+    a.assign(static_cast<std::size_t>(info.rows * info.cols), 0.0);
+    for (std::int64_t c = 0; c < info.cols && !outputs.contains(name); ++c) {
+      for (std::int64_t r = 0; r < info.rows; ++r) {
+        a[static_cast<std::size_t>(c * info.rows + r)] = gen_x(r, c);
+      }
+    }
+  }
+  apps::serial_elementwise(bound, want);
+  for (const std::string& name : outputs) {
+    EXPECT_EQ(run.globals.at(name), want.at(name)) << name;
+  }
+
+  compiler::PriceOptions popts;
+  popts.model_cache = true;
+  std::map<std::string, compiler::StepIoCost> total;
+  double hits = 0.0;
+  for (int rank = 0; rank < 4; ++rank) {
+    for (const compiler::PlanPrice& p : compiler::price_sequence(
+             std::span<const NodeProgram>(plans.data(), plans.size()), rank,
+             popts)) {
+      hits += p.cache_hits;
+      for (const auto& [name, cost] : p.arrays) {
+        if (rank == 0) {
+          compiler::StepIoCost& t = total[name];
+          t.read_requests += cost.read_requests;
+          t.elements_read += cost.elements_read;
+          t.write_requests += cost.write_requests;
+          t.elements_written += cost.elements_written;
+        }
+      }
+    }
+  }
+  EXPECT_DOUBLE_EQ(static_cast<double>(run.cache.hits), hits);
+  for (const auto& [name, cost] : total) {
+    const io::IoStats& s = run.per_array.at(name);
+    EXPECT_DOUBLE_EQ(static_cast<double>(s.read_requests), cost.read_requests)
+        << name;
+    EXPECT_DOUBLE_EQ(static_cast<double>(s.bytes_read) / 8.0,
+                     cost.elements_read)
+        << name;
+    EXPECT_DOUBLE_EQ(static_cast<double>(s.write_requests),
+                     cost.write_requests)
+        << name;
+    EXPECT_DOUBLE_EQ(static_cast<double>(s.bytes_written) / 8.0,
+                     cost.elements_written)
+        << name;
+  }
+  return run;
+}
+
+std::string chain_source(const std::vector<std::string>& statements) {
+  std::string src =
+      "parameter (n=24, p=4)\n"
+      "real x(n,n), y(n,n), z(n,n), w(n,n)\n"
+      "!hpf$ processors Pr(p)\n"
+      "!hpf$ template d(n)\n"
+      "!hpf$ distribute d(block) onto Pr\n"
+      "!hpf$ align (*,:) with d :: x, y, z, w\n";
+  for (const std::string& st : statements) {
+    src += "forall (k=1:n)\n  " + st + "\nend forall\n";
+  }
+  return src + "end\n";
+}
+
+TEST(SlabCache, OverwritingAnEarlierOutputDropsItsDeadSlabs) {
+  // Statement 3 overwrites y without reading it, so y's slabs from
+  // statement 1, still dirty in the pool, are dropped unwritten; statement
+  // 2 read them first, and statement 4 reads the new y.
+  const std::string source = chain_source({
+      "y(1:n,k) = x(1:n,k)*2 + 1",
+      "z(1:n,k) = y(1:n,k)*x(1:n,k)",
+      "y(1:n,k) = x(1:n,k) + 3",
+      "w(1:n,k) = y(1:n,k)*z(1:n,k)",
+  });
+  EXPECT_GT(expect_sound_unfused(source, 4096).cache.discarded, 0u);
+  expect_sound_unfused(source, 600);
+}
+
+TEST(SlabCache, InPlaceUpdateOfAnEarlierOutputKeepsItsSlabs) {
+  // Statement 2 reads y as it overwrites it, so y is not dead: nothing of
+  // it may be dropped unwritten.
+  const std::string source = chain_source({
+      "y(1:n,k) = x(1:n,k)*2 + 1",
+      "y(1:n,k) = y(1:n,k)*2 + y(1:n,k)",
+      "z(1:n,k) = y(1:n,k) + x(1:n,k)",
+  });
+  EXPECT_EQ(expect_sound_unfused(source, 4096).cache.discarded, 0u);
+  expect_sound_unfused(source, 600);
 }
 
 TEST(SlabCache, GaxpyCachedPriceMatchesMeasuredCounters) {

@@ -5,16 +5,20 @@
 // The hand-coded apps/jacobi.cpp kernel is the oracle: the compiled step
 // program must be bit-identical to it across distributions (processor
 // counts) and memory budgets, its priced LAF traffic (halo reads included)
-// must equal the measured IoStats counters, and unsupported stencil shapes
-// must produce structured "stencil lowering: ..." diagnostics instead of
-// silently mis-lowering.
+// must equal the measured IoStats counters over whole multi-sweep runs, in
+// which each sweep drops its target half's dead slabs unwritten, and
+// unsupported stencil shapes must produce structured "stencil lowering:
+// ..." diagnostics instead of silently mis-lowering.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <string>
+#include <tuple>
 #include <type_traits>
 #include <vector>
 
@@ -23,6 +27,8 @@
 #include "oocc/compiler/pretty.hpp"
 #include "oocc/exec/interp.hpp"
 #include "oocc/hpf/programs.hpp"
+#include "oocc/io/async_engine.hpp"
+#include "oocc/runtime/bufferpool.hpp"
 #include "oocc/sim/collectives.hpp"
 
 namespace oocc {
@@ -60,10 +66,13 @@ struct CompiledRun {
   std::map<int, std::map<std::string, io::IoStats>> stats;
 };
 
+/// `pool` is the slab pool's budget in elements (0 = the plan's own);
+/// `async` runs LAF transfers on the machine's I/O engine.
 CompiledRun run_compiled(
     const compiler::NodeProgram& plan, std::int64_t n, int p, int iters,
     bool use_cache, double tol = 0.0,
-    double (*init)(std::int64_t, std::int64_t) = hot_edge) {
+    double (*init)(std::int64_t, std::int64_t) = hot_edge,
+    std::int64_t pool = 0, bool async = true) {
   CompiledRun out;
   TempDir dir("oocc-stencil");
   Machine machine(p, MachineCostModel::zero());
@@ -82,6 +91,8 @@ CompiledRun run_compiled(
     }
     exec::ExecOptions options;
     options.use_cache = use_cache;
+    options.budget_elements = pool;
+    options.async = async;
     options.max_iters = iters;
     options.residual_tol = tol;
     exec::StencilRunInfo info;
@@ -368,6 +379,25 @@ TEST(StencilExec, WiderExchangeIsBitIdentical) {
 
 // ------------------------------------------------------ priced == measured
 
+/// Expects `measured` (one rank's per-array LAF counters) to equal `price`.
+void expect_measured(const compiler::PlanPrice& price,
+                     const std::map<std::string, io::IoStats>& measured) {
+  for (const auto& [name, cost] : price.arrays) {
+    const io::IoStats& s = measured.at(name);
+    EXPECT_DOUBLE_EQ(static_cast<double>(s.read_requests), cost.read_requests)
+        << name;
+    EXPECT_DOUBLE_EQ(static_cast<double>(s.bytes_read) / 8.0,
+                     cost.elements_read)
+        << name;
+    EXPECT_DOUBLE_EQ(static_cast<double>(s.write_requests),
+                     cost.write_requests)
+        << name;
+    EXPECT_DOUBLE_EQ(static_cast<double>(s.bytes_written) / 8.0,
+                     cost.elements_written)
+        << name;
+  }
+}
+
 TEST(StencilPricing, PricedHaloReadsMatchMeasuredCounters) {
   const std::int64_t n = 32;
   const int p = 4;
@@ -376,22 +406,8 @@ TEST(StencilPricing, PricedHaloReadsMatchMeasuredCounters) {
   const CompiledRun run =
       run_compiled(plan, n, p, /*iters=*/1, /*use_cache=*/false);
   for (int rank = 0; rank < p; ++rank) {
-    const compiler::PlanPrice price = compiler::price_plan(plan, rank);
-    for (const auto& [name, cost] : price.arrays) {
-      const io::IoStats& s = run.stats.at(rank).at(name);
-      EXPECT_DOUBLE_EQ(static_cast<double>(s.read_requests),
-                       cost.read_requests)
-          << name << " rank " << rank;
-      EXPECT_DOUBLE_EQ(static_cast<double>(s.bytes_read) / 8.0,
-                       cost.elements_read)
-          << name << " rank " << rank;
-      EXPECT_DOUBLE_EQ(static_cast<double>(s.write_requests),
-                       cost.write_requests)
-          << name << " rank " << rank;
-      EXPECT_DOUBLE_EQ(static_cast<double>(s.bytes_written) / 8.0,
-                       cost.elements_written)
-          << name << " rank " << rank;
-    }
+    SCOPED_TRACE("rank " + std::to_string(rank));
+    expect_measured(compiler::price_plan(plan, rank), run.stats.at(rank));
   }
 }
 
@@ -405,25 +421,163 @@ TEST(StencilPricing, CachedPriceMatchesMeasuredCounters) {
   popts.model_cache = true;
   double priced_hits = 0.0;
   for (int rank = 0; rank < p; ++rank) {
+    SCOPED_TRACE("rank " + std::to_string(rank));
     const compiler::PlanPrice price = compiler::price_plan(plan, rank, popts);
     priced_hits += price.cache_hits;
-    for (const auto& [name, cost] : price.arrays) {
-      const io::IoStats& s = run.stats.at(rank).at(name);
-      EXPECT_DOUBLE_EQ(static_cast<double>(s.read_requests),
-                       cost.read_requests)
-          << name << " rank " << rank;
-      EXPECT_DOUBLE_EQ(static_cast<double>(s.bytes_read) / 8.0,
-                       cost.elements_read)
-          << name << " rank " << rank;
-      EXPECT_DOUBLE_EQ(static_cast<double>(s.write_requests),
-                       cost.write_requests)
-          << name << " rank " << rank;
-      EXPECT_DOUBLE_EQ(static_cast<double>(s.bytes_written) / 8.0,
-                       cost.elements_written)
-          << name << " rank " << rank;
-    }
+    expect_measured(price, run.stats.at(rank));
   }
   EXPECT_DOUBLE_EQ(static_cast<double>(run.cache.hits), priced_hits);
+}
+
+// ------------------------------------------ whole runs and dead slabs
+
+/// (P, async engine, prefetching slab loop)
+class StencilWholeRunTest
+    : public ::testing::TestWithParam<std::tuple<int, bool, bool>> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Pools, StencilWholeRunTest,
+    ::testing::Combine(::testing::Values(1, 3, 4), ::testing::Bool(),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      return "p" + std::to_string(std::get<0>(info.param)) +
+             (std::get<1>(info.param) ? "_async" : "_sync") +
+             (std::get<2>(info.param) ? "_prefetch" : "");
+    });
+
+TEST_P(StencilWholeRunTest, PricedEqualsMeasuredOverEverySweep) {
+  // price_sequence walks every sweep of the run over one directory, as the
+  // convergence driver runs them through one pool. The pools range from
+  // half a panel (nothing survives a sweep) to three (both ping-pong halves
+  // stay resident); in between, the slabs of each sweep's target half are
+  // dropped dead instead of written back.
+  const auto [p, async, prefetch] = GetParam();
+  const std::int64_t n = 64;
+  const std::int64_t panel = n * ((n + p - 1) / p);  // the widest rank's
+  compiler::CompileOptions options;
+  options.memory_budget_elements = 512;  // one-column slabs
+  options.prefetch =
+      prefetch ? compiler::PrefetchMode::kOn : compiler::PrefetchMode::kOff;
+  const compiler::NodeProgram plan =
+      compiler::compile_source(hpf::stencil_source(n, p), options);
+  std::uint64_t discarded = 0;
+  for (const int iters : {1, 2, 3, 8}) {
+    const std::vector<double> want = apps::serial_jacobi(n, iters, hot_edge);
+    for (const double panels : {0.5, 1.1, 2.0, 3.0}) {
+      SCOPED_TRACE(std::to_string(iters) + " sweeps, pool " +
+                   std::to_string(panels) + " panels");
+      const auto pool = static_cast<std::int64_t>(panels * panel);
+      const CompiledRun run = run_compiled(plan, n, p, iters, true, 0.0,
+                                           hot_edge, pool, async);
+      ASSERT_EQ(run.state.size(), want.size());
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(run.state[i], want[i]) << "element " << i;
+      }
+      compiler::PriceOptions popts;
+      popts.model_cache = true;
+      popts.cache_budget_elements = pool;
+      popts.sweeps = iters;
+      double hits = 0.0;
+      for (int rank = 0; rank < p; ++rank) {
+        SCOPED_TRACE("rank " + std::to_string(rank));
+        const compiler::PlanPrice price =
+            compiler::price_plan(plan, rank, popts);
+        hits += price.cache_hits;
+        expect_measured(price, run.stats.at(rank));
+      }
+      EXPECT_DOUBLE_EQ(static_cast<double>(run.cache.hits), hits);
+      discarded += run.cache.discarded;
+    }
+  }
+  EXPECT_GT(discarded, 0u);
+}
+
+TEST(StencilDeadSlabs, WrittenBytesNeverRiseWithThePool) {
+  // 8 sweeps of a 64x64 Jacobi on 2 ranks in one-column slabs. `before` is
+  // what the pool wrote when it wrote every dead target slab back: all 8
+  // sweeps' output until both ping-pong halves fit outright.
+  const std::int64_t n = 64;
+  const int p = 2;
+  const std::int64_t panel = n * n / p;
+  compiler::CompileOptions options;
+  options.memory_budget_elements = panel / 4;
+  options.prefetch = compiler::PrefetchMode::kOn;
+  const compiler::NodeProgram plan =
+      compiler::compile_source(hpf::stencil_source(n, p), options);
+  const std::vector<std::pair<double, std::uint64_t>> before = {
+      {0.5, 262144}, {1.0, 262144}, {1.1, 262144}, {1.5, 262144},
+      {1.9, 262144}, {2.0, 262144}, {2.5, 65536},  {3.0, 65536}};
+  std::uint64_t smaller_pool = std::numeric_limits<std::uint64_t>::max();
+  for (const auto& [panels, ceiling] : before) {
+    SCOPED_TRACE("pool " + std::to_string(panels) + " panels");
+    const CompiledRun run =
+        run_compiled(plan, n, p, 8, true, 0.0, hot_edge,
+                     static_cast<std::int64_t>(panels * panel));
+    std::uint64_t written = 0;
+    for (const auto& [rank, arrays] : run.stats) {
+      for (const auto& [name, s] : arrays) {
+        written += s.bytes_written;
+      }
+    }
+    EXPECT_LE(written, smaller_pool);
+    EXPECT_LE(written, ceiling);
+    if (panels == 2.0) {
+      EXPECT_LE(2 * written, ceiling);
+    }
+    smaller_pool = written;
+  }
+}
+
+/// Sets OOCC_HOST_IO_DELAY_US for the LAFs opened during its lifetime, so
+/// engine write-backs stay in flight long enough to overlap a drop.
+class HostIoDelay {
+ public:
+  explicit HostIoDelay(const char* us) {
+    ::setenv("OOCC_HOST_IO_DELAY_US", us, 1);
+  }
+  ~HostIoDelay() { ::unsetenv("OOCC_HOST_IO_DELAY_US"); }
+  HostIoDelay(const HostIoDelay&) = delete;
+  HostIoDelay& operator=(const HostIoDelay&) = delete;
+};
+
+TEST(StencilDeadSlabs, DroppingAWriteBackInFlightHandsItTheBuffer) {
+  // Dropping a dead array's slabs while one of them is still being written
+  // back: like any erased entry, it hands its buffer's storage to that
+  // write, which completes with the bytes it was given. The dirty slab is
+  // dropped unwritten, and the pending read-ahead is settled first.
+  TempDir dir("oocc-dead-slabs");
+  io::AsyncEngine engine(2);
+  Machine machine(1, MachineCostModel::zero());
+  machine.run([&](SpmdContext& ctx) {
+    const HostIoDelay delay("2000");
+    io::LocalArrayFile laf(dir.file("b.laf"), 8, 4,
+                           StorageOrder::kColumnMajor, DiskModel::zero());
+    runtime::MemoryBudget budget(1000);
+    runtime::SlabBufferPool pool(budget, "t");
+    pool.set_async_engine(&engine);
+    const auto stage = [&](const io::Section& s, double value) {
+      pool.acquire_write(ctx, laf, "b", s, -1.0).fill(value);
+      pool.mark_dirty(ctx, "b", s, -1.0);
+      pool.unpin(ctx, "b", s);
+    };
+    const io::Section col0{0, 8, 0, 1};
+    stage(col0, 42.0);
+    // A read-ahead overlapping the dirty slab writes it back first; the
+    // entry stays resident, its buffer read by the write in flight.
+    ASSERT_TRUE(pool.read_ahead(ctx, laf, "b", io::Section{0, 8, 0, 2}, -1.0));
+    stage(io::Section{0, 8, 3, 4}, 7.0);
+    pool.discard(ctx, "b");
+    EXPECT_EQ(pool.stats().discarded, 3u);
+    EXPECT_EQ(pool.stats().writebacks, 1u);
+    EXPECT_EQ(budget.used(), 0);
+    pool.flush(ctx);  // nothing dirty is left; settles the orphaned write
+    std::vector<double> all(8 * 4);
+    laf.read_full(ctx, std::span<double>(all.data(), all.size()));
+    for (std::int64_t r = 0; r < 8; ++r) {
+      EXPECT_EQ(all[static_cast<std::size_t>(r)], 42.0) << "row " << r;
+      EXPECT_EQ(all[static_cast<std::size_t>(24 + r)], 0.0) << "row " << r;
+    }
+  });
 }
 
 // ------------------------------------------------------ convergence driver

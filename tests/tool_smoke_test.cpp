@@ -12,6 +12,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "oocc/hpf/programs.hpp"
 #include "oocc/io/file_backend.hpp"
@@ -205,6 +206,82 @@ TEST_F(OoccCompileSmoke, StencilDemoRunsAndVerifies) {
   EXPECT_NE(output.find("stencil-forall"), std::string::npos) << output;
   EXPECT_NE(output.find("3 sweep(s) run"), std::string::npos) << output;
   EXPECT_NE(output.find("BIT-IDENTICAL"), std::string::npos) << output;
+}
+
+/// Runs oocc_compile with `args`; returns its stdout, `rc` its status.
+std::string run_tool(const std::string& args, int& rc) {
+  oocc::io::TempDir dir("oocc-smoke");
+  const auto stdout_path = dir.file("out.txt");
+  const std::string cmd = std::string("\"") + OOCC_COMPILE_BIN + "\" " +
+                          args + " > \"" + stdout_path.string() +
+                          "\" 2>&1";
+  rc = std::system(cmd.c_str());
+  return read_file(stdout_path);
+}
+
+/// The rest of the line that starts with `prefix`; empty when none does.
+std::string line_after(const std::string& output, const std::string& prefix) {
+  std::istringstream in(output);
+  for (std::string line; std::getline(in, line);) {
+    if (line.starts_with(prefix)) {
+      return line.substr(prefix.size());
+    }
+  }
+  return "";
+}
+
+TEST_F(OoccCompileSmoke, EveryExampleVerifiesAgainstASerialReference) {
+  // Elementwise programs used to print no verification line at all.
+  int checked = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(OOCC_EXAMPLES_DIR)) {
+    if (entry.path().extension() != ".hpf") {
+      continue;
+    }
+    int rc = 0;
+    const std::string output =
+        run_tool("\"" + entry.path().string() + "\" --run --verify", rc);
+    EXPECT_EQ(rc, 0) << entry.path() << "\n" << output;
+    const std::string verdict = line_after(output, "verification: ");
+    EXPECT_TRUE(verdict.ends_with("-> CORRECT") ||
+                verdict.ends_with("-> BIT-IDENTICAL"))
+        << entry.path() << "\n" << output;
+    ++checked;
+  }
+  EXPECT_GE(checked, 4);
+}
+
+TEST_F(OoccCompileSmoke, RunPricesTheTrafficItMeasures) {
+  // Processor 0's LAF traffic priced over every sweep run equals what the
+  // run measured; the 2,048-element pool keeps target slabs alive from one
+  // sweep to the one that overwrites them, so dead slabs are dropped.
+  std::vector<std::string> runs;
+  for (const char* iters : {"1", "3", "8"}) {
+    for (const char* memory : {"", " --memory 2048"}) {
+      runs.push_back(std::string("/stencil.hpf\" --run --iters ") + iters +
+                     memory);
+    }
+  }
+  runs.push_back("/elementwise_chain.hpf\" --run");
+  runs.push_back("/elementwise_chain.hpf\" --run --no-fuse");
+  for (const std::string& run : runs) {
+    int rc = 0;
+    const std::string output = run_tool(
+        std::string("\"") + OOCC_EXAMPLES_DIR + run, rc);
+    EXPECT_EQ(rc, 0) << run << "\n" << output;
+    const std::string priced = line_after(output, "priced (processor 0): ");
+    EXPECT_FALSE(priced.empty()) << run << "\n" << output;
+    EXPECT_EQ(priced, line_after(output, "measured (processor 0): "))
+        << run << "\n" << output;
+  }
+  int rc = 0;
+  const std::string output =
+      run_tool(std::string("\"") + OOCC_EXAMPLES_DIR +
+                   "/stencil.hpf\" --run --iters 8 --memory 2048",
+               rc);
+  EXPECT_EQ(line_after(output, "slab cache: ").find(", 0 dead slabs"),
+            std::string::npos)
+      << output;
 }
 
 TEST_F(OoccCompileSmoke, RejectsMissingInputWithUsage) {

@@ -50,9 +50,12 @@
 //                          compiled plans
 //   --no-verify            skip the static verifier (compile- and
 //                          run-time); mirrors the OOCC_NO_VERIFY env knob
-//   --run                  execute the plan on the simulated machine
+//   --run                  execute the plan on the simulated machine, and
+//                          print processor 0's LAF traffic as priced (over
+//                          the sweeps run) beside the measured counters
 //   --verify               with --run: check the result against a serial
-//                          reference (GAXPY and stencil plans)
+//                          reference (GAXPY, stencil and elementwise
+//                          programs)
 //   --faults=<plan>        install a deterministic fault plan (see
 //                          docs/fault-tolerance.md for the grammar);
 //                          OOCC_FAULTS provides the same knob via the
@@ -66,6 +69,7 @@
 //
 // Prints the compilation decision report and the generated node program
 // (Figure 9/12-style pseudo-code, or the raw step IR with --dump-plan).
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -74,6 +78,7 @@
 #include <set>
 #include <sstream>
 
+#include "oocc/apps/elementwise.hpp"
 #include "oocc/apps/jacobi.hpp"
 #include "oocc/compiler/lower.hpp"
 #include "oocc/compiler/pretty.hpp"
@@ -114,6 +119,15 @@ double gen_a(std::int64_t r, std::int64_t c) {
 
 double gen_b(std::int64_t r, std::int64_t c) {
   return oocc::serve::input_gen_b(r, c);
+}
+
+/// One line of LAF traffic, in --dump-plan's price format.
+void print_traffic(const std::string& label,
+                   const oocc::compiler::StepIoCost& c) {
+  std::printf(
+      "%s: reads %.0f req / %.0f elems, writes %.0f req / %.0f elems\n",
+      label.c_str(), c.read_requests, c.elements_read, c.write_requests,
+      c.elements_written);
 }
 
 /// Machine-greppable fault-tolerance counter line (soak.sh parses it).
@@ -346,11 +360,7 @@ int main(int argc, char** argv) {
                     compiler::step_program_text(plans[i]).c_str());
         std::printf("=== step I/O price (per processor 0) ===\n");
         for (const auto& [name, cost] : compiler::price_steps(plans[i])) {
-          std::printf(
-              "%s: reads %.0f req / %.0f elems, writes %.0f req / %.0f "
-              "elems\n",
-              name.c_str(), cost.read_requests, cost.elements_read,
-              cost.write_requests, cost.elements_written);
+          print_traffic(name, cost);
         }
         std::printf("\n");
       } else {
@@ -398,10 +408,16 @@ int main(int argc, char** argv) {
       return 2;
     }
 
+    const bool elementwise = std::ranges::all_of(
+        plans, [](const compiler::NodeProgram& p) {
+          return p.kind == compiler::ProgramKind::kElementwise;
+        });
     io::TempDir dir("oocc-cli");
     sim::Machine machine(plan.nprocs,
                          sim::MachineCostModel::touchstone_delta());
     std::vector<double> result;
+    apps::DenseArrays outputs_run;  // elementwise --verify, gathered
+    compiler::StepIoCost measured;  // processor 0's LAF traffic
     runtime::SlabCacheStats cache_stats;
     exec::StencilRunInfo stencil_info;
     std::uint64_t result_fingerprint = 0;
@@ -488,6 +504,7 @@ int main(int argc, char** argv) {
         ctx.reset_accounting();
         exec::ArrayBindings bindings;
         for (auto& [name, arr] : arrays) {
+          arr->laf().reset_stats();
           bindings[name] = arr.get();
         }
         exec::ExecOptions exec_options = base_exec_options;
@@ -508,6 +525,16 @@ int main(int argc, char** argv) {
             stencil_info = local_info;  // allreduced: identical on every rank
           }
         }
+        if (ctx.rank() == 0) {  // before the gathers below add their reads
+          for (auto& [name, arr] : arrays) {
+            const io::IoStats& s = arr->laf().stats();
+            measured.read_requests += static_cast<double>(s.read_requests);
+            measured.elements_read += static_cast<double>(s.bytes_read) / 8;
+            measured.write_requests += static_cast<double>(s.write_requests);
+            measured.elements_written +=
+                static_cast<double>(s.bytes_written) / 8;
+          }
+        }
         if (verify && plan.kind == compiler::ProgramKind::kGaxpy) {
           std::vector<double> c =
               arrays.at(plan.c)->gather_global(ctx, memory);
@@ -520,6 +547,16 @@ int main(int argc, char** argv) {
               arrays.at(local_info.result)->gather_global(ctx, memory);
           if (ctx.rank() == 0) {
             result = std::move(state);
+          }
+        }
+        if (verify && elementwise) {
+          for (const std::string& name : outputs) {
+            std::vector<double> global =
+                arrays.at(name)->gather_global(ctx, memory);
+            if (ctx.rank() == 0) {
+              std::lock_guard<std::mutex> lock(stats_mu);
+              outputs_run[name] = std::move(global);
+            }
           }
         }
         if (result_hash) {
@@ -572,12 +609,34 @@ int main(int argc, char** argv) {
     if (base_exec_options.use_cache && checkpoint_every == 0) {
       std::printf(
           "slab cache: %llu hits, %llu misses, %llu evictions, %llu "
-          "write-backs, %.2f MB avoided\n",
+          "write-backs, %.2f MB avoided, %llu dead slabs dropped\n",
           static_cast<unsigned long long>(cache_stats.hits),
           static_cast<unsigned long long>(cache_stats.misses),
           static_cast<unsigned long long>(cache_stats.evictions),
           static_cast<unsigned long long>(cache_stats.writebacks),
-          static_cast<double>(cache_stats.elements_hit) * 8.0 / 1e6);
+          static_cast<double>(cache_stats.elements_hit) * 8.0 / 1e6,
+          static_cast<unsigned long long>(cache_stats.discarded));
+    }
+    if (checkpoint_every == 0 && !faults_installed) {
+      // The whole run as the pricer sees it: every sweep run, in the
+      // run's pool mode. Checkpoints and faults are not priced.
+      compiler::PriceOptions popts;
+      popts.model_cache = base_exec_options.use_cache;
+      popts.sweeps = stencil_info.iterations;  // 0 without a stencil
+      compiler::StepIoCost priced;
+      for (const compiler::PlanPrice& p : compiler::price_sequence(
+               std::span<const compiler::NodeProgram>(plans.data(),
+                                                      plans.size()),
+               0, popts)) {
+        for (const auto& [name, c] : p.arrays) {
+          priced.read_requests += c.read_requests;
+          priced.elements_read += c.elements_read;
+          priced.write_requests += c.write_requests;
+          priced.elements_written += c.elements_written;
+        }
+      }
+      print_traffic("priced (processor 0)", priced);
+      print_traffic("measured (processor 0)", measured);
     }
 
     if (result_hash && checkpoint_every == 0) {
@@ -621,6 +680,42 @@ int main(int argc, char** argv) {
       std::printf("verification: max |jacobi - serial| = %.3g -> %s\n",
                   max_err, max_err == 0.0 ? "BIT-IDENTICAL" : "WRONG");
       return max_err == 0.0 ? 0 : 1;
+    }
+    if (verify && elementwise) {
+      // The analyzed statements, run serially over dense arrays: pure
+      // inputs from the generators, outputs from zero like fresh LAFs.
+      apps::DenseArrays want;
+      for (const auto& [name, info] : bound.arrays) {
+        std::vector<double>& a = want[name];
+        a.assign(static_cast<std::size_t>(info.rows * info.cols), 0.0);
+        if (!outputs.contains(name)) {
+          for (std::int64_t c = 0; c < info.cols; ++c) {
+            for (std::int64_t r = 0; r < info.rows; ++r) {
+              a[static_cast<std::size_t>(c * info.rows + r)] =
+                  name == plan.b ? gen_b(r, c) : gen_a(r, c);
+            }
+          }
+        }
+      }
+      apps::serial_elementwise(bound, want);
+      std::size_t wrong = 0;
+      for (const auto& [name, got] : outputs_run) {
+        const std::vector<double>& w = want.at(name);
+        if (got.size() != w.size() ||
+            std::memcmp(got.data(), w.data(), w.size() * sizeof(double)) !=
+                0) {
+          ++wrong;
+        }
+      }
+      std::printf("verification: %zu of %zu output arrays differ from the "
+                  "serial reference -> %s\n",
+                  wrong, outputs_run.size(),
+                  wrong == 0 ? "BIT-IDENTICAL" : "WRONG");
+      return wrong == 0 ? 0 : 1;
+    }
+    if (verify) {
+      std::printf("verification: no serial reference for a sequence that "
+                  "mixes program kinds -> UNCHECKED\n");
     }
     return 0;
   } catch (const Error& e) {

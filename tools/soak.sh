@@ -71,17 +71,27 @@ for seed in "${SEEDS[@]}"; do
   RECOVERABLE+=("read:p=0.02,seed=$seed;write:p=0.02,seed=$((seed + 100))")
   RECOVERABLE+=("collective:p=0.01,seed=$seed;crash:at=apply,rank=$((seed % 4)),nth=$((seed % 7 + 2))")
 done
+# Recoverable plans run with a checkpoint every 3 sweeps instead of 2. The
+# checkpoint flush cleans every slab, so at every 2 sweeps the target half
+# a sweep drops is always clean; at every 3, sweep 3 drops the slabs sweep 1
+# left dirty, and these crashes and transient faults land around that drop.
+RECOVERABLE_CKPT3=(
+  "crash:at=shadow,rank=0,nth=2"
+  "crash:at=apply,rank=1,nth=4"
+  "crash:at=apply,rank=3,nth=9"
+  "read:p=0.02,seed=55;write:p=0.02,seed=155"
+)
 
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
 
 run_one() {
-  # run_one <index> <expect: recover|fail> <plan>
-  local idx="$1" expect="$2" plan="$3"
+  # run_one <index> <expect: recover|fail> <plan> [checkpoint interval]
+  local idx="$1" expect="$2" plan="$3" every="${4:-2}"
   local out="$WORK/run$idx.out" rc=0
   timeout "$TIMEOUT_S" "$BIN" --stencil=48,4 --memory 1024 --iters 6 \
-    --checkpoint-every 2 --restarts 10 --faults="$plan" --run --verify \
-    > "$out" 2>&1 || rc=$?
+    --checkpoint-every "$every" --restarts 10 --faults="$plan" --run \
+    --verify > "$out" 2>&1 || rc=$?
   local verdict="fail"
   if [ "$rc" -eq 124 ]; then
     verdict="hang"
@@ -98,14 +108,16 @@ run_one() {
   esac
   local counters
   counters="$(grep "^fault tolerance:" "$out" | tail -1 || true)"
-  printf '%s\t%s\t%s\t%s\t%s\t%s\n' \
-    "$idx" "$ok" "$rc" "$expect" "$verdict" "$counters" >> "$WORK/results.tsv"
+  printf '%s\t%s\t%s\t%s\t%s\t%s\t%s\n' \
+    "$idx" "$ok" "$rc" "$expect" "$verdict" "$every" "$counters" \
+    >> "$WORK/results.tsv"
   printf '%s\n' "$plan" > "$WORK/run$idx.plan"
   if [ "$ok" -ne 1 ]; then
-    echo "soak.sh: FAIL [$expect -> $verdict, rc=$rc] plan: $plan" >&2
+    echo "soak.sh: FAIL [$expect -> $verdict, rc=$rc] plan: $plan" \
+      "(checkpoint every $every)" >&2
     tail -5 "$out" >&2 || true
   else
-    echo "soak.sh: ok [$verdict] plan: $plan" >&2
+    echo "soak.sh: ok [$verdict] plan: $plan (checkpoint every $every)" >&2
   fi
 }
 
@@ -117,6 +129,10 @@ for plan in "${RECOVERABLE[@]}"; do
 done
 for plan in "${FATAL[@]}"; do
   run_one "$i" fail "$plan"
+  i=$((i + 1))
+done
+for plan in "${RECOVERABLE_CKPT3[@]}"; do
+  run_one "$i" recover "$plan" 3
   i=$((i + 1))
 done
 
@@ -136,10 +152,12 @@ counter_re = re.compile(
 runs = []
 with open(os.path.join(work, "results.tsv")) as f:
     for line in f:
-        idx, ok, rc, expect, verdict, counters = line.rstrip("\n").split("\t")
+        idx, ok, rc, expect, verdict, every, counters = (
+            line.rstrip("\n").split("\t"))
         plan = open(os.path.join(work, f"run{idx}.plan")).read().strip()
         entry = {
             "plan": plan,
+            "checkpoint_every": int(every),
             "expect": expect,
             "verdict": verdict,
             "exit_code": int(rc),
