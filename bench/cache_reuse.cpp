@@ -121,8 +121,8 @@ ChainResult run_chain(std::int64_t n, int p, bool use_cache) {
       const io::IoStats& s = arr->laf().stats();
       result.laf_bytes += s.bytes_read + s.bytes_written;
       result.laf_requests += s.read_requests + s.write_requests;
-      result.bytes_avoided += s.bytes_cache_hit;
     }
+    result.bytes_avoided += cache.elements_hit * sizeof(double);
     result.cache_hits += cache.hits;
     result.cache_writebacks += cache.writebacks;
     if (ctx.rank() == 0) {

@@ -205,23 +205,19 @@ class StepPricer final : public StepWalk, public Directory::Host {
   /// GAXPY side buffers. `all_arrays` resolves arrays that live in *other*
   /// plans of the sequence (a persistent cache can evict another
   /// statement's dirty slab mid-walk).
-  /// `swapped` prices a stencil plan's odd sweep; `price` accumulates the
-  /// plan's sweeps.
-  StepPricer(const NodeProgram& plan, int proc, bool swapped, Directory& dir,
+  /// `swapped` prices a stencil plan's odd sweep; `hints` are the plan's
+  /// reuse hints; `price` accumulates the plan's sweeps.
+  StepPricer(const NodeProgram& plan, int proc, bool swapped,
+             std::span<const double> hints, Directory& dir,
              std::int64_t capacity,
              const std::map<std::string, const PlanArray*>& all_arrays,
              PlanPrice& price)
-      : StepWalk(plan, proc, swapped), dir_(dir), capacity_(capacity),
+      : StepWalk(plan, proc, swapped, hints), dir_(dir), capacity_(capacity),
         all_arrays_(all_arrays), price_(price) {}
 
   /// Prices one sweep; `flush` adds the end-of-run write-back of every
   /// dirty slab (the executor flushes its pool after the last plan).
   void run(bool flush) {
-    if (plan_.kind == ProgramKind::kGaxpy) {
-      // The executor writes back and drops cached slabs of the reduction
-      // output, which it stores around the pool, before running the plan.
-      dir_.drop(*this, plan_.c, /*dead=*/false);
-    }
     sweep();
     if (flush) {
       dir_.flush(*this);
@@ -283,7 +279,7 @@ class StepPricer final : public StepWalk, public Directory::Host {
   }
 
   void read(const Node& n, const io::Section& s) override {
-    demand_read(*n.array, s, n.step->reuse_distance, n.step->halo > 0);
+    demand_read(*n.array, s, n.hint, n.step->halo > 0);
     // Read-aheads are charged when issued (the bytes move now) and count as
     // overlappable: they run behind the compute.
     n.loop->scheduler.pump(
@@ -313,13 +309,13 @@ class StepPricer final : public StepWalk, public Directory::Host {
     price_.flops += compute_flops(
         plan_.statements[static_cast<std::size_t>(n.step->stmt)],
         n.info->dist, rank_, sec);
-    dir_.acquire_write(*this, *n.array, sec, n.step->reuse_distance);
+    dir_.acquire_write(*this, *n.array, sec, n.hint);
   }
 
   /// A retaining directory charges the dirty slab at write-back time, a
   /// no-retain one right here.
   void write(const Node& n) override {
-    dir_.mark_dirty(*this, *n.array, n.loop->section, n.step->reuse_distance);
+    dir_.mark_dirty(*this, *n.array, n.loop->section, n.hint);
   }
 
   /// The edge-column reads go through the directory; the messages
@@ -327,7 +323,7 @@ class StepPricer final : public StepWalk, public Directory::Host {
   void exchange(const Node& n, const Exchange& ex) override {
     for (const std::optional<Edge>& edge : {ex.left, ex.right}) {
       if (edge) {
-        demand_read(*n.array, edge->sent, n.step->reuse_distance, false);
+        demand_read(*n.array, edge->sent, n.hint, false);
         dir_.unpin(*this, *n.array, edge->sent);
       }
     }
@@ -353,9 +349,9 @@ class StepPricer final : public StepWalk, public Directory::Host {
     dir_.unpin(*this, array, s);
   }
 
-  /// The pool drops a dead array's slabs unwritten; so does its directory.
-  void discard(const std::string& array) override {
-    dir_.drop(*this, array, /*dead=*/true);
+  /// The pool's sweep-start drops, on its directory.
+  void drop(const std::string& array, bool dead) override {
+    dir_.drop(*this, array, dead);
   }
 
   Directory& dir_;
@@ -419,6 +415,9 @@ std::vector<PlanPrice> price_sequence(std::span<const NodeProgram> plans,
       all_arrays.emplace(name, &pa);
     }
   }
+  // Processor 0's hints, whatever `proc` is priced: the executor's.
+  const std::vector<std::vector<double>> hints =
+      annotate_reuse_distances(plans);
   Directory dir("pool", options.model_cache);
   std::vector<PlanPrice> out;
   for (std::size_t i = 0; i < plans.size(); ++i) {
@@ -436,8 +435,8 @@ std::vector<PlanPrice> price_sequence(std::span<const NodeProgram> plans,
                            : 1;
     PlanPrice& price = out.emplace_back();
     for (int sweep = 0; sweep < sweeps; ++sweep) {
-      StepPricer(plans[i], proc, /*swapped=*/sweep % 2 != 0, dir, budget,
-                 all_arrays, price)
+      StepPricer(plans[i], proc, /*swapped=*/sweep % 2 != 0, hints[i], dir,
+                 budget, all_arrays, price)
           .run(/*flush=*/i + 1 == plans.size() && sweep + 1 == sweeps);
     }
   }
@@ -464,23 +463,27 @@ double estimate_plan_time_s(const NodeProgram& plan, const io::DiskModel& disk,
 
 namespace {
 
-/// Replays one sweep's dynamic slab schedule, appending (step, array,
-/// section, is-read) events; stops once `max_events` are recorded.
+/// Replays one sweep's dynamic slab schedule, appending (plan, step id,
+/// array, section, is-read) events; stops once `max_events` are recorded.
 class TraceCollector final : public StepWalk {
  public:
   struct Event {
-    const Step* step;
+    std::size_t plan;
+    std::size_t step;
     const std::string* array;
     io::Section sec;
     bool is_read;
   };
 
-  TraceCollector(const NodeProgram& plan, int proc, bool swapped,
-                 std::vector<Event>& out, std::size_t max_events)
-      : StepWalk(plan, proc, swapped), out_(out), max_events_(max_events) {}
+  TraceCollector(const NodeProgram& plan, std::size_t plan_index, int proc,
+                 bool swapped, std::vector<Event>& out, std::size_t max_events)
+      : StepWalk(plan, proc, swapped), plan_index_(plan_index), out_(out),
+        max_events_(max_events) {}
 
   /// Returns false when the event cap was hit (annotation is skipped).
   bool collect() { return sweep(); }
+
+  using StepWalk::step_count;
 
  private:
   void push(const Node& n, const io::Section& sec, bool is_read) {
@@ -488,7 +491,7 @@ class TraceCollector final : public StepWalk {
       stop();
       return;
     }
-    out_.push_back(Event{n.step, n.array, sec, is_read});
+    out_.push_back(Event{plan_index_, n.id, n.array, sec, is_read});
   }
 
   void read(const Node& n, const io::Section& s) override {
@@ -504,47 +507,42 @@ class TraceCollector final : public StepWalk {
     }
   }
 
+  std::size_t plan_index_;
   std::vector<Event>& out_;
   std::size_t max_events_;
 };
 
-void reset_distances(std::vector<Step>& steps) {
-  for (Step& step : steps) {
-    step.reuse_distance = -1.0;
-    reset_distances(step.body);
-  }
-}
-
 }  // namespace
 
-void annotate_reuse_distances(std::span<NodeProgram> plans, int proc) {
+std::vector<std::vector<double>> annotate_reuse_distances(
+    std::span<const NodeProgram> plans, int proc) {
   constexpr std::size_t kMaxEvents = std::size_t{1} << 20;
-  for (NodeProgram& plan : plans) {
-    reset_distances(plan.steps);
-  }
+  std::vector<std::vector<double>> hints;
   std::vector<TraceCollector::Event> trace;
-  for (NodeProgram& plan : plans) {
+  bool complete = true;
+  for (std::size_t p = 0; p < plans.size(); ++p) {
     // The convergence driver re-runs a stencil sweep with the ping-pong
     // pair swapped: replay that second sweep so the write steps see the
     // next sweep's halo reads of the very slabs they stage — the hint that
     // keeps the previous iteration's interior slabs resident.
-    const int sweeps = plan.kind == ProgramKind::kStencil ? 2 : 1;
+    const int sweeps = plans[p].kind == ProgramKind::kStencil ? 2 : 1;
     for (int sweep = 0; sweep < sweeps; ++sweep) {
-      if (!TraceCollector(plan, proc, /*swapped=*/sweep == 1, trace,
-                          kMaxEvents)
-               .collect()) {
-        // Pathologically long schedule: leave every distance at -1 (the
-        // pool degrades to plain LRU) rather than annotate from a partial
-        // trace.
-        for (NodeProgram& p : plans) {
-          reset_distances(p.steps);
-        }
-        return;
+      TraceCollector collector(plans[p], p, proc, /*swapped=*/sweep == 1,
+                               trace, kMaxEvents);
+      if (sweep == 0) {
+        hints.emplace_back(collector.step_count(), -1.0);
       }
+      // A pathologically long schedule leaves every distance at -1 (the
+      // pool degrades to plain LRU) rather than annotate from a partial
+      // trace.
+      complete = complete && collector.collect();
     }
   }
+  if (!complete) {
+    return hints;
+  }
   // Backward scan: for each event, the nearest later read overlapping its
-  // section gives the distance; the static step keeps the minimum over its
+  // section gives the distance; the step keeps the minimum over its
   // dynamic executions. future[array] holds later read events, most recent
   // (smallest position) last.
   std::map<std::string, std::vector<std::pair<std::size_t, io::Section>>>
@@ -566,15 +564,15 @@ void annotate_reuse_distances(std::span<NodeProgram> plans, int proc) {
         break;
       }
     }
-    // The walk is read-only, but the steps are the caller's mutable plans.
-    Step& step = const_cast<Step&>(*ev.step);
-    if (dist >= 0 && (step.reuse_distance < 0 || dist < step.reuse_distance)) {
-      step.reuse_distance = dist;
+    double& hint = hints[ev.plan][ev.step];
+    if (dist >= 0 && (hint < 0 || dist < hint)) {
+      hint = dist;
     }
     if (ev.is_read) {
       reads.emplace_back(i, ev.sec);
     }
   }
+  return hints;
 }
 
 TotalCostEstimate estimate_gaxpy_total(runtime::SlabOrientation orientation,

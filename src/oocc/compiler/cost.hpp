@@ -10,6 +10,12 @@
 // measured counters *exactly*; the tests assert this). Following
 // Figure 14, the array with the largest I/O requirement dominates the
 // decision and the orientation minimizing its cost is selected.
+//
+// Once a plan exists, the step pricer (price_plan, price_sequence) and the
+// reuse-hint annotator (annotate_reuse_distances) walk its step tree as
+// compiler::StepWalk clients. Hints live nowhere in the plan: the pricer
+// derives them per call, as the executor does, so its modelled slab pool
+// evicts exactly as the real one.
 #pragma once
 
 #include <map>
@@ -119,11 +125,12 @@ struct StepIoCost {
 /// processor `proc`'s local extents: every ReadSlab/WriteSlab contributes
 /// its section's contiguous-extent count and element volume, and so does
 /// every GAXPY output batch the walk stores. The pricer is a client of the
-/// executor's own step walk (compiler/walk.hpp), so the predictions match
-/// measured LAF counters request-for-request (the tests assert this); the
-/// closed-form estimate_gaxpy_cost is only still needed *before* a plan
-/// exists: to rank candidate orientations and to score the memory
-/// planner's access-weighted grid.
+/// executor's own step walk (compiler/walk.hpp), and it derives the same
+/// reuse hints the executor does, so the predictions match measured LAF
+/// counters request-for-request (the tests assert this); the closed-form
+/// estimate_gaxpy_cost is only still needed *before* a plan exists: to
+/// rank candidate orientations and to score the memory planner's
+/// access-weighted grid.
 std::map<std::string, StepIoCost> price_steps(const NodeProgram& plan,
                                               int proc = 0);
 
@@ -175,17 +182,25 @@ PlanPrice price_plan(const NodeProgram& plan, int proc = 0,
 
 /// Prices a statement sequence with one modelled cache persisting across
 /// plans (the executor shares one pool across execute_sequence, so a slab
-/// statement i staged can satisfy statement j's demand read).
+/// statement i staged can satisfy statement j's demand read). The modelled
+/// pool evicts by the sequence's reuse hints, annotated once per call for
+/// processor 0 (whatever `proc` is priced), as exec::execute_sequence
+/// does.
 std::vector<PlanPrice> price_sequence(std::span<const NodeProgram> plans,
                                       int proc = 0,
                                       const PriceOptions& options = {});
 
-/// Annotates every ReadSlab / WriteSlab / ComputeElementwise step of the
-/// sequence with its forward reuse distance (see Step::reuse_distance) by
-/// replaying the steps' dynamic slab schedule for processor `proc` across
-/// all plans in order. Called by the compiler after step emission; safe to
-/// re-run (distances are reset first).
-void annotate_reuse_distances(std::span<NodeProgram> plans, int proc = 0);
+/// The sequence's reuse hints: one vector per plan, indexed by step id
+/// (StepWalk::Node::id). Each ReadSlab, WriteSlab, compute and ExchangeHalo
+/// step gets its forward reuse distance: the minimum number of slab I/O
+/// events between an execution of the step and the next read of the data
+/// it touches, anywhere in the sequence; -1 where no later read exists.
+/// Derived by replaying the sequence's dynamic slab schedule for processor
+/// `proc`, a stencil plan for two ping-pong sweeps. The slab pool evicts by
+/// them (farthest next use first); a schedule over 2^20 events gets -1
+/// everywhere, and the pool degrades to LRU.
+std::vector<std::vector<double>> annotate_reuse_distances(
+    std::span<const NodeProgram> plans, int proc = 0);
 
 /// Predicted makespan of one plan under the executor's defaults (slab
 /// cache on): charged disk service + compute, minus the read I/O the

@@ -1114,14 +1114,10 @@ std::string prefetch_rationale(bool enabled, double t_on, double t_off) {
   return oss.str();
 }
 
-/// Prices one freshly (re-)emitted candidate layout. The steps must carry
-/// their reuse annotations first — the modelled cache evicts by them, and
-/// pricing an unannotated plan would assume a different retention policy
-/// than the one the executor runs. Empty when the layout cannot run: the
-/// pricer throws exactly where the executor's pool would.
-std::optional<double> price_candidate(NodeProgram& plan,
+/// Prices one freshly (re-)emitted candidate layout. Empty when the layout
+/// cannot run: the pricer throws exactly where the executor's pool would.
+std::optional<double> price_candidate(const NodeProgram& plan,
                                       const CompileOptions& options) {
-  annotate_reuse_distances(std::span<NodeProgram>(&plan, 1));
   try {
     return estimate_plan_time_s(plan, options.disk, options.machine);
   } catch (const Error&) {
@@ -1285,11 +1281,8 @@ std::vector<NodeProgram> lower_statements(const BoundProgram& program,
   return plans;
 }
 
-void annotate_and_verify(std::span<NodeProgram> plans,
-                         const CompileOptions& options) {
-  // Reuse distances span statement boundaries: annotate the whole sequence
-  // so the runtime pool knows which slabs a *later* statement will read.
-  annotate_reuse_distances(plans);
+void verify_and_stamp(std::span<NodeProgram> plans,
+                      const CompileOptions& options) {
   if (options.verify) {
     verify_sequence_or_throw(
         std::span<const NodeProgram>(plans.data(), plans.size()));
@@ -1304,7 +1297,7 @@ void annotate_and_verify(std::span<NodeProgram> plans,
 NodeProgram compile(const BoundProgram& program,
                     const CompileOptions& options) {
   NodeProgram plan = lower_statement(program, options);
-  detail::annotate_and_verify(std::span<NodeProgram>(&plan, 1), options);
+  detail::verify_and_stamp(std::span<NodeProgram>(&plan, 1), options);
   return plan;
 }
 
@@ -1335,9 +1328,9 @@ std::vector<NodeProgram> compile_sequence(const BoundProgram& program,
       }
     }
   }
-  // The sequence is annotated and verified once, as the executor will see
-  // it: after fusion, never statement by statement.
-  detail::annotate_and_verify(plans, options);
+  // The sequence is verified once, as the executor will see it: after
+  // fusion, never statement by statement.
+  detail::verify_and_stamp(plans, options);
   return plans;
 }
 

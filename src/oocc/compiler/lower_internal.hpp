@@ -54,13 +54,13 @@ NodeProgram fuse(const std::vector<const NodeProgram*>& members,
 
 /// Matches and lowers each statement of the program (the whole program
 /// when it has at most one), including the --prefetch=auto decision.
-/// Neither annotates nor verifies.
+/// Does not verify.
 std::vector<NodeProgram> lower_statements(const hpf::BoundProgram& program,
                                           const CompileOptions& options);
 
-/// Annotates the plans' reuse distances as one sequence and, when
-/// options.verify is set, verifies them and stamps them verified.
-void annotate_and_verify(std::span<NodeProgram> plans,
-                         const CompileOptions& options);
+/// When options.verify is set, verifies the plans as one sequence and
+/// stamps them verified.
+void verify_and_stamp(std::span<NodeProgram> plans,
+                      const CompileOptions& options);
 
 }  // namespace oocc::compiler::detail

@@ -104,13 +104,6 @@ struct Step {
   /// this many columns on each side, clipped at the local array bounds. On
   /// kExchangeHalo: the number of edge columns traded with each neighbour.
   std::int64_t halo = 0;
-  /// Forward reuse distance, annotated by annotate_reuse_distances (cost.hpp)
-  /// on kReadSlab / kWriteSlab / kComputeElementwise steps: the minimum
-  /// number of slab I/O events between an execution of this step and the
-  /// next read of the data it touches, anywhere in the compiled sequence;
-  /// -1 when the data is never read again. The runtime slab pool uses it as
-  /// an eviction hint (farthest-next-use goes first).
-  double reuse_distance = -1.0;
   std::vector<Step> body;
 };
 

@@ -169,12 +169,21 @@ void emit_elementwise(std::ostringstream& oss, const NodeProgram& p) {
   oss << "   end do\n";
 }
 
+/// Renders `steps` and their bodies; `id` is the next step id in preorder,
+/// the key into `hints`.
 void emit_steps(std::ostringstream& oss, const std::vector<Step>& steps,
-                int depth) {
+                int depth, std::span<const double> hints, std::size_t& id) {
   const std::string pad(static_cast<std::size_t>(depth) * 2, ' ');
   for (const Step& s : steps) {
-    oss << pad << step_text(s) << "\n";
-    emit_steps(oss, s.body, depth + 1);
+    oss << pad << step_text(s);
+    const bool io =
+        s.kind == StepKind::kReadSlab || s.kind == StepKind::kWriteSlab;
+    if (io && id < hints.size() && hints[id] >= 0) {
+      oss << " (reuse " << hints[id] << ")";
+    }
+    oss << "\n";
+    ++id;
+    emit_steps(oss, s.body, depth + 1, hints, id);
   }
 }
 
@@ -217,9 +226,6 @@ std::string step_text(const Step& s) {
       if (s.halo > 0) {
         oss << " (halo +/-" << s.halo << ", clipped)";
       }
-      if (s.reuse_distance >= 0) {
-        oss << " (reuse " << s.reuse_distance << ")";
-      }
       break;
     case StepKind::kExchangeHalo:
       oss << " " << s.array << " [" << s.loop << "] (+/-" << s.halo
@@ -241,7 +247,8 @@ std::string step_text(const Step& s) {
   return oss.str();
 }
 
-std::string step_program_text(const NodeProgram& plan) {
+std::string step_program_text(const NodeProgram& plan,
+                              std::span<const double> hints) {
   std::ostringstream oss;
   oss << "slab-program (" << program_kind_name(plan.kind) << ", "
       << plan.nprocs << " procs)\n";
@@ -251,7 +258,8 @@ std::string step_program_text(const NodeProgram& plan) {
         << loop.space << "', capacity " << loop.capacity_elements
         << " elems" << (loop.prefetch ? " (double-buffered)" : "") << "\n";
   }
-  emit_steps(oss, plan.steps, 0);
+  std::size_t id = 0;
+  emit_steps(oss, plan.steps, 0, hints, id);
   return oss.str();
 }
 

@@ -4,6 +4,7 @@
 // translation the compiler chose and where the I/O calls were inserted.
 #pragma once
 
+#include <span>
 #include <string>
 
 #include "oocc/compiler/plan.hpp"
@@ -21,7 +22,10 @@ std::string decision_report(const NodeProgram& plan);
 /// Renders the plan's slab-program IR: the named slab loops, then the step
 /// tree (indented two spaces per nesting level). This is what the generic
 /// executor actually interprets; `oocc_compile --dump-plan` prints it.
-std::string step_program_text(const NodeProgram& plan);
+/// `hints`, indexed by step id (annotate_reuse_distances), adds each
+/// ReadSlab / WriteSlab step's known reuse distance as "(reuse N)".
+std::string step_program_text(const NodeProgram& plan,
+                              std::span<const double> hints = {});
 
 /// Renders one step (no children, no indent) exactly as a step_program_text
 /// line would. The verifier quotes this in its diagnostics.

@@ -189,11 +189,8 @@ SearchResult search_sequence(const hpf::BoundProgram& program,
     return seq;
   };
 
-  const auto priced_of = [&](std::vector<NodeProgram>& seq) {
-    annotate_reuse_distances(std::span<NodeProgram>(seq.data(), seq.size()));
-    return priced_sequence_makespan_s(
-        std::span<const NodeProgram>(seq.data(), seq.size()), options.disk,
-        options.machine);
+  const auto priced_of = [&](const std::vector<NodeProgram>& seq) {
+    return priced_sequence_makespan_s(seq, options.disk, options.machine);
   };
 
   {
@@ -472,14 +469,14 @@ SearchResult search_sequence(const hpf::BoundProgram& program,
     }
   }
 
-  // Assemble the result: re-annotate the final sequence as one scope and
-  // re-verify it end to end (the per-candidate checks verified clones).
+  // Assemble the result and re-verify it end to end (the per-candidate
+  // checks verified clones).
   for (std::vector<NodeProgram>& part : seg_plans) {
     for (NodeProgram& p : part) {
       result.plans.push_back(std::move(p));
     }
   }
-  detail::annotate_and_verify(result.plans, options);
+  detail::verify_and_stamp(result.plans, options);
 
   report.chosen_priced_s = best_priced;
   if (best_priced < report.heuristic_priced_s - 1e-12) {

@@ -24,8 +24,8 @@
 // — and coordinate descent walks the segments (CompileOptions::search_passes
 // rounds), re-pricing the *whole sequence* (price_sequence with the slab
 // cache modelled, the executor's default) for every candidate and adopting
-// a candidate only when it is strictly cheaper AND the re-annotated
-// sequence passes the static verifier. The heuristic compile is candidate
+// a candidate only when it is strictly cheaper AND the sequence passes
+// the static verifier. The heuristic compile is candidate
 // 0 and the initial incumbent, so the result's priced makespan is <= the
 // heuristic's by construction — the invariant the differential harness
 // (tests/search_test.cpp) checks over randomized programs. Shapes the

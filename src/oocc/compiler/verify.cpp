@@ -7,7 +7,6 @@
 #include <sstream>
 #include <utility>
 
-#include "oocc/compiler/cost.hpp"
 #include "oocc/compiler/pretty.hpp"
 #include "oocc/compiler/walk.hpp"
 #include "oocc/runtime/slab_directory.hpp"
@@ -696,37 +695,6 @@ void check_budget(const NodeProgram& plan,
   }
 }
 
-// ------------------------------------------------------------- reuse check
-
-void compare_distances(const std::vector<Step>& got,
-                       const std::vector<Step>& want, int plan_index,
-                       Sink& sink) {
-  for (std::size_t i = 0; i < got.size() && i < want.size(); ++i) {
-    const double g = got[i].reuse_distance;
-    const double w = want[i].reuse_distance;
-    if (g != w) {
-      std::ostringstream oss;
-      oss << "reuse_distance " << g << " disagrees with the replayed slab "
-          << "schedule (expected " << w
-          << "); the pool would mis-rank this slab for eviction";
-      sink.add("OOCC-V041", plan_index, -1, oss.str(), &got[i]);
-    }
-    compare_distances(got[i].body, want[i].body, plan_index, sink);
-  }
-}
-
-/// OOCC-V041: re-derives the reuse annotations on copies of the
-/// whole sequence (annotate_reuse_distances' own scope) and compares.
-void check_reuse_annotations(std::span<const NodeProgram> plans, Sink& sink) {
-  std::vector<NodeProgram> copies(plans.begin(), plans.end());
-  annotate_reuse_distances(
-      std::span<NodeProgram>(copies.data(), copies.size()));
-  for (std::size_t i = 0; i < plans.size(); ++i) {
-    compare_distances(plans[i].steps, copies[i].steps, static_cast<int>(i),
-                      sink);
-  }
-}
-
 }  // namespace
 
 std::string VerifyReport::to_string() const {
@@ -760,21 +728,16 @@ std::string VerifyReport::to_string() const {
   return oss.str();
 }
 
-VerifyReport verify_sequence(std::span<const NodeProgram> plans,
-                             const VerifyOptions& options) {
+VerifyReport verify_sequence(std::span<const NodeProgram> plans) {
   VerifyReport report;
   report.stats.plans = static_cast<int>(plans.size());
   Sink sink(report);
-  bool all_replayable = true;
   for (std::size_t i = 0; i < plans.size(); ++i) {
     const NodeProgram& plan = plans[i];
     report.stats.ranks = std::max(report.stats.ranks, plan.nprocs);
     report.stats.budget_elements =
         std::max(report.stats.budget_elements, plan.memory_budget_elements);
-    const bool replayable =
-        StructureChecker(plan, static_cast<int>(i), sink).run();
-    if (!replayable) {
-      all_replayable = false;
+    if (!StructureChecker(plan, static_cast<int>(i), sink).run()) {
       continue;
     }
     std::vector<RankTrace> traces(static_cast<std::size_t>(plan.nprocs));
@@ -806,20 +769,15 @@ VerifyReport verify_sequence(std::span<const NodeProgram> plans,
     }
     check_budget(plan, traces, static_cast<int>(i), sink, report);
   }
-  if (options.check_reuse && all_replayable && !report.stats.truncated) {
-    check_reuse_annotations(plans, sink);
-  }
   return report;
 }
 
-VerifyReport verify_plan(const NodeProgram& plan,
-                         const VerifyOptions& options) {
-  return verify_sequence(std::span<const NodeProgram>(&plan, 1), options);
+VerifyReport verify_plan(const NodeProgram& plan) {
+  return verify_sequence(std::span<const NodeProgram>(&plan, 1));
 }
 
-void verify_sequence_or_throw(std::span<const NodeProgram> plans,
-                              const VerifyOptions& options) {
-  const VerifyReport report = verify_sequence(plans, options);
+void verify_sequence_or_throw(std::span<const NodeProgram> plans) {
+  const VerifyReport report = verify_sequence(plans);
   if (!report.ok()) {
     OOCC_THROW(ErrorCode::kVerifyError,
                "the slab program failed static verification\n"
@@ -827,8 +785,8 @@ void verify_sequence_or_throw(std::span<const NodeProgram> plans,
   }
 }
 
-void verify_or_throw(const NodeProgram& plan, const VerifyOptions& options) {
-  verify_sequence_or_throw(std::span<const NodeProgram>(&plan, 1), options);
+void verify_or_throw(const NodeProgram& plan) {
+  verify_sequence_or_throw(std::span<const NodeProgram>(&plan, 1));
 }
 
 }  // namespace oocc::compiler

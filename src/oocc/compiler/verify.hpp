@@ -8,8 +8,8 @@
 // be a checked property of the IR, not a hope.
 //
 // verify_plan / verify_sequence replay the step program symbolically for
-// every rank (the same SlabIterator walk the executor, the pricer and the
-// reuse annotator use) and check, per rank and across ranks via the
+// every rank (the same step walk the executor, the pricer and the reuse
+// annotator run) and check, per rank and across ranks via the
 // ownership-interval algebra in hpf::DimDistribution:
 //
 //  * structure   — declared loops, known arrays, well-formed steps, slab
@@ -25,10 +25,10 @@
 //                  runtime kResourceExhausted failures into compile-time
 //                  diagnostics (OOCC-V030);
 //  * schedule    — the collective sequence (Barrier / ReduceSum /
-//                  ExchangeHalo) is identical on every rank, and the
-//                  reuse_distance annotations match a fresh replay
-//                  (OOCC-V040..V041).
+//                  ExchangeHalo) is identical on every rank (OOCC-V040).
 //
+// Reuse hints are not part of a plan: the pricer and the executor derive
+// them from the walk when they run it, so there is nothing to check.
 // Every violation carries a stable OOCC-V0xx code plus the pretty-printed
 // offending step. compile()/compile_sequence() run the verifier by default
 // and stamp NodeProgram::verified; the executor re-verifies unstamped
@@ -73,14 +73,6 @@ struct VerifyStats {
   bool truncated = false;
 };
 
-struct VerifyOptions {
-  /// Check the reuse_distance annotations against a fresh replay
-  /// (OOCC-V041). Disable when verifying a plan outside the annotation
-  /// scope it was compiled in (the executor does this for unstamped plans,
-  /// whose sequence-wide distances a lone replay cannot reconstruct).
-  bool check_reuse = true;
-};
-
 struct VerifyReport {
   std::vector<VerifyDiagnostic> diagnostics;
   VerifyStats stats;
@@ -91,18 +83,14 @@ struct VerifyReport {
   std::string to_string() const;
 };
 
-/// Verifies a single compiled plan (annotated standalone).
-VerifyReport verify_plan(const NodeProgram& plan,
-                         const VerifyOptions& options = {});
+/// Verifies a single compiled plan.
+VerifyReport verify_plan(const NodeProgram& plan);
 
-/// Verifies a compiled statement sequence; the reuse check replays the
-/// whole sequence jointly, matching annotate_reuse_distances' scope.
-VerifyReport verify_sequence(std::span<const NodeProgram> plans,
-                             const VerifyOptions& options = {});
+/// Verifies a compiled statement sequence, plan by plan.
+VerifyReport verify_sequence(std::span<const NodeProgram> plans);
 
 /// Throws Error(kVerifyError) quoting the report when verification fails.
-void verify_or_throw(const NodeProgram& plan, const VerifyOptions& options = {});
-void verify_sequence_or_throw(std::span<const NodeProgram> plans,
-                              const VerifyOptions& options = {});
+void verify_or_throw(const NodeProgram& plan);
+void verify_sequence_or_throw(std::span<const NodeProgram> plans);
 
 }  // namespace oocc::compiler

@@ -38,7 +38,8 @@ const std::string& stencil_resolve(const NodeProgram& plan, bool swapped,
 
 }  // namespace
 
-StepWalk::StepWalk(const NodeProgram& plan, int rank, bool swapped)
+StepWalk::StepWalk(const NodeProgram& plan, int rank, bool swapped,
+                   std::span<const double> hints)
     : plan_(plan), rank_(rank),
       swapped_(swapped && plan.kind == ProgramKind::kStencil &&
                !plan.statements.empty()),
@@ -53,11 +54,16 @@ StepWalk::StepWalk(const NodeProgram& plan, int rank, bool swapped)
                               space.dist.local_cols(rank), loop.orientation,
                               loop.capacity_elements)});
   }
-  bind(plan.steps);
-  find_dead_arrays();
+  bind(plan.steps, hints);
+  OOCC_CHECK(hints.empty() || hints.size() == nodes_.size(),
+             ErrorCode::kInvalidArgument,
+             "reuse hints for " << hints.size() << " steps given to a plan of "
+                                << nodes_.size());
+  find_drops();
 }
 
-void StepWalk::bind(const std::vector<Step>& steps) {
+void StepWalk::bind(const std::vector<Step>& steps,
+                    std::span<const double> hints) {
   const auto cursor = [&](const std::string& name) {
     const auto it =
         std::find_if(cursors_.begin(), cursors_.end(),
@@ -77,7 +83,10 @@ void StepWalk::bind(const std::vector<Step>& steps) {
   };
   for (const Step& step : steps) {
     const std::size_t i = nodes_.size();
-    Node& n = nodes_.emplace_back(Node{&step});  // valid until bind(body)
+    Node& n = nodes_.emplace_back(Node{&step, i});  // valid until bind(body)
+    if (i < hints.size()) {
+      n.hint = hints[i];
+    }
     const std::string* array = nullptr;
     switch (step.kind) {
       case StepKind::kForEachSlab:
@@ -112,21 +121,29 @@ void StepWalk::bind(const std::vector<Step>& steps) {
       n.array = &stencil_resolve(plan_, swapped_, *array);
       n.info = &plan_.array(*n.array);
     }
-    if (step.kind == StepKind::kForEachSlab && n.loop->decl->prefetch) {
-      for (const Step& s : step.body) {
-        if (s.kind == StepKind::kReadSlab && !plan_.array(s.array).is_output) {
-          n.streams.push_back(runtime::IoScheduler::Request{
-              stencil_resolve(plan_, swapped_, s.array), {},
-              s.reuse_distance});
+    bind(step.body, hints);
+    Node& bound = nodes_[i];
+    bound.end = nodes_.size();
+    if (step.kind == StepKind::kForEachSlab && bound.loop->decl->prefetch) {
+      for (std::size_t j = i + 1; j < bound.end; j = nodes_[j].end) {
+        const Node& read = nodes_[j];
+        if (read.step->kind == StepKind::kReadSlab &&
+            !plan_.array(read.step->array).is_output) {
+          bound.streams.push_back(
+              runtime::IoScheduler::Request{*read.array, {}, read.hint});
         }
       }
     }
-    bind(step.body);
-    nodes_[i].end = nodes_.size();
   }
 }
 
-void StepWalk::find_dead_arrays() {
+void StepWalk::find_drops() {
+  // The GAXPY owner stores its output batches straight to the LAF.
+  for (const Node& n : nodes_) {
+    if (n.step->kind == StepKind::kReduceSum) {
+      drops_.emplace_back(n.array, false);
+    }
+  }
   // A staged slab is overwritten element by element: an elementwise
   // statement has no row halo, and a stencil copies its boundary rows and
   // columns through from its source. So an array is dead on entry when a
@@ -163,15 +180,15 @@ void StepWalk::find_dead_arrays() {
                m.step->kind == StepKind::kExchangeHalo;
       });
       if (tiles && written && !read) {
-        dead_.push_back(n.array);  // twice when two statements stage it
+        drops_.emplace_back(n.array, true);  // twice if two statements stage it
       }
     }
   }
 }
 
 bool StepWalk::sweep() {
-  for (const std::string* array : dead_) {
-    discard(*array);
+  for (const auto& [array, dead] : drops_) {
+    drop(*array, dead);
   }
   visit(0, nodes_.size());
   if (batch_ && !stopped_) {

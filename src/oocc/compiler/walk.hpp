@@ -12,16 +12,19 @@
 // sections until their slab iteration ends, the GAXPY reduction's
 // output (the ReduceSum column and row range, when each side buffer is
 // taken from the budget, and which owned columns the owner stores as one
-// LAF write: "if ICLA is full then write"), and which arrays are dead on
-// entry: overwritten in full before anything reads them, so the pool and
-// the pricer drop their cached slabs unwritten at sweep start. So priced
-// == measured and verified == executed hold because all four see the same
-// event stream, not because they mirror one another.
+// LAF write: "if ICLA is full then write"), which cached arrays to drop at
+// sweep start (the output a ReduceSum stores around the pool, and the dead
+// arrays the sweep overwrites in full before reading any of them), and
+// each step's id and reuse hint. So priced == measured and verified ==
+// executed hold because all four see the same event stream, not because
+// they mirror one another.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "oocc/compiler/plan.hpp"
@@ -55,6 +58,12 @@ class StepWalk {
   /// One step with its names bound.
   struct Node {
     const Step* step;
+    /// The step's preorder index in the plan's step tree: its id, the same
+    /// in every walk of the plan, whatever the rank or ping-pong parity.
+    std::size_t id = 0;
+    /// The step's forward reuse distance (annotate_reuse_distances), the
+    /// slab pool's eviction hint; -1 when none is known.
+    double hint = -1.0;
     Cursor* loop = nullptr;  ///< `step.loop`
     Cursor* with = nullptr;  ///< `step.with`
     /// The array the step touches, ping-pong resolved: `step.array`, or the
@@ -63,7 +72,7 @@ class StepWalk {
     const std::string* array = nullptr;
     const PlanArray* info = nullptr;  ///< placement of `*array`
     /// ForEachSlab: the body's pure-input reads, streamed ahead once per
-    /// slab when the loop prefetches.
+    /// slab when the loop prefetches, each with its ReadSlab's hint.
     std::vector<runtime::IoScheduler::Request> streams{};
     std::size_t end = 0;  ///< one past this step's subtree in preorder
   };
@@ -81,9 +90,12 @@ class StepWalk {
   };
 
   /// Binds `plan` for `rank`; `swapped` runs a stencil plan's odd sweep,
-  /// where the ping-pong pair trade places. Throws Error on a step that
-  /// names an undeclared loop or an unknown array or statement.
-  StepWalk(const NodeProgram& plan, int rank, bool swapped);
+  /// where the ping-pong pair trade places. `hints`, indexed by step id,
+  /// gives each node its reuse hint; empty gives none. Throws Error on a
+  /// step that names an undeclared loop or an unknown array or statement,
+  /// and on hints for a different number of steps.
+  StepWalk(const NodeProgram& plan, int rank, bool swapped,
+           std::span<const double> hints = {});
 
   // Nodes point at the walk's own cursors.
   StepWalk(const StepWalk&) = delete;
@@ -96,9 +108,11 @@ class StepWalk {
   /// a client stopped it early.
   bool sweep();
 
-  /// Opens the sweep, once per dead array: one the sweep overwrites in full
-  /// before reading any of it, so its cached slabs need no write-back.
-  virtual void discard(const std::string& /*array*/) {}
+  /// Opens the sweep, once per array whose cached slabs must go first:
+  /// `dead` for one the sweep overwrites in full before reading any of it,
+  /// so its slabs need no write-back; not `dead` for the output a ReduceSum
+  /// stores around the pool, where cached slabs would go stale.
+  virtual void drop(const std::string& /*array*/, bool /*dead*/) {}
   /// ReadSlab of section `s` (halo-widened); held after the hook.
   virtual void read(const Node& /*n*/, const io::Section& /*s*/) {}
   /// ComputeElementwise / ComputeStencil staging `*n.array` over the
@@ -133,12 +147,15 @@ class StepWalk {
   /// event caps); held sections are still released.
   void stop() noexcept { stopped_ = true; }
 
+  /// Steps in the plan: one past the largest step id.
+  std::size_t step_count() const noexcept { return nodes_.size(); }
+
   const NodeProgram& plan_;
   const int rank_;
 
  private:
-  void bind(const std::vector<Step>& steps);
-  void find_dead_arrays();
+  void bind(const std::vector<Step>& steps, std::span<const double> hints);
+  void find_drops();
   void visit(std::size_t first, std::size_t last);
   void visit(std::size_t i);
   void visit_reduce(const Node& n);
@@ -148,7 +165,8 @@ class StepWalk {
   bool stopped_ = false;
   std::vector<Cursor> cursors_;
   std::vector<Node> nodes_;  ///< the step tree in preorder
-  std::vector<const std::string*> dead_;  ///< see discard()
+  /// Arrays to drop at sweep start, with their `dead` flag (see drop()).
+  std::vector<std::pair<const std::string*, bool>> drops_;
   bool fresh_column_ = false;
   std::int64_t row0_ = 0;  ///< rows of the current output column
   std::int64_t row1_ = 0;

@@ -7,6 +7,7 @@
 #include <optional>
 #include <vector>
 
+#include "oocc/compiler/cost.hpp"
 #include "oocc/compiler/verify.hpp"
 #include "oocc/compiler/walk.hpp"
 #include "oocc/exec/checkpoint.hpp"
@@ -206,14 +207,15 @@ class ColumnKernel {
 /// outputs write back lazily or at once is the pool's mode.
 class StepExecutor final : public compiler::StepWalk {
  public:
+  /// `hints` are the plan's reuse hints, the pool's eviction ranking.
   /// `stencil_swapped` runs a stencil plan's sweep with the lhs/source
   /// roles exchanged (the convergence driver's odd sweeps): every array
   /// name in the step program resolves to its ping-pong partner at the
   /// LAF/pool boundary.
   StepExecutor(sim::SpmdContext& ctx, const compiler::NodeProgram& plan,
-               const ArrayBindings& arrays, runtime::SlabBufferPool& pool,
-               bool stencil_swapped = false)
-      : StepWalk(plan, ctx.rank(), stencil_swapped), ctx_(ctx),
+               const ArrayBindings& arrays, std::span<const double> hints,
+               runtime::SlabBufferPool& pool, bool stencil_swapped = false)
+      : StepWalk(plan, ctx.rank(), stencil_swapped, hints), ctx_(ctx),
         arrays_(arrays), pool_(pool), loaded_(plan.loops.size()),
         kernels_(plan.statements.size()) {}
 
@@ -221,11 +223,6 @@ class StepExecutor final : public compiler::StepWalk {
   double residual() const noexcept { return residual_; }
 
   void run() {
-    if (plan_.kind == compiler::ProgramKind::kGaxpy) {
-      // The reduction output is stored straight to its LAF, around the
-      // pool: cached slabs of it would go stale.
-      pool_.invalidate(ctx_, plan_.c);
-    }
     sweep();
     // Pin-count leak detection: every slab iteration must have unpinned
     // what it acquired.
@@ -245,8 +242,8 @@ class StepExecutor final : public compiler::StepWalk {
   void read(const Node& n, const io::Section& s) override {
     runtime::OutOfCoreArray& array = bound(arrays_, *n.array);
     runtime::IclaBuffer& buf =
-        pool_.acquire_read(ctx_, array.laf(), *n.array, s,
-                           n.step->reuse_distance, n.step->halo > 0);
+        pool_.acquire_read(ctx_, array.laf(), *n.array, s, n.hint,
+                           n.step->halo > 0);
     loaded(*n.loop)[n.step->array] = &buf;
     n.loop->scheduler.pump(
         n.loop->lookahead,
@@ -263,7 +260,7 @@ class StepExecutor final : public compiler::StepWalk {
   // on eviction or at the end-of-sequence flush, and a later statement's
   // read of it meanwhile is a hit.
   void write(const Node& n) override {
-    pool_.mark_dirty(ctx_, *n.array, n.loop->section, n.step->reuse_distance);
+    pool_.mark_dirty(ctx_, *n.array, n.loop->section, n.hint);
   }
 
   // Settle in-flight async write-backs first: a rank must not report "done"
@@ -278,10 +275,15 @@ class StepExecutor final : public compiler::StepWalk {
     pool_.unpin(ctx_, array, s);
   }
 
-  // The sweep overwrites all of `array` before reading it: drop its cached
-  // slabs instead of writing them back when they would be evicted.
-  void discard(const std::string& array) override {
-    pool_.discard(ctx_, array);
+  // A dead array's cached slabs go unwritten: the sweep overwrites all of
+  // it before reading it. The GAXPY output's are written back first: the
+  // owner stores it straight to its LAF, around the pool.
+  void drop(const std::string& array, bool dead) override {
+    if (dead) {
+      pool_.discard(ctx_, array);
+    } else {
+      pool_.invalidate(ctx_, array);
+    }
   }
 
   /// Stages the statement's output slab into a pool entry (an in-place
@@ -290,7 +292,7 @@ class StepExecutor final : public compiler::StepWalk {
   void stage(const Node& n) override {
     runtime::IclaBuffer& out =
         pool_.acquire_write(ctx_, bound(arrays_, *n.array).laf(), *n.array,
-                            n.loop->section, n.step->reuse_distance);
+                            n.loop->section, n.hint);
     compute(plan_.statements[static_cast<std::size_t>(n.step->stmt)], n, out);
   }
 
@@ -354,8 +356,7 @@ class StepExecutor final : public compiler::StepWalk {
     std::vector<double> edge;
     const auto send = [&](const Edge& e, int tag) {
       const std::span<const double> data =
-          pool_.acquire_read(ctx_, arr.laf(), *n.array, e.sent,
-                             n.step->reuse_distance)
+          pool_.acquire_read(ctx_, arr.laf(), *n.array, e.sent, n.hint)
               .data();
       edge.assign(data.begin(), data.end());
       pool_.unpin(ctx_, *n.array, e.sent);
@@ -526,8 +527,8 @@ void check_plan(sim::SpmdContext& ctx, const compiler::NodeProgram& plan,
 /// max |update| drops to `residual_tol`. Every rank takes the same branch
 /// because the residual is allreduced. Collective.
 void run_stencil(sim::SpmdContext& ctx, const compiler::NodeProgram& plan,
-                 const ArrayBindings& arrays, const ExecOptions& options,
-                 runtime::SlabBufferPool& pool) {
+                 const ArrayBindings& arrays, std::span<const double> hints,
+                 const ExecOptions& options, runtime::SlabBufferPool& pool) {
   const compiler::SlabStmt& st = plan.statements.front();
   const int max_iters = std::max(1, options.max_iters);
   const bool want_residual =
@@ -537,7 +538,7 @@ void run_stencil(sim::SpmdContext& ctx, const compiler::NodeProgram& plan,
   int iters = options.start_iteration;
   double residual = 0.0;
   for (int it = options.start_iteration; it < max_iters; ++it) {
-    StepExecutor sweep(ctx, plan, arrays, pool,
+    StepExecutor sweep(ctx, plan, arrays, hints, pool,
                        /*stencil_swapped=*/(it % 2) != 0);
     sweep.run();
     ++iters;
@@ -551,8 +552,11 @@ void run_stencil(sim::SpmdContext& ctx, const compiler::NodeProgram& plan,
     // from the last checkpoint and reach the same bits anyway.
     if (checkpointing && !stop && iters < max_iters &&
         iters % options.checkpoint_every == 0) {
-      pool.flush(ctx);  // checkpoint from disk state, not stale files
       const std::string& state = iters % 2 == 1 ? st.lhs : st.source;
+      // Checkpoint from disk state, not stale files. Only the live half
+      // goes to disk: the other stays cached until the next sweep, which
+      // overwrites it, drops it unwritten.
+      pool.flush(ctx, &state);
       CheckpointStore store(options.checkpoint_dir);
       store.save(ctx, iters, state, bound(arrays, state));
     }
@@ -570,27 +574,21 @@ void run_stencil(sim::SpmdContext& ctx, const compiler::NodeProgram& plan,
 /// Runs one plan through `pool`: stencil plans go through the convergence
 /// driver, everything else is a single sweep.
 void run_plan(sim::SpmdContext& ctx, const compiler::NodeProgram& plan,
-              const ArrayBindings& arrays, const ExecOptions& options,
-              runtime::SlabBufferPool& pool) {
+              const ArrayBindings& arrays, std::span<const double> hints,
+              const ExecOptions& options, runtime::SlabBufferPool& pool) {
   if (plan.kind == compiler::ProgramKind::kStencil) {
-    run_stencil(ctx, plan, arrays, options, pool);
+    run_stencil(ctx, plan, arrays, hints, options, pool);
     return;
   }
-  StepExecutor(ctx, plan, arrays, pool).run();
+  StepExecutor(ctx, plan, arrays, hints, pool).run();
 }
 
 /// Verifies a plan the compiler did not stamp (hand-built or mutated).
-/// The reuse check is off: a lone replay cannot reconstruct sequence-wide
-/// reuse distances, and stale annotations are a performance hint, not a
-/// safety hazard.
 void verify_if_unstamped(const compiler::NodeProgram& plan,
                          const ExecOptions& options) {
-  if (!options.verify || plan.verified) {
-    return;
+  if (options.verify && !plan.verified) {
+    compiler::verify_or_throw(plan);
   }
-  compiler::VerifyOptions vopts;
-  vopts.check_reuse = false;
-  compiler::verify_or_throw(plan, vopts);
 }
 
 }  // namespace
@@ -627,28 +625,19 @@ void apply_journaling(const ArrayBindings& arrays, const ExecOptions& options) {
 }
 
 /// Runs `plans` in order through one pool over `budget_elements`, then
-/// flushes it. `arrays` binds at least every array of every plan.
+/// flushes it: plan i with `bindings[i]` and reuse hints `hints[i]`.
 void run_pooled(sim::SpmdContext& ctx,
                 std::span<const compiler::NodeProgram> plans,
-                const ArrayBindings& arrays, const ExecOptions& options,
-                std::int64_t budget_elements) {
-  apply_journaling(arrays, options);
+                std::span<const ArrayBindings> bindings,
+                std::span<const std::vector<double>> hints,
+                const ExecOptions& options, std::int64_t budget_elements) {
   runtime::MemoryBudget budget(budget_elements);
   runtime::SlabBufferPool pool(budget, "pool", options.use_cache);
   if (options.async) {
     pool.set_async_engine(ctx.async_engine());
   }
-  for (const compiler::NodeProgram& plan : plans) {
-    ArrayBindings subset;
-    for (const auto& [name, pa] : plan.arrays) {
-      const auto it = arrays.find(name);
-      OOCC_CHECK(it != arrays.end(), ErrorCode::kRuntimeError,
-                 "sequence binding is missing array '" << name << "'");
-      subset[name] = it->second;
-    }
-    check_plan(ctx, plan, subset);
-    verify_if_unstamped(plan, options);
-    run_plan(ctx, plan, subset, options, pool);
+  for (std::size_t i = 0; i < plans.size(); ++i) {
+    run_plan(ctx, plans[i], bindings[i], hints[i], options, pool);
   }
   pool.flush(ctx);
   if (options.cache_stats != nullptr) {
@@ -665,9 +654,8 @@ void execute(sim::SpmdContext& ctx, const compiler::NodeProgram& plan,
 
 void execute(sim::SpmdContext& ctx, const compiler::NodeProgram& plan,
              const ArrayBindings& arrays, const ExecOptions& options) {
-  run_pooled(ctx, std::span<const compiler::NodeProgram>(&plan, 1), arrays,
-             options,
-             std::max(plan.memory_budget_elements, options.budget_elements));
+  execute_sequence(ctx, std::span<const compiler::NodeProgram>(&plan, 1),
+                   arrays, options);
 }
 
 std::map<std::string, std::unique_ptr<runtime::OutOfCoreArray>>
@@ -715,13 +703,34 @@ void execute_sequence(sim::SpmdContext& ctx,
                       std::span<const compiler::NodeProgram> plans,
                       const ArrayBindings& arrays,
                       const ExecOptions& options) {
+  // Every plan is bound, checked and verified before the first one runs.
+  std::vector<ArrayBindings> bindings;
+  for (const compiler::NodeProgram& plan : plans) {
+    ArrayBindings& subset = bindings.emplace_back();
+    for (const auto& [name, pa] : plan.arrays) {
+      const auto it = arrays.find(name);
+      OOCC_CHECK(it != arrays.end(), ErrorCode::kRuntimeError,
+                 "sequence binding is missing array '" << name << "'");
+      subset[name] = it->second;
+    }
+    check_plan(ctx, plan, subset);
+    verify_if_unstamped(plan, options);
+  }
+  // Every rank derives processor 0's hints for the whole sequence, as the
+  // pricer does; in no-retain mode too, though each plan gets its own pool.
+  const std::vector<std::vector<double>> hints =
+      compiler::annotate_reuse_distances(plans);
+  apply_journaling(arrays, options);
   if (!options.use_cache) {
     // Nothing outlives a statement in no-retain mode, so each plan runs
     // with its own budget, exactly as if executed alone.
-    for (const compiler::NodeProgram& plan : plans) {
-      run_pooled(ctx, std::span<const compiler::NodeProgram>(&plan, 1),
-                 arrays, options,
-                 std::max(plan.memory_budget_elements, options.budget_elements));
+    for (std::size_t i = 0; i < plans.size(); ++i) {
+      run_pooled(ctx, plans.subspan(i, 1),
+                 std::span<const ArrayBindings>(bindings).subspan(i, 1),
+                 std::span<const std::vector<double>>(hints).subspan(i, 1),
+                 options,
+                 std::max(plans[i].memory_budget_elements,
+                          options.budget_elements));
     }
     return;
   }
@@ -733,7 +742,7 @@ void execute_sequence(sim::SpmdContext& ctx,
     budget_elements = std::max(budget_elements, plan.memory_budget_elements);
   }
   if (!plans.empty()) {
-    run_pooled(ctx, plans, arrays, options, budget_elements);
+    run_pooled(ctx, plans, bindings, hints, options, budget_elements);
   }
 }
 

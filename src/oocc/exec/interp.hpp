@@ -12,12 +12,13 @@
 // and prefetching loops drive an IoScheduler read-ahead queue over it. The
 // pool has two modes over one policy. Retaining (the default) shares the
 // pool across the statements of a sequence, so slabs a statement staged
-// (or a re-sweep already fetched) are served from memory, guided by the
-// compiler's reuse-distance annotations. No-retain (ExecOptions::use_cache
-// = false, --no-cache, OOCC_NO_CACHE) writes staged slabs through at once
-// and drops every slab after its use, so each sweep re-reads what it
-// needs. The GAXPY, elementwise and stencil translations are just
-// different step programs.
+// (or a re-sweep already fetched) are served from memory, evicted by the
+// reuse hints each call derives for processor 0 from the whole sequence
+// (compiler::annotate_reuse_distances), as the pricer does. No-retain
+// (ExecOptions::use_cache = false, --no-cache, OOCC_NO_CACHE) writes
+// staged slabs through at once and drops every slab after its use, so
+// each sweep re-reads what it needs. The GAXPY, elementwise and stencil
+// translations are just different step programs.
 #pragma once
 
 #include <filesystem>
@@ -129,7 +130,9 @@ create_sequence_arrays(sim::SpmdContext& ctx,
                        const io::DiskModel& disk);
 
 /// Executes every plan of a compiled sequence in order; dependencies flow
-/// through the arrays' Local Array Files. Collective.
+/// through the arrays' Local Array Files. Every plan is checked against
+/// its bindings (and verified when unstamped) before the first one runs.
+/// Collective.
 void execute_sequence(sim::SpmdContext& ctx,
                       std::span<const compiler::NodeProgram> plans,
                       const ArrayBindings& arrays);

@@ -9,12 +9,6 @@ std::string IoStats::summary() const {
   oss << "reads=" << read_requests << " writes=" << write_requests
       << " bytes_read=" << bytes_read << " bytes_written=" << bytes_written
       << " io_time=" << time_s << "s";
-  if (cache_hits + cache_misses + cache_evictions + cache_writebacks > 0) {
-    oss << " cache_hits=" << cache_hits << " cache_misses=" << cache_misses
-        << " cache_evictions=" << cache_evictions
-        << " cache_writebacks=" << cache_writebacks
-        << " bytes_cache_hit=" << bytes_cache_hit;
-  }
   if (retries + journal_writes + recoveries > 0) {
     oss << " retries=" << retries << " journal_writes=" << journal_writes
         << " bytes_journaled=" << bytes_journaled

@@ -1,7 +1,9 @@
 // Per-file I/O counters: the paper's two cost metrics (requests and bytes)
 // plus the simulated time they induced. LocalArrayFile maintains one of
 // these per array file and also mirrors the counts into the owning
-// processor's sim::ProcStats.
+// processor's sim::ProcStats. They count the traffic that reached the
+// file; what the slab pool served from memory instead is counted once, in
+// runtime::SlabCacheStats.
 #pragma once
 
 #include <cstdint>
@@ -15,16 +17,6 @@ struct IoStats {
   std::uint64_t bytes_read = 0;
   std::uint64_t bytes_written = 0;
   double time_s = 0.0;  ///< simulated disk service time charged
-
-  // Slab-cache activity against this file (runtime::SlabBufferPool): demand
-  // reads served from memory instead of disk, and the pool's eviction /
-  // dirty write-back traffic. Hits do not appear in the request/byte
-  // counters above — bytes_cache_hit is exactly the LAF volume they avoided.
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_evictions = 0;
-  std::uint64_t cache_writebacks = 0;
-  std::uint64_t bytes_cache_hit = 0;
 
   // Fault-tolerance activity (docs/fault-tolerance.md): transient faults
   // masked by the retry loop, shadow-journal records written by the
@@ -57,11 +49,6 @@ struct IoStats {
     bytes_read += other.bytes_read;
     bytes_written += other.bytes_written;
     time_s += other.time_s;
-    cache_hits += other.cache_hits;
-    cache_misses += other.cache_misses;
-    cache_evictions += other.cache_evictions;
-    cache_writebacks += other.cache_writebacks;
-    bytes_cache_hit += other.bytes_cache_hit;
     retries += other.retries;
     journal_writes += other.journal_writes;
     bytes_journaled += other.bytes_journaled;

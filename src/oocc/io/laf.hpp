@@ -115,16 +115,6 @@ class LocalArrayFile {
   const DiskModel& disk() const noexcept { return disk_; }
   const IoStats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_ = IoStats{}; }
-
-  /// Slab-cache accounting hooks (runtime::SlabBufferPool): a hit avoids
-  /// traffic on this file but should stay visible next to its counters.
-  void note_cache_hit(std::uint64_t bytes) noexcept {
-    ++stats_.cache_hits;
-    stats_.bytes_cache_hit += bytes;
-  }
-  void note_cache_miss() noexcept { ++stats_.cache_misses; }
-  void note_cache_eviction() noexcept { ++stats_.cache_evictions; }
-  void note_cache_writeback() noexcept { ++stats_.cache_writebacks; }
   FileBackend& backend() noexcept { return backend_; }
 
   /// Crash-consistent write-back: when enabled, every write_section first

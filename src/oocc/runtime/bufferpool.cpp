@@ -33,7 +33,6 @@ class SlabBufferPool::Io final : public Directory::Host {
     }
     if (evicted && pool_.dir_.retains()) {
       ++pool_.stats_.evictions;
-      e.data.laf->note_cache_eviction();
     }
   }
 
@@ -152,7 +151,6 @@ void SlabBufferPool::write_back(sim::SpmdContext& ctx, Entry& e) {
   }
   if (dir_.retains()) {
     ++stats_.writebacks;
-    e.data.laf->note_cache_writeback();
   }
 }
 
@@ -204,12 +202,10 @@ void SlabBufferPool::orphan(sim::SpmdContext& ctx, IclaBuffer& buf) {
   }
 }
 
-void SlabBufferPool::note_hit(io::LocalArrayFile& laf, const io::Section& s) {
+void SlabBufferPool::note_hit(const io::Section& s) {
   if (dir_.retains()) {
     ++stats_.hits;
     stats_.elements_hit += static_cast<std::uint64_t>(s.elements());
-    laf.note_cache_hit(static_cast<std::uint64_t>(s.elements()) *
-                       sizeof(double));
   }
 }
 
@@ -237,7 +233,7 @@ IclaBuffer& SlabBufferPool::acquire_read(sim::SpmdContext& ctx,
       // just earlier.
       settle_entry(ctx, e);
       if (r.how == SlabLookup::kHit) {
-        note_hit(laf, s);
+        note_hit(s);
       }
       break;
     case SlabLookup::kAssembled: {
@@ -257,13 +253,12 @@ IclaBuffer& SlabBufferPool::acquire_read(sim::SpmdContext& ctx,
         }
       }
       e.data.ready_time_s = ready;
-      note_hit(laf, s);
+      note_hit(s);
       break;
     }
     case SlabLookup::kMiss:
       if (dir_.retains()) {
         ++stats_.misses;
-        laf.note_cache_miss();
       }
       allocate(e, laf, array);
       read_into(ctx, e);
@@ -322,9 +317,9 @@ bool SlabBufferPool::read_ahead(sim::SpmdContext& ctx,
   return true;
 }
 
-void SlabBufferPool::flush(sim::SpmdContext& ctx) {
+void SlabBufferPool::flush(sim::SpmdContext& ctx, const std::string* only) {
   Io io(*this, ctx);
-  dir_.flush(io);
+  dir_.flush(io, only);
   drain_writes(ctx);
 }
 

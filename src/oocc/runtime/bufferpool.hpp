@@ -34,7 +34,11 @@
 // walk's dead arrays: a stencil sweep's target half) has the pool discard
 // that array's slabs first. They go without write-back, dirty or not, so
 // the sweep neither pays to persist data it is about to replace nor
-// evicts live slabs to make room for it.
+// evicts live slabs to make room for it. Eviction ranks victims by the
+// reuse hint each request carries: the step's forward reuse distance,
+// which the executor derives from the sequence it runs
+// (compiler::annotate_reuse_distances) and the step walk hands to each
+// event.
 //
 // IoScheduler is the read-ahead front: the step walk (compiler/walk.hpp)
 // hands it a prefetching slab loop's upcoming ReadSlab schedule, and the
@@ -57,9 +61,9 @@
 
 namespace oocc::runtime {
 
-/// Aggregate counters for one pool. Per-array counts are also mirrored into
-/// the owning LocalArrayFile's IoStats (cache_hits etc.). A no-retain pool
-/// is not a cache and counts nothing.
+/// Aggregate counters for one pool, the one record of its cache activity
+/// (the LAFs' IoStats count only the traffic that reached them). A
+/// no-retain pool is not a cache and counts nothing.
 struct SlabCacheStats {
   std::uint64_t hits = 0;         ///< demand reads served without disk I/O
   std::uint64_t misses = 0;       ///< demand reads that went to the LAF
@@ -151,8 +155,9 @@ class SlabBufferPool {
   /// Writes back every dirty entry (deterministically: arrays in name
   /// order, sections in ascending (col0, row0) order) and drains the
   /// async write-backs. Called at the end of a sweep/sequence so the LAFs
-  /// are the source of truth again.
-  void flush(sim::SpmdContext& ctx);
+  /// are the source of truth again. With `only`, writes back that array's
+  /// entries alone (a checkpoint saves one array from its LAF).
+  void flush(sim::SpmdContext& ctx, const std::string* only = nullptr);
 
   /// Writes back and drops every entry of `array`. Used before a plan
   /// writes the array through a path that bypasses the pool (the GAXPY
@@ -228,7 +233,7 @@ class SlabBufferPool {
   /// write takes over its storage, after the pool's previous orphan (if
   /// any) has settled.
   void orphan(sim::SpmdContext& ctx, IclaBuffer& buf);
-  void note_hit(io::LocalArrayFile& laf, const io::Section& s);
+  void note_hit(const io::Section& s);
 
   /// An asynchronous write-back in flight. It reads `borrowed`, a resident
   /// entry's buffer, or, once that entry is gone, `orphan`, the storage it

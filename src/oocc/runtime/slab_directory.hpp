@@ -260,9 +260,13 @@ class SlabDirectory {
     return true;
   }
 
-  /// Writes back every dirty entry in the deterministic flush order.
-  void flush(Host& host) {
+  /// Writes back every dirty entry in the deterministic flush order; with
+  /// `only`, only that array's.
+  void flush(Host& host, const std::string* only = nullptr) {
     for (auto& [array, list] : entries_) {
+      if (only != nullptr && array != *only) {
+        continue;
+      }
       std::vector<Entry*> dirty;
       for (Entry& e : list) {
         if (e.dirty) {

@@ -9,11 +9,13 @@
 
 #include <filesystem>
 #include <functional>
+#include <map>
 #include <mutex>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "oocc/apps/jacobi.hpp"
 #include "oocc/compiler/lower.hpp"
 #include "oocc/exec/checkpoint.hpp"
 #include "oocc/exec/interp.hpp"
@@ -575,6 +577,133 @@ TEST(RestartTest, CheckpointingAloneDoesNotChangeResults) {
         exec::create_plan_arrays(ctx, plan, dir.path(), DiskModel::zero());
     std::vector<double> state =
         arrays.at(run.stencil.result)->gather_global(ctx, n * n);
+    if (ctx.rank() == 0) {
+      got = std::move(state);
+    }
+  });
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[i], want[i]) << "element " << i;
+  }
+}
+
+// A pool of three panels holds both ping-pong halves, so a sweep's output
+// stays cached. A checkpoint writes back the live half alone: the other
+// half is the next sweep's target, which that sweep drops unwritten.
+constexpr std::int64_t kPoolN = 32;
+constexpr int kPoolP = 2;
+constexpr int kPoolIters = 8;
+constexpr std::int64_t kPoolElements = 3 * kPoolN * kPoolN / kPoolP;
+
+compiler::NodeProgram pool_stencil() {
+  return compile_stencil(kPoolN, kPoolP, kPoolN * 8);
+}
+
+struct CheckpointedRun {
+  std::uint64_t written = 0;  ///< LAF bytes written, all ranks
+  std::vector<double> state;  ///< gathered final state (rank 0)
+};
+
+/// A fault-free run of pool_stencil() that checkpoints every `every`
+/// sweeps.
+CheckpointedRun run_checkpointed(int every) {
+  const compiler::NodeProgram plan = pool_stencil();
+  TempDir dir("oocc-ckpt-pool");
+  TempDir ckpt("oocc-ckpt-pool-ckpt");
+  Machine machine(kPoolP, MachineCostModel::zero());
+  CheckpointedRun out;
+  std::mutex mu;
+  machine.run([&](SpmdContext& ctx) {
+    auto arrays =
+        exec::create_plan_arrays(ctx, plan, dir.path(), DiskModel::zero());
+    arrays.at("a")->initialize(ctx, hot_edge, kPoolN * kPoolN);
+    exec::ArrayBindings bindings;
+    for (auto& [name, arr] : arrays) {
+      arr->laf().reset_stats();
+      bindings[name] = arr.get();
+    }
+    sim::barrier(ctx);
+    exec::ExecOptions options;
+    options.max_iters = kPoolIters;
+    options.budget_elements = kPoolElements;
+    options.checkpoint_every = every;
+    options.checkpoint_dir = ckpt.path();
+    exec::StencilRunInfo info;
+    options.stencil_info = &info;
+    exec::execute(ctx, plan, bindings, options);
+    std::uint64_t written = 0;
+    for (auto& [name, arr] : arrays) {
+      written += arr->laf().stats().bytes_written;
+    }
+    std::vector<double> state =
+        arrays.at(info.result)->gather_global(ctx, kPoolN * kPoolN);
+    const std::lock_guard<std::mutex> lock(mu);
+    out.written += written;
+    if (ctx.rank() == 0) {
+      out.state = std::move(state);
+    }
+  });
+  return out;
+}
+
+TEST(CheckpointPoolTest, CheckpointWritesBackOnlyTheLiveHalf) {
+  const std::vector<double> want =
+      apps::serial_jacobi(kPoolN, kPoolIters, hot_edge);
+  // LAF bytes written when a checkpoint wrote back every dirty slab of
+  // both halves.
+  const std::map<int, std::uint64_t> before = {{2, 65536}, {3, 49152}};
+  for (const auto& [every, ceiling] : before) {
+    SCOPED_TRACE("checkpoint every " + std::to_string(every));
+    const CheckpointedRun run = run_checkpointed(every);
+    EXPECT_LT(run.written, ceiling);
+    ASSERT_EQ(run.state.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(run.state[i], want[i]) << "element " << i;
+    }
+  }
+}
+
+TEST(CheckpointPoolTest, RestartFromALiveHalfCheckpointIsBitIdentical) {
+  // A crash on rank 0's 24th journaled write, after the first checkpoint:
+  // the restart restores the live half, and the other half's stale LAF is
+  // the next sweep's dead target.
+  const compiler::NodeProgram plan = pool_stencil();
+  const std::vector<double> want =
+      apps::serial_jacobi(kPoolN, kPoolIters, hot_edge);
+  TempDir dir("oocc-ckpt-pool-restart");
+  TempDir ckpt("oocc-ckpt-pool-restart-ckpt");
+  Machine machine(kPoolP, MachineCostModel::zero());
+  int cold_starts = 0;
+  exec::RestartRunInfo run;
+  {
+    ScopedFaultPlan fault_plan("crash:at=apply,rank=0,nth=24");
+    exec::RestartOptions options;
+    options.exec = exec::default_exec_options();
+    options.exec.max_iters = kPoolIters;
+    options.exec.budget_elements = kPoolElements;
+    options.array_dir = dir.path();
+    options.disk = DiskModel::zero();
+    options.checkpoint_every = 2;
+    options.checkpoint_dir = ckpt.path();
+    options.initialize = [&](SpmdContext& ctx,
+                             const exec::ArrayBindings& bindings) {
+      if (ctx.rank() == 0) {
+        ++cold_starts;
+      }
+      bindings.at("a")->initialize(ctx, hot_edge, kPoolN * kPoolN);
+      bindings.at("b")->laf().fill(ctx, 0.0);
+    };
+    run = exec::run_stencil_with_restart(machine, plan, options);
+  }
+  EXPECT_GE(run.restarts, 1);
+  EXPECT_EQ(cold_starts, 1);  // every restart resumed from a checkpoint
+  EXPECT_EQ(run.stencil.iterations, kPoolIters);
+  std::vector<double> got;
+  machine.run([&](SpmdContext& ctx) {
+    auto arrays =
+        exec::create_plan_arrays(ctx, plan, dir.path(), DiskModel::zero());
+    std::vector<double> state =
+        arrays.at(run.stencil.result)->gather_global(ctx, kPoolN * kPoolN);
     if (ctx.rank() == 0) {
       got = std::move(state);
     }

@@ -572,18 +572,22 @@ TEST(SlabCache, SequencePriceWithCacheMatchesMeasuredCounters) {
   }
 }
 
-/// Runs `source` statement at a time at `budget` and checks it against the
+/// Runs `source` statement at a time at `budget` on `nprocs` ranks, with a
+/// slab pool of `pool` elements (0 = the budget), and checks it against the
 /// serial reference (bit for bit) and its sequence price (rank 0's traffic
 /// and every rank's hits); returns the run.
 SequenceRun expect_sound_unfused(const std::string& source,
-                                 std::int64_t budget) {
+                                 std::int64_t budget, int nprocs = 4,
+                                 std::int64_t pool = 0) {
   CompileOptions options;
   options.memory_budget_elements = budget;
   options.enable_statement_fusion = false;
   const hpf::BoundProgram bound = hpf::analyze(hpf::parse(source));
   const std::vector<NodeProgram> plans =
       compiler::compile_sequence(bound, options);
-  const SequenceRun run = run_sequence(plans, 4);
+  ExecOptions exec_options;
+  exec_options.budget_elements = pool;
+  const SequenceRun run = run_sequence(plans, nprocs, exec_options);
 
   apps::DenseArrays want;
   std::set<std::string> outputs;
@@ -606,9 +610,10 @@ SequenceRun expect_sound_unfused(const std::string& source,
 
   compiler::PriceOptions popts;
   popts.model_cache = true;
+  popts.cache_budget_elements = pool;
   std::map<std::string, compiler::StepIoCost> total;
   double hits = 0.0;
-  for (int rank = 0; rank < 4; ++rank) {
+  for (int rank = 0; rank < nprocs; ++rank) {
     for (const compiler::PlanPrice& p : compiler::price_sequence(
              std::span<const NodeProgram>(plans.data(), plans.size()), rank,
              popts)) {
@@ -680,6 +685,32 @@ TEST(SlabCache, InPlaceUpdateOfAnEarlierOutputKeepsItsSlabs) {
   });
   EXPECT_EQ(expect_sound_unfused(source, 4096).cache.discarded, 0u);
   expect_sound_unfused(source, 600);
+}
+
+TEST(SlabCache, ReuseHintsKeepTheChainsOperandsResident) {
+  // bench/cache_reuse's chain, statement at a time: c = a*b; e = c + a*b
+  // at N=64 on 2 ranks, slabs sized for one local array and a pool of
+  // four. The pool evicts by the reuse hints the executor derives from the
+  // step walk; an LRU-only pool makes 42 requests and serves 14 hits. The
+  // pricer derives the same hints, so priced == measured.
+  const std::int64_t local = 64 * 64 / 2;
+  const SequenceRun run = expect_sound_unfused(
+      "parameter (n=64, p=2)\n"
+      "real a(n,n), b(n,n), c(n,n), e(n,n)\n"
+      "!hpf$ processors Pr(p)\n"
+      "!hpf$ template d(n)\n"
+      "!hpf$ distribute d(block) onto Pr\n"
+      "!hpf$ align (*,:) with d :: a, b, c, e\n"
+      "forall (k=1:n)\n"
+      "  c(1:n,k) = a(1:n,k)*b(1:n,k)\n"
+      "end forall\n"
+      "forall (k=1:n)\n"
+      "  e(1:n,k) = c(1:n,k) + a(1:n,k)*b(1:n,k)\n"
+      "end forall\n"
+      "end\n",
+      local, 2, 4 * local);
+  EXPECT_EQ(run.laf_requests, 32u);
+  EXPECT_EQ(run.cache.hits, 24u);
 }
 
 TEST(SlabCache, GaxpyCachedPriceMatchesMeasuredCounters) {

@@ -649,7 +649,7 @@ TEST(SearchVerifierReachability, BoundsAndCoverageCodes) {
   }
 }
 
-TEST(SearchVerifierReachability, BudgetScheduleAndReuseCodes) {
+TEST(SearchVerifierReachability, BudgetAndScheduleCodes) {
   {
     NodeProgram plan = searched_elementwise(1, 3 * 10);
     require_step(plan, StepKind::kReadSlab)->halo = 8;
@@ -661,11 +661,6 @@ TEST(SearchVerifierReachability, BudgetScheduleAndReuseCodes) {
     barrier.kind = StepKind::kBarrier;
     require_step(plan, StepKind::kForEachSlab)->body.push_back(barrier);
     EXPECT_TRUE(fires(plan, "OOCC-V040"));
-  }
-  {
-    NodeProgram plan = searched_elementwise(1);
-    require_step(plan, StepKind::kReadSlab)->reuse_distance = 1234.0;
-    EXPECT_TRUE(fires(plan, "OOCC-V041"));
   }
 }
 

@@ -440,9 +440,13 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1, 3, 4), ::testing::Bool(),
                        ::testing::Bool()),
     [](const auto& info) {
-      return "p" + std::to_string(std::get<0>(info.param)) +
-             (std::get<1>(info.param) ? "_async" : "_sync") +
-             (std::get<2>(info.param) ? "_prefetch" : "");
+      // Appended piecewise: GCC 12's -O3 -Wrestrict misfires on a chain
+      // of operator+ over std::string temporaries.
+      std::string name = "p";
+      name += std::to_string(std::get<0>(info.param));
+      name += std::get<1>(info.param) ? "_async" : "_sync";
+      name += std::get<2>(info.param) ? "_prefetch" : "";
+      return name;
     });
 
 TEST_P(StencilWholeRunTest, PricedEqualsMeasuredOverEverySweep) {

@@ -239,8 +239,12 @@ TEST_F(OoccCompileSmoke, EveryExampleVerifiesAgainstASerialReference) {
       continue;
     }
     int rc = 0;
-    const std::string output =
-        run_tool("\"" + entry.path().string() + "\" --run --verify", rc);
+    // Appended piecewise, as GCC 12's -O3 -Wrestrict misfires on
+    // "literal" + std::string.
+    std::string args = "\"";
+    args += entry.path().string();
+    args += "\" --run --verify";
+    const std::string output = run_tool(args, rc);
     EXPECT_EQ(rc, 0) << entry.path() << "\n" << output;
     const std::string verdict = line_after(output, "verification: ");
     EXPECT_TRUE(verdict.ends_with("-> CORRECT") ||

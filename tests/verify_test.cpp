@@ -402,20 +402,6 @@ TEST(VerifyMutationTest, V040CollectiveCountDiverges) {
   EXPECT_TRUE(fires(plan, "OOCC-V040"));
 }
 
-TEST(VerifyMutationTest, V041ScribbledReuseDistance) {
-  NodeProgram plan = elementwise_plan(1);
-  require_step(plan, StepKind::kReadSlab)->reuse_distance = 1234.0;
-  EXPECT_TRUE(fires(plan, "OOCC-V041"));
-}
-
-TEST(VerifyMutationTest, ReuseCheckCanBeDisabled) {
-  NodeProgram plan = elementwise_plan(1);
-  require_step(plan, StepKind::kReadSlab)->reuse_distance = 1234.0;
-  VerifyOptions options;
-  options.check_reuse = false;
-  EXPECT_TRUE(verify_plan(plan, options).ok());
-}
-
 // ------------------------------------------------ compile/exec plumbing
 
 TEST(VerifyIntegrationTest, CompileStampsVerifiedPlans) {

@@ -343,11 +343,18 @@ int main(int argc, char** argv) {
     } else {
       plans = compiler::compile_sequence(bound, options);
     }
+    const std::span<const compiler::NodeProgram> sequence(plans);
     if (dump_verify) {
-      const compiler::VerifyReport vreport = compiler::verify_sequence(
-          std::span<const compiler::NodeProgram>(plans.data(), plans.size()));
       std::printf("=== static verification ===\n%s\n",
-                  vreport.to_string().c_str());
+                  compiler::verify_sequence(sequence).to_string().c_str());
+    }
+    // The printed reuse hints and per-plan uncached prices are the
+    // sequence's, as the executor derives them.
+    std::vector<std::vector<double>> hints;
+    std::vector<compiler::PlanPrice> uncached;
+    if (dump_plan) {
+      hints = compiler::annotate_reuse_distances(sequence);
+      uncached = compiler::price_sequence(sequence);
     }
     for (std::size_t i = 0; i < plans.size(); ++i) {
       if (plans.size() > 1) {
@@ -357,9 +364,9 @@ int main(int argc, char** argv) {
                   compiler::decision_report(plans[i]).c_str());
       if (dump_plan) {
         std::printf("=== step program ===\n%s",
-                    compiler::step_program_text(plans[i]).c_str());
+                    compiler::step_program_text(plans[i], hints[i]).c_str());
         std::printf("=== step I/O price (per processor 0) ===\n");
-        for (const auto& [name, cost] : compiler::price_steps(plans[i])) {
+        for (const auto& [name, cost] : uncached[i].arrays) {
           print_traffic(name, cost);
         }
         std::printf("\n");
@@ -375,10 +382,7 @@ int main(int argc, char** argv) {
       compiler::PriceOptions popts;
       popts.model_cache = true;
       const std::vector<compiler::PlanPrice> cached =
-          compiler::price_sequence(
-              std::span<const compiler::NodeProgram>(plans.data(),
-                                                     plans.size()),
-              0, popts);
+          compiler::price_sequence(sequence, 0, popts);
       double hits = 0.0;
       double avoided = 0.0;
       double reqs = 0.0;
@@ -490,10 +494,8 @@ int main(int argc, char** argv) {
       }
     } else {
       report = machine.run([&](sim::SpmdContext& ctx) {
-        auto arrays = exec::create_sequence_arrays(
-            ctx,
-            std::span<const compiler::NodeProgram>(plans.data(), plans.size()),
-            dir.path(), options.disk);
+        auto arrays = exec::create_sequence_arrays(ctx, sequence, dir.path(),
+                                                   options.disk);
         // Initialize pure inputs: arrays never written by any statement.
         for (auto& [name, arr] : arrays) {
           if (!outputs.contains(name)) {
@@ -514,10 +516,7 @@ int main(int argc, char** argv) {
         exec_options.max_iters = stencil_iters;
         exec_options.residual_tol = stencil_tol;
         exec_options.stencil_info = &local_info;
-        exec::execute_sequence(
-            ctx,
-            std::span<const compiler::NodeProgram>(plans.data(), plans.size()),
-            bindings, exec_options);
+        exec::execute_sequence(ctx, sequence, bindings, exec_options);
         {
           std::lock_guard<std::mutex> lock(stats_mu);
           cache_stats.merge(local_stats);
@@ -624,10 +623,8 @@ int main(int argc, char** argv) {
       popts.model_cache = base_exec_options.use_cache;
       popts.sweeps = stencil_info.iterations;  // 0 without a stencil
       compiler::StepIoCost priced;
-      for (const compiler::PlanPrice& p : compiler::price_sequence(
-               std::span<const compiler::NodeProgram>(plans.data(),
-                                                      plans.size()),
-               0, popts)) {
+      for (const compiler::PlanPrice& p :
+           compiler::price_sequence(sequence, 0, popts)) {
         for (const auto& [name, c] : p.arrays) {
           priced.read_requests += c.read_requests;
           priced.elements_read += c.elements_read;

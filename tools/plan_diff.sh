@@ -1,14 +1,20 @@
 #!/usr/bin/env bash
 # Compares the plans two builds of the compiler driver emit for the same
-# inputs: the check for compiler refactors that must not move a plan.
+# inputs, and what those plans do when run: the check for refactors that
+# must not move a plan or a measured count.
 #
 # Every docs/examples/*.hpf program is compiled at each budget in BUDGETS
 # with --dump-plan --dump-verify under each option set in OPTION_SETS, plus
 # one --dump-search run per program and budget, so a refactor shows that
 # neither the plans nor the verifier's verdicts and replay statistics
-# moved. Each run's stdout, stderr and exit status are captured from both
-# binaries; every run whose capture differs is printed as a `diff -u` (old
-# first).
+# moved. Each program is also run (--run --verify) at each budget under
+# each option set in RUN_SETS, so the simulated time, LAF and message
+# counts, slab-cache counters, priced and measured traffic and the result
+# check must match too; only the host-time fields (the "; wall: ..." tail
+# of the "simulated time:" line and the "async io:" line) are dropped.
+# That is 360 runs per binary. Each run's stdout, stderr and exit status
+# are captured from both binaries; every run whose capture differs is
+# printed as a `diff -u` (old first).
 #
 # Usage: tools/plan_diff.sh <old oocc_compile> <new oocc_compile>
 #
@@ -16,7 +22,7 @@
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
-  sed -n '2,15p' "$0" >&2
+  sed -n '2,21p' "$0" >&2
   exit 2
 fi
 OLD="$1"
@@ -42,12 +48,19 @@ OPTION_SETS=(
   "--opt=search"
   "--opt=search --prefetch=auto"
 )
+RUN_SETS=(
+  ""
+  "--no-cache"
+  "--prefetch"
+  "--no-fuse"
+  "--opt=search"
+)
 
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
 
-# capture <binary> <output file> <args...>: stdout, then stderr, then the
-# exit status, in one file.
+# capture <binary> <output file> <args...>: stdout without its host-time
+# fields, then stderr, then the exit status, in one file.
 capture() {
   local bin="$1" out="$2"
   shift 2
@@ -55,7 +68,8 @@ capture() {
   "$bin" "$@" >"$out.stdout" 2>"$out.stderr" || status=$?
   {
     echo "--- stdout"
-    cat "$out.stdout"
+    sed -e 's/^\(simulated time: .*\); wall: .*$/\1/' -e '/^async io: /d' \
+      "$out.stdout"
     echo "--- stderr"
     cat "$out.stderr"
     echo "--- exit $status"
@@ -84,6 +98,10 @@ for program in docs/examples/*.hpf; do
       compare "$program" --memory "$budget" --dump-plan --dump-verify $opts
     done
     compare "$program" --memory "$budget" --dump-search
+    for opts in "${RUN_SETS[@]}"; do
+      # shellcheck disable=SC2086
+      compare "$program" --memory "$budget" --run --verify $opts
+    done
   done
 done
 
