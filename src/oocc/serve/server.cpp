@@ -12,6 +12,8 @@
 #include <deque>
 #include <istream>
 #include <ostream>
+#include <streambuf>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -22,6 +24,25 @@
 namespace oocc::serve {
 
 namespace {
+
+Json error_response(const std::string& id, const std::string& code,
+                    const char* what) {
+  Json out = Json::object();
+  out.set("id", id);
+  out.set("ok", false);
+  out.set("code", code);
+  out.set("error", what);
+  return out;
+}
+
+/// The one response to a request line longer than kMaxRequestLineBytes.
+Json oversized_line_response() {
+  const Error e(ErrorCode::kParseError,
+                "request line longer than " +
+                    std::to_string(kMaxRequestLineBytes) + " bytes");
+  return error_response("", std::string(error_code_name(e.code())),
+                        e.what());
+}
 
 std::string hex64(std::uint64_t v) {
   char buf[19];
@@ -232,19 +253,10 @@ Json Server::handle_line(const std::string& line) {
     }
     return result_json(serve_one(parse_request(line)));
   } catch (const Error& e) {
-    Json out = Json::object();
-    out.set("id", id);
-    out.set("ok", false);
-    out.set("code", std::string(error_code_name(e.code())));
-    out.set("error", e.what());
-    return out;
+    return error_response(id, std::string(error_code_name(e.code())),
+                          e.what());
   } catch (const std::exception& e) {
-    Json out = Json::object();
-    out.set("id", id);
-    out.set("ok", false);
-    out.set("code", "exception");
-    out.set("error", e.what());
-    return out;
+    return error_response(id, "exception", e.what());
   }
 }
 
@@ -328,12 +340,30 @@ std::string Server::stats_line() const {
 }
 
 void serve_stdio(Server& server, std::istream& in, std::ostream& out) {
+  std::streambuf& src = *in.rdbuf();
   std::string line;
-  while (std::getline(in, line)) {
+  for (;;) {
+    // One line, at most kMaxRequestLineBytes of it kept.
+    line.clear();
+    bool oversized = false;
+    int c = src.sbumpc();
+    for (; c != '\n' && c != std::char_traits<char>::eof();
+         c = src.sbumpc()) {
+      if (line.size() < kMaxRequestLineBytes) {
+        line.push_back(static_cast<char>(c));
+      } else {
+        oversized = true;
+      }
+    }
+    if (c == std::char_traits<char>::eof() && line.empty()) {
+      break;
+    }
     if (line.empty()) {
       continue;
     }
-    out << server.handle_line(line).dump() << "\n";
+    out << (oversized ? oversized_line_response() : server.handle_line(line))
+               .dump()
+        << "\n";
     out.flush();
     if (server.shutdown_requested()) {
       break;
@@ -516,23 +546,33 @@ int serve_socket(Server& server, const std::filesystem::path& socket_path,
     conn->fd = fd;
     conns.push_back(conn);
     readers.emplace_back([&server, &queue, conn] {
-      std::string buffer;
+      std::string buffer;  // the unfinished line
       char chunk[4096];
       for (;;) {
         const ssize_t n = ::recv(conn->fd, chunk, sizeof(chunk), 0);
         if (n <= 0) {
           break;  // disconnect (mid-job is fine: responses are dropped)
         }
+        std::size_t start = 0;
+        std::size_t pos = buffer.size();
         buffer.append(chunk, static_cast<std::size_t>(n));
-        std::size_t pos;
-        while ((pos = buffer.find('\n')) != std::string::npos) {
-          std::string line = buffer.substr(0, pos);
-          buffer.erase(0, pos + 1);
-          if (line.empty()) {
-            continue;
+        bool oversized = false;
+        while ((pos = buffer.find('\n', pos)) != std::string::npos) {
+          oversized = pos - start > kMaxRequestLineBytes;
+          if (oversized) {
+            break;
           }
-          conn->pending.fetch_add(1, std::memory_order_acq_rel);
-          queue.push(WorkItem{conn, std::move(line)});
+          if (pos > start) {
+            conn->pending.fetch_add(1, std::memory_order_acq_rel);
+            queue.push(WorkItem{conn, buffer.substr(start, pos - start)});
+          }
+          start = ++pos;
+        }
+        buffer.erase(0, start);
+        if (oversized || buffer.size() > kMaxRequestLineBytes) {
+          // The rest of the line is never read: answer it and hang up.
+          conn->write_line(oversized_line_response().dump());
+          break;
         }
         if (server.shutdown_requested()) {
           break;

@@ -19,6 +19,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <filesystem>
 #include <iosfwd>
@@ -109,6 +110,12 @@ class Server {
   std::chrono::steady_clock::time_point started_ =
       std::chrono::steady_clock::now();
 };
+
+/// The longest request line either front end accepts, newline excluded.
+/// A longer line gets one {"ok":false,"code":"ParseError"} response and no
+/// more of it is buffered: the socket route then closes the connection,
+/// the stdio route skips to the next newline.
+inline constexpr std::size_t kMaxRequestLineBytes = std::size_t{4} << 20;
 
 /// Reads one request line at a time from `in`, writes one response line to
 /// `out` (the daemon's --stdio mode; also what tests drive with string

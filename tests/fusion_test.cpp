@@ -4,6 +4,7 @@
 // error paths (conflicting placements across statements).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <mutex>
@@ -19,6 +20,7 @@
 #include "oocc/gaxpy/gaxpy.hpp"
 #include "oocc/hpf/parser.hpp"
 #include "oocc/hpf/programs.hpp"
+#include "oocc/runtime/slab_iter.hpp"
 #include "oocc/sim/collectives.hpp"
 
 namespace oocc::exec {
@@ -419,6 +421,61 @@ TEST(StepPricing, PricedFlopsEqualChargedFlops) {
   }
 }
 
+/// Runs a GAXPY plan through the step executor and through the hand-coded
+/// Figure 9/12 kernel at the plan's slab sizes; returns the number of
+/// elements of C that differ bit for bit.
+std::size_t gaxpy_mismatches_vs_handcoded(const NodeProgram& plan) {
+  std::vector<double> generic;
+  std::vector<double> handcoded;
+  for (const bool use_generic : {true, false}) {
+    TempDir dir;
+    Machine machine(plan.nprocs, MachineCostModel::zero());
+    machine.run([&](SpmdContext& ctx) {
+      auto arrays =
+          create_plan_arrays(ctx, plan, dir.path(), DiskModel::zero());
+      arrays.at("a")->initialize(ctx, gen_x, 4096);
+      arrays.at("b")->initialize(
+          ctx,
+          [](std::int64_t r, std::int64_t c) {
+            return std::cos(static_cast<double>(r * 7 + c)) - 0.4;
+          },
+          4096);
+      if (use_generic) {
+        ArrayBindings bindings;
+        for (auto& [name, arr] : arrays) {
+          bindings[name] = arr.get();
+        }
+        execute(ctx, plan, bindings);
+      } else {
+        gaxpy::GaxpyConfig config;
+        config.slab_a_elements = plan.memory.slab_a;
+        config.slab_b_elements = plan.memory.slab_b;
+        config.slab_c_elements = plan.memory.slab_c;
+        config.prefetch = plan.prefetch;
+        runtime::MemoryBudget budget(plan.memory_budget_elements);
+        if (plan.a_orientation == runtime::SlabOrientation::kColumnSlabs) {
+          gaxpy::ooc_gaxpy_column_slabs(ctx, *arrays.at("a"), *arrays.at("b"),
+                                        *arrays.at("c"), budget, config);
+        } else {
+          gaxpy::ooc_gaxpy_row_slabs(ctx, *arrays.at("a"), *arrays.at("b"),
+                                     *arrays.at("c"), budget, config);
+        }
+      }
+      std::vector<double> got = arrays.at("c")->gather_global(ctx, 4096);
+      if (ctx.rank() == 0) {
+        (use_generic ? generic : handcoded) = std::move(got);
+      }
+    });
+  }
+  EXPECT_EQ(generic.size(), handcoded.size());
+  std::size_t wrong = 0;
+  for (std::size_t i = 0; i < std::min(generic.size(), handcoded.size());
+       ++i) {
+    wrong += generic[i] != handcoded[i] ? 1 : 0;
+  }
+  return wrong;
+}
+
 TEST(StepExecutor, GaxpyBitIdenticalToHandcodedKernels) {
   // The generic step executor must reproduce the hand-coded Figure 9/12
   // kernels exactly — same accumulation order, same reductions — for both
@@ -429,56 +486,72 @@ TEST(StepExecutor, GaxpyBitIdenticalToHandcodedKernels) {
     options.enable_access_reorganization = reorganize;
     const NodeProgram plan =
         compiler::compile_source(hpf::gaxpy_source(16, 4), options);
+    EXPECT_EQ(gaxpy_mismatches_vs_handcoded(plan), 0u)
+        << "reorganize=" << reorganize;
+  }
 
-    std::vector<double> generic;
-    std::vector<double> handcoded;
-    for (const bool use_generic : {true, false}) {
-      TempDir dir;
-      Machine machine(4, MachineCostModel::zero());
-      machine.run([&](SpmdContext& ctx) {
-        auto arrays =
-            create_plan_arrays(ctx, plan, dir.path(), DiskModel::zero());
-        arrays.at("a")->initialize(ctx, gen_x, 4096);
-        arrays.at("b")->initialize(
-            ctx,
-            [](std::int64_t r, std::int64_t c) {
-              return std::cos(static_cast<double>(r * 7 + c)) - 0.4;
-            },
-            4096);
-        if (use_generic) {
-          ArrayBindings bindings;
-          for (auto& [name, arr] : arrays) {
-            bindings[name] = arr.get();
-          }
-          execute(ctx, plan, bindings);
-        } else {
-          gaxpy::GaxpyConfig config;
-          config.slab_a_elements = plan.memory.slab_a;
-          config.slab_b_elements = plan.memory.slab_b;
-          config.slab_c_elements = plan.memory.slab_c;
-          config.prefetch = plan.prefetch;
-          runtime::MemoryBudget budget(plan.memory_budget_elements);
-          if (plan.a_orientation ==
-              runtime::SlabOrientation::kColumnSlabs) {
-            gaxpy::ooc_gaxpy_column_slabs(ctx, *arrays.at("a"),
-                                          *arrays.at("b"), *arrays.at("c"),
-                                          budget, config);
-          } else {
-            gaxpy::ooc_gaxpy_row_slabs(ctx, *arrays.at("a"), *arrays.at("b"),
-                                       *arrays.at("c"), budget, config);
-          }
-        }
-        std::vector<double> got = arrays.at("c")->gather_global(ctx, 4096);
-        if (ctx.rank() == 0) {
-          (use_generic ? generic : handcoded) = std::move(got);
-        }
-      });
+  // The executor takes A's columns in blocks of eight. Slabs wider than a
+  // block and not a multiple of it run whole blocks and leftover columns
+  // in one partial product, and several A and B slabs per rank carry the
+  // partial sums across slabs. A kernel that reassociates a block's sum
+  // matches the ordered one while the partial sum is still zero, so every
+  // shape also makes a block add onto a nonzero one: a second block in a
+  // slab, or a block in a later column slab. Even and uneven BLOCK
+  // distributions, both orientations, row slabs with and without
+  // double-buffered A. N=53 at P=3 has 18, 18 and 17 local columns; its
+  // budgets give every rank A row slabs of one height, which the
+  // subcolumn reductions need.
+  struct Shape {
+    std::int64_t n;
+    int nprocs;
+    std::int64_t budget;
+    bool reorganize;  ///< row slabs (Figure 12) or column slabs (Figure 9)
+    bool prefetch;
+  };
+  for (const Shape& s : {Shape{76, 4, 1300, true, false},
+                         Shape{76, 4, 1300, true, true},
+                         Shape{53, 3, 900, true, false},
+                         Shape{53, 3, 1600, true, true},
+                         Shape{21, 1, 500, true, false},
+                         Shape{21, 1, 500, true, true},
+                         Shape{21, 1, 500, false, false},
+                         Shape{44, 2, 800, false, false},
+                         Shape{37, 2, 600, false, false}}) {
+    CompileOptions options;
+    options.memory_budget_elements = s.budget;
+    options.enable_access_reorganization = s.reorganize;
+    options.prefetch = s.prefetch ? compiler::PrefetchMode::kOn
+                                  : compiler::PrefetchMode::kOff;
+    const NodeProgram plan =
+        compiler::compile_source(hpf::gaxpy_source(s.n, s.nprocs), options);
+    const std::string what = "n=" + std::to_string(s.n) +
+                             " p=" + std::to_string(s.nprocs) +
+                             " budget=" + std::to_string(s.budget) +
+                             " reorganize=" + std::to_string(s.reorganize) +
+                             " prefetch=" + std::to_string(s.prefetch);
+    SCOPED_TRACE(what);
+    ASSERT_EQ(plan.a_orientation == runtime::SlabOrientation::kRowSlabs,
+              s.reorganize);
+    ASSERT_EQ(plan.prefetch, s.prefetch);
+    // The shape must reach the blocked loop's two halves on every rank.
+    const hpf::ArrayDistribution& dist = plan.array(plan.a).dist;
+    for (int rank = 0; rank < s.nprocs; ++rank) {
+      const std::int64_t nlc = dist.local_cols(rank);
+      const runtime::SlabIterator a_slabs(s.n, nlc, plan.a_orientation,
+                                          plan.memory.slab_a);
+      const runtime::SlabIterator b_slabs(
+          nlc, s.n, runtime::SlabOrientation::kColumnSlabs,
+          plan.memory.slab_b);
+      const std::int64_t width = a_slabs.section(0).cols();
+      ASSERT_GE(a_slabs.count(), 2) << "rank " << rank;
+      ASSERT_GE(b_slabs.count(), 2) << "rank " << rank;
+      ASSERT_GT(width, 8) << "rank " << rank;
+      ASSERT_NE(width % 8, 0) << "rank " << rank;
+      ASSERT_TRUE(width > 16 ||
+                  (!s.reorganize && a_slabs.section(1).cols() >= 8))
+          << "rank " << rank;
     }
-    ASSERT_EQ(generic.size(), handcoded.size());
-    for (std::size_t i = 0; i < generic.size(); ++i) {
-      EXPECT_EQ(generic[i], handcoded[i])
-          << "reorganize=" << reorganize << " i=" << i;
-    }
+    EXPECT_EQ(gaxpy_mismatches_vs_handcoded(plan), 0u);
   }
 }
 

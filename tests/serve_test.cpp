@@ -1,10 +1,10 @@
 // Tests for the compile server: canonical hashing, single-flight plan
 // caching, admission fairness (round-robin, no head-of-line blocking,
 // anti-starvation barrier), protocol robustness (malformed and deeply
-// nested requests, over-long operator chains, mid-job disconnects, reaping
-// finished connection readers), request-scoped environment capture, and the
-// bit-identity of cached executions against fresh ones and against the
-// serial oocc_compile driver.
+// nested requests, over-long operator chains and request lines, mid-job
+// disconnects, reaping finished connection readers), request-scoped
+// environment capture, and the bit-identity of cached executions against
+// fresh ones and against a serial oocc_compile run.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -477,6 +477,38 @@ TEST(Server, StdioLoopServesAndShutsDown) {
   EXPECT_TRUE(server.shutdown_requested());
 }
 
+/// A ping request padded to exactly `bytes` bytes.
+std::string ping_of_length(std::size_t bytes, const std::string& id) {
+  const std::string head = "{\"op\":\"ping\",\"id\":\"" + id + "\",\"pad\":\"";
+  const std::string tail = "\"}";
+  return head + std::string(bytes - head.size() - tail.size(), 'x') + tail;
+}
+
+TEST(Server, StdioSkipsAnOversizedLine) {
+  // A line at the limit is served; one byte more gets one parse error, and
+  // the loop goes on at the next line.
+  Server server(ServerOptions{});
+  std::istringstream in(ping_of_length(kMaxRequestLineBytes, "at") + "\n" +
+                        ping_of_length(kMaxRequestLineBytes + 1, "over") +
+                        "\n{\"op\":\"ping\",\"id\":\"after\"}\n");
+  std::ostringstream out;
+  serve_stdio(server, in, out);
+
+  std::istringstream lines(out.str());
+  std::string line;
+  std::vector<Json> responses;
+  while (std::getline(lines, line)) {
+    responses.push_back(Json::parse(line));
+  }
+  ASSERT_EQ(responses.size(), 3u);
+  EXPECT_EQ(responses[0].get_string("id", ""), "at");
+  EXPECT_TRUE(responses[0].get_bool("pong", false));
+  EXPECT_FALSE(responses[1].get_bool("ok", true));
+  EXPECT_EQ(responses[1].get_string("code", ""), "ParseError");
+  EXPECT_EQ(responses[2].get_string("id", ""), "after");
+  EXPECT_TRUE(responses[2].get_bool("pong", false));
+}
+
 TEST(Server, EnvironmentIsCapturedAtRequestScope) {
   // The request must carry a snapshot of the process-global knobs taken at
   // parse time; flipping the environment afterwards must not affect it.
@@ -707,6 +739,53 @@ TEST(ServeSocket, JoinsFinishedReaders) {
   EXPECT_LE(most, 16);
   sock::send_line(fd, "{\"op\":\"shutdown\"}");
   (void)sock::recv_line(fd);
+  ::close(fd);
+  daemon.join();
+}
+
+TEST(ServeSocket, OversizedLineGetsOneErrorAndCloses) {
+  io::TempDir dir("oocc-serve-long");
+  const std::string path = dir.file("serve.sock").string();
+  Server server(ServerOptions{});
+  std::thread daemon([&] { serve_socket(server, path, 2); });
+  int fd = -1;
+  for (int i = 0; i < 1000 && fd < 0; ++i) {
+    std::this_thread::sleep_for(10ms);
+    fd = sock::connect_to(path);
+  }
+  ASSERT_GE(fd, 0) << "daemon did not come up";
+  // Fail rather than hang if a response never comes.
+  const timeval timeout{60, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+
+  // A line at the limit is served.
+  sock::send_line(fd, ping_of_length(kMaxRequestLineBytes, "at"));
+  const Json at = Json::parse(sock::recv_line(fd));
+  EXPECT_EQ(at.get_string("id", ""), "at");
+  EXPECT_TRUE(at.get_bool("pong", false)) << at.dump();
+
+  // One byte past it, with no newline in sight: the daemon stops reading,
+  // answers once and hangs up instead of buffering without bound.
+  const std::string over(kMaxRequestLineBytes + 1, 'x');
+  for (std::size_t off = 0; off < over.size();) {
+    const ssize_t n =
+        ::send(fd, over.data() + off, over.size() - off, MSG_NOSIGNAL);
+    ASSERT_GT(n, 0);
+    off += static_cast<std::size_t>(n);
+  }
+  const Json rejected = Json::parse(sock::recv_line(fd));
+  EXPECT_FALSE(rejected.get_bool("ok", true)) << rejected.dump();
+  EXPECT_EQ(rejected.get_string("code", ""), "ParseError");
+  char c;
+  EXPECT_EQ(::recv(fd, &c, 1, 0), 0) << "connection left open";
+  ::close(fd);
+
+  // The daemon serves the next client.
+  fd = sock::connect_to(path);
+  ASSERT_GE(fd, 0);
+  sock::send_line(fd, "{\"op\":\"shutdown\"}");
+  const Json bye = Json::parse(sock::recv_line(fd));
+  EXPECT_TRUE(bye.get_bool("shutdown", false));
   ::close(fd);
   daemon.join();
 }
