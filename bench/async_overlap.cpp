@@ -5,8 +5,9 @@
 //            double-buffered input streams (prefetch on)
 //   stencil  hpf::stencil_source(N, P), OOCC_STENCIL_ITERS sweeps (default 4)
 //
-// Each workload runs twice at the same physical I/O latency — once with the
-// engine attached to the pool (ExecOptions::async) and once synchronously —
+// Each workload runs twice at the same physical I/O latency — once on a
+// machine with the engine, which the pool then uses, and once on a machine
+// without one (sim::MachineOptions::async), synchronously —
 // and the bench compares the host wall time of the execute window (per-rank
 // max; staging and gathers excluded, matching the simulated timings).
 // The simulator prices both runs identically (the clock-rewind model is the
@@ -69,6 +70,13 @@ void set_host_delay(std::int64_t us) {
   setenv("OOCC_HOST_IO_DELAY_US", std::to_string(us).c_str(), 1);
 }
 
+/// The environment's machine knobs, with the async I/O engine or none.
+oocc::sim::MachineOptions machine_options(bool use_async) {
+  oocc::sim::MachineOptions options = oocc::sim::MachineOptions::from_env();
+  options.async = use_async;
+  return options;
+}
+
 OverlapResult run_chain(std::int64_t n, int p, bool use_async,
                         std::int64_t delay_us) {
   using namespace oocc;
@@ -88,7 +96,8 @@ OverlapResult run_chain(std::int64_t n, int p, bool use_async,
 
   OverlapResult result;
   io::TempDir dir("oocc-async-chain");
-  sim::Machine machine(p, sim::MachineCostModel::touchstone_delta());
+  sim::Machine machine(p, sim::MachineCostModel::touchstone_delta(),
+                       machine_options(use_async));
   std::mutex mu;
   sim::RunReport report = machine.run([&](sim::SpmdContext& ctx) {
     auto arrays = exec::create_sequence_arrays(
@@ -121,7 +130,6 @@ OverlapResult run_chain(std::int64_t n, int p, bool use_async,
       bindings[name] = arr.get();
     }
     exec::ExecOptions exec_options;
-    exec_options.async = use_async;
     exec_options.budget_elements = pool_budget;
     const auto t0 = std::chrono::steady_clock::now();
     exec::execute_sequence(
@@ -171,7 +179,8 @@ OverlapResult run_stencil(std::int64_t n, int p, int iters, bool use_async,
 
   OverlapResult result;
   io::TempDir dir("oocc-async-stencil");
-  sim::Machine machine(p, sim::MachineCostModel::touchstone_delta());
+  sim::Machine machine(p, sim::MachineCostModel::touchstone_delta(),
+                       machine_options(use_async));
   std::mutex mu;
   sim::RunReport report = machine.run([&](sim::SpmdContext& ctx) {
     auto arrays = exec::create_plan_arrays(
@@ -192,7 +201,6 @@ OverlapResult run_stencil(std::int64_t n, int p, int iters, bool use_async,
       bindings[name] = arr.get();
     }
     exec::ExecOptions exec_options;
-    exec_options.async = use_async;
     exec_options.budget_elements = pool_budget;
     exec_options.max_iters = iters;
     exec::StencilRunInfo info;

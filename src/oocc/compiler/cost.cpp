@@ -280,27 +280,26 @@ class StepPricer final : public StepWalk, public Directory::Host {
 
   void read(const Node& n, const io::Section& s) override {
     demand_read(*n.array, s, n.hint, n.step->halo > 0);
-    // Read-aheads are charged when issued (the bytes move now) and count as
-    // overlappable: they run behind the compute.
-    n.loop->scheduler.pump(
-        n.loop->lookahead,
-        [&](const runtime::IoScheduler::Request& r) {
-          return dir_.resident(r.array, r.section);
-        },
-        [&](const runtime::IoScheduler::Request& r) {
-          Directory::Entry* fill = nullptr;
-          if (!dir_.read_ahead(*this, r.array, r.section, r.reuse_hint,
-                               &fill)) {
-            return false;
-          }
-          if (fill != nullptr) {
-            charge(r.array, r.section, /*is_read=*/true);
-            price_.overlappable_read_requests += extents(r.array, r.section);
-            price_.overlappable_read_elements +=
-                static_cast<double>(r.section.elements());
-          }
-          return true;
-        });
+  }
+
+  bool resident(const Request& r) const override {
+    return dir_.resident(r.array, r.section);
+  }
+
+  /// Read-aheads are charged when issued (the bytes move now) and count as
+  /// overlappable: they run behind the compute.
+  bool read_ahead(const Request& r) override {
+    Directory::Entry* fill = nullptr;
+    if (!dir_.read_ahead(*this, r.array, r.section, r.reuse_hint, &fill)) {
+      return false;
+    }
+    if (fill != nullptr) {
+      charge(r.array, r.section, /*is_read=*/true);
+      price_.overlappable_read_requests += extents(r.array, r.section);
+      price_.overlappable_read_elements +=
+          static_cast<double>(r.section.elements());
+    }
+    return true;
   }
 
   /// One acquire_write of the output slab, and the statement's flops.
@@ -397,20 +396,26 @@ PlanPrice price_plan(const NodeProgram& plan, int proc,
       .front();
 }
 
+std::int64_t pool_budget(std::span<const NodeProgram> plans,
+                         std::int64_t requested) {
+  for (const NodeProgram& plan : plans) {
+    requested = std::max(requested, plan.memory_budget_elements);
+  }
+  return requested;
+}
+
 std::vector<PlanPrice> price_sequence(std::span<const NodeProgram> plans,
                                       int proc, const PriceOptions& options) {
-  // The retaining executor shares one pool over the sequence's largest
-  // budget; the no-retain one gives each plan its own budget, and its pool
-  // is empty again when a plan ends. A persistent cache can write back one
-  // statement's slab while a later statement (which may not mention the
-  // array at all) is being priced, hence the union of the arrays.
-  std::int64_t shared_budget = 0;
+  // The retaining executor shares one pool over the whole sequence; the
+  // no-retain one gives each plan its own, empty again when the plan ends.
+  // A persistent cache can write back one statement's slab while a later
+  // statement (which may not mention the array at all) is being priced,
+  // hence the union of the arrays.
   std::map<std::string, const PlanArray*> all_arrays;
   for (const NodeProgram& plan : plans) {
     OOCC_REQUIRE(proc >= 0 && proc < plan.nprocs,
                  "processor " << proc << " outside the plan's 0.."
                               << plan.nprocs - 1);
-    shared_budget = std::max(shared_budget, plan.memory_budget_elements);
     for (const auto& [name, pa] : plan.arrays) {
       all_arrays.emplace(name, &pa);
     }
@@ -421,12 +426,9 @@ std::vector<PlanPrice> price_sequence(std::span<const NodeProgram> plans,
   Directory dir("pool", options.model_cache);
   std::vector<PlanPrice> out;
   for (std::size_t i = 0; i < plans.size(); ++i) {
-    std::int64_t budget = options.model_cache
-                              ? shared_budget
-                              : plans[i].memory_budget_elements;
-    if (options.cache_budget_elements > 0) {
-      budget = options.cache_budget_elements;
-    }
+    const std::int64_t budget =
+        pool_budget(options.model_cache ? plans : plans.subspan(i, 1),
+                    options.cache_budget_elements);
     // A stencil plan runs its sweeps as the convergence driver does, the
     // ping-pong pair trading places on odd ones. The run-end flush lands on
     // the last sweep of the last plan, where the executor performs it.

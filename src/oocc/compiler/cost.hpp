@@ -142,9 +142,9 @@ struct PriceOptions {
   /// the no-retain (--no-cache) pool. Either way the walk drives the pool's
   /// own runtime::SlabDirectory.
   bool model_cache = false;
-  /// Cache/working-set budget in elements; 0 = the plan's own
-  /// memory_budget_elements (for price_sequence: the max across plans,
-  /// matching the pool execute_sequence shares).
+  /// Cache/working-set budget requested in elements, as
+  /// ExecOptions::budget_elements: the pool gets at least the plans' own
+  /// budgets (pool_budget).
   std::int64_t cache_budget_elements = 0;
   /// Sweeps of each stencil plan, over one slab pool, the ping-pong pair
   /// trading places on odd sweeps: the executor's convergence driver with
@@ -179,6 +179,13 @@ struct PlanPrice {
 
 PlanPrice price_plan(const NodeProgram& plan, int proc = 0,
                      const PriceOptions& options = {});
+
+/// The budget of the slab pool that runs `plans`: the largest of their
+/// memory budgets and `requested`. The retaining pool spans a whole
+/// sequence; a no-retain one runs each plan alone, over that plan's. The
+/// executor sizes its pool by this rule and the pricer its directory.
+std::int64_t pool_budget(std::span<const NodeProgram> plans,
+                         std::int64_t requested);
 
 /// Prices a statement sequence with one modelled cache persisting across
 /// plans (the executor shares one pool across execute_sequence, so a slab

@@ -1,7 +1,5 @@
 #include "oocc/compiler/plan.hpp"
 
-#include <algorithm>
-
 #include "oocc/util/error.hpp"
 
 namespace oocc::compiler {
@@ -42,24 +40,6 @@ std::string_view step_kind_name(StepKind k) noexcept {
       return "barrier";
   }
   return "?";
-}
-
-SideReservation gaxpy_side_reservation(const NodeProgram& plan, int proc) {
-  if (plan.kind != ProgramKind::kGaxpy) {
-    return {};
-  }
-  for (const SlabLoop& loop : plan.loops) {
-    if (loop.space == plan.a) {
-      const PlanArray& pa = plan.array(plan.a);
-      const runtime::SlabIterator iter(pa.dist.local_rows(proc),
-                                       pa.dist.local_cols(proc),
-                                       loop.orientation,
-                                       loop.capacity_elements);
-      const std::int64_t full_rows = iter.section(0).rows();
-      return {full_rows, std::max(plan.memory.slab_c, full_rows)};
-    }
-  }
-  return {};
 }
 
 double compute_flops(const SlabStmt& stmt, const hpf::ArrayDistribution& dist,

@@ -164,19 +164,6 @@ struct NodeProgram {
   const PlanArray& array(const std::string& name) const;
 };
 
-/// The budget a GAXPY plan reserves on `proc` beside its slab pool: the
-/// reduction temporary (one full-height A column) and the staged output
-/// buffer, which holds at least one full-height (sub)column per flush.
-/// Zero for other plan kinds. The step walk (compiler/walk.hpp) reserves
-/// them for the executor and the pricer at the same steps, and the
-/// verifier's budget check adds their total to the peak pinned working set.
-struct SideReservation {
-  std::int64_t temp = 0;
-  std::int64_t output = 0;
-  std::int64_t total() const noexcept { return temp + output; }
-};
-SideReservation gaxpy_side_reservation(const NodeProgram& plan, int proc);
-
 /// Flops of one ComputeElementwise / ComputeStencil step of `stmt` over the
 /// slab `section` on `proc`: one per element for an elementwise statement
 /// (the historical rule), and the rhs's binary operations per interior

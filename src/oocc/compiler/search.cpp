@@ -469,14 +469,14 @@ SearchResult search_sequence(const hpf::BoundProgram& program,
     }
   }
 
-  // Assemble the result and re-verify it end to end (the per-candidate
-  // checks verified clones).
+  // The result is the last adopted sequence, verified whole and stamped
+  // when it was adopted, or the baseline, which compile_sequence verified
+  // and stamped.
   for (std::vector<NodeProgram>& part : seg_plans) {
     for (NodeProgram& p : part) {
       result.plans.push_back(std::move(p));
     }
   }
-  detail::verify_and_stamp(result.plans, options);
 
   report.chosen_priced_s = best_priced;
   if (best_priced < report.heuristic_priced_s - 1e-12) {

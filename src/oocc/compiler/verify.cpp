@@ -390,7 +390,10 @@ struct RankTrace {
   std::vector<GhostRead> ghosts;
   std::vector<std::string> collectives;  ///< signature per collective event
   std::int64_t intervals = 0;
-  std::int64_t peak_pinned = 0;
+  /// The peak working set: pinned slabs plus the GAXPY side buffers held
+  /// then (`peak_side` of it).
+  std::int64_t peak = 0;
+  std::int64_t peak_side = 0;
   const Step* peak_step = nullptr;
   std::int64_t events = 0;
   bool truncated = false;
@@ -401,7 +404,8 @@ struct RankTrace {
 /// ghost and collective traces. Pins are counted by a no-retain
 /// runtime::SlabDirectory without a capacity limit: one entry per (array,
 /// section), pins refcounted — the rule the executor's pool charges its
-/// budget by.
+/// budget by — and the GAXPY side buffers from the walk's reserve events
+/// on, as the executor takes them from the same budget.
 class RankReplayer final : public StepWalk {
  public:
   /// `epoch` 1 is a stencil plan's swapped (ping-ponged) sweep; the
@@ -422,16 +426,25 @@ class RankReplayer final : public StepWalk {
     }
   }
 
-  void note_peak(std::int64_t pinned, const Step& step) {
-    if (pinned > trace_.peak_pinned) {
-      trace_.peak_pinned = pinned;
+  /// Records the working set: what is pinned, `transient` elements held
+  /// for the event alone, and the side buffers.
+  void note_peak(const Step& step, std::int64_t transient = 0) {
+    const std::int64_t held = pins_.pinned_elements() + transient + side_;
+    if (held > trace_.peak) {
+      trace_.peak = held;
+      trace_.peak_side = side_;
       trace_.peak_step = &step;
     }
   }
 
   void pin(const Node& n, const io::Section& sec) {
     pins_.pin(unlimited_, *n.array, sec);
-    note_peak(pins_.pinned_elements(), *n.step);
+    note_peak(*n.step);
+  }
+
+  void reserve(const Node& n, std::int64_t elements) override {
+    side_ += elements;
+    note_peak(*n.step);
   }
 
   /// Bounds check of a section against the resolved array's local extents;
@@ -491,7 +504,7 @@ class RankReplayer final : public StepWalk {
         transient += edge->sent.elements() + edge->received.elements();
       }
     }
-    note_peak(pins_.pinned_elements() + transient, *n.step);
+    note_peak(*n.step, transient);
   }
 
   /// A ReduceSum's GLOBAL_SUM; the owner's stores of the summed columns
@@ -518,6 +531,7 @@ class RankReplayer final : public StepWalk {
   RankTrace& trace_;
   struct Unlimited final : runtime::SlabDirectory<>::Host {} unlimited_;
   runtime::SlabDirectory<> pins_{"verify", /*retain=*/false};
+  std::int64_t side_ = 0;  ///< GAXPY side buffers held, for one sweep
 };
 
 // ------------------------------------------------------ cross-rank checks
@@ -672,22 +686,17 @@ void check_budget(const NodeProgram& plan,
     return;  // hand-built plan without a declared budget: nothing to check
   }
   for (std::size_t p = 0; p < traces.size(); ++p) {
-    const std::int64_t side =
-        gaxpy_side_reservation(plan, static_cast<int>(p)).total();
-    const std::int64_t peak = traces[p].peak_pinned + side;
+    const std::int64_t peak = traces[p].peak;
     if (peak > report.stats.peak_pinned_elements) {
       report.stats.peak_pinned_elements = peak;
-      report.stats.side_reservation_elements = side;
+      report.stats.side_reservation_elements = traces[p].peak_side;
       report.stats.peak_rank = static_cast<int>(p);
     }
     if (peak > plan.memory_budget_elements) {
       std::ostringstream oss;
-      oss << "peak working set of " << traces[p].peak_pinned
-          << " pinned element(s)";
-      if (side > 0) {
-        oss << " + " << side << " reduction-side element(s)";
-      }
-      oss << " exceeds the memory budget of " << plan.memory_budget_elements
+      oss << "peak working set of " << peak
+          << " element(s) exceeds the memory budget of "
+          << plan.memory_budget_elements
           << " (the executor would throw ResourceExhausted mid-sweep)";
       sink.add("OOCC-V030", plan_index, static_cast<int>(p), oss.str(),
                traces[p].peak_step);

@@ -65,7 +65,8 @@ struct VerifyStats {
   std::int64_t writes = 0;
   std::int64_t intervals = 0;  ///< barrier intervals (max over ranks)
   std::int64_t peak_pinned_elements = 0;  ///< worst simultaneous working set
-  std::int64_t side_reservation_elements = 0;  ///< non-pool GAXPY buffers
+  /// The GAXPY side buffers (not pool slabs) held at that peak.
+  std::int64_t side_reservation_elements = 0;
   std::int64_t budget_elements = 0;       ///< budget the peak is checked against
   int peak_rank = 0;
   /// Set when the replay or the diagnostic list hit its cap; the report is

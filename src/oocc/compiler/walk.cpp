@@ -42,17 +42,23 @@ StepWalk::StepWalk(const NodeProgram& plan, int rank, bool swapped,
                    std::span<const double> hints)
     : plan_(plan), rank_(rank),
       swapped_(swapped && plan.kind == ProgramKind::kStencil &&
-               !plan.statements.empty()),
-      side_(gaxpy_side_reservation(plan, rank)) {
+               !plan.statements.empty()) {
   cursors_.reserve(plan.loops.size());
   for (const SlabLoop& loop : plan.loops) {
-    const PlanArray& space =
-        plan.array(stencil_resolve(plan, swapped_, loop.space));
+    const hpf::ArrayDistribution& space =
+        plan.array(stencil_resolve(plan, swapped_, loop.space)).dist;
+    // Every rank sizes its slabs for processor 0's cross extent, the
+    // largest under BLOCK, CYCLIC and BLOCK-CYCLIC, as the memory plan and
+    // the Figure 14 estimator do: one span on every rank, so Figure 12's
+    // subcolumn sums add vectors of one length.
+    const bool columns =
+        loop.orientation == runtime::SlabOrientation::kColumnSlabs;
     cursors_.push_back(Cursor{
         &loop, cursors_.size(),
-        runtime::SlabIterator(space.dist.local_rows(rank),
-                              space.dist.local_cols(rank), loop.orientation,
-                              loop.capacity_elements)});
+        runtime::SlabIterator(
+            space.local_rows(rank), space.local_cols(rank), loop.orientation,
+            loop.capacity_elements,
+            columns ? space.local_rows(0) : space.local_cols(0))});
   }
   bind(plan.steps, hints);
   OOCC_CHECK(hints.empty() || hints.size() == nodes_.size(),
@@ -129,8 +135,7 @@ void StepWalk::bind(const std::vector<Step>& steps,
         const Node& read = nodes_[j];
         if (read.step->kind == StepKind::kReadSlab &&
             !plan_.array(read.step->array).is_output) {
-          bound.streams.push_back(
-              runtime::IoScheduler::Request{*read.array, {}, read.hint});
+          bound.streams.push_back(Request{*read.array, {}, read.hint});
         }
       }
     }
@@ -243,6 +248,7 @@ void StepWalk::visit(std::size_t i) {
                         : n.loop->section;
       read(n, s);
       n.loop->held.push_back(Held{n.array, s});
+      pump(*n.loop);
       return;
     }
     case StepKind::kWriteSlab:
@@ -258,8 +264,9 @@ void StepWalk::visit(std::size_t i) {
       if (fresh) {
         row0_ = n.loop->section.row0;
         row1_ = n.loop->section.row1;
-        if (!std::exchange(temp_reserved_, true)) {
-          reserve(n, side_.temp);
+        if (temp_rows_ == 0) {
+          temp_rows_ = n.loop->iter.section(0).rows();
+          reserve(n, temp_rows_);
         }
       }
       partial(n, fresh);
@@ -298,6 +305,12 @@ void StepWalk::visit(std::size_t i) {
   }
 }
 
+void StepWalk::pump(Cursor& c) {
+  c.scheduler.pump(
+      c.lookahead, [&](const Request& r) { return resident(r); },
+      [&](const Request& r) { return read_ahead(r); });
+}
+
 void StepWalk::visit_reduce(const Node& n) {
   const std::int64_t column = n.with->section.col0 + n.with->column;
   reduce(n, column, row0_, row1_);
@@ -315,10 +328,11 @@ void StepWalk::visit_reduce(const Node& n) {
     return;
   }
   if (!batch_) {
+    const std::int64_t capacity = std::max(plan_.memory.slab_c, temp_rows_);
     if (batch_node_ == nullptr) {
-      reserve(n, side_.output);  // this rank's first owned column
+      reserve(n, capacity);  // this rank's first owned column
     }
-    batch_.emplace(side_.output, row0_, row1_, dist.local_cols(rank_));
+    batch_.emplace(capacity, row0_, row1_, dist.local_cols(rank_));
     batch_node_ = &n;
   }
   const std::int64_t slot = batch_->pending();

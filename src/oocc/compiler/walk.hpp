@@ -6,18 +6,18 @@
 // client hook at every event; the executor (exec/interp.cpp), the pricer
 // and the reuse annotator (cost.cpp) and the verifier's replay
 // (verify.cpp) are its clients. The walk owns everything they share: the
-// per-loop SlabIterator cursors, ForEachSlab / ForEachColumn iteration,
-// halo widening of reads, the ExchangeHalo edge sections, stencil
-// ping-pong names, the read-ahead schedule, holding read and staged
-// sections until their slab iteration ends, the GAXPY reduction's
-// output (the ReduceSum column and row range, when each side buffer is
-// taken from the budget, and which owned columns the owner stores as one
-// LAF write: "if ICLA is full then write"), which cached arrays to drop at
-// sweep start (the output a ReduceSum stores around the pool, and the dead
-// arrays the sweep overwrites in full before reading any of them), and
-// each step's id and reuse hint. So priced == measured and verified ==
-// executed hold because all four see the same event stream, not because
-// they mirror one another.
+// per-loop SlabIterator cursors (one span on every rank), ForEachSlab /
+// ForEachColumn iteration, halo widening of reads, the ExchangeHalo edge
+// sections, stencil ping-pong names, the read-ahead schedule and its pump,
+// holding read and staged sections until their slab iteration ends, the
+// GAXPY reduction's output (the ReduceSum column and row range, each side
+// buffer's size and when it is taken from the budget, and which owned
+// columns the owner stores as one LAF write: "if ICLA is full then
+// write"), which cached arrays to drop at sweep start (the output a
+// ReduceSum stores around the pool, and the dead arrays the sweep
+// overwrites in full before reading any of them), and each step's id and
+// reuse hint. So priced == measured and verified == executed hold because
+// all four see the same event stream, not because they mirror one another.
 #pragma once
 
 #include <cstdint>
@@ -35,6 +35,8 @@ namespace oocc::compiler {
 
 class StepWalk {
  public:
+  using Request = runtime::IoScheduler::Request;
+
   /// A section held until its slab iteration ends.
   struct Held {
     const std::string* array;
@@ -45,12 +47,12 @@ class StepWalk {
   struct Cursor {
     const SlabLoop* decl;
     std::size_t index;  ///< position in NodeProgram::loops
-    runtime::SlabIterator iter;
+    runtime::SlabIterator iter;  ///< this rank's slabs; one span on all ranks
     io::Section section{};      ///< the current slab
     std::int64_t column = -1;   ///< ForEachColumn offset into `section`
     std::vector<Held> held{};   ///< released in reverse at iteration end
     /// The loop's read-ahead queue (prefetching loops; see Node::streams),
-    /// pumped by the I/O clients after each demand read.
+    /// pumped after each of its demand reads.
     runtime::IoScheduler scheduler{};
     int lookahead = 0;
   };
@@ -73,7 +75,7 @@ class StepWalk {
     const PlanArray* info = nullptr;  ///< placement of `*array`
     /// ForEachSlab: the body's pure-input reads, streamed ahead once per
     /// slab when the loop prefetches, each with its ReadSlab's hint.
-    std::vector<runtime::IoScheduler::Request> streams{};
+    std::vector<Request> streams{};
     std::size_t end = 0;  ///< one past this step's subtree in preorder
   };
 
@@ -113,8 +115,15 @@ class StepWalk {
   /// so its slabs need no write-back; not `dead` for the output a ReduceSum
   /// stores around the pool, where cached slabs would go stale.
   virtual void drop(const std::string& /*array*/, bool /*dead*/) {}
-  /// ReadSlab of section `s` (halo-widened); held after the hook.
+  /// ReadSlab of section `s` (halo-widened); held after the hook. A
+  /// prefetching loop's read-ahead queue is pumped right after it.
   virtual void read(const Node& /*n*/, const io::Section& /*s*/) {}
+  /// The read-ahead pump's view of memory: whether request `r` is resident
+  /// or in flight, and issuing it (false when there is no spare room; the
+  /// pump then waits for the next demand read). The defaults find every
+  /// request resident, so the pump issues nothing.
+  virtual bool resident(const Request& /*r*/) const { return true; }
+  virtual bool read_ahead(const Request& /*r*/) { return false; }
   /// ComputeElementwise / ComputeStencil staging `*n.array` over the
   /// current slab; held after the hook.
   virtual void stage(const Node& /*n*/) {}
@@ -129,8 +138,10 @@ class StepWalk {
   virtual void reduce(const Node& /*n*/, std::int64_t /*column*/,
                       std::int64_t /*row0*/, std::int64_t /*row1*/) {}
   /// Takes a GAXPY side buffer of `elements` from the budget, held until
-  /// the sweep ends: the partial-sum column before this rank's first fresh
-  /// partial `n`, the output batch buffer at its first owned ReduceSum `n`.
+  /// the sweep ends: the partial-sum column (one full A slab's rows) before
+  /// this rank's first fresh partial `n`, the output batch buffer (the
+  /// plan's C slab, and at least one such column) at its first owned
+  /// ReduceSum `n`.
   virtual void reserve(const Node& /*n*/, std::int64_t /*elements*/) {}
   /// Places this rank's owned column, just reduced by `n`, at slot `slot`
   /// of the open output batch.
@@ -158,6 +169,7 @@ class StepWalk {
   void find_drops();
   void visit(std::size_t first, std::size_t last);
   void visit(std::size_t i);
+  void pump(Cursor& c);
   void visit_reduce(const Node& n);
   void close_batch();
 
@@ -174,8 +186,8 @@ class StepWalk {
   // The GAXPY reduction's output (Figures 9 and 12): the owner places each
   // summed column in a batch of consecutive owned columns over one row
   // range, and stores the batch when it is full.
-  SideReservation side_;
-  bool temp_reserved_ = false;
+  /// Rows of the partial-sum column; 0 until it is reserved.
+  std::int64_t temp_rows_ = 0;
   std::optional<runtime::ColumnBatch> batch_;  ///< the open batch
   /// The ReduceSum that opened the latest batch; null until this rank's
   /// first owned column.

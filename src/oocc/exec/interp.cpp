@@ -245,15 +245,15 @@ class StepExecutor final : public compiler::StepWalk {
         pool_.acquire_read(ctx_, array.laf(), *n.array, s, n.hint,
                            n.step->halo > 0);
     loaded(*n.loop)[n.step->array] = &buf;
-    n.loop->scheduler.pump(
-        n.loop->lookahead,
-        [&](const runtime::IoScheduler::Request& r) {
-          return pool_.resident(r.array, r.section);
-        },
-        [&](const runtime::IoScheduler::Request& r) {
-          return pool_.read_ahead(ctx_, bound(arrays_, r.array).laf(),
-                                  r.array, r.section, r.reuse_hint);
-        });
+  }
+
+  bool resident(const Request& r) const override {
+    return pool_.resident(r.array, r.section);
+  }
+
+  bool read_ahead(const Request& r) override {
+    return pool_.read_ahead(ctx_, bound(arrays_, r.array).laf(), r.array,
+                            r.section, r.reuse_hint);
   }
 
   // A retaining pool defers the write-back: the dirty slab reaches the LAF
@@ -279,11 +279,7 @@ class StepExecutor final : public compiler::StepWalk {
   // it before reading it. The GAXPY output's are written back first: the
   // owner stores it straight to its LAF, around the pool.
   void drop(const std::string& array, bool dead) override {
-    if (dead) {
-      pool_.discard(ctx_, array);
-    } else {
-      pool_.invalidate(ctx_, array);
-    }
+    pool_.drop(ctx_, array, dead);
   }
 
   /// Stages the statement's output slab into a pool entry (an in-place
@@ -618,7 +614,6 @@ ExecOptions default_exec_options() {
   if (env_flag("OOCC_NO_VERIFY")) {
     options.verify = false;
   }
-  options.async = env_flag_or("OOCC_ASYNC", true);
   // Under an active fault plan a write can be interrupted at any point, so
   // crash consistency is on unless the caller overrides it afterwards.
   if (env_flag("OOCC_JOURNAL") || faults::FaultInjector::instance().active()) {
@@ -650,9 +645,7 @@ void run_pooled(sim::SpmdContext& ctx,
                 const ExecOptions& options, std::int64_t budget_elements) {
   runtime::MemoryBudget budget(budget_elements);
   runtime::SlabBufferPool pool(budget, "pool", options.use_cache);
-  if (options.async) {
-    pool.set_async_engine(ctx.async_engine());
-  }
+  pool.set_async_engine(ctx.async_engine());
   for (std::size_t i = 0; i < plans.size(); ++i) {
     run_plan(ctx, plans[i], bindings[i], hints[i], options, pool);
   }
@@ -746,20 +739,17 @@ void execute_sequence(sim::SpmdContext& ctx,
                  std::span<const ArrayBindings>(bindings).subspan(i, 1),
                  std::span<const std::vector<double>>(hints).subspan(i, 1),
                  options,
-                 std::max(plans[i].memory_budget_elements,
-                          options.budget_elements));
+                 compiler::pool_budget(plans.subspan(i, 1),
+                                       options.budget_elements));
     }
     return;
   }
   // One pool spans the whole sequence: slabs one statement read or staged
   // satisfy later statements' demand reads, which is where multi-statement
   // chains recover their shared traffic.
-  std::int64_t budget_elements = options.budget_elements;
-  for (const compiler::NodeProgram& plan : plans) {
-    budget_elements = std::max(budget_elements, plan.memory_budget_elements);
-  }
   if (!plans.empty()) {
-    run_pooled(ctx, plans, bindings, hints, options, budget_elements);
+    run_pooled(ctx, plans, bindings, hints, options,
+               compiler::pool_budget(plans, options.budget_elements));
   }
 }
 

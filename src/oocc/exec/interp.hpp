@@ -9,10 +9,12 @@
 // ExchangeHalo, ComputeStencil, Barrier leaves) that the pricer and the
 // verifier run too. It adds the kernels and the messages, and has one I/O
 // path: every ReadSlab/WriteSlab goes through a runtime::SlabBufferPool,
-// and prefetching loops drive an IoScheduler read-ahead queue over it. The
-// pool has two modes over one policy. Retaining (the default) shares the
-// pool across the statements of a sequence, so slabs a statement staged
-// (or a re-sweep already fetched) are served from memory, evicted by the
+// and the walk pumps each prefetching loop's IoScheduler read-ahead queue
+// over it. The pool moves its bytes on the machine's async I/O engine
+// whenever the machine has one (sim::MachineOptions::async). It has two
+// modes over one policy. Retaining (the default) shares the pool across
+// the statements of a sequence, so slabs a statement staged (or a
+// re-sweep already fetched) are served from memory, evicted by the
 // reuse hints each call derives for processor 0 from the whole sequence
 // (compiler::annotate_reuse_distances), as the pricer does. No-retain
 // (ExecOptions::use_cache = false, --no-cache, OOCC_NO_CACHE) writes
@@ -52,19 +54,13 @@ struct ExecOptions {
   /// re-reads, writes go straight through, and each statement of a
   /// sequence gets its own pool.
   bool use_cache = true;
-  /// Memory available to the executor in elements; 0 = the plan's own
-  /// memory_budget_elements (for a sequence: the max across its plans).
-  /// Values above the plan budget give the pool headroom to retain slabs.
+  /// Memory requested for the executor's pool in elements. The pool gets
+  /// at least the plan's own memory_budget_elements (for a sequence: the
+  /// max across its plans), so only values above it count: headroom to
+  /// retain slabs (compiler::pool_budget, the pricer's rule too).
   std::int64_t budget_elements = 0;
   /// When non-null, the pool's counters are merged into it after the run.
   runtime::SlabCacheStats* cache_stats = nullptr;
-
-  /// Attach the machine's real async I/O engine to the pool, so prefetch
-  /// and write-back physically overlap compute in wall-clock. Simulated
-  /// accounting is identical either way (docs/async-io.md); off (or
-  /// OOCC_ASYNC=0 / --no-async) falls back to synchronous host I/O
-  /// bit-identically.
-  bool async = true;
 
   /// Stencil plans only: number of Jacobi-style sweeps to run, ping-ponging
   /// the lhs/source pair between sweeps. Ignored by other plan kinds.

@@ -109,8 +109,11 @@ void ooc_gaxpy_row_slabs(sim::SpmdContext& ctx, runtime::OutOfCoreArray& a,
   const std::int64_t n = a.dist().global_rows();
   const std::int64_t nlc = a.local_cols();
 
+  // Every rank's A row slabs have processor 0's height, so the subcolumn
+  // sums below add vectors of one length under an uneven distribution too.
   runtime::SlabIterator a_slabs(n, nlc, runtime::SlabOrientation::kRowSlabs,
-                                config.slab_a_elements);
+                                config.slab_a_elements,
+                                a.dist().local_cols(0));
   runtime::SlabIterator b_slabs(nlc, n, runtime::SlabOrientation::kColumnSlabs,
                                 config.slab_b_elements);
 

@@ -340,18 +340,13 @@ void SlabBufferPool::drain_writes(sim::SpmdContext& ctx) {
   }
 }
 
-void SlabBufferPool::invalidate(sim::SpmdContext& ctx,
-                                const std::string& array) {
+void SlabBufferPool::drop(sim::SpmdContext& ctx, const std::string& array,
+                          bool dead) {
   Io io(*this, ctx);
-  dir_.drop(io, array, /*dead=*/false);
-  drain_writes(ctx);
-}
-
-void SlabBufferPool::discard(sim::SpmdContext& ctx,
-                             const std::string& array) {
-  Io io(*this, ctx);
-  const std::int64_t dropped = dir_.drop(io, array, /*dead=*/true);
-  if (dir_.retains()) {
+  const std::int64_t dropped = dir_.drop(io, array, dead);
+  if (!dead) {
+    drain_writes(ctx);
+  } else if (dir_.retains()) {
     stats_.discarded += static_cast<std::uint64_t>(dropped);
   }
 }

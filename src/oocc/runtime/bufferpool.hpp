@@ -31,7 +31,7 @@
 // plus one slab (plus the compute kernel's column temporaries).
 //
 // A sweep that overwrites an array in full before reading it (the step
-// walk's dead arrays: a stencil sweep's target half) has the pool discard
+// walk's dead arrays: a stencil sweep's target half) has the pool drop
 // that array's slabs first. They go without write-back, dirty or not, so
 // the sweep neither pays to persist data it is about to replace nor
 // evicts live slabs to make room for it. Eviction ranks victims by the
@@ -41,10 +41,10 @@
 // event.
 //
 // IoScheduler is the read-ahead front: the step walk (compiler/walk.hpp)
-// hands it a prefetching slab loop's upcoming ReadSlab schedule, and the
-// executor pumps it after each demand read, which generalizes the old
-// two-buffer prefetch to any lookahead the budget can hold. The pricer
-// pumps the same scheduler over its directory.
+// hands it a prefetching slab loop's upcoming ReadSlab schedule and pumps
+// it after each demand read, which generalizes the old two-buffer prefetch
+// to any lookahead the budget can hold. The executor's hooks issue the
+// reads on its pool, the pricer's on its directory.
 #pragma once
 
 #include <cstdint>
@@ -159,16 +159,13 @@ class SlabBufferPool {
   /// entries alone (a checkpoint saves one array from its LAF).
   void flush(sim::SpmdContext& ctx, const std::string* only = nullptr);
 
-  /// Writes back and drops every entry of `array`. Used before a plan
-  /// writes the array through a path that bypasses the pool (the GAXPY
-  /// reduction's output batches), after which cached slabs would be stale.
-  void invalidate(sim::SpmdContext& ctx, const std::string& array);
-
-  /// Drops every entry of `array` without writing any back: the sweep about
-  /// to run overwrites the whole array before reading it (the step walk's
-  /// dead arrays), so a dirty slab's data is dead. Frees the budget a
-  /// stale slab would otherwise hold until eviction wrote it back.
-  void discard(sim::SpmdContext& ctx, const std::string& array);
+  /// Drops every entry of `array` (SlabDirectory::drop). Not `dead`, dirty
+  /// entries are written back first: before a plan writes the array around
+  /// the pool (the GAXPY reduction's output batches), after which cached
+  /// slabs would be stale. `dead`, none is: the sweep about to run
+  /// overwrites the whole array before reading it (the step walk's dead
+  /// arrays), so freeing the budget costs no write-back.
+  void drop(sim::SpmdContext& ctx, const std::string& array, bool dead);
 
   /// Attaches the machine's real async I/O engine. With an engine, the
   /// physical disk transfer of every pool read and write-back runs on a
@@ -184,7 +181,7 @@ class SlabBufferPool {
 
   /// Settles every in-flight asynchronous write-back, charging deferred
   /// retry backoff and rethrowing the first worker error. Called at
-  /// barriers and after flush()/invalidate() so errors cannot outlive the
+  /// barriers and after flush()/drop() so errors cannot outlive the
   /// region that caused them. No-op without an engine.
   void drain_writes(sim::SpmdContext& ctx);
 
@@ -255,10 +252,10 @@ class SlabBufferPool {
 };
 
 /// Read-ahead queue of one prefetching slab loop: every stream, every slab
-/// of the loop's iterator, in demand order. The executor pumps it over its
-/// pool after each demand read, the step pricer over its directory, so the
-/// next reads are issued (asynchronously, in schedule order) while the
-/// current slab computes.
+/// of the loop's iterator, in demand order. The step walk pumps it after
+/// each demand read, over the executor's pool or the pricer's directory,
+/// so the next reads are issued (asynchronously, in schedule order) while
+/// the current slab computes.
 class IoScheduler {
  public:
   /// One stream of the schedule; `section` is filled in per slab.

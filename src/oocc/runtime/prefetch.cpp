@@ -25,7 +25,7 @@ void PrefetchingSlabReader::reset() noexcept {
     pool_.unpin(ctx_, kStream, held_);
     holding_ = false;
   }
-  pool_.invalidate(ctx_, kStream);  // unconsumed read-aheads
+  pool_.drop(ctx_, kStream, /*dead=*/false);  // unconsumed read-aheads
   next_expected_ = 0;
 }
 

@@ -22,15 +22,16 @@ io::StorageOrder contiguous_order_for(SlabOrientation o) noexcept {
 }
 
 SlabIterator::SlabIterator(std::int64_t rows, std::int64_t cols,
-                           SlabOrientation o, std::int64_t capacity_elements)
+                           SlabOrientation o, std::int64_t capacity_elements,
+                           std::int64_t sizing_cross)
     : rows_(rows), cols_(cols), orientation_(o) {
   OOCC_REQUIRE(rows >= 1 && cols >= 1,
                "local array must be non-empty, got " << rows << "x" << cols);
   OOCC_REQUIRE(capacity_elements >= 1,
                "slab capacity must be >= 1 element, got "
                    << capacity_elements);
-  const std::int64_t cross =
-      o == SlabOrientation::kColumnSlabs ? rows : cols;
+  const std::int64_t cross = std::max(
+      sizing_cross, o == SlabOrientation::kColumnSlabs ? rows : cols);
   const std::int64_t extent =
       o == SlabOrientation::kColumnSlabs ? cols : rows;
   span_ = std::clamp<std::int64_t>(capacity_elements / cross, 1, extent);

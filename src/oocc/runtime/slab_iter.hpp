@@ -25,11 +25,13 @@ io::StorageOrder contiguous_order_for(SlabOrientation o) noexcept;
 /// Enumerates the slab sections of a rows x cols local array for a given
 /// orientation and memory capacity (in elements). The slab width/height is
 /// floor(capacity / cross_extent), clamped to [1, extent]; the final slab
-/// may be smaller.
+/// may be smaller. A larger `sizing_cross` replaces the array's own cross
+/// extent: processors whose local arrays differ in cross extent all pass
+/// the largest one and so stripmine with one span.
 class SlabIterator {
  public:
   SlabIterator(std::int64_t rows, std::int64_t cols, SlabOrientation o,
-               std::int64_t capacity_elements);
+               std::int64_t capacity_elements, std::int64_t sizing_cross = 0);
 
   SlabOrientation orientation() const noexcept { return orientation_; }
   std::int64_t count() const noexcept { return count_; }

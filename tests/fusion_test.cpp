@@ -423,10 +423,14 @@ TEST(StepPricing, PricedFlopsEqualChargedFlops) {
 
 /// Runs a GAXPY plan through the step executor and through the hand-coded
 /// Figure 9/12 kernel at the plan's slab sizes; returns the number of
-/// elements of C that differ bit for bit.
+/// elements of C that differ bit for bit. The executor's LAF traffic must
+/// also equal its price, on every rank.
 std::size_t gaxpy_mismatches_vs_handcoded(const NodeProgram& plan) {
   std::vector<double> generic;
   std::vector<double> handcoded;
+  const ExecOptions options = default_exec_options();
+  std::map<int, std::map<std::string, io::IoStats>> measured;
+  std::mutex mu;
   for (const bool use_generic : {true, false}) {
     TempDir dir;
     Machine machine(plan.nprocs, MachineCostModel::zero());
@@ -443,9 +447,14 @@ std::size_t gaxpy_mismatches_vs_handcoded(const NodeProgram& plan) {
       if (use_generic) {
         ArrayBindings bindings;
         for (auto& [name, arr] : arrays) {
+          arr->laf().reset_stats();
           bindings[name] = arr.get();
         }
-        execute(ctx, plan, bindings);
+        execute(ctx, plan, bindings, options);
+        std::lock_guard<std::mutex> lock(mu);
+        for (auto& [name, arr] : arrays) {
+          measured[ctx.rank()][name] = arr->laf().stats();
+        }
       } else {
         gaxpy::GaxpyConfig config;
         config.slab_a_elements = plan.memory.slab_a;
@@ -466,6 +475,23 @@ std::size_t gaxpy_mismatches_vs_handcoded(const NodeProgram& plan) {
         (use_generic ? generic : handcoded) = std::move(got);
       }
     });
+  }
+  compiler::PriceOptions popts;
+  popts.model_cache = options.use_cache;
+  for (int rank = 0; rank < plan.nprocs; ++rank) {
+    for (const auto& [name, cost] :
+         compiler::price_plan(plan, rank, popts).arrays) {
+      const io::IoStats& s = measured.at(rank).at(name);
+      SCOPED_TRACE("rank " + std::to_string(rank) + " " + name);
+      EXPECT_DOUBLE_EQ(static_cast<double>(s.read_requests),
+                       cost.read_requests);
+      EXPECT_DOUBLE_EQ(static_cast<double>(s.bytes_read) / 8.0,
+                       cost.elements_read);
+      EXPECT_DOUBLE_EQ(static_cast<double>(s.write_requests),
+                       cost.write_requests);
+      EXPECT_DOUBLE_EQ(static_cast<double>(s.bytes_written) / 8.0,
+                       cost.elements_written);
+    }
   }
   EXPECT_EQ(generic.size(), handcoded.size());
   std::size_t wrong = 0;
@@ -551,6 +577,31 @@ TEST(StepExecutor, GaxpyBitIdenticalToHandcodedKernels) {
                   (!s.reorganize && a_slabs.section(1).cols() >= 8))
           << "rank " << rank;
     }
+    EXPECT_EQ(gaxpy_mismatches_vs_handcoded(plan), 0u);
+  }
+
+  // Uneven BLOCK in row slabs, at budgets where a rank's own column count
+  // would give it A row slabs of a different height from processor 0's:
+  // N=37 at P=3 has 13, 13 and 11 local columns, N=53 has 18, 18 and 17.
+  // Every rank takes processor 0's height, so the subcolumn sums add
+  // vectors of one length; each plan verifies (compile_source), runs
+  // bit-identical to the hand-coded kernel and prices what it measures.
+  for (const Shape& s : {Shape{37, 3, 400, true, false},
+                         Shape{37, 3, 800, true, false},
+                         Shape{37, 3, 512, true, true},
+                         Shape{53, 3, 700, true, false},
+                         Shape{53, 3, 1500, true, false}}) {
+    CompileOptions options;
+    options.memory_budget_elements = s.budget;
+    options.prefetch = s.prefetch ? compiler::PrefetchMode::kOn
+                                  : compiler::PrefetchMode::kOff;
+    SCOPED_TRACE("n=" + std::to_string(s.n) +
+                 " budget=" + std::to_string(s.budget) +
+                 " prefetch=" + std::to_string(s.prefetch));
+    const NodeProgram plan =
+        compiler::compile_source(hpf::gaxpy_source(s.n, s.nprocs), options);
+    ASSERT_EQ(plan.a_orientation, runtime::SlabOrientation::kRowSlabs);
+    ASSERT_EQ(plan.prefetch, s.prefetch);
     EXPECT_EQ(gaxpy_mismatches_vs_handcoded(plan), 0u);
   }
 }
@@ -758,6 +809,22 @@ TEST(SlabCache, InPlaceUpdateOfAnEarlierOutputKeepsItsSlabs) {
   });
   EXPECT_EQ(expect_sound_unfused(source, 4096).cache.discarded, 0u);
   expect_sound_unfused(source, 600);
+}
+
+TEST(SlabCache, PoolBelowThePlanBudgetPricesWhatItRuns) {
+  // A pool requested below the plans' budget does not shrink it: the
+  // executor and the pricer size the pool by one rule
+  // (compiler::pool_budget). A 500-element pool holds three of the
+  // 144-element panels, so priced at that size the last statement would
+  // re-read x, which the run keeps resident.
+  const std::string source = chain_source({
+      "y(1:n,k) = x(1:n,k)*2 + 1",
+      "z(1:n,k) = y(1:n,k)*x(1:n,k)",
+      "w(1:n,k) = y(1:n,k)*z(1:n,k)",
+      "y(1:n,k) = w(1:n,k) + x(1:n,k)",
+  });
+  const SequenceRun run = expect_sound_unfused(source, 4096, 4, 500);
+  EXPECT_EQ(run.cache.evictions, 0u);
 }
 
 TEST(SlabCache, ReuseHintsKeepTheChainsOperandsResident) {

@@ -195,6 +195,10 @@ void check_seed(std::uint64_t seed, bool fuse = true) {
   for (const NodeProgram& p : searched.plans) {
     EXPECT_TRUE(p.verified);
   }
+  // The search stamps no plan it did not verify as a whole sequence.
+  EXPECT_TRUE(verify_sequence(std::span<const NodeProgram>(
+                                  searched.plans.data(), searched.plans.size()))
+                  .ok());
 
   // The search can never lose to its own candidate 0.
   const double heur_priced = priced_sequence_makespan_s(

@@ -525,7 +525,6 @@ TEST(Server, EnvironmentIsCapturedAtRequestScope) {
   EXPECT_FALSE(req.profile.machine.async);
   EXPECT_EQ(req.profile.machine.io_threads, 3);
   EXPECT_FALSE(req.profile.exec.verify);
-  EXPECT_FALSE(req.profile.exec.async);
 
   // And the snapshot of a fresh request reflects the restored environment.
   const JobRequest fresh = server.parse_request(

@@ -67,7 +67,7 @@ struct CompiledRun {
 };
 
 /// `pool` is the slab pool's budget in elements (0 = the plan's own);
-/// `async` runs LAF transfers on the machine's I/O engine.
+/// `async` gives the machine an I/O engine, which runs the LAF transfers.
 CompiledRun run_compiled(
     const compiler::NodeProgram& plan, std::int64_t n, int p, int iters,
     bool use_cache, double tol = 0.0,
@@ -75,7 +75,9 @@ CompiledRun run_compiled(
     std::int64_t pool = 0, bool async = true) {
   CompiledRun out;
   TempDir dir("oocc-stencil");
-  Machine machine(p, MachineCostModel::zero());
+  sim::MachineOptions machine_options = sim::MachineOptions::from_env();
+  machine_options.async = machine_options.async && async;
+  Machine machine(p, MachineCostModel::zero(), machine_options);
   std::mutex mu;
   machine.run([&](SpmdContext& ctx) {
     auto arrays =
@@ -92,7 +94,6 @@ CompiledRun run_compiled(
     exec::ExecOptions options;
     options.use_cache = use_cache;
     options.budget_elements = pool;
-    options.async = async;
     options.max_iters = iters;
     options.residual_tol = tol;
     exec::StencilRunInfo info;
@@ -570,7 +571,7 @@ TEST(StencilDeadSlabs, DroppingAWriteBackInFlightHandsItTheBuffer) {
     // entry stays resident, its buffer read by the write in flight.
     ASSERT_TRUE(pool.read_ahead(ctx, laf, "b", io::Section{0, 8, 0, 2}, -1.0));
     stage(io::Section{0, 8, 3, 4}, 7.0);
-    pool.discard(ctx, "b");
+    pool.drop(ctx, "b", /*dead=*/true);
     EXPECT_EQ(pool.stats().discarded, 3u);
     EXPECT_EQ(pool.stats().writebacks, 1u);
     EXPECT_EQ(budget.used(), 0);

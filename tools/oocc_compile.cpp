@@ -454,8 +454,12 @@ int main(int argc, char** argv) {
           return p.kind == compiler::ProgramKind::kElementwise;
         });
     io::TempDir dir("oocc-cli");
+    // --no-async joins OOCC_ASYNC=0: a machine without an engine.
+    sim::MachineOptions machine_options = sim::MachineOptions::from_env();
+    machine_options.async = machine_options.async && use_async;
     sim::Machine machine(plan.nprocs,
-                         sim::MachineCostModel::touchstone_delta());
+                         sim::MachineCostModel::touchstone_delta(),
+                         machine_options);
     std::vector<double> result;
     apps::DenseArrays outputs_run;  // elementwise --verify, gathered
     compiler::StepIoCost measured;  // processor 0's LAF traffic
@@ -476,7 +480,6 @@ int main(int argc, char** argv) {
     // below, which must reflect whether the pool actually ran.
     exec::ExecOptions base_exec_options = exec::default_exec_options();
     base_exec_options.use_cache = base_exec_options.use_cache && use_cache;
-    base_exec_options.async = base_exec_options.async && use_async;
     base_exec_options.verify = base_exec_options.verify && options.verify;
     sim::RunReport report;
     int restarts = 0;

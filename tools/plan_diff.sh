@@ -12,9 +12,10 @@
 # counts, slab-cache counters, priced and measured traffic and the result
 # check must match too; only the host-time fields (the "; wall: ..." tail
 # of the "simulated time:" line and the "async io:" line) are dropped.
-# That is 360 runs per binary. Each run's stdout, stderr and exit status
-# are captured from both binaries; every run whose capture differs is
-# printed as a `diff -u` (old first).
+# Over the five examples (gaxpy_uneven.hpf is GAXPY under an uneven BLOCK
+# distribution) that is 450 runs per binary. Each run's stdout, stderr and
+# exit status are captured from both binaries; every run whose capture
+# differs is printed as a `diff -u` (old first).
 #
 # Usage: tools/plan_diff.sh <old oocc_compile> <new oocc_compile>
 #
@@ -22,7 +23,7 @@
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
-  sed -n '2,21p' "$0" >&2
+  sed -n '2,22p' "$0" >&2
   exit 2
 fi
 OLD="$1"
