@@ -385,11 +385,6 @@ double PlanPrice::io_time_s(const io::DiskModel& disk,
              disk.effective_bandwidth(nprocs);
 }
 
-std::map<std::string, StepIoCost> price_steps(const NodeProgram& plan,
-                                              int proc) {
-  return price_plan(plan, proc).arrays;
-}
-
 PlanPrice price_plan(const NodeProgram& plan, int proc,
                      const PriceOptions& options) {
   return price_sequence(std::span<const NodeProgram>(&plan, 1), proc, options)

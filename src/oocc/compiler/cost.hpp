@@ -121,19 +121,6 @@ struct StepIoCost {
   double elements_written = 0.0;
 };
 
-/// Prices a compiled plan by symbolically executing its step tree with
-/// processor `proc`'s local extents: every ReadSlab/WriteSlab contributes
-/// its section's contiguous-extent count and element volume, and so does
-/// every GAXPY output batch the walk stores. The pricer is a client of the
-/// executor's own step walk (compiler/walk.hpp), and it derives the same
-/// reuse hints the executor does, so the predictions match measured LAF
-/// counters request-for-request (the tests assert this); the closed-form
-/// estimate_gaxpy_cost is only still needed *before* a plan exists: to
-/// rank candidate orientations and to score the memory planner's
-/// access-weighted grid.
-std::map<std::string, StepIoCost> price_steps(const NodeProgram& plan,
-                                              int proc = 0);
-
 /// Options for price_plan / price_sequence.
 struct PriceOptions {
   /// Price the executor's retaining slab pool: demand reads it serves from
@@ -177,6 +164,17 @@ struct PlanPrice {
                     int nprocs) const noexcept;
 };
 
+/// Prices a compiled plan by symbolically executing its step tree with
+/// processor `proc`'s local extents: every ReadSlab/WriteSlab contributes
+/// its section's contiguous-extent count and element volume, and so does
+/// every GAXPY output batch the walk stores. The pricer is a client of the
+/// executor's own step walk (compiler/walk.hpp), and it derives the same
+/// reuse hints the executor does, so the predictions match measured LAF
+/// counters request-for-request (the tests assert this); the closed-form
+/// estimate_gaxpy_cost is only still needed *before* a plan exists: to
+/// rank candidate orientations and to score the memory planner's
+/// access-weighted grid. Throws StructureError (compiler/walk.hpp) on a
+/// step tree no client can run.
 PlanPrice price_plan(const NodeProgram& plan, int proc = 0,
                      const PriceOptions& options = {});
 

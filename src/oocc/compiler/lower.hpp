@@ -24,7 +24,7 @@ namespace oocc::compiler {
 enum class PrefetchMode {
   kOff,  ///< synchronous slab reads (the pre-prefetch baseline)
   kOn,   ///< force double-buffering of the eligible streams
-  kAuto  ///< per-plan decision: price_steps + the disk model compare the
+  kAuto  ///< per-plan decision: price_plan + the disk model compare the
          ///< sweep with and without the double-buffered layout and keep
          ///< whichever the cost model predicts faster
 };

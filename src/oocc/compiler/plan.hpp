@@ -4,15 +4,18 @@
 // explicit program of I/O, compute, and communication steps over slabs.
 // Our equivalent is a NodeProgram carrying a *slab-program IR*: a set of
 // named stripmined loops (SlabLoop) and a tree of typed steps (Step) —
-// ReadSlab / WriteSlab / ComputeElementwise / ComputeGaxpyPartial /
-// ReduceSum / Barrier nested under ForEachSlab / ForEachColumn structural
-// steps. The pattern matchers in compiler/lower recognize the source
-// statement (GAXPY reduction or elementwise FORALL) and emit the step
-// program; exec::execute interprets the steps generically — there is no
-// per-schema executor. The plan also records the placement decisions that
-// justify the steps: per-array storage orders and slab sizes, the cost
-// decision, and the memory plan. compiler/pretty renders both the
-// Figure 9/12-style pseudo-code and the raw step IR.
+// ReadSlab / WriteSlab / ComputeElementwise / ComputeStencil /
+// ComputeGaxpyPartial / ReduceSum / ExchangeHalo / Barrier nested under
+// ForEachSlab / ForEachColumn structural steps. The pattern matchers in
+// compiler/lower recognize the source statement (GAXPY reduction,
+// elementwise FORALL or halo-stencil FORALL) and emit the step program;
+// exec::execute interprets the steps generically — there is no per-schema
+// executor. compiler::StepWalk (compiler/walk.hpp) checks the rules a step
+// tree must meet as it binds one (docs/slab-ir.md lists them). The plan
+// also records the placement decisions that justify the steps: per-array
+// storage orders and slab sizes, the cost decision, and the memory plan.
+// compiler/pretty renders both the Figure 9/12-style pseudo-code and the
+// raw step IR.
 #pragma once
 
 #include <cstdint>
@@ -77,7 +80,8 @@ enum class StepKind {
   kWriteSlab,      ///< store `array`'s staged slab back to its LAF
   kComputeElementwise,   ///< evaluate statements[stmt] over the current slab
   kComputeGaxpyPartial,  ///< temp(:) += A(:,i) * B(i, m) over the A slab
-  kReduceSum,      ///< global sum of temp; owner stages its output column
+  kReduceSum,      ///< global sum of temp; the owner places the column in
+                   ///< its output batch and stores the batch when full
   kExchangeHalo,   ///< trade `halo` edge columns of `array` with the
                    ///< neighbouring processors (ghost columns for a sweep)
   kComputeStencil, ///< evaluate statements[stmt] over the current slab,
@@ -89,10 +93,13 @@ std::string_view step_kind_name(StepKind k) noexcept;
 
 /// One node of the step tree. Field use by kind:
 ///  * kForEachSlab / kForEachColumn: `loop`, `body`
-///  * kReadSlab / kWriteSlab:        `loop` (section source), `array`
-///  * kComputeElementwise:           `loop` (sweep), `stmt`
+///  * kReadSlab:                     `loop` (section source), `array`, `halo`
+///  * kWriteSlab:                    `loop` (section source), `array`
+///  * kComputeElementwise /
+///    kComputeStencil:               `loop` (sweep), `stmt`
 ///  * kComputeGaxpyPartial:          `loop` (A slabs), `with` (column loop)
 ///  * kReduceSum:                    `array` (output), `with` (column loop)
+///  * kExchangeHalo:                 `loop` (the sweep), `array`, `halo`
 ///  * kBarrier:                      nothing
 struct Step {
   StepKind kind = StepKind::kBarrier;

@@ -1,7 +1,6 @@
 #include "oocc/compiler/verify.hpp"
 
 #include <algorithm>
-#include <map>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -61,257 +60,6 @@ class Sink {
  private:
   VerifyReport& report_;
   std::set<std::string> seen_;
-};
-
-// --------------------------------------------------------------- structure
-
-/// Lexical walk of one plan's step tree: declared loops, known arrays,
-/// well-formed fields, slab steps inside an active ForEachSlab of their
-/// loop, and writes only of data the current iteration staged. Returns
-/// false when the tree is too broken to replay (V001-V004 / unknown
-/// arrays), in which case the dynamic passes are skipped.
-class StructureChecker {
- public:
-  StructureChecker(const NodeProgram& plan, int plan_index, Sink& sink)
-      : plan_(plan), plan_index_(plan_index), sink_(sink),
-        stencil_(plan.kind == ProgramKind::kStencil && !plan.statements.empty()
-                     ? &plan.statements.front()
-                     : nullptr) {}
-
-  bool run() {
-    for (const SlabLoop& loop : plan_.loops) {
-      if (!loops_.emplace(loop.name, &loop).second) {
-        fatal("OOCC-V003", "duplicate slab loop '" + loop.name + "'",
-              nullptr);
-      }
-      if (!plan_.arrays.contains(loop.space)) {
-        fatal("OOCC-V002",
-              "loop '" + loop.name + "' iterates unknown array '" +
-                  loop.space + "'",
-              nullptr);
-      }
-    }
-    walk(plan_.steps);
-    check_stencil_halo();
-    return replayable_;
-  }
-
- private:
-  void fatal(const char* code, const std::string& message, const Step* step) {
-    sink_.add(code, plan_index_, -1, message, step);
-    replayable_ = false;
-  }
-
-  bool check_loop_ref(const Step& step, const std::string& name) {
-    if (name.empty() || !loops_.contains(name)) {
-      fatal("OOCC-V001", "step references undeclared loop '" + name + "'",
-            &step);
-      return false;
-    }
-    return true;
-  }
-
-  bool check_array_ref(const Step& step, const std::string& name) {
-    if (name.empty() || !plan_.arrays.contains(name)) {
-      fatal("OOCC-V002", "step references unknown array '" + name + "'",
-            &step);
-      return false;
-    }
-    return true;
-  }
-
-  /// The loop must be an *active* ForEachSlab enclosing the step: its slab
-  /// section is otherwise undefined, and pins taken against it would never
-  /// be released (the pin/unpin balance lives at the loop's iteration end).
-  bool check_active(const Step& step, const std::string& loop) {
-    if (std::find(active_.begin(), active_.end(), loop) == active_.end()) {
-      fatal("OOCC-V004",
-            "slab step for loop '" + loop +
-                "' is not nested inside ForEachSlab " + loop +
-                " (undefined slab section, unbalanced pins)",
-            &step);
-      return false;
-    }
-    return true;
-  }
-
-  void walk(const std::vector<Step>& steps) {
-    for (const Step& step : steps) {
-      walk(step);
-    }
-  }
-
-  void walk(const Step& step) {
-    if (stencil_ != nullptr && step.array == stencil_->source) {
-      if (step.kind == StepKind::kExchangeHalo) {
-        exchange_halo_ = std::max(exchange_halo_, step.halo);
-      } else if (step.kind == StepKind::kReadSlab) {
-        read_halo_ = std::max(read_halo_, step.halo);
-        read_step_ = &step;
-      }
-    }
-    if (step.halo < 0) {
-      fatal("OOCC-V003", "negative halo width", &step);
-      return;
-    }
-    switch (step.kind) {
-      case StepKind::kForEachSlab: {
-        if (!check_loop_ref(step, step.loop)) {
-          return;
-        }
-        if (std::find(active_.begin(), active_.end(), step.loop) !=
-            active_.end()) {
-          fatal("OOCC-V003",
-                "ForEachSlab re-enters already-active loop '" + step.loop +
-                    "'",
-                &step);
-          return;
-        }
-        active_.push_back(step.loop);
-        staged_[step.loop].clear();
-        walk(step.body);
-        staged_.erase(step.loop);
-        active_.pop_back();
-        return;
-      }
-      case StepKind::kForEachColumn:
-        if (!check_loop_ref(step, step.loop) ||
-            !check_active(step, step.loop)) {
-          return;
-        }
-        column_loops_.push_back(step.loop);
-        walk(step.body);
-        column_loops_.pop_back();
-        return;
-      case StepKind::kReadSlab:
-        if (check_loop_ref(step, step.loop) &&
-            check_array_ref(step, step.array) &&
-            check_active(step, step.loop)) {
-          staged_[step.loop].insert(step.array);
-        }
-        return;
-      case StepKind::kWriteSlab:
-        if (check_loop_ref(step, step.loop) &&
-            check_array_ref(step, step.array) &&
-            check_active(step, step.loop)) {
-          // Writing a slab nothing in this iteration staged stores
-          // uninitialized buffer contents — the classic dropped-compute
-          // mutation.
-          bool staged = false;
-          for (const std::string& loop : active_) {
-            const auto it = staged_.find(loop);
-            if (it != staged_.end() && it->second.contains(step.array)) {
-              staged = true;
-              break;
-            }
-          }
-          if (!staged) {
-            sink_.add("OOCC-V005", plan_index_, -1,
-                      "WriteSlab of '" + step.array +
-                          "' stores a slab no ReadSlab or compute step of "
-                          "the current iteration staged",
-                      &step);
-          }
-        }
-        return;
-      case StepKind::kComputeElementwise:
-      case StepKind::kComputeStencil: {
-        if (!check_loop_ref(step, step.loop) ||
-            !check_active(step, step.loop)) {
-          return;
-        }
-        if (step.stmt < 0 ||
-            static_cast<std::size_t>(step.stmt) >= plan_.statements.size()) {
-          fatal("OOCC-V003",
-                std::string(step_kind_name(step.kind)) + " stmt#" +
-                    std::to_string(step.stmt) + " is outside the plan's " +
-                    std::to_string(plan_.statements.size()) + " statement(s)",
-                &step);
-          return;
-        }
-        const std::string& lhs =
-            plan_.statements[static_cast<std::size_t>(step.stmt)].lhs;
-        if (check_array_ref(step, lhs)) {
-          staged_[step.loop].insert(lhs);
-        }
-        return;
-      }
-      case StepKind::kComputeGaxpyPartial:
-        if (check_loop_ref(step, step.loop)) {
-          check_active(step, step.loop);
-        }
-        if (check_loop_ref(step, step.with)) {
-          check_active(step, step.with);
-        }
-        return;
-      case StepKind::kReduceSum:
-        if (!check_array_ref(step, step.array) ||
-            !check_loop_ref(step, step.with) ||
-            !check_active(step, step.with)) {
-          return;
-        }
-        // The staged output column index comes from the enclosing
-        // per-column iteration; without one there is no global index.
-        if (std::find(column_loops_.begin(), column_loops_.end(),
-                      step.with) == column_loops_.end()) {
-          fatal("OOCC-V004",
-                "ReduceSum is not nested inside ForEachColumn " + step.with +
-                    " (no output column index)",
-                &step);
-        }
-        return;
-      case StepKind::kExchangeHalo:
-        check_loop_ref(step, step.loop);
-        check_array_ref(step, step.array);
-        return;
-      case StepKind::kBarrier:
-        return;
-    }
-  }
-
-  /// OOCC-V012: a stencil of dependence distance d needs ghost columns d
-  /// wide (ExchangeHalo, when there are neighbours) and a slab read widened
-  /// by at least d — otherwise interior elements read stale or absent
-  /// neighbour data.
-  void check_stencil_halo() {
-    if (stencil_ == nullptr) {
-      return;
-    }
-    const SlabStmt& st = *stencil_;
-    if (plan_.nprocs > 1 && exchange_halo_ < st.halo) {
-      sink_.add("OOCC-V012", plan_index_, -1,
-                exchange_halo_ < 0
-                    ? "stencil of distance " + std::to_string(st.halo) +
-                          " has no ExchangeHalo of '" + st.source +
-                          "' (ghost columns never arrive)"
-                    : "ExchangeHalo trades " + std::to_string(exchange_halo_) +
-                          " edge column(s) but the stencil reaches " +
-                          std::to_string(st.halo),
-                nullptr, st.source);
-    }
-    if (read_halo_ < st.halo) {
-      sink_.add("OOCC-V012", plan_index_, -1,
-                "the sweep reads '" + st.source + "' widened by " +
-                    std::to_string(std::max<std::int64_t>(read_halo_, 0)) +
-                    " column(s) but the stencil reaches " +
-                    std::to_string(st.halo),
-                read_step_, st.source);
-    }
-  }
-
-  const NodeProgram& plan_;
-  int plan_index_;
-  Sink& sink_;
-  const SlabStmt* stencil_;  ///< the plan's stencil statement, if any
-  std::map<std::string, const SlabLoop*> loops_;
-  std::vector<std::string> active_;
-  std::vector<std::string> column_loops_;
-  std::map<std::string, std::set<std::string>> staged_;
-  // The stencil source's widest exchange and read (V012).
-  std::int64_t exchange_halo_ = -1;
-  std::int64_t read_halo_ = -1;
-  const Step* read_step_ = nullptr;
-  bool replayable_ = true;
 };
 
 // ----------------------------------------------------------------- replay
@@ -746,25 +494,32 @@ VerifyReport verify_sequence(std::span<const NodeProgram> plans) {
     report.stats.ranks = std::max(report.stats.ranks, plan.nprocs);
     report.stats.budget_elements =
         std::max(report.stats.budget_elements, plan.memory_budget_elements);
-    if (!StructureChecker(plan, static_cast<int>(i), sink).run()) {
-      continue;
-    }
     std::vector<RankTrace> traces(static_cast<std::size_t>(plan.nprocs));
-    for (int p = 0; p < plan.nprocs; ++p) {
-      RankTrace& trace = traces[static_cast<std::size_t>(p)];
-      // The convergence driver re-runs a stencil sweep ping-ponged;
-      // replaying it as a second epoch checks the steady-state schedule —
-      // the one whose exchange reads what the previous sweep wrote.
-      const int epochs = plan.kind == ProgramKind::kStencil ? 2 : 1;
-      for (int epoch = 0; epoch < epochs; ++epoch) {
-        RankReplayer(plan, static_cast<int>(i), p, epoch, sink, trace).run();
+    try {
+      for (int p = 0; p < plan.nprocs; ++p) {
+        RankTrace& trace = traces[static_cast<std::size_t>(p)];
+        // The convergence driver re-runs a stencil sweep ping-ponged;
+        // replaying it as a second epoch checks the steady-state schedule —
+        // the one whose exchange reads what the previous sweep wrote.
+        const int epochs = plan.kind == ProgramKind::kStencil ? 2 : 1;
+        for (int epoch = 0; epoch < epochs; ++epoch) {
+          RankReplayer(plan, static_cast<int>(i), p, epoch, sink, trace)
+              .run();
+        }
+        report.stats.events += trace.events;
+        report.stats.writes += std::ssize(trace.writes);
+        report.stats.intervals =
+            std::max(report.stats.intervals, trace.intervals);
+        if (trace.truncated) {
+          report.stats.truncated = true;
+        }
       }
-      report.stats.events += trace.events;
-      report.stats.writes += std::ssize(trace.writes);
-      report.stats.intervals = std::max(report.stats.intervals, trace.intervals);
-      if (trace.truncated) {
-        report.stats.truncated = true;
-      }
+    } catch (const StructureError& e) {
+      // The walk checks the step tree as it binds it, the same way for
+      // every rank and parity, so the first replay throws before any event.
+      // The one structural diagnostic replaces the replay.
+      sink.add(e.rule(), static_cast<int>(i), -1, e.detail(), e.step());
+      continue;
     }
     check_collectives(traces, static_cast<int>(i), sink);
     if (!report.stats.truncated && !sink.has("OOCC-V040")) {

@@ -3,21 +3,20 @@
 // The paper's bet is that out-of-core programs are analyzable at compile
 // time: the compiler already prices every plan exactly, and this pass
 // completes the story by *proving* a step program safe to run before any
-// rank executes it. The ROADMAP's native-threads backend depends on it —
-// before P simulated processors become P real threads, race freedom has to
-// be a checked property of the IR, not a hope.
+// rank executes it. Every rank runs on its own thread, so race freedom is
+// a checked property of the IR, not a hope.
 //
 // verify_plan / verify_sequence replay the step program symbolically for
 // every rank (the same step walk the executor, the pricer and the reuse
-// annotator run) and check, per rank and across ranks via the
+// annotator run). The walk itself rejects a malformed tree as it binds it
+// (compiler::StructureError, OOCC-V001..V005 and V012), for every client;
+// the verifier reports that as the plan's one structural diagnostic and
+// skips the replay. Otherwise it checks, per rank and across ranks via the
 // ownership-interval algebra in hpf::DimDistribution:
 //
-//  * structure   — declared loops, known arrays, well-formed steps, slab
-//                  steps inside their loops, writes of staged data only
-//                  (OOCC-V001..V005);
 //  * races       — no two ranks write overlapping global sections within a
 //                  barrier interval, and no rank reads ghost data another
-//                  rank writes in the same interval (OOCC-V010..V012);
+//                  rank writes in the same interval (OOCC-V010, V011);
 //  * coverage    — every read in bounds, every output's write sections tile
 //                  its owned region exactly once (OOCC-V020..V023);
 //  * budget      — the peak simultaneously-pinned working set (plus the
@@ -49,7 +48,7 @@ namespace oocc::compiler {
 struct VerifyDiagnostic {
   std::string code;     ///< stable identifier, e.g. "OOCC-V022"
   std::string message;  ///< human-readable description
-  std::string step;     ///< pretty-printed offending step ("" if structural)
+  std::string step;     ///< pretty-printed offending step ("" if none)
   int plan_index = 0;   ///< which plan of the sequence (0-based)
   int rank = -1;        ///< offending rank; -1 = structural or cross-rank
 };

@@ -1,11 +1,23 @@
 #include "oocc/compiler/walk.hpp"
 
 #include <algorithm>
+#include <sstream>
 #include <utility>
 
-#include "oocc/util/error.hpp"
+#include "oocc/compiler/pretty.hpp"
 
 namespace oocc::compiler {
+
+/// Throws StructureError(rule, step) unless `cond` holds; `stream_expr`
+/// builds the message only then.
+#define OOCC_STRUCTURE_CHECK(cond, rule, step, stream_expr)           \
+  do {                                                                \
+    if (!(cond)) {                                                    \
+      std::ostringstream oocc_structure_oss_;                         \
+      oocc_structure_oss_ << stream_expr;                             \
+      throw StructureError(rule, step, oocc_structure_oss_.str());    \
+    }                                                                 \
+  } while (false)
 
 namespace {
 
@@ -36,15 +48,90 @@ const std::string& stencil_resolve(const NodeProgram& plan, bool swapped,
   return name;
 }
 
+/// Calls `fn` with the name of every array `e` references, in order.
+void for_each_ref(const hpf::Expr& e, const auto& fn) {
+  if (e.kind == hpf::ExprKind::kArrayRef) {
+    fn(e.name);
+  } else if (e.kind == hpf::ExprKind::kBinary) {
+    for_each_ref(*e.lhs, fn);
+    for_each_ref(*e.rhs, fn);
+  }
+}
+
 }  // namespace
+
+StructureError::StructureError(const char* rule, const Step* step,
+                               const std::string& detail)
+    : Error(ErrorCode::kVerifyError,
+            std::string(rule) + " " + detail +
+                (step != nullptr ? "\n  step: " + step_text(*step) : "")),
+      rule_(rule), step_(step), detail_(detail) {}
+
+/// What bind knows at one point of the step tree, all of it lexical: the
+/// loops whose ForEachSlab or ForEachColumn encloses the point, and what
+/// the enclosing bodies made available before it. What a body makes
+/// available lasts until that body ends, so a step counts only on what
+/// runs before it in every iteration of its loops.
+struct StepWalk::Scope {
+  struct Column {
+    const Cursor* loop;
+    bool opened = false;  ///< a ComputeGaxpyPartial opened the column
+  };
+  /// A slab a ReadSlab (widened by `halo`) or a compute step (`halo` 0)
+  /// staged in `loop`'s current iteration; with `loop` null, the ghost
+  /// columns an ExchangeHalo traded.
+  struct Staged {
+    const Cursor* loop;
+    const std::string* array;  ///< the plan's name, not ping-pong resolved
+    std::int64_t halo;
+  };
+
+  bool in_slab(const Cursor* loop) const {
+    return std::ranges::find(slabs, loop) != slabs.end();
+  }
+  Column* column(const Cursor* loop) {
+    const auto it = std::ranges::find(columns.rbegin(), columns.rend(), loop,
+                                      &Column::loop);
+    return it == columns.rend() ? nullptr : &*it;
+  }
+  /// Whether `array` is staged for `loop`; `exact` asks for the loop's
+  /// own slab, not a widened one.
+  bool has(const Cursor* loop, const std::string& array, bool exact) const {
+    return std::ranges::any_of(staged, [&](const Staged& s) {
+      return s.loop == loop && *s.array == array && (!exact || s.halo == 0);
+    });
+  }
+
+  const SlabStmt* stencil;  ///< a stencil plan's statement, or null
+  std::vector<const Cursor*> slabs{};
+  std::vector<Column> columns{};
+  std::vector<Staged> staged{};
+};
 
 StepWalk::StepWalk(const NodeProgram& plan, int rank, bool swapped,
                    std::span<const double> hints)
     : plan_(plan), rank_(rank),
       swapped_(swapped && plan.kind == ProgramKind::kStencil &&
                !plan.statements.empty()) {
+  for (std::size_t i = 0; i < plan.statements.size(); ++i) {
+    const SlabStmt& st = plan.statements[i];
+    // A stencil statement reads one source; an elementwise one has none.
+    for (const std::string* name : {&st.lhs, &st.source}) {
+      OOCC_STRUCTURE_CHECK(
+          plan.arrays.contains(*name) || (name == &st.source && name->empty()),
+          "OOCC-V002", nullptr,
+          "statement #" << i << " names unknown array '" << *name << "'");
+    }
+  }
   cursors_.reserve(plan.loops.size());
   for (const SlabLoop& loop : plan.loops) {
+    OOCC_STRUCTURE_CHECK(
+        std::ranges::count(plan.loops, loop.name, &SlabLoop::name) == 1,
+        "OOCC-V003", nullptr, "duplicate slab loop '" << loop.name << "'");
+    OOCC_STRUCTURE_CHECK(plan.arrays.contains(loop.space), "OOCC-V002",
+                         nullptr,
+                         "loop '" << loop.name << "' iterates unknown array '"
+                                  << loop.space << "'");
     const hpf::ArrayDistribution& space =
         plan.array(stencil_resolve(plan, swapped_, loop.space)).dist;
     // Every rank sizes its slabs for processor 0's cross extent, the
@@ -60,7 +147,10 @@ StepWalk::StepWalk(const NodeProgram& plan, int rank, bool swapped,
             loop.capacity_elements,
             columns ? space.local_rows(0) : space.local_cols(0))});
   }
-  bind(plan.steps, hints);
+  Scope scope{plan.kind == ProgramKind::kStencil && !plan.statements.empty()
+                  ? &plan.statements.front()
+                  : nullptr};
+  bind(plan.steps, hints, scope);
   OOCC_CHECK(hints.empty() || hints.size() == nodes_.size(),
              ErrorCode::kInvalidArgument,
              "reuse hints for " << hints.size() << " steps given to a plan of "
@@ -69,23 +159,57 @@ StepWalk::StepWalk(const NodeProgram& plan, int rank, bool swapped,
 }
 
 void StepWalk::bind(const std::vector<Step>& steps,
-                    std::span<const double> hints) {
-  const auto cursor = [&](const std::string& name) {
-    const auto it =
-        std::find_if(cursors_.begin(), cursors_.end(),
-                     [&](const Cursor& c) { return c.decl->name == name; });
-    OOCC_CHECK(it != cursors_.end(), ErrorCode::kRuntimeError,
-               "step references undeclared slab loop '" << name << "'");
+                    std::span<const double> hints, Scope& scope) {
+  const auto cursor = [&](const Step& step, const std::string& name) {
+    const auto it = std::ranges::find(
+        cursors_, name,
+        [](const Cursor& c) -> const std::string& { return c.decl->name; });
+    OOCC_STRUCTURE_CHECK(it != cursors_.end(), "OOCC-V001", &step,
+                         "step references undeclared slab loop '" << name
+                                                                  << "'");
     return &*it;
   };
-  const auto statement_lhs = [&](const Step& step) -> const std::string& {
-    const std::vector<SlabStmt>& stmts = plan_.statements;
-    OOCC_CHECK(step.stmt >= 0 &&
-                   static_cast<std::size_t>(step.stmt) < stmts.size(),
-               ErrorCode::kRuntimeError,
-               step_kind_name(step.kind) << " names statement #" << step.stmt
-                                         << " of " << stmts.size());
-    return stmts[static_cast<std::size_t>(step.stmt)].lhs;
+  const auto known = [&](const Step& step) -> const std::string& {
+    OOCC_STRUCTURE_CHECK(plan_.arrays.contains(step.array), "OOCC-V002", &step,
+                         "step references unknown array '" << step.array
+                                                           << "'");
+    return step.array;
+  };
+  // The loop's section is defined, and the pins taken against it released,
+  // only inside its ForEachSlab.
+  const auto in_slab = [&](const Step& step, const Cursor* loop) {
+    OOCC_STRUCTURE_CHECK(scope.in_slab(loop), "OOCC-V004", &step,
+                         "slab step for loop '"
+                             << loop->decl->name
+                             << "' is not nested inside ForEachSlab "
+                             << loop->decl->name
+                             << " (undefined slab section, unbalanced pins)");
+  };
+  // The GAXPY output column comes from the enclosing per-column iteration.
+  const auto in_column = [&](const Step& step,
+                             const Cursor* loop) -> Scope::Column& {
+    Scope::Column* column = scope.column(loop);
+    OOCC_STRUCTURE_CHECK(column != nullptr, "OOCC-V004", &step,
+                         step_kind_name(step.kind)
+                             << " is not nested inside ForEachColumn "
+                             << loop->decl->name
+                             << " (no output column index)");
+    return *column;
+  };
+  const auto staged = [&](const Step& step, const Cursor* loop,
+                          const std::string& array) {
+    OOCC_STRUCTURE_CHECK(scope.has(loop, array, false), "OOCC-V005", &step,
+                         step_kind_name(step.kind)
+                             << " reads '" << array
+                             << "', which no ReadSlab or compute step of loop '"
+                             << loop->decl->name
+                             << "''s current iteration staged");
+  };
+  // A stencil of dependence distance d needs every read of its source
+  // widened by d, and ghost columns d wide when it has neighbours.
+  const auto short_of_reach = [&](const Step& step) {
+    return scope.stencil != nullptr && step.array == scope.stencil->source &&
+           step.halo < scope.stencil->halo;
   };
   for (const Step& step : steps) {
     const std::size_t i = nodes_.size();
@@ -93,32 +217,110 @@ void StepWalk::bind(const std::vector<Step>& steps,
     if (i < hints.size()) {
       n.hint = hints[i];
     }
+    OOCC_STRUCTURE_CHECK(step.halo >= 0, "OOCC-V003", &step,
+                         "negative halo width");
     const std::string* array = nullptr;
     switch (step.kind) {
       case StepKind::kForEachSlab:
+        n.loop = cursor(step, step.loop);
+        OOCC_STRUCTURE_CHECK(!scope.in_slab(n.loop), "OOCC-V003", &step,
+                             "ForEachSlab re-enters already-active loop '"
+                                 << step.loop << "'");
+        scope.slabs.push_back(n.loop);
+        break;
       case StepKind::kForEachColumn:
-        n.loop = cursor(step.loop);
+        n.loop = cursor(step, step.loop);
+        in_slab(step, n.loop);
+        OOCC_STRUCTURE_CHECK(scope.column(n.loop) == nullptr, "OOCC-V003",
+                             &step,
+                             "ForEachColumn re-enters already-active loop '"
+                                 << step.loop << "'");
+        scope.columns.push_back(Scope::Column{n.loop});
         break;
       case StepKind::kReadSlab:
+        n.loop = cursor(step, step.loop);
+        array = &known(step);
+        in_slab(step, n.loop);
+        OOCC_STRUCTURE_CHECK(!short_of_reach(step), "OOCC-V012", &step,
+                             "the sweep reads '"
+                                 << step.array << "' widened by " << step.halo
+                                 << " column(s) but the stencil reaches "
+                                 << scope.stencil->halo);
+        scope.staged.push_back(Scope::Staged{n.loop, array, step.halo});
+        break;
       case StepKind::kWriteSlab:
-        n.loop = cursor(step.loop);
-        array = &step.array;
+        n.loop = cursor(step, step.loop);
+        array = &known(step);
+        in_slab(step, n.loop);
+        // Storing a slab nothing in this iteration staged writes
+        // uninitialized buffer contents: the dropped-compute mutation.
+        OOCC_STRUCTURE_CHECK(scope.has(n.loop, *array, true), "OOCC-V005",
+                             &step,
+                             "WriteSlab of '" << *array
+                                              << "' stores a slab no ReadSlab "
+                                                 "or compute step of the "
+                                                 "current iteration staged");
         break;
       case StepKind::kComputeElementwise:
-      case StepKind::kComputeStencil:
-        n.loop = cursor(step.loop);
-        array = &statement_lhs(step);
+      case StepKind::kComputeStencil: {
+        n.loop = cursor(step, step.loop);
+        in_slab(step, n.loop);
+        const std::vector<SlabStmt>& stmts = plan_.statements;
+        const auto k = static_cast<std::size_t>(step.stmt);
+        OOCC_STRUCTURE_CHECK(step.stmt >= 0 && k < stmts.size(), "OOCC-V003",
+                             &step,
+                             step_kind_name(step.kind)
+                                 << " names statement #" << step.stmt << " of "
+                                 << stmts.size());
+        const SlabStmt& st = stmts[k];
+        if (!st.source.empty()) {
+          staged(step, n.loop, st.source);
+        }
+        for_each_ref(*st.rhs,
+                     [&](const std::string& a) { staged(step, n.loop, a); });
+        if (!st.source.empty() && plan_.nprocs > 1) {
+          OOCC_STRUCTURE_CHECK(scope.has(nullptr, st.source, false),
+                               "OOCC-V012", &step,
+                               "stencil of distance "
+                                   << st.halo << " has no ExchangeHalo of '"
+                                   << st.source
+                                   << "' before it (ghost columns never "
+                                      "arrive)");
+        }
+        array = &st.lhs;
+        scope.staged.push_back(Scope::Staged{n.loop, array, 0});
         break;
-      case StepKind::kComputeGaxpyPartial:
-        n.loop = cursor(step.loop);
-        n.with = cursor(step.with);
+      }
+      case StepKind::kComputeGaxpyPartial: {
+        n.loop = cursor(step, step.loop);
+        n.with = cursor(step, step.with);
+        in_slab(step, n.loop);
+        Scope::Column& column = in_column(step, n.with);
+        staged(step, n.loop, n.loop->decl->space);
+        staged(step, n.with, n.with->decl->space);
+        column.opened = true;
         break;
+      }
       case StepKind::kReduceSum:
-        n.with = cursor(step.with);
-        array = &step.array;
+        n.with = cursor(step, step.with);
+        array = &known(step);
+        OOCC_STRUCTURE_CHECK(in_column(step, n.with).opened, "OOCC-V004",
+                             &step,
+                             "ReduceSum of ForEachColumn "
+                                 << step.with
+                                 << " follows no ComputeGaxpyPartial of that "
+                                    "column (no partial sum to reduce)");
         break;
       case StepKind::kExchangeHalo:
-        array = &step.array;
+        n.loop = cursor(step, step.loop);
+        array = &known(step);
+        OOCC_STRUCTURE_CHECK(plan_.nprocs == 1 || !short_of_reach(step),
+                             "OOCC-V012", &step,
+                             "ExchangeHalo trades "
+                                 << step.halo
+                                 << " edge column(s) but the stencil reaches "
+                                 << scope.stencil->halo);
+        scope.staged.push_back(Scope::Staged{nullptr, array, step.halo});
         break;
       case StepKind::kBarrier:
         break;
@@ -127,9 +329,17 @@ void StepWalk::bind(const std::vector<Step>& steps,
       n.array = &stencil_resolve(plan_, swapped_, *array);
       n.info = &plan_.array(*n.array);
     }
-    bind(step.body, hints);
+    const std::size_t staged_before = scope.staged.size();
+    bind(step.body, hints, scope);
+    scope.staged.erase(scope.staged.begin() + staged_before,
+                       scope.staged.end());
     Node& bound = nodes_[i];
     bound.end = nodes_.size();
+    if (step.kind == StepKind::kForEachSlab) {
+      scope.slabs.pop_back();
+    } else if (step.kind == StepKind::kForEachColumn) {
+      scope.columns.pop_back();
+    }
     if (step.kind == StepKind::kForEachSlab && bound.loop->decl->prefetch) {
       for (std::size_t j = i + 1; j < bound.end; j = nodes_[j].end) {
         const Node& read = nodes_[j];

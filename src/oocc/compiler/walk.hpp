@@ -18,6 +18,11 @@
 // overwrites in full before reading any of them), and each step's id and
 // reuse hint. So priced == measured and verified == executed hold because
 // all four see the same event stream, not because they mirror one another.
+//
+// The walk also owns the rules a step tree must meet (docs/slab-ir.md): it
+// checks them as it binds the tree, before any event, and throws a
+// StructureError on the first one broken. So no client can be handed a
+// tree it cannot run, with or without the verifier.
 #pragma once
 
 #include <cstdint>
@@ -30,8 +35,29 @@
 #include "oocc/compiler/plan.hpp"
 #include "oocc/runtime/bufferpool.hpp"
 #include "oocc/runtime/slab_writer.hpp"
+#include "oocc/util/error.hpp"
 
 namespace oocc::compiler {
+
+/// A step tree no StepWalk client can run: Error(kVerifyError) carrying
+/// the broken rule's OOCC-V0xx code (V001-V005, V012) and the offending
+/// step. The rules are lexical, so every rank and ping-pong parity throws
+/// the same one.
+class StructureError : public Error {
+ public:
+  StructureError(const char* rule, const Step* step, const std::string& detail);
+
+  const char* rule() const noexcept { return rule_; }
+  /// The offending step; null for a loop declaration or a statement.
+  const Step* step() const noexcept { return step_; }
+  /// The message without the code and the step.
+  const std::string& detail() const noexcept { return detail_; }
+
+ private:
+  const char* rule_;
+  const Step* step_;
+  std::string detail_;
+};
 
 class StepWalk {
  public:
@@ -93,9 +119,9 @@ class StepWalk {
 
   /// Binds `plan` for `rank`; `swapped` runs a stencil plan's odd sweep,
   /// where the ping-pong pair trade places. `hints`, indexed by step id,
-  /// gives each node its reuse hint; empty gives none. Throws Error on a
-  /// step that names an undeclared loop or an unknown array or statement,
-  /// and on hints for a different number of steps.
+  /// gives each node its reuse hint; empty gives none. Throws
+  /// StructureError on a tree that breaks a structure rule, and Error on
+  /// hints for a different number of steps.
   StepWalk(const NodeProgram& plan, int rank, bool swapped,
            std::span<const double> hints = {});
 
@@ -165,7 +191,9 @@ class StepWalk {
   const int rank_;
 
  private:
-  void bind(const std::vector<Step>& steps, std::span<const double> hints);
+  struct Scope;
+  void bind(const std::vector<Step>& steps, std::span<const double> hints,
+            Scope& scope);
   void find_drops();
   void visit(std::size_t first, std::size_t last);
   void visit(std::size_t i);

@@ -418,10 +418,7 @@ class StepExecutor final : public compiler::StepWalk {
     buffers[st.lhs] = &out;
     operands_.clear();
     for (const ColumnKernel::Ref& ref : kernel->refs()) {
-      const auto it = buffers.find(ref.array);
-      OOCC_CHECK(it != buffers.end(), ErrorCode::kRuntimeError,
-                 "array '" << ref.array << "' has no bound slab");
-      operands_.push_back(it->second);
+      operands_.push_back(buffers.at(ref.array));
     }
     columns_.resize(operands_.size());
     const runtime::IclaBuffer* src =

@@ -4,7 +4,7 @@
 
 namespace oocc::hpf {
 
-std::string gaxpy_source(std::int64_t n, int nprocs) {
+std::string gaxpy_source(std::int64_t n, std::int64_t nprocs) {
   std::ostringstream oss;
   oss << "      parameter (n=" << n << ", nprocs=" << nprocs << ")\n"
       << "      real a(n,n), b(n,n), c(n,n), temp(n,n)\n"
@@ -24,7 +24,7 @@ std::string gaxpy_source(std::int64_t n, int nprocs) {
 }
 
 std::string elementwise_source(std::int64_t rows, std::int64_t cols,
-                               int nprocs, std::int64_t alpha) {
+                               std::int64_t nprocs, std::int64_t alpha) {
   std::ostringstream oss;
   oss << "      parameter (m=" << rows << ", n=" << cols << ", p=" << nprocs
       << ")\n"
@@ -40,7 +40,7 @@ std::string elementwise_source(std::int64_t rows, std::int64_t cols,
   return oss.str();
 }
 
-std::string stencil_source(std::int64_t n, int nprocs) {
+std::string stencil_source(std::int64_t n, std::int64_t nprocs) {
   std::ostringstream oss;
   oss << "      parameter (n=" << n << ", p=" << nprocs << ")\n"
       << "      real a(n,n), b(n,n)\n"

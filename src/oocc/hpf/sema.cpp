@@ -149,8 +149,9 @@ BoundProgram analyze(Program program) {
     procs_name = program.processors->name;
     const std::int64_t p =
         evaluate_scalar(*program.processors->count, bound.parameters);
-    OOCC_CHECK(p >= 1, ErrorCode::kSemanticError,
-               "PROCESSORS count must be >= 1, got " << p);
+    OOCC_CHECK(p >= 1 && p <= kMaxProcessors, ErrorCode::kSemanticError,
+               "PROCESSORS count must be in 1.." << kMaxProcessors << ", got "
+                                                 << p);
     bound.nprocs = static_cast<int>(p);
   }
 

@@ -37,9 +37,15 @@ struct BoundProgram {
   const ArrayInfo& array(const std::string& name) const;
 };
 
+/// The most processors a PROCESSORS directive may declare. Each one runs
+/// as an OS thread of sim::Machine, so this bounds what a run starts; it
+/// is 16x the largest arrangement any test, bench or example uses (64).
+inline constexpr std::int64_t kMaxProcessors = 1024;
+
 /// Runs semantic analysis; consumes `program`. Throws
 /// Error(kSemanticError) on undeclared names, rank mismatches, unresolved
-/// directives, or non-constant declaration extents.
+/// directives, non-constant declaration extents, or a processor count
+/// outside 1..kMaxProcessors.
 BoundProgram analyze(Program program);
 
 }  // namespace oocc::hpf

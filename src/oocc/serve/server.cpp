@@ -120,7 +120,7 @@ JobRequest Server::parse_request(const std::string& line) const {
   } else if (req.has("builtin")) {
     const std::string builtin = req.get_string("builtin", "");
     const std::int64_t n = req.get_int("n", 64);
-    const int p = static_cast<int>(req.get_int("p", 4));
+    const std::int64_t p = req.get_int("p", 4);
     if (builtin == "gaxpy") {
       job.source = hpf::gaxpy_source(n, p);
     } else if (builtin == "elementwise") {

@@ -307,7 +307,7 @@ TEST(StepPricing, MatchesMeasuredCountersForFusedSweep) {
       compiler::compile_sequence_source(kChainSource, options);
   ASSERT_EQ(plans.size(), 1u);
   const std::map<std::string, compiler::StepIoCost> price =
-      compiler::price_steps(plans.front());
+      compiler::price_plan(plans.front()).arrays;
   const SequenceRun run = run_sequence(plans, 4, no_cache());
   for (const auto& [name, cost] : price) {
     const io::IoStats& s = run.per_array.at(name);
@@ -344,7 +344,7 @@ TEST(StepPricing, MatchesSchemaEstimatorForGaxpy) {
     const compiler::CandidateCost schema =
         compiler::estimate_gaxpy_cost(plan.a_orientation, q);
     const std::map<std::string, compiler::StepIoCost> steps =
-        compiler::price_steps(plan);
+        compiler::price_plan(plan).arrays;
     EXPECT_DOUBLE_EQ(steps.at(plan.a).read_requests,
                      schema.cost_of("a").fetch_requests);
     EXPECT_DOUBLE_EQ(steps.at(plan.a).elements_read,

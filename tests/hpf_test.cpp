@@ -385,6 +385,27 @@ TEST(SemaTest, SemanticErrors) {
   }
 }
 
+TEST(SemaTest, ProcessorCountIsCapped) {
+  // Every processor of a run is a thread of the simulated machine. A count
+  // past the cap must not analyze, nor one that wraps when narrowed to int
+  // (4294967297 would become 1 processor, 5000000000 705,032,704).
+  const auto source = [](const std::string& p) {
+    return "!hpf$ processors Pr(" + p + ")\nend\n";
+  };
+  EXPECT_EQ(analyze(parse(source("1024"))).nprocs, kMaxProcessors);
+  for (const char* p : {"1025", "100000", "4294967297", "5000000000"}) {
+    try {
+      analyze(parse(source(p)));
+      FAIL() << "Pr(" << p << ") analyzed";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kSemanticError) << e.what();
+      EXPECT_NE(std::string(e.what()).find("must be in 1..1024"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(SemaTest, TemplateWithoutDistributeStaysUndistributed) {
   const BoundProgram bound = analyze(parse(
       "real a(8,8)\n"

@@ -406,6 +406,23 @@ TEST(Server, OperatorChainsAreCappedNotFatal) {
   EXPECT_TRUE(at_cap.get_bool("ok", false)) << at_cap.dump();
 }
 
+TEST(Server, CompileRejectsProcessorsPastTheCap) {
+  // Every processor of a run is a thread: no compile may hand out a plan
+  // for more than hpf::kMaxProcessors of them.
+  Server server(ServerOptions{});
+  const Json res = server.handle_line(
+      "{\"op\":\"compile\",\"program\":\"      real x(8,8)\\n"
+      "!hpf$ processors Pr(100000)\\n      end\\n\"}");
+  EXPECT_FALSE(res.get_bool("ok", true)) << res.dump();
+  EXPECT_EQ(res.get_string("code", ""), "SemanticError") << res.dump();
+  // A builtin's count must not wrap to 1 processor on its way to int.
+  const Json wrapped = server.handle_line(
+      "{\"op\":\"compile\",\"builtin\":\"elementwise\",\"n\":8,"
+      "\"p\":4294967297}");
+  EXPECT_FALSE(wrapped.get_bool("ok", true)) << wrapped.dump();
+  EXPECT_EQ(wrapped.get_string("code", ""), "SemanticError") << wrapped.dump();
+}
+
 TEST(Server, HostileTenantNamesStayInsideWorkRoot) {
   // A tenant of ".." must not resolve to the parent of the work root: job
   // directories are created — and recursively removed — under tenant

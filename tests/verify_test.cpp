@@ -1,17 +1,25 @@
 // Static verifier tests: a mutation harness proving every OOCC-V0xx
 // diagnostic fires on a seeded broken program, an exhaustive clean pass
 // over all shipped plan shapes (elementwise, fused chains, GAXPY, stencil
-// at P = 1/3/4 with tight and roomy budgets), and the executor
-// integration (unstamped plans verify by default, --no-verify escapes).
+// at P = 1/3/4 with tight and roomy budgets), a soundness generator (every
+// single-step mutant of six lowered plans either fails with the step
+// walk's structural error everywhere or, when it verifies, prices and
+// runs), and the executor integration (unstamped plans verify by default,
+// --no-verify escapes).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <exception>
+#include <functional>
+#include <set>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "oocc/compiler/lower.hpp"
+#include "oocc/compiler/pretty.hpp"
 #include "oocc/compiler/verify.hpp"
 #include "oocc/exec/interp.hpp"
 #include "oocc/hpf/programs.hpp"
@@ -238,6 +246,17 @@ TEST(VerifyMutationTest, V003DuplicateLoopDeclaration) {
   EXPECT_TRUE(fires(plan, "OOCC-V003"));
 }
 
+TEST(VerifyMutationTest, V003ColumnLoopReentersActiveLoop) {
+  // An inner ForEachColumn of the same loop resets the column index when
+  // it ends, so a later ReduceSum of the outer one would sum column -1.
+  NodeProgram plan = gaxpy_plan(3, 4096);
+  Step* per_column = require_step(plan, StepKind::kForEachColumn);
+  ASSERT_NE(per_column, nullptr);
+  const Step inner = *per_column;
+  per_column->body.insert(per_column->body.begin(), inner);
+  EXPECT_TRUE(fires(plan, "OOCC-V003"));
+}
+
 TEST(VerifyMutationTest, V004SlabStepOutsideItsLoop) {
   NodeProgram plan = elementwise_plan(1);
   // Hoist the ReadSlab to the top level, outside any ForEachSlab.
@@ -400,6 +419,207 @@ TEST(VerifyMutationTest, V040CollectiveCountDiverges) {
   barrier.kind = StepKind::kBarrier;
   sweep_body(plan).push_back(barrier);
   EXPECT_TRUE(fires(plan, "OOCC-V040"));
+}
+
+// ------------------------------------------------- mutation soundness
+
+/// The index of a step at each level of its step tree.
+using StepPath = std::vector<std::size_t>;
+
+void collect_paths(const std::vector<Step>& steps, StepPath& prefix,
+                   std::vector<StepPath>& out) {
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    prefix.push_back(i);
+    out.push_back(prefix);
+    collect_paths(steps[i].body, prefix, out);
+    prefix.pop_back();
+  }
+}
+
+/// The list that holds the step at `path`.
+template <typename Plan>
+auto& siblings(Plan& plan, const StepPath& path) {
+  auto* list = &plan.steps;
+  for (std::size_t d = 0; d + 1 < path.size(); ++d) {
+    list = &(*list)[path[d]].body;
+  }
+  return *list;
+}
+
+template <typename Plan>
+auto& step_at(Plan& plan, const StepPath& path) {
+  return siblings(plan, path)[path.back()];
+}
+
+struct Mutant {
+  std::string name;
+  NodeProgram plan;
+};
+
+/// Every single-step mutant of `base`: each step deleted with its body,
+/// duplicated in place, moved one level up and copied one level up (to
+/// just after its parent), and its `loop` or `with` pointed at each other
+/// declared loop. Mutants carry no verified stamp.
+std::vector<Mutant> single_step_mutants(const std::string& label,
+                                        const NodeProgram& base) {
+  std::vector<StepPath> paths;
+  StepPath prefix;
+  collect_paths(base.steps, prefix, paths);
+  std::vector<Mutant> out;
+  for (const StepPath& path : paths) {
+    const Step& step = step_at(base, path);
+    const std::size_t i = path.back();
+    const auto add = [&](const std::string& what,
+                         const std::function<void(NodeProgram&)>& edit) {
+      Mutant& m = out.emplace_back(
+          Mutant{label + ": " + what + " '" + step_text(step) + "'", base});
+      m.plan.verified = false;
+      edit(m.plan);
+    };
+    add("delete", [&](NodeProgram& p) {
+      std::vector<Step>& list = siblings(p, path);
+      list.erase(list.begin() + static_cast<std::ptrdiff_t>(i));
+    });
+    add("duplicate", [&](NodeProgram& p) {
+      std::vector<Step>& list = siblings(p, path);
+      list.insert(list.begin() + static_cast<std::ptrdiff_t>(i) + 1, step);
+    });
+    if (path.size() > 1) {
+      const StepPath parent(path.begin(), path.end() - 1);
+      for (const bool keep : {false, true}) {
+        add(keep ? "copy up" : "move up", [&](NodeProgram& p) {
+          if (!keep) {
+            std::vector<Step>& list = siblings(p, path);
+            list.erase(list.begin() + static_cast<std::ptrdiff_t>(i));
+          }
+          std::vector<Step>& outer = siblings(p, parent);
+          outer.insert(
+              outer.begin() + static_cast<std::ptrdiff_t>(parent.back()) + 1,
+              step);
+        });
+      }
+    }
+    for (const SlabLoop& loop : base.loops) {
+      if (!step.loop.empty() && loop.name != step.loop) {
+        add("loop -> " + loop.name,
+            [&](NodeProgram& p) { step_at(p, path).loop = loop.name; });
+      }
+      if (!step.with.empty() && loop.name != step.with) {
+        add("with -> " + loop.name,
+            [&](NodeProgram& p) { step_at(p, path).with = loop.name; });
+      }
+    }
+  }
+  return out;
+}
+
+/// Runs `plan` on the simulated machine, every array initialized, with
+/// verification off; a stencil for three sweeps.
+void run_unverified(const NodeProgram& plan) {
+  TempDir dir;
+  Machine machine(plan.nprocs, MachineCostModel::zero());
+  machine.run([&](SpmdContext& ctx) {
+    auto arrays =
+        exec::create_plan_arrays(ctx, plan, dir.path(), DiskModel::zero());
+    ArrayBindings bindings;
+    for (auto& [name, arr] : arrays) {
+      arr->initialize(
+          ctx,
+          [](std::int64_t r, std::int64_t c) {
+            return 1.0 + 0.25 * static_cast<double>(r) -
+                   0.5 * static_cast<double>(c);
+          },
+          1024);
+      bindings[name] = arr.get();
+    }
+    ExecOptions options;
+    options.verify = false;
+    options.max_iters = 3;
+    exec::execute(ctx, plan, bindings, options);
+  });
+}
+
+::testing::AssertionResult completes(const std::function<void()>& fn) {
+  try {
+    fn();
+  } catch (const std::exception& e) {
+    return ::testing::AssertionFailure() << "threw: " << e.what();
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Whether `fn` throws Error(kVerifyError) quoting `code`.
+::testing::AssertionResult rejects(const std::function<void()>& fn,
+                                   const std::string& code) {
+  try {
+    fn();
+  } catch (const Error& e) {
+    if (e.code() == ErrorCode::kVerifyError &&
+        std::string(e.what()).find(code) != std::string::npos) {
+      return ::testing::AssertionSuccess();
+    }
+    return ::testing::AssertionFailure() << "threw: " << e.what();
+  } catch (const std::exception& e) {
+    return ::testing::AssertionFailure() << "threw a non-oocc " << e.what();
+  }
+  return ::testing::AssertionFailure() << "ran without " << code;
+}
+
+TEST(VerifySoundnessTest, EverySingleStepMutantFailsStructurallyOrRuns) {
+  CompileOptions columns;
+  columns.memory_budget_elements = 4096;
+  columns.enable_access_reorganization = false;
+  CompileOptions prefetch;
+  prefetch.memory_budget_elements = 600;
+  prefetch.prefetch = PrefetchMode::kOn;
+  std::vector<std::pair<std::string, NodeProgram>> bases;
+  bases.emplace_back("elementwise P=2", elementwise_plan(2));
+  std::vector<NodeProgram> fused = fused_plans(3, 4096);
+  ASSERT_EQ(fused.size(), 1u);
+  bases.emplace_back("fused chain P=3", std::move(fused.front()));
+  bases.emplace_back("gaxpy rows P=4", gaxpy_plan(4, 4096, 16));
+  bases.emplace_back("gaxpy columns P=4",
+                     compile_source(hpf::gaxpy_source(16, 4), columns));
+  bases.emplace_back("gaxpy rows prefetch P=4",
+                     compile_source(hpf::gaxpy_source(16, 4), prefetch));
+  bases.emplace_back("stencil P=3", stencil_plan(3, 4096));
+  ASSERT_EQ(bases[2].second.a_orientation, runtime::SlabOrientation::kRowSlabs);
+  ASSERT_EQ(bases[3].second.a_orientation,
+            runtime::SlabOrientation::kColumnSlabs);
+  ASSERT_EQ(bases[4].second.a_orientation, runtime::SlabOrientation::kRowSlabs);
+  ASSERT_TRUE(bases[4].second.prefetch);
+
+  const std::set<std::string> structural = {"OOCC-V001", "OOCC-V002",
+                                            "OOCC-V003", "OOCC-V004",
+                                            "OOCC-V005", "OOCC-V012"};
+  std::size_t mutants = 0;
+  int rejected = 0;
+  int passed = 0;
+  for (const auto& [label, base] : bases) {
+    for (const Mutant& m : single_step_mutants(label, base)) {
+      SCOPED_TRACE(m.name);
+      ++mutants;
+      VerifyReport report;
+      ASSERT_TRUE(completes([&] { report = verify_plan(m.plan); }));
+      if (report.ok()) {
+        ++passed;
+        EXPECT_TRUE(completes([&] { (void)price_plan(m.plan); }));
+        EXPECT_TRUE(completes([&] { run_unverified(m.plan); }));
+        continue;
+      }
+      const std::string& code = report.diagnostics.front().code;
+      if (!structural.contains(code)) {
+        continue;  // a dynamic verdict: running it could deadlock
+      }
+      ++rejected;
+      EXPECT_EQ(report.diagnostics.size(), 1u) << report.to_string();
+      EXPECT_TRUE(rejects([&] { (void)price_plan(m.plan); }, code));
+      EXPECT_TRUE(rejects([&] { run_unverified(m.plan); }, code));
+    }
+  }
+  EXPECT_EQ(mutants, 156u);
+  EXPECT_EQ(rejected, 97);
+  EXPECT_EQ(passed, 19);
 }
 
 // ------------------------------------------------ compile/exec plumbing

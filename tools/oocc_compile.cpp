@@ -10,7 +10,7 @@
 //   --no-storage-reorg     disable on-disk storage reorganization
 //   --no-fuse              disable inter-statement slab fusion
 //   --prefetch             double-buffer the dominant array's slabs
-//   --prefetch=auto        let price_steps + the disk model decide per plan
+//   --prefetch=auto        let price_plan + the disk model decide per plan
 //   --no-prefetch          force synchronous slab reads (the default)
 //   --opt=search           global plan search: enumerate slab sizes, memory
 //                          shares, prefetch and fusion groupings, keep the
