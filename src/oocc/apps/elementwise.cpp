@@ -13,7 +13,7 @@ namespace {
 class SerialEvaluator {
  public:
   SerialEvaluator(const hpf::BoundProgram& program, DenseArrays& arrays)
-      : program_(program), arrays_(arrays), env_(program.parameters) {}
+      : program_(program), arrays_(arrays) {}
 
   void run(const hpf::Stmt& s) {
     if (s.kind == hpf::StmtKind::kAssign) {
@@ -122,7 +122,7 @@ class SerialEvaluator {
 
   const hpf::BoundProgram& program_;
   DenseArrays& arrays_;
-  std::map<std::string, std::int64_t> env_;  ///< parameters and loop indices
+  std::map<std::string, std::int64_t> env_;  ///< loop indices
 };
 
 }  // namespace

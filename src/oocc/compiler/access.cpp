@@ -33,17 +33,14 @@ bool is_var(const hpf::Expr& e, const std::string& name) {
   return e.kind == hpf::ExprKind::kVarRef && e.name == name;
 }
 
-/// True if `e` is a constant under the parameter bindings (no loop vars).
-bool is_parameter_constant(const hpf::Expr& e,
-                           const std::map<std::string, std::int64_t>& params) {
+/// True if `e` is an integer constant: sema bound every parameter, so
+/// any remaining name is a loop variable.
+bool is_constant(const hpf::Expr& e) {
   switch (e.kind) {
     case hpf::ExprKind::kIntConst:
       return true;
-    case hpf::ExprKind::kVarRef:
-      return params.contains(e.name);
     case hpf::ExprKind::kBinary:
-      return is_parameter_constant(*e.lhs, params) &&
-             is_parameter_constant(*e.rhs, params);
+      return is_constant(*e.lhs) && is_constant(*e.rhs);
     default:
       return false;
   }
@@ -52,9 +49,8 @@ bool is_parameter_constant(const hpf::Expr& e,
 /// Recognizes `forall_var +/- c` (either operand order for +) and returns
 /// the signed offset; nullopt when `e` is not of that shape. The bare
 /// forall variable yields offset 0.
-std::optional<std::int64_t> forall_offset_of(
-    const hpf::Expr& e, const std::string& forall_var,
-    const std::map<std::string, std::int64_t>& params) {
+std::optional<std::int64_t> forall_offset_of(const hpf::Expr& e,
+                                             const std::string& forall_var) {
   if (forall_var.empty()) {
     return std::nullopt;
   }
@@ -67,35 +63,32 @@ std::optional<std::int64_t> forall_offset_of(
   }
   const hpf::Expr& l = *e.lhs;
   const hpf::Expr& r = *e.rhs;
-  if (is_var(l, forall_var) && is_parameter_constant(r, params)) {
-    const std::int64_t c = hpf::evaluate_scalar(r, params);
+  if (is_var(l, forall_var) && is_constant(r)) {
+    const std::int64_t c = hpf::evaluate_scalar(r, {});
     return e.op == hpf::BinOp::kAdd ? c : -c;
   }
-  if (e.op == hpf::BinOp::kAdd && is_var(r, forall_var) &&
-      is_parameter_constant(l, params)) {
-    return hpf::evaluate_scalar(l, params);
+  if (e.op == hpf::BinOp::kAdd && is_var(r, forall_var) && is_constant(l)) {
+    return hpf::evaluate_scalar(l, {});
   }
   return std::nullopt;
 }
 
 }  // namespace
 
-SubscriptClass classify_subscript(
-    const hpf::Subscript& sub, const hpf::ArrayInfo& info, int dim,
-    const LoopContext& loops,
-    const std::map<std::string, std::int64_t>& parameters) {
+SubscriptClass classify_subscript(const hpf::Subscript& sub,
+                                  const hpf::ArrayInfo& info, int dim,
+                                  const LoopContext& loops) {
   const std::int64_t extent = dim == 0 ? info.rows : info.cols;
   switch (sub.kind) {
     case hpf::SubscriptKind::kFull:
       return SubscriptClass::kFullRange;
     case hpf::SubscriptKind::kRange: {
-      // 1:N over the whole dimension is a full range; other
-      // parameter-constant bounds are a partial section (the stencil
-      // matcher reads its bounds off the RefAccess).
-      if (is_parameter_constant(*sub.lo, parameters) &&
-          is_parameter_constant(*sub.hi, parameters)) {
-        const std::int64_t lo = hpf::evaluate_scalar(*sub.lo, parameters);
-        const std::int64_t hi = hpf::evaluate_scalar(*sub.hi, parameters);
+      // 1:N over the whole dimension is a full range; other constant
+      // bounds are a partial section (the stencil matcher reads its bounds
+      // off the RefAccess).
+      if (is_constant(*sub.lo) && is_constant(*sub.hi)) {
+        const std::int64_t lo = hpf::evaluate_scalar(*sub.lo, {});
+        const std::int64_t hi = hpf::evaluate_scalar(*sub.hi, {});
         if (lo == 1 && hi == extent) {
           return SubscriptClass::kFullRange;
         }
@@ -104,15 +97,14 @@ SubscriptClass classify_subscript(
       return SubscriptClass::kOther;
     }
     case hpf::SubscriptKind::kScalar: {
-      if (const auto off =
-              forall_offset_of(*sub.scalar, loops.forall_var, parameters)) {
+      if (const auto off = forall_offset_of(*sub.scalar, loops.forall_var)) {
         return *off == 0 ? SubscriptClass::kForallIndex
                          : SubscriptClass::kForallOffset;
       }
       if (!loops.outer_var.empty() && is_var(*sub.scalar, loops.outer_var)) {
         return SubscriptClass::kOuterIndex;
       }
-      if (is_parameter_constant(*sub.scalar, parameters)) {
+      if (is_constant(*sub.scalar)) {
         return SubscriptClass::kConstant;
       }
       return SubscriptClass::kOther;
@@ -125,19 +117,17 @@ namespace {
 
 /// Fills one dimension's class plus the detail fields the class implies.
 void classify_dim(const hpf::Subscript& sub, const hpf::ArrayInfo& info,
-                  int dim, const LoopContext& loops,
-                  const std::map<std::string, std::int64_t>& parameters,
-                  SubscriptClass& cls, std::int64_t& offset, std::int64_t& lo,
-                  std::int64_t& hi) {
-  cls = classify_subscript(sub, info, dim, loops, parameters);
+                  int dim, const LoopContext& loops, SubscriptClass& cls,
+                  std::int64_t& offset, std::int64_t& lo, std::int64_t& hi) {
+  cls = classify_subscript(sub, info, dim, loops);
   if (cls == SubscriptClass::kForallIndex ||
       cls == SubscriptClass::kForallOffset) {
-    offset = *forall_offset_of(*sub.scalar, loops.forall_var, parameters);
+    offset = *forall_offset_of(*sub.scalar, loops.forall_var);
   } else if (cls == SubscriptClass::kConstantRange ||
              cls == SubscriptClass::kFullRange) {
     if (sub.kind == hpf::SubscriptKind::kRange) {
-      lo = hpf::evaluate_scalar(*sub.lo, parameters);
-      hi = hpf::evaluate_scalar(*sub.hi, parameters);
+      lo = hpf::evaluate_scalar(*sub.lo, {});
+      hi = hpf::evaluate_scalar(*sub.hi, {});
     } else {
       lo = 1;
       hi = dim == 0 ? info.rows : info.cols;
@@ -147,18 +137,17 @@ void classify_dim(const hpf::Subscript& sub, const hpf::ArrayInfo& info,
 
 }  // namespace
 
-RefAccess classify_reference(
-    const hpf::Expr& ref, const hpf::ArrayInfo& info, const LoopContext& loops,
-    const std::map<std::string, std::int64_t>& parameters, bool is_lhs) {
+RefAccess classify_reference(const hpf::Expr& ref, const hpf::ArrayInfo& info,
+                             const LoopContext& loops, bool is_lhs) {
   OOCC_REQUIRE(ref.kind == hpf::ExprKind::kArrayRef,
                "classify_reference expects an array reference");
   RefAccess out;
   out.array = ref.name;
   out.is_lhs = is_lhs;
-  classify_dim(ref.subscripts[0], info, 0, loops, parameters, out.row_class,
+  classify_dim(ref.subscripts[0], info, 0, loops, out.row_class,
                out.row_offset, out.row_lo, out.row_hi);
   if (ref.subscripts.size() > 1) {
-    classify_dim(ref.subscripts[1], info, 1, loops, parameters, out.col_class,
+    classify_dim(ref.subscripts[1], info, 1, loops, out.col_class,
                  out.col_offset, out.col_lo, out.col_hi);
   } else {
     out.col_class = SubscriptClass::kConstant;  // rank-1: single column
@@ -172,8 +161,8 @@ void collect_references(const hpf::Expr& expr,
                         std::vector<RefAccess>& out) {
   switch (expr.kind) {
     case hpf::ExprKind::kArrayRef:
-      out.push_back(classify_reference(expr, program.array(expr.name), loops,
-                                       program.parameters, is_lhs));
+      out.push_back(
+          classify_reference(expr, program.array(expr.name), loops, is_lhs));
       return;
     case hpf::ExprKind::kBinary:
       collect_references(*expr.lhs, program, loops, is_lhs, out);

@@ -24,7 +24,7 @@ enum class SubscriptClass {
   kForallOffset,   ///< forall index +/- a nonzero constant (stencil shape)
   kOuterIndex,     ///< an enclosing sequential DO index
   kConstant,       ///< loop-invariant scalar expression
-  kConstantRange,  ///< lo:hi with parameter-constant partial bounds
+  kConstantRange,  ///< lo:hi with constant partial bounds
   kOther           ///< anything else (affine of several vars, etc.)
 };
 
@@ -65,16 +65,11 @@ struct LoopContext {
 /// (0 = rows, 1 = cols).
 SubscriptClass classify_subscript(const hpf::Subscript& sub,
                                   const hpf::ArrayInfo& info, int dim,
-                                  const LoopContext& loops,
-                                  const std::map<std::string, std::int64_t>&
-                                      parameters);
+                                  const LoopContext& loops);
 
 /// Classifies a full array reference expression (kind == kArrayRef).
 RefAccess classify_reference(const hpf::Expr& ref, const hpf::ArrayInfo& info,
-                             const LoopContext& loops,
-                             const std::map<std::string, std::int64_t>&
-                                 parameters,
-                             bool is_lhs);
+                             const LoopContext& loops, bool is_lhs);
 
 /// Collects and classifies every array reference in `expr` (recursing
 /// through binary operations).

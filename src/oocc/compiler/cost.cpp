@@ -27,9 +27,7 @@ double CandidateCost::total_elements() const noexcept {
 
 double CandidateCost::estimated_io_time_s(const io::DiskModel& disk,
                                           int nprocs) const {
-  return total_requests() * disk.request_overhead_s +
-         total_elements() * static_cast<double>(sizeof(double)) /
-             disk.effective_bandwidth(nprocs);
+  return disk.batch_time(total_requests(), total_elements(), nprocs);
 }
 
 const ArrayCost& CandidateCost::cost_of(const std::string& name) const {
@@ -380,9 +378,7 @@ double PlanPrice::total_elements() const noexcept {
 
 double PlanPrice::io_time_s(const io::DiskModel& disk,
                             int nprocs) const noexcept {
-  return total_requests() * disk.request_overhead_s +
-         total_elements() * static_cast<double>(sizeof(double)) /
-             disk.effective_bandwidth(nprocs);
+  return disk.batch_time(total_requests(), total_elements(), nprocs);
 }
 
 PlanPrice price_plan(const NodeProgram& plan, int proc,
@@ -444,18 +440,9 @@ double PlanPrice::makespan_s(const io::DiskModel& disk,
                              const sim::MachineCostModel& machine,
                              int nprocs) const noexcept {
   const double comp = machine.compute.flops_time(flops);
-  const double overlappable =
-      overlappable_read_requests * disk.request_overhead_s +
-      overlappable_read_elements * static_cast<double>(sizeof(double)) /
-          disk.effective_bandwidth(nprocs);
+  const double overlappable = disk.batch_time(
+      overlappable_read_requests, overlappable_read_elements, nprocs);
   return io_time_s(disk, nprocs) + comp - std::min(overlappable, comp);
-}
-
-double estimate_plan_time_s(const NodeProgram& plan, const io::DiskModel& disk,
-                            const sim::MachineCostModel& machine) {
-  PriceOptions options;
-  options.model_cache = true;
-  return price_plan(plan, 0, options).makespan_s(disk, machine, plan.nprocs);
 }
 
 namespace {

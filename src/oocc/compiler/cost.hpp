@@ -207,11 +207,4 @@ std::vector<PlanPrice> price_sequence(std::span<const NodeProgram> plans,
 std::vector<std::vector<double>> annotate_reuse_distances(
     std::span<const NodeProgram> plans, int proc = 0);
 
-/// Predicted makespan of one plan under the executor's defaults (slab
-/// cache on): charged disk service + compute, minus the read I/O the
-/// plan's prefetching loops can overlap with compute. The --prefetch=auto
-/// decision compares this with and without the double-buffered layout.
-double estimate_plan_time_s(const NodeProgram& plan, const io::DiskModel& disk,
-                            const sim::MachineCostModel& machine);
-
 }  // namespace oocc::compiler

@@ -58,10 +58,11 @@ struct StencilMatch {
   std::int64_t row_halo = 0;  ///< row shift magnitude (boundary rows)
 };
 
-std::optional<std::int64_t> const_bound(
-    const Expr& e, const std::map<std::string, std::int64_t>& params) {
+/// The value of a constant loop bound; nullopt when it names a loop
+/// variable (sema bound every parameter).
+std::optional<std::int64_t> const_bound(const Expr& e) {
   try {
-    return hpf::evaluate_scalar(e, params);
+    return hpf::evaluate_scalar(e, {});
   } catch (const Error&) {
     return std::nullopt;
   }
@@ -422,8 +423,8 @@ std::optional<GaxpyMatch> match_gaxpy(const BoundProgram& program) {
     return std::nullopt;
   }
   const Stmt& outer = *program.stmts[0];
-  const auto lo = const_bound(*outer.lo, program.parameters);
-  const auto hi = const_bound(*outer.hi, program.parameters);
+  const auto lo = const_bound(*outer.lo);
+  const auto hi = const_bound(*outer.hi);
   if (!lo || *lo != 1 || !hi || outer.body.size() != 2) {
     return std::nullopt;
   }
@@ -433,8 +434,8 @@ std::optional<GaxpyMatch> match_gaxpy(const BoundProgram& program) {
       sum_assign.kind != StmtKind::kAssign) {
     return std::nullopt;
   }
-  const auto flo = const_bound(*forall.lo, program.parameters);
-  const auto fhi = const_bound(*forall.hi, program.parameters);
+  const auto flo = const_bound(*forall.lo);
+  const auto fhi = const_bound(*forall.hi);
   if (!flo || *flo != 1 || !fhi || *fhi != *hi) {
     return std::nullopt;
   }
@@ -456,7 +457,7 @@ std::optional<GaxpyMatch> match_gaxpy(const BoundProgram& program) {
   match.temp = inner.lhs->name;
   const RefAccess temp_ref =
       classify_reference(*inner.lhs, program.array(match.temp), loops,
-                         program.parameters, /*is_lhs=*/true);
+                         /*is_lhs=*/true);
   if (temp_ref.row_class != SubscriptClass::kFullRange ||
       temp_ref.col_class != SubscriptClass::kForallIndex) {
     return std::nullopt;
@@ -469,8 +470,8 @@ std::optional<GaxpyMatch> match_gaxpy(const BoundProgram& program) {
     if (op->kind != ExprKind::kArrayRef) {
       return std::nullopt;
     }
-    const RefAccess ref = classify_reference(
-        *op, program.array(op->name), loops, program.parameters, false);
+    const RefAccess ref =
+        classify_reference(*op, program.array(op->name), loops, false);
     if (ref.row_class == SubscriptClass::kForallIndex &&
         ref.col_class == SubscriptClass::kOuterIndex) {
       match.b = op->name;
@@ -494,7 +495,7 @@ std::optional<GaxpyMatch> match_gaxpy(const BoundProgram& program) {
   match.c = sum_assign.lhs->name;
   const RefAccess c_ref =
       classify_reference(*sum_assign.lhs, program.array(match.c), loops,
-                         program.parameters, /*is_lhs=*/true);
+                         /*is_lhs=*/true);
   if (c_ref.row_class != SubscriptClass::kFullRange ||
       c_ref.col_class != SubscriptClass::kOuterIndex) {
     return std::nullopt;
@@ -567,9 +568,8 @@ hpf::StmtPtr normalize_assignment_to_forall(const Stmt& assign,
       const bool full =
           col.kind == hpf::SubscriptKind::kFull ||
           (col.kind == hpf::SubscriptKind::kRange &&
-           hpf::evaluate_scalar(*col.lo, program.parameters) == 1 &&
-           hpf::evaluate_scalar(*col.hi, program.parameters) ==
-               program.array(e.name).cols);
+           const_bound(*col.lo) == 1 &&
+           const_bound(*col.hi) == program.array(e.name).cols);
       OOCC_CHECK(full, ErrorCode::kCompileError,
                  "array assignment normalization requires full column "
                  "sections; '"
@@ -631,8 +631,8 @@ std::optional<ElementwiseMatch> match_elementwise(
       assign.lhs->kind != ExprKind::kArrayRef) {
     return std::nullopt;
   }
-  const auto flo = const_bound(*forall.lo, program.parameters);
-  const auto fhi = const_bound(*forall.hi, program.parameters);
+  const auto flo = const_bound(*forall.lo);
+  const auto fhi = const_bound(*forall.hi);
   if (!flo || *flo != 1 || !fhi) {
     return std::nullopt;
   }
@@ -650,8 +650,7 @@ std::optional<ElementwiseMatch> match_elementwise(
 
   const LoopContext loops{"", match.forall_var};
   std::vector<RefAccess> refs;
-  refs.push_back(classify_reference(*assign.lhs, lhs_info, loops,
-                                    program.parameters, true));
+  refs.push_back(classify_reference(*assign.lhs, lhs_info, loops, true));
   collect_references(*assign.rhs, program, loops, false, refs);
   for (const RefAccess& ref : refs) {
     if (ref.row_class != SubscriptClass::kFullRange ||
@@ -676,8 +675,8 @@ bool looks_stencil_shaped(const BoundProgram& program, const Expr& rhs,
     if (ref->subscripts.size() != 2) {
       continue;
     }
-    const RefAccess acc = classify_reference(
-        *ref, program.array(ref->name), loops, program.parameters, false);
+    const RefAccess acc =
+        classify_reference(*ref, program.array(ref->name), loops, false);
     if (acc.col_class == SubscriptClass::kForallOffset) {
       return true;
     }
@@ -722,8 +721,8 @@ std::optional<StencilMatch> match_stencil(const BoundProgram& program) {
 
   // The lhs: rows are a (possibly interior) constant range, columns the
   // bare forall index.
-  const RefAccess lhs_acc = classify_reference(*assign.lhs, lhs_info, loops,
-                                               program.parameters, true);
+  const RefAccess lhs_acc =
+      classify_reference(*assign.lhs, lhs_info, loops, true);
   OOCC_STENCIL_CHECK(lhs_acc.col_class == SubscriptClass::kForallIndex,
                      "the assignment target's column subscript must be the "
                      "bare FORALL index; '"
@@ -759,8 +758,8 @@ std::optional<StencilMatch> match_stencil(const BoundProgram& program) {
                        "stencil statements read exactly one source array; "
                        "found both '"
                            << m.source << "' and '" << ref->name << "'");
-    const RefAccess acc = classify_reference(
-        *ref, program.array(ref->name), loops, program.parameters, false);
+    const RefAccess acc =
+        classify_reference(*ref, program.array(ref->name), loops, false);
     OOCC_STENCIL_CHECK(acc.col_class == SubscriptClass::kForallIndex ||
                            acc.col_class == SubscriptClass::kForallOffset,
                        "column subscript of '"
@@ -789,24 +788,6 @@ std::optional<StencilMatch> match_stencil(const BoundProgram& program) {
   }
   OOCC_STENCIL_CHECK(!m.source.empty(),
                      "the right-hand side references no array");
-  // Free scalars: only the FORALL index and parameters (folded to
-  // constants during normalization) may appear outside subscripts — the
-  // executor's stencil evaluator binds nothing else.
-  std::function<void(const Expr&)> check_scalars = [&](const Expr& e) {
-    if (e.kind == ExprKind::kVarRef) {
-      OOCC_STENCIL_CHECK(e.name == m.forall_var ||
-                             program.parameters.contains(e.name),
-                         "free scalar '" << e.name
-                                         << "' is neither the FORALL index "
-                                            "nor a parameter");
-    }
-    if (e.kind == ExprKind::kArrayRef) {
-      return;  // subscripts were classified above
-    }
-    if (e.lhs) check_scalars(*e.lhs);
-    if (e.rhs) check_scalars(*e.rhs);
-  };
-  check_scalars(*m.rhs);
   OOCC_STENCIL_CHECK(m.source != m.lhs,
                      "in-place stencils (the target '"
                          << m.lhs << "' appearing on the right-hand side) "
@@ -820,8 +801,8 @@ std::optional<StencilMatch> match_stencil(const BoundProgram& program) {
   m.row_halo = row_shift_max;
 
   // FORALL bounds and the lhs row range must exclude exactly the halo.
-  const auto flo = const_bound(*forall.lo, program.parameters);
-  const auto fhi = const_bound(*forall.hi, program.parameters);
+  const auto flo = const_bound(*forall.lo);
+  const auto fhi = const_bound(*forall.hi);
   OOCC_STENCIL_CHECK(flo && fhi && *flo == 1 + m.halo &&
                          *fhi == m.cols - m.halo,
                      "the FORALL range must exclude the halo: expected ("
@@ -835,8 +816,8 @@ std::optional<StencilMatch> match_stencil(const BoundProgram& program) {
                          << ")");
   // Every rhs row range stays inside the array.
   for (const Expr* ref : refs) {
-    const RefAccess acc = classify_reference(
-        *ref, program.array(ref->name), loops, program.parameters, false);
+    const RefAccess acc =
+        classify_reference(*ref, program.array(ref->name), loops, false);
     OOCC_STENCIL_CHECK(acc.row_lo >= 1 && acc.row_hi <= m.rows,
                        "row range of '" << ref->name << "' (" << acc.row_lo
                                         << ":" << acc.row_hi
@@ -881,21 +862,12 @@ void check_stencil_layout(const BoundProgram& program,
 /// Rewrites a cloned rhs into position-normalized form (SlabStmt): every
 /// array reference's subscripts become two integer constants (row shift
 /// from `lhs_row_lo`, column offset) relative to the element being
-/// computed, and parameter scalars fold to integer constants (the executor
-/// binds only the FORALL index). Elementwise and stencil statements both
-/// come through here.
+/// computed. Elementwise and stencil statements both come through here.
 void normalize_refs(Expr& e, const BoundProgram& program,
                     const LoopContext& loops, std::int64_t lhs_row_lo) {
-  if (e.kind == ExprKind::kVarRef &&
-      program.parameters.contains(e.name)) {
-    e.int_value = program.parameters.at(e.name);
-    e.kind = ExprKind::kIntConst;
-    e.name.clear();
-    return;
-  }
   if (e.kind == ExprKind::kArrayRef) {
-    const RefAccess acc = classify_reference(
-        e, program.array(e.name), loops, program.parameters, false);
+    const RefAccess acc =
+        classify_reference(e, program.array(e.name), loops, false);
     const std::int64_t row_shift = acc.row_lo - lhs_row_lo;
     e.subscripts.clear();
     hpf::Subscript row;
@@ -1119,7 +1091,8 @@ std::string prefetch_rationale(bool enabled, double t_on, double t_off) {
 std::optional<double> price_candidate(const NodeProgram& plan,
                                       const CompileOptions& options) {
   try {
-    return estimate_plan_time_s(plan, options.disk, options.machine);
+    return priced_sequence_makespan_s(std::span<const NodeProgram>(&plan, 1),
+                                      options.disk, options.machine);
   } catch (const Error&) {
     return std::nullopt;
   }
@@ -1268,7 +1241,6 @@ std::vector<NodeProgram> lower_statements(const BoundProgram& program,
   for (std::size_t i = 0; i < program.stmts.size(); ++i) {
     BoundProgram view;
     view.nprocs = program.nprocs;
-    view.parameters = program.parameters;
     view.arrays = program.arrays;
     view.stmts.push_back(hpf::clone_stmt(*program.stmts[i]));
     try {

@@ -117,8 +117,9 @@ struct Step {
 /// One lowered FORALL statement `lhs(section) = rhs`, elementwise or
 /// stencil. The rhs is *position-normalized*: every array reference's two
 /// subscripts are integer constants (row shift, column offset) relative to
-/// the element being computed, parameters are folded to constants, and the
-/// FORALL index (its 1-based global column number) is the only free scalar.
+/// the element being computed, parameters are constants (sema bound them),
+/// and the FORALL index (its 1-based global column number) is the only free
+/// scalar.
 /// An elementwise statement reads every operand at (0, 0); a fused plan
 /// carries several, and each slab of the sweep evaluates them in order, so a
 /// later statement reads the in-memory result of an earlier one. A stencil

@@ -90,9 +90,10 @@ SearchResult search_sequence_source(std::string_view source,
 /// The search objective: predicted makespan of the whole sequence under
 /// the executor's defaults (slab cache on, one pool persisting across the
 /// statements). Per plan: charged disk service + compute, minus the read
-/// I/O its prefetching loops can overlap with compute — the sequence
-/// generalization of estimate_plan_time_s. Exposed so tests and benches
-/// rank plans with exactly the objective the searcher minimized.
+/// I/O its prefetching loops can overlap with compute. Exposed so tests and
+/// benches rank plans with exactly the objective the searcher minimized;
+/// the --prefetch=auto decision prices one plan with it, with and without
+/// the double-buffered layout.
 double priced_sequence_makespan_s(std::span<const NodeProgram> plans,
                                   const io::DiskModel& disk,
                                   const sim::MachineCostModel& machine);

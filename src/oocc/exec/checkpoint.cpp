@@ -183,12 +183,13 @@ RestartRunInfo run_stencil_with_restart(sim::Machine& machine,
                                         const RestartOptions& options) {
   OOCC_REQUIRE(plan.kind == compiler::ProgramKind::kStencil,
                "run_stencil_with_restart needs a stencil plan");
-  OOCC_REQUIRE(options.checkpoint_every >= 1,
-               "checkpoint_every must be >= 1, got "
-                   << options.checkpoint_every);
-  OOCC_REQUIRE(!options.checkpoint_dir.empty() && !options.array_dir.empty(),
-               "checkpoint_dir and array_dir must be set");
-  CheckpointStore store(options.checkpoint_dir);  // create dir up front
+  const std::filesystem::path& checkpoint_dir = options.exec.checkpoint_dir;
+  OOCC_REQUIRE(options.exec.checkpoint_every >= 1,
+               "exec.checkpoint_every must be >= 1, got "
+                   << options.exec.checkpoint_every);
+  OOCC_REQUIRE(!checkpoint_dir.empty() && !options.array_dir.empty(),
+               "exec.checkpoint_dir and array_dir must be set");
+  CheckpointStore store(checkpoint_dir);  // create dir up front
 
   RestartRunInfo result;
   for (;;) {
@@ -203,15 +204,13 @@ RestartRunInfo run_stencil_with_restart(sim::Machine& machine,
           bindings[name] = array.get();
         }
         ExecOptions exec = options.exec;
-        exec.checkpoint_every = options.checkpoint_every;
-        exec.checkpoint_dir = options.checkpoint_dir;
         StencilRunInfo local;
         exec.stencil_info = &local;
         // The commit protocol's barriers order every rank's view of `meta`:
         // all ranks of an attempt see the same committed checkpoint here.
-        const auto meta = CheckpointStore::latest(options.checkpoint_dir);
+        const auto meta = CheckpointStore::latest(checkpoint_dir);
         if (meta.has_value()) {
-          CheckpointStore attempt_store(options.checkpoint_dir);
+          CheckpointStore attempt_store(checkpoint_dir);
           attempt_store.restore(ctx, *meta, *bindings.at(meta->state));
           exec.start_iteration = meta->iterations;
         } else if (options.initialize) {

@@ -78,16 +78,14 @@ class CheckpointStore {
 
 /// Everything run_stencil_with_restart needs beyond the plan itself.
 struct RestartOptions {
-  /// Executor knobs for each attempt (checkpoint fields are overwritten
-  /// from the settings below; stencil_info is captured internally).
+  /// Executor knobs for each attempt. exec.checkpoint_every (>= 1) and
+  /// exec.checkpoint_dir set the checkpoint cadence and location;
+  /// start_iteration and stencil_info are set per attempt.
   ExecOptions exec;
   /// Directory holding the plan arrays' LAFs. Reused across attempts so
   /// surviving data (and write-back journals) carry over.
   std::filesystem::path array_dir;
   io::DiskModel disk;
-  /// Checkpoint cadence: every k completed sweeps (must be >= 1).
-  int checkpoint_every = 1;
-  std::filesystem::path checkpoint_dir;
   /// Attempts after the first before the last error is rethrown.
   int max_restarts = 8;
   /// Deterministically creates the initial contents of the plan arrays

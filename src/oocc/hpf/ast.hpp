@@ -30,8 +30,8 @@ struct Expr;
 using ExprPtr = std::unique_ptr<Expr>;
 
 enum class ExprKind {
-  kIntConst,     ///< integer literal (or folded parameter)
-  kVarRef,       ///< scalar variable / loop index / parameter reference
+  kIntConst,     ///< integer literal (or a parameter sema bound)
+  kVarRef,       ///< loop index, or a parameter until sema binds it
   kArrayRef,     ///< array element or section reference
   kBinary,       ///< arithmetic on scalars or elementwise on sections
   kSumIntrinsic  ///< SUM(array, dim)

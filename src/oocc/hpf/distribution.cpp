@@ -277,10 +277,15 @@ bool ArrayDistribution::operator==(const ArrayDistribution& other)
 std::string ArrayDistribution::to_string() const {
   std::ostringstream oss;
   oss << rows_ << "x" << cols_ << " dist(" << dist_axis_name(axis_);
-  if (axis_ == DistAxis::kRows) {
-    oss << "," << dist_kind_name(row_dist_.kind());
-  } else if (axis_ == DistAxis::kCols) {
-    oss << "," << dist_kind_name(col_dist_.kind());
+  if (axis_ != DistAxis::kNone) {
+    const DimDistribution& d =
+        axis_ == DistAxis::kRows ? row_dist_ : col_dist_;
+    oss << "," << dist_kind_name(d.kind());
+    // BLOCK's and CYCLIC's block follows from the extent and P; only a
+    // BLOCK-CYCLIC block is a choice, and operator== compares it.
+    if (d.kind() == DistKind::kBlockCyclic) {
+      oss << "(" << d.block() << ")";
+    }
   }
   oss << ") over " << nprocs_ << " procs";
   return oss.str();

@@ -176,6 +176,9 @@ class ArrayDistribution {
 
   bool operator==(const ArrayDistribution& other) const noexcept;
 
+  /// Shape, axis, kind (with a BLOCK-CYCLIC block) and P, e.g.
+  /// "64x64 dist(cols,BLOCK-CYCLIC(2)) over 4 procs": two distributions
+  /// are equal exactly when their strings are.
   std::string to_string() const;
 
  private:

@@ -9,23 +9,25 @@ namespace oocc::hpf {
 
 namespace {
 
-/// Validates statements: referenced arrays are declared with matching rank,
-/// loop variables are unique along a nest path, and scalar subscripts only
-/// reference loop variables / parameters.
-class StmtChecker {
+/// Validates and binds statements: referenced arrays are declared with
+/// matching rank, loop variables are unique along a nest path, and every
+/// scalar name is a loop variable or a parameter. Each parameter reference
+/// (in a loop bound, a subscript or a right-hand side) becomes an integer
+/// constant, so no later pass looks a parameter up.
+class StmtBinder {
  public:
-  StmtChecker(const std::map<std::string, ArrayInfo>& arrays,
-              const std::map<std::string, std::int64_t>& parameters)
+  StmtBinder(const std::map<std::string, ArrayInfo>& arrays,
+             const std::map<std::string, std::int64_t>& parameters)
       : arrays_(arrays), parameters_(parameters) {}
 
-  void check_all(const std::vector<StmtPtr>& stmts) {
+  void bind_all(std::vector<StmtPtr>& stmts) {
     for (const auto& s : stmts) {
-      check_stmt(*s);
+      bind_stmt(*s);
     }
   }
 
  private:
-  void check_stmt(const Stmt& s) {
+  void bind_stmt(Stmt& s) {
     switch (s.kind) {
       case StmtKind::kDo:
       case StmtKind::kForall: {
@@ -38,36 +40,47 @@ class StmtChecker {
                    "loop variable '" << s.loop_var
                                      << "' shadows a parameter at line "
                                      << s.line);
-        check_scalar_expr(*s.lo);
-        check_scalar_expr(*s.hi);
+        bind_scalar_expr(*s.lo);
+        bind_scalar_expr(*s.hi);
         scope_.insert(s.loop_var);
         for (const auto& b : s.body) {
-          check_stmt(*b);
+          bind_stmt(*b);
         }
         scope_.erase(s.loop_var);
         return;
       }
       case StmtKind::kAssign: {
-        check_expr(*s.lhs);
-        check_expr(*s.rhs);
+        bind_expr(*s.lhs);
+        bind_expr(*s.rhs);
         return;
       }
     }
   }
 
-  void check_expr(const Expr& e) {
+  /// A loop variable stays a name; a parameter becomes its value.
+  void bind_name(Expr& e) {
+    if (scope_.contains(e.name)) {
+      return;
+    }
+    const auto it = parameters_.find(e.name);
+    OOCC_CHECK(it != parameters_.end(), ErrorCode::kSemanticError,
+               "reference to unknown scalar '" << e.name << "' at line "
+                                               << e.line);
+    e.kind = ExprKind::kIntConst;
+    e.int_value = it->second;
+    e.name.clear();
+  }
+
+  void bind_expr(Expr& e) {
     switch (e.kind) {
       case ExprKind::kIntConst:
         return;
       case ExprKind::kVarRef:
-        OOCC_CHECK(scope_.contains(e.name) || parameters_.contains(e.name),
-                   ErrorCode::kSemanticError,
-                   "reference to unknown scalar '" << e.name << "' at line "
-                                                   << e.line);
+        bind_name(e);
         return;
       case ExprKind::kBinary:
-        check_expr(*e.lhs);
-        check_expr(*e.rhs);
+        bind_expr(*e.lhs);
+        bind_expr(*e.rhs);
         return;
       case ExprKind::kSumIntrinsic: {
         const auto it = arrays_.find(e.name);
@@ -91,12 +104,12 @@ class StmtChecker {
             "'" << e.name << "' has rank " << it->second.rank << " but is "
                 << "referenced with " << e.subscripts.size()
                 << " subscripts at line " << e.line);
-        for (const auto& sub : e.subscripts) {
+        for (auto& sub : e.subscripts) {
           if (sub.kind == SubscriptKind::kScalar) {
-            check_scalar_expr(*sub.scalar);
+            bind_scalar_expr(*sub.scalar);
           } else if (sub.kind == SubscriptKind::kRange) {
-            check_scalar_expr(*sub.lo);
-            check_scalar_expr(*sub.hi);
+            bind_scalar_expr(*sub.lo);
+            bind_scalar_expr(*sub.hi);
           }
         }
         return;
@@ -104,19 +117,16 @@ class StmtChecker {
     }
   }
 
-  void check_scalar_expr(const Expr& e) {
+  void bind_scalar_expr(Expr& e) {
     switch (e.kind) {
       case ExprKind::kIntConst:
         return;
       case ExprKind::kVarRef:
-        OOCC_CHECK(scope_.contains(e.name) || parameters_.contains(e.name),
-                   ErrorCode::kSemanticError,
-                   "reference to unknown scalar '" << e.name << "' at line "
-                                                   << e.line);
+        bind_name(e);
         return;
       case ExprKind::kBinary:
-        check_scalar_expr(*e.lhs);
-        check_scalar_expr(*e.rhs);
+        bind_scalar_expr(*e.lhs);
+        bind_scalar_expr(*e.rhs);
         return;
       default:
         OOCC_THROW(ErrorCode::kSemanticError,
@@ -140,7 +150,6 @@ const ArrayInfo& BoundProgram::array(const std::string& name) const {
 
 BoundProgram analyze(Program program) {
   BoundProgram bound;
-  bound.parameters = program.parameters;
 
   // Processor arrangement. A program with no PROCESSORS directive is a
   // single-processor program.
@@ -148,7 +157,7 @@ BoundProgram analyze(Program program) {
   if (program.processors.has_value()) {
     procs_name = program.processors->name;
     const std::int64_t p =
-        evaluate_scalar(*program.processors->count, bound.parameters);
+        evaluate_scalar(*program.processors->count, program.parameters);
     OOCC_CHECK(p >= 1 && p <= kMaxProcessors, ErrorCode::kSemanticError,
                "PROCESSORS count must be in 1.." << kMaxProcessors << ", got "
                                                  << p);
@@ -162,7 +171,7 @@ BoundProgram analyze(Program program) {
                "duplicate template '" << t.name << "' at line " << t.line);
     TemplateInfo info;
     info.name = t.name;
-    info.extent = evaluate_scalar(*t.extent, bound.parameters);
+    info.extent = evaluate_scalar(*t.extent, program.parameters);
     info.nprocs = 1;  // undistributed until a DISTRIBUTE names it
     templates[t.name] = info;
   }
@@ -187,7 +196,7 @@ BoundProgram analyze(Program program) {
         break;
       case DistSpecKind::kBlockCyclic:
         info.kind = DistKind::kBlockCyclic;
-        info.block = evaluate_scalar(*d.block, bound.parameters);
+        info.block = evaluate_scalar(*d.block, program.parameters);
         break;
     }
   }
@@ -199,9 +208,9 @@ BoundProgram analyze(Program program) {
     ArrayInfo info;
     info.name = decl.name;
     info.rank = static_cast<int>(decl.extents.size());
-    info.rows = evaluate_scalar(*decl.extents[0], bound.parameters);
+    info.rows = evaluate_scalar(*decl.extents[0], program.parameters);
     info.cols = info.rank == 2
-                    ? evaluate_scalar(*decl.extents[1], bound.parameters)
+                    ? evaluate_scalar(*decl.extents[1], program.parameters)
                     : 1;
     OOCC_CHECK(info.rows >= 1 && info.cols >= 1, ErrorCode::kSemanticError,
                "array '" << decl.name << "' has non-positive extents "
@@ -228,9 +237,8 @@ BoundProgram analyze(Program program) {
     }
   }
 
-  // Statement checks.
-  StmtChecker checker(bound.arrays, bound.parameters);
-  checker.check_all(program.stmts);
+  // Statement checks; parameter references become their values.
+  StmtBinder(bound.arrays, program.parameters).bind_all(program.stmts);
 
   bound.stmts = std::move(program.stmts);
   return bound;

@@ -2,10 +2,11 @@
 //
 // This is the front half of the paper's "in-core phase" (Figure 7): the
 // distribution directives are resolved into an ArrayDistribution per array
-// (from which local bounds on every processor follow), parameters are
-// folded, and the statement list is checked for well-formedness. The
-// result, BoundProgram, is what the out-of-core compiler (oocc/compiler)
-// lowers to a node program.
+// (from which local bounds on every processor follow), the statement list
+// is checked for well-formedness, and every PARAMETER reference in it is
+// bound to its value. The result, BoundProgram, is what the out-of-core
+// compiler (oocc/compiler) lowers to a node program; no later pass sees a
+// parameter name.
 #pragma once
 
 #include <map>
@@ -27,12 +28,13 @@ struct ArrayInfo {
   ArrayDistribution dist;
 };
 
-/// The semantically analyzed program.
+/// The semantically analyzed program. Its statements name only arrays and
+/// loop variables: every parameter reference is an integer constant, so
+/// the statements state everything the compiler reads from them.
 struct BoundProgram {
   int nprocs = 1;
-  std::map<std::string, std::int64_t> parameters;
   std::map<std::string, ArrayInfo> arrays;
-  std::vector<StmtPtr> stmts;  ///< ownership moved from the parsed Program
+  std::vector<StmtPtr> stmts;  ///< moved from the parsed Program, then bound
 
   const ArrayInfo& array(const std::string& name) const;
 };

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <utility>
 
-#include "oocc/util/env.hpp"
 #include "oocc/util/faults.hpp"
 
 namespace oocc::io {
@@ -60,14 +59,6 @@ AsyncEngine::~AsyncEngine() {
   for (std::thread& t : workers_) {
     t.join();
   }
-}
-
-int AsyncEngine::default_threads(int nprocs) {
-  const std::int64_t env = env_int("OOCC_IO_THREADS", 0);
-  if (env > 0) {
-    return static_cast<int>(std::min<std::int64_t>(env, 64));
-  }
-  return std::max(1, std::min(nprocs, 4));
 }
 
 AsyncEngine::Ticket AsyncEngine::submit(const void* stream,

@@ -90,10 +90,6 @@ class AsyncEngine {
   AsyncEngine(const AsyncEngine&) = delete;
   AsyncEngine& operator=(const AsyncEngine&) = delete;
 
-  /// Worker count for a P-processor machine: OOCC_IO_THREADS if set,
-  /// otherwise min(nprocs, 4).
-  static int default_threads(int nprocs);
-
   int threads() const noexcept { return static_cast<int>(workers_.size()); }
 
   /// Enqueues `job` on `stream` (FIFO per stream) and returns its ticket.

@@ -47,6 +47,16 @@ struct DiskModel {
     return request_overhead_s + bytes / effective_bandwidth(nprocs);
   }
 
+  /// Simulated service time of `requests` contiguous requests moving
+  /// `elements` doubles in all: request_time's two terms over a batch. The
+  /// compiler's cost model prices every request count this way.
+  double batch_time(double requests, double elements,
+                    int nprocs) const noexcept {
+    return requests * request_overhead_s +
+           elements * static_cast<double>(sizeof(double)) /
+               effective_bandwidth(nprocs);
+  }
+
   /// Calibration used for the paper-reproduction benches; constants are
   /// Delta/CFS-era magnitudes (see EXPERIMENTS.md for the derivation).
   static DiskModel touchstone_delta_cfs() noexcept {

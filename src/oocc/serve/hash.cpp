@@ -10,7 +10,8 @@ std::uint64_t canonical_program_hash(const hpf::BoundProgram& bound) {
   std::ostringstream oss;
   oss << "nprocs=" << bound.nprocs << "\n";
   // std::map iteration gives a name-sorted, order-insensitive rendering of
-  // the declarations; distributions print their kind, axis and extents.
+  // the declarations; distributions print their kind (with a BLOCK-CYCLIC
+  // block), axis and extents, and the statements carry parameter values.
   for (const auto& [name, info] : bound.arrays) {
     oss << "array " << name << " rank=" << info.rank << " " << info.rows
         << "x" << info.cols << " " << info.dist.to_string() << "\n";

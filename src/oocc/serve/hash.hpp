@@ -3,10 +3,11 @@
 // A cached plan may be handed to any request that would have compiled an
 // identical plan, so the key must capture everything compile_sequence
 // depends on and nothing it does not. The program half hashes the
-// *analyzed* program (statements rendered from the AST plus every array's
-// resolved distribution), which makes the hash insensitive to whitespace,
-// comments and directive ordering but sensitive to N, P, distribution kind
-// and statement changes. The config half carries the optimizer knobs
+// *analyzed* program (statements rendered from the AST, in which sema bound
+// every PARAMETER to its value, plus every array's resolved distribution),
+// which makes the hash insensitive to whitespace, comments and directive
+// ordering but sensitive to N, P, distribution kind and block, PARAMETER
+// values and statement changes. The config half carries the optimizer knobs
 // (budget, memory strategy, reorganization/fusion switches, prefetch mode,
 // verify) plus a fingerprint of the disk and machine cost models — both
 // feed lowering decisions (e.g. PrefetchMode::kAuto prices the prefetch
@@ -36,8 +37,9 @@ inline std::uint64_t fnv1a64(std::string_view bytes,
 }
 
 /// Hash of the canonical (analyzed) program text: nprocs, every array's
-/// shape + resolved distribution, and the statement list. Two sources that
-/// differ only in formatting or comments collide by construction.
+/// shape + resolved distribution, and the bound statement list. Two
+/// sources that differ only in formatting, comments or PARAMETER names
+/// collide by construction.
 std::uint64_t canonical_program_hash(const hpf::BoundProgram& bound);
 
 /// The oocc_compile default memory rule: a quarter of the largest local

@@ -112,13 +112,23 @@ TEST(AsyncEngineTest, DestructorDrainsUnwaitedJobs) {
   EXPECT_EQ(ran.load(), 16);
 }
 
-TEST(AsyncEngineTest, DefaultThreadsHonorsEnvAndProcessorCount) {
-  unsetenv("OOCC_IO_THREADS");
-  EXPECT_EQ(AsyncEngine::default_threads(1), 1);
-  EXPECT_EQ(AsyncEngine::default_threads(4), 4);
-  EXPECT_EQ(AsyncEngine::default_threads(16), 4);  // capped at 4 by default
+TEST(AsyncEngineTest, MachineSizesTheEngineFromItsOptions) {
+  // The machine owns the rule: io_threads workers when set (at most 64),
+  // otherwise min(P, 4).
+  const auto threads = [](int nprocs, int io_threads) {
+    sim::MachineOptions options;
+    options.io_threads = io_threads;
+    sim::Machine machine(nprocs, sim::MachineCostModel::unit_test(), options);
+    return machine.run([](sim::SpmdContext&) {}).async.threads;
+  };
+  EXPECT_EQ(threads(1, 0), 1);
+  EXPECT_EQ(threads(4, 0), 4);
+  EXPECT_EQ(threads(16, 0), 4);  // capped at 4 by default
+  EXPECT_EQ(threads(2, 7), 7);
+  EXPECT_EQ(threads(2, 100), 64);
+  // OOCC_IO_THREADS reaches the rule through MachineOptions::from_env.
   setenv("OOCC_IO_THREADS", "7", 1);
-  EXPECT_EQ(AsyncEngine::default_threads(2), 7);
+  EXPECT_EQ(sim::MachineOptions::from_env().io_threads, 7);
   unsetenv("OOCC_IO_THREADS");
 }
 

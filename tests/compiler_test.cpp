@@ -31,8 +31,8 @@ TEST(AccessTest, ClassifiesGaxpyReferences) {
   const LoopContext loops{"j", "k"};
 
   // temp(1:n, k)
-  const RefAccess temp = classify_reference(
-      *inner.lhs, bound.array("temp"), loops, bound.parameters, true);
+  const RefAccess temp =
+      classify_reference(*inner.lhs, bound.array("temp"), loops, true);
   EXPECT_EQ(temp.row_class, SubscriptClass::kFullRange);
   EXPECT_EQ(temp.col_class, SubscriptClass::kForallIndex);
   EXPECT_TRUE(temp.outer_invariant());

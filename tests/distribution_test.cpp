@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <type_traits>
+#include <vector>
 
 #include "oocc/hpf/distribution.hpp"
 #include "oocc/util/error.hpp"
@@ -411,6 +412,40 @@ TEST(ArrayDistributionTest, EqualityAndToString) {
   EXPECT_FALSE(a == c);
   EXPECT_NE(a.to_string().find("BLOCK"), std::string::npos);
   EXPECT_NE(a.to_string().find("cols"), std::string::npos);
+}
+
+TEST(ArrayDistributionTest, EqualExactlyWhenStringsAreEqual) {
+  // The plan-cache key hashes to_string(): two layouts that compare
+  // unequal must never print alike, and equal ones always do.
+  std::vector<ArrayDistribution> all;
+  for (const DistAxis axis :
+       {DistAxis::kNone, DistAxis::kRows, DistAxis::kCols}) {
+    for (const DistKind kind : {DistKind::kBlock, DistKind::kCyclic,
+                                DistKind::kBlockCyclic, DistKind::kCollapsed}) {
+      for (const std::int64_t block : {1, 2, 4}) {
+        if (kind != DistKind::kBlockCyclic && block != 1) {
+          continue;  // the block argument is read by BLOCK-CYCLIC only
+        }
+        for (const int p : {1, 2, 3, 4}) {
+          if (axis == DistAxis::kNone && kind != DistKind::kCollapsed &&
+              p != 1) {
+            continue;  // a replicated array names no kind
+          }
+          all.emplace_back(12, 8, axis, kind, p, block);
+        }
+      }
+    }
+  }
+  for (const ArrayDistribution& a : all) {
+    for (const ArrayDistribution& b : all) {
+      EXPECT_EQ(a == b, a.to_string() == b.to_string())
+          << a.to_string() << " vs " << b.to_string();
+    }
+  }
+  EXPECT_EQ(ArrayDistribution(12, 8, DistAxis::kCols, DistKind::kBlockCyclic,
+                              4, 2)
+                .to_string(),
+            "12x8 dist(cols,BLOCK-CYCLIC(2)) over 4 procs");
 }
 
 }  // namespace

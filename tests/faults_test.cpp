@@ -504,8 +504,8 @@ TEST_P(RestartBitIdentityTest, RecoveredRunMatchesFaultFreeRun) {
     options.exec.max_iters = iters;
     options.array_dir = dir.path();
     options.disk = DiskModel::zero();
-    options.checkpoint_every = 2;
-    options.checkpoint_dir = ckpt.path();
+    options.exec.checkpoint_every = 2;
+    options.exec.checkpoint_dir = ckpt.path();
     options.initialize = [&](SpmdContext& ctx,
                              const exec::ArrayBindings& bindings) {
       // Re-runs only on cold starts; deterministic, so a cold restart
@@ -555,8 +555,8 @@ TEST(RestartTest, CheckpointingAloneDoesNotChangeResults) {
   options.exec.journal = true;
   options.array_dir = dir.path();
   options.disk = DiskModel::zero();
-  options.checkpoint_every = 2;
-  options.checkpoint_dir = ckpt.path();
+  options.exec.checkpoint_every = 2;
+  options.exec.checkpoint_dir = ckpt.path();
   options.initialize = [&](SpmdContext& ctx,
                            const exec::ArrayBindings& bindings) {
     bindings.at("a")->initialize(ctx, hot_edge, n * n);
@@ -683,8 +683,8 @@ TEST(CheckpointPoolTest, RestartFromALiveHalfCheckpointIsBitIdentical) {
     options.exec.budget_elements = kPoolElements;
     options.array_dir = dir.path();
     options.disk = DiskModel::zero();
-    options.checkpoint_every = 2;
-    options.checkpoint_dir = ckpt.path();
+    options.exec.checkpoint_every = 2;
+    options.exec.checkpoint_dir = ckpt.path();
     options.initialize = [&](SpmdContext& ctx,
                              const exec::ArrayBindings& bindings) {
       if (ctx.rank() == 0) {

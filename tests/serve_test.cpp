@@ -1,10 +1,12 @@
-// Tests for the compile server: canonical hashing, single-flight plan
-// caching, admission fairness (round-robin, no head-of-line blocking,
-// anti-starvation barrier), protocol robustness (malformed and deeply
-// nested requests, over-long operator chains and request lines, mid-job
-// disconnects, reaping finished connection readers), request-scoped
-// environment capture, and the bit-identity of cached executions against
-// fresh ones and against a serial oocc_compile run.
+// Tests for the compile server: canonical hashing (equal keys mean equal
+// plans, and a run is never answered with another program's result),
+// single-flight plan caching, admission fairness (round-robin, no
+// head-of-line blocking, anti-starvation barrier), protocol robustness
+// (malformed and deeply nested requests, over-long operator chains and
+// request lines, mid-job disconnects, reaping finished connection
+// readers), request-scoped environment capture, and the bit-identity of
+// cached executions against fresh ones and against a serial oocc_compile
+// run.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -17,10 +19,14 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "oocc/compiler/lower.hpp"
+#include "oocc/compiler/pretty.hpp"
 #include "oocc/hpf/parser.hpp"
 #include "oocc/hpf/programs.hpp"
 #include "oocc/io/file_backend.hpp"
@@ -134,6 +140,122 @@ TEST(ServeHash, DefaultMemoryBudgetMatchesCliRule) {
   const std::int64_t want =
       largest / 4 + 4 * (largest > 0 ? bound.arrays.begin()->second.rows : 1);
   EXPECT_EQ(default_memory_budget(bound), want);
+}
+
+// ---------------------------------------------------------------------------
+// Key coverage: the key states everything compile_sequence reads
+
+/// `source` with its first `from` replaced by `to`.
+std::string replaced(std::string source, const std::string& from,
+                     const std::string& to) {
+  const std::size_t at = source.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  return source.replace(at, from.size(), to);
+}
+
+/// `y = x*alpha + k` on 24x24 arrays over `p` processors under `dist`;
+/// `literal` spells alpha as a number instead of a PARAMETER.
+std::string scaled_source(int alpha, const std::string& dist, int p,
+                          bool literal) {
+  std::ostringstream oss;
+  oss << "      parameter (n=24, p=" << p;
+  if (!literal) {
+    oss << ", alpha=" << alpha;
+  }
+  oss << ")\n"
+      << "      real x(n,n), y(n,n)\n"
+      << "!hpf$ processors Pr(p)\n"
+      << "!hpf$ template d(n)\n"
+      << "!hpf$ distribute d(" << dist << ") onto Pr\n"
+      << "!hpf$ align (*,:) with d :: x, y\n"
+      << "      forall (k=1:n)\n"
+      << "        y(1:n,k) = x(1:n,k)*"
+      << (literal ? std::to_string(alpha) : "alpha") << " + k\n"
+      << "      end forall\n"
+      << "      end\n";
+  return oss.str();
+}
+
+/// The builtin GAXPY with its template distributed as `dist`.
+std::string gaxpy_distributed(std::int64_t n, std::int64_t p,
+                              const std::string& dist) {
+  return replaced(hpf::gaxpy_source(n, p), "distribute d(block)",
+                  "distribute d(" + dist + ")");
+}
+
+/// Plans a cache may hand out for one another: the same decisions, step
+/// programs, array layouts and storage orders.
+void expect_same_plans(const std::vector<compiler::NodeProgram>& a,
+                       const std::vector<compiler::NodeProgram>& b,
+                       const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(compiler::decision_report(a[i]), compiler::decision_report(b[i]))
+        << what;
+    EXPECT_EQ(compiler::step_program_text(a[i]),
+              compiler::step_program_text(b[i]))
+        << what;
+    ASSERT_EQ(a[i].arrays.size(), b[i].arrays.size()) << what;
+    for (const auto& [name, pa] : a[i].arrays) {
+      const auto it = b[i].arrays.find(name);
+      ASSERT_NE(it, b[i].arrays.end()) << what << ": " << name;
+      EXPECT_TRUE(pa.dist == it->second.dist)
+          << what << ": " << pa.dist.to_string() << " vs "
+          << it->second.dist.to_string();
+      EXPECT_EQ(pa.storage, it->second.storage) << what << ": " << name;
+    }
+  }
+}
+
+TEST(ServeHash, EqualKeysMeanEqualPlans) {
+  // A cached plan is served to every request with its key, so programs
+  // that key alike must compile alike. The grid varies what a PARAMETER
+  // reaches (a right-hand-side scalar, a stencil divisor) and what a
+  // distribution carries (kind, BLOCK-CYCLIC block, P).
+  std::vector<std::string> sources;
+  const char* const dists[] = {"block", "cyclic", "cyclic(2)", "cyclic(4)"};
+  for (const int alpha : {2, 3}) {
+    for (const char* dist : dists) {
+      for (const int p : {2, 3}) {
+        sources.push_back(scaled_source(alpha, dist, p, /*literal=*/false));
+      }
+    }
+  }
+  // A literal 2 and a PARAMETER bound to 2 are one program.
+  for (const char* dist : dists) {
+    sources.push_back(scaled_source(2, dist, 2, /*literal=*/true));
+  }
+  for (const int q : {4, 5}) {
+    for (const std::int64_t n : {32, 48}) {
+      const std::string q_param = "p=2, q=" + std::to_string(q) + ")";
+      sources.push_back(replaced(
+          replaced(hpf::stencil_source(n, 2), "p=2)", q_param), ")/4", ")/q"));
+    }
+  }
+  for (const char* dist : {"block", "cyclic(2)", "cyclic(4)"}) {
+    sources.push_back(gaxpy_distributed(32, 4, dist));
+  }
+
+  std::map<PlanKey, std::vector<std::size_t>> groups;
+  std::vector<std::vector<compiler::NodeProgram>> plans;
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    const hpf::BoundProgram bound = analyze_source(sources[i]);
+    compiler::CompileOptions o;
+    o.memory_budget_elements = default_memory_budget(bound);
+    groups[make_plan_key(bound, o)].push_back(i);
+    plans.push_back(compiler::compile_sequence(bound, o));
+  }
+  int shared = 0;
+  for (const auto& [key, members] : groups) {
+    shared += members.size() > 1 ? 1 : 0;
+    for (std::size_t m = 1; m < members.size(); ++m) {
+      expect_same_plans(plans[members.front()], plans[members[m]],
+                        key.to_string() + "\n" + sources[members.front()] +
+                            "\n" + sources[members[m]]);
+    }
+  }
+  // Each literal spelling shares its key with the PARAMETER spelling.
+  EXPECT_EQ(shared, 4);
 }
 
 // ---------------------------------------------------------------------------
@@ -464,6 +586,44 @@ TEST(Server, CompileOpsSkipAdmissionButRunOpsAreBounded) {
       "{\"op\":\"run\",\"builtin\":\"stencil\",\"n\":32,\"p\":2}");
   EXPECT_FALSE(rejected.get_bool("ok", true));
   EXPECT_EQ(rejected.get_string("code", ""), "ResourceExhausted");
+}
+
+TEST(Server, RunKeysEveryProgramItServes) {
+  // Two programs that differ only in a PARAMETER value, or only in a
+  // BLOCK-CYCLIC block, compile to different plans: a daemon that has run
+  // one must not answer the other from its cache.
+  const auto run_request = [](const std::string& source) {
+    Json req = Json::object();
+    req.set("op", "run");
+    req.set("program", source);
+    return req.dump();
+  };
+  const auto result_of = [](const Json& res) {
+    EXPECT_TRUE(res.get_bool("ok", false)) << res.dump();
+    return res.get_string("result_hash", "");
+  };
+  const std::pair<std::string, std::string> pairs[] = {
+      {scaled_source(2, "block", 4, false), scaled_source(3, "block", 4, false)},
+      {gaxpy_distributed(32, 4, "cyclic(2)"),
+       gaxpy_distributed(32, 4, "cyclic(4)")}};
+  for (const auto& [first, second] : pairs) {
+    std::string own[2];
+    for (int i = 0; i < 2; ++i) {
+      Server fresh(ServerOptions{});
+      own[i] = result_of(fresh.handle_line(run_request(i == 0 ? first
+                                                              : second)));
+    }
+    ASSERT_NE(own[0], own[1]) << "the pair must compute different results";
+    for (int order = 0; order < 2; ++order) {
+      Server server(ServerOptions{});
+      const std::string& a = order == 0 ? first : second;
+      const std::string& b = order == 0 ? second : first;
+      result_of(server.handle_line(run_request(a)));
+      const Json res = server.handle_line(run_request(b));
+      EXPECT_FALSE(res.get_bool("cache_hit", true)) << res.dump();
+      EXPECT_EQ(result_of(res), own[order == 0 ? 1 : 0]) << b;
+    }
+  }
 }
 
 TEST(Server, StdioLoopServesAndShutsDown) {

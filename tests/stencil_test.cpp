@@ -199,9 +199,9 @@ TEST(StencilLowering, StepProgramTextShowsHaloSections) {
 }
 
 TEST(StencilLowering, ParameterScalarsFoldToConstants) {
-  // A parameter coefficient in the rhs must fold at lowering — the
-  // executor binds only the FORALL index, so a surviving VarRef would
-  // evaluate as the column number.
+  // A parameter coefficient in the rhs must reach lowering as a constant
+  // (sema binds it): the executor binds only the FORALL index, so a
+  // surviving VarRef would evaluate as the column number.
   const std::string with_param =
       "      parameter (n=16, p=2, w=2)\n"
       "      real a(n,n), b(n,n)\n"
@@ -246,9 +246,9 @@ TEST(StencilLowering, ParameterScalarsFoldToConstants) {
     ASSERT_EQ(a.state[i], b.state[i]) << "element " << i;
   }
 
-  // Elementwise statements share the normalization, so their parameters
-  // fold too (an unfolded one used to fail at run time as an unbound
-  // scalar after the plan had verified).
+  // Sema binds an elementwise statement's parameters the same way (an
+  // unfolded one used to fail at run time as an unbound scalar after the
+  // plan had verified).
   for (const int p : {1, 3, 4}) {
     SCOPED_TRACE("P=" + std::to_string(p));
     const auto elementwise = [&](const std::string& params,

@@ -253,7 +253,7 @@ TEST_F(OoccCompileSmoke, EveryExampleVerifiesAgainstASerialReference) {
         << entry.path() << "\n" << output;
     ++checked;
   }
-  EXPECT_GE(checked, 4);
+  EXPECT_GE(checked, 6);
 }
 
 TEST_F(OoccCompileSmoke, RunPricesTheTrafficItMeasures) {

@@ -494,8 +494,8 @@ int main(int argc, char** argv) {
       ropts.exec.residual_tol = stencil_tol;
       ropts.array_dir = dir.path();
       ropts.disk = options.disk;
-      ropts.checkpoint_every = checkpoint_every;
-      ropts.checkpoint_dir = dir.path() / "ckpt";
+      ropts.exec.checkpoint_every = checkpoint_every;
+      ropts.exec.checkpoint_dir = dir.path() / "ckpt";
       ropts.max_restarts = max_restarts;
       ropts.initialize = [&](sim::SpmdContext& ctx,
                              const exec::ArrayBindings& bindings) {

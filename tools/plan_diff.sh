@@ -12,10 +12,11 @@
 # counts, slab-cache counters, priced and measured traffic and the result
 # check must match too; only the host-time fields (the "; wall: ..." tail
 # of the "simulated time:" line and the "async io:" line) are dropped.
-# Over the five examples (gaxpy_uneven.hpf is GAXPY under an uneven BLOCK
-# distribution) that is 450 runs per binary. Each run's stdout, stderr and
-# exit status are captured from both binaries; every run whose capture
-# differs is printed as a `diff -u` (old first).
+# Over the six examples (gaxpy_uneven.hpf is GAXPY under an uneven BLOCK
+# distribution; scaled_cyclic.hpf sets its statements' scalar and its
+# BLOCK-CYCLIC block by PARAMETER) that is 540 runs per binary. Each run's
+# stdout, stderr and exit status are captured from both binaries; every run
+# whose capture differs is printed as a `diff -u` (old first).
 #
 # Usage: tools/plan_diff.sh <old oocc_compile> <new oocc_compile>
 #
@@ -23,7 +24,7 @@
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
-  sed -n '2,22p' "$0" >&2
+  sed -n '2,23p' "$0" >&2
   exit 2
 fi
 OLD="$1"
